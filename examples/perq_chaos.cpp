@@ -3,7 +3,7 @@
 //   ./examples/perq_chaos --scenario mix --seed 7
 //   ./examples/perq_chaos --scenario drop --seed 1 --ticks 90
 //
-// Runs the full controller/agent experiment over loopback with a seeded
+// Runs the full controller/agent deployment over loopback with a seeded
 // fault schedule (see --scenario below), checks the run-level safety
 // invariants every tick, then replays the identical experiment fault-free
 // and reports when the faulted trajectory re-converged onto the clean one.
@@ -62,6 +62,15 @@ void usage(const char* argv0) {
       argv0);
 }
 
+/// Prints the violations under `label` (none: prints nothing); true iff any.
+bool report_violations(const char* label,
+                       const perq::fault::DeploymentReport& r) {
+  if (r.violations.empty()) return false;
+  std::printf("  %sINVARIANT VIOLATIONS (%zu):\n", label, r.violations.size());
+  for (const std::string& v : r.violations) std::printf("    %s\n", v.c_str());
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -96,120 +105,107 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (scenario == "domain-partition") {
-    fault::DomainChaosConfig dcfg;
-    dcfg.engine.trace.system = trace::SystemModel::kTrinity;
-    dcfg.engine.trace.max_job_nodes = 4;
-    dcfg.engine.trace.seed = 5;
-    dcfg.engine.worst_case_nodes = 16;
-    dcfg.engine.over_provision_factor = 2.0;
-    dcfg.engine.duration_s = 2400.0;
-    dcfg.engine.control_interval_s = 10.0;
-    dcfg.engine.trace.job_count = core::recommended_job_count(dcfg.engine);
-    dcfg.domains = domains < 2 ? 2 : domains;
-    dcfg.plant.agents = dcfg.domains;
-    dcfg.plant.plan_timeout_ms = 50;
-    dcfg.controller.decide_grace_ms = 5;
-    dcfg.controller.stale_after_ticks = 2;
-    dcfg.arbiter.stale_after_ticks = 2;
-    dcfg.fault_seed = seed;
-    dcfg.max_ticks = ticks;
-    dcfg.domain_partitions.push_back({1, {12, 30}});
-
-    const sysid::IdentifiedModel& dmodel = core::canonical_node_model();
-    const auto dtotal = static_cast<std::size_t>(
-        dcfg.engine.over_provision_factor *
-            double(dcfg.engine.worst_case_nodes) +
+  // Every scenario: trinity, 16 worst-case nodes over-provisioned 2x, jobs
+  // of at most 4 nodes, on a loopback clock where a plan that has not
+  // arrived within 50 ms never will.
+  const auto deployment = [&](double duration_s, std::size_t agent_count) {
+    fault::Deployment d;
+    d.engine.trace.system = trace::SystemModel::kTrinity;
+    d.engine.trace.max_job_nodes = 4;
+    d.engine.trace.seed = 5;
+    d.engine.worst_case_nodes = 16;
+    d.engine.over_provision_factor = 2.0;
+    d.engine.duration_s = duration_s;
+    d.engine.control_interval_s = 10.0;
+    d.engine.trace.job_count = core::recommended_job_count(d.engine);
+    d.plant.agents = agent_count;
+    d.plant.plan_timeout_ms = 50;
+    d.controller.decide_grace_ms = 5;
+    d.fault_seed = seed;
+    d.max_ticks = ticks;
+    return d;
+  };
+  // One identically built policy per leaf controller, plus the standby's.
+  const auto run = [](const fault::Deployment& d, bool with_standby = false) {
+    const auto total = static_cast<std::size_t>(
+        d.engine.over_provision_factor * double(d.engine.worst_case_nodes) +
         0.5);
-    std::vector<std::unique_ptr<core::PerqPolicy>> policies;
-    for (std::size_t d = 0; d < dcfg.domains; ++d) {
-      policies.push_back(std::make_unique<core::PerqPolicy>(
-          &dmodel, dcfg.engine.worst_case_nodes, dtotal));
+    const std::size_t leaves = hier::PowerTree(d.tree).leaves();
+    std::vector<std::unique_ptr<core::PerqPolicy>> owned;
+    std::vector<core::PerqPolicy*> leaf;
+    for (std::size_t i = 0; i < leaves + (with_standby ? 1 : 0); ++i) {
+      owned.push_back(std::make_unique<core::PerqPolicy>(
+          &core::canonical_node_model(), d.engine.worst_case_nodes, total));
+      if (i < leaves) leaf.push_back(owned.back().get());
     }
+    return fault::run_deployment(d, leaf,
+                                 with_standby ? owned.back().get() : nullptr);
+  };
+
+  if (scenario == "domain-partition") {
+    const std::size_t k = domains < 2 ? 2 : domains;
+    fault::Deployment d = deployment(2400.0, k);
+    d.tree = hier::TreeSpec::flat(k);
+    d.controller.stale_after_ticks = 2;
+    d.arbiter.stale_after_ticks = 2;
+    d.uplink_partitions.push_back({2, {12, 30}});  // domain 1 is node 2
+
     std::printf("perq_chaos: scenario 'domain-partition', seed %llu, "
                 "%zu domains, domain 1's arbiter uplink dark for [12, 30)\n",
-                static_cast<unsigned long long>(seed), dcfg.domains);
-    const fault::DomainChaosReport r = fault::run_domain_chaos(dcfg, policies);
+                static_cast<unsigned long long>(seed), k);
+    const fault::DeploymentReport r = run(d);
+    const fault::ArbiterOutcome& arbiter = r.arbiters[0];
 
     std::printf("  %llu ticks (%llu held), %zu jobs done, %llu grant rounds\n",
                 static_cast<unsigned long long>(r.ticks),
                 static_cast<unsigned long long>(r.held_ticks),
                 r.result.jobs_completed,
-                static_cast<unsigned long long>(r.arbiter_decisions));
+                static_cast<unsigned long long>(arbiter.decisions));
     std::printf("  faults injected: %s\n", fault::to_string(r.faults).c_str());
     std::printf("  cluster-wide (arbiter aggregate): %s\n",
                 core::to_string(r.aggregated_counters).c_str());
     std::printf("  plant: %s\n", core::to_string(r.plant_counters).c_str());
     std::printf("  final grants:");
-    for (double g : r.final_grants_w) std::printf(" %.0f W", g);
-    std::printf("  (fenced %.0f W)\n", r.final_fenced_w);
+    for (double g : arbiter.grants_w) std::printf(" %.0f W", g);
+    std::printf("  (fenced %.0f W)\n", arbiter.fenced_w);
 
-    if (!r.violations.empty()) {
-      std::printf("  INVARIANT VIOLATIONS (%zu):\n", r.violations.size());
-      for (const std::string& v : r.violations) {
-        std::printf("    %s\n", v.c_str());
-      }
-      return 1;
-    }
+    if (report_violations("", r)) return 1;
     std::printf("  all safety invariants held on every tick (grants "
                 "conservation asserted per tick)\n");
     return 0;
   }
 
   if (scenario == "tree-partition") {
-    fault::TreeChaosConfig tcfg;
-    tcfg.engine.trace.system = trace::SystemModel::kTrinity;
-    tcfg.engine.trace.max_job_nodes = 4;
-    tcfg.engine.trace.seed = 5;
-    tcfg.engine.worst_case_nodes = 16;
-    tcfg.engine.over_provision_factor = 2.0;
-    tcfg.engine.duration_s = 2400.0;
-    tcfg.engine.control_interval_s = 10.0;
-    tcfg.engine.trace.job_count = core::recommended_job_count(tcfg.engine);
-    tcfg.domains = domains < 4 ? 4 : domains;
-    tcfg.mids = 2;
-    tcfg.plant.agents = tcfg.domains;
-    tcfg.plant.plan_timeout_ms = 50;
-    tcfg.controller.decide_grace_ms = 5;
-    tcfg.controller.stale_after_ticks = 2;
-    tcfg.arbiter.stale_after_ticks = 2;
-    tcfg.fault_seed = seed;
-    tcfg.max_ticks = ticks;
+    const std::size_t k = domains < 4 ? 4 : domains;
+    fault::Deployment d = deployment(2400.0, k);
+    d.tree = hier::TreeSpec::two_level(2, k);  // mid m is node 1 + m
+    d.controller.stale_after_ticks = 2;
+    d.arbiter.stale_after_ticks = 2;
     // The subtree partition: mid 1 loses its root uplink, rides its held
     // parent grant, and its whole subtree must stay conserved and fair.
-    tcfg.subtree_partitions.push_back({1, {12, 30}});
-    // After the heal, move domain 0 under mid 1: the old mid must release
-    // (not fence) its grant -- asserted as the no-double-draw invariant.
-    tcfg.reparents.push_back({36, 0, 1});
-    for (std::size_t d = 0; d < tcfg.domains; ++d) {
-      daemon::DomainAttachment tenant;
-      tenant.sla_floor_w = d == 2 ? 400.0 : 150.0;  // one demanding tenant
-      tenant.priority_weight = d == 0 ? 2.0 : 1.0;
-      tcfg.leaf_tenants.push_back(tenant);
+    d.uplink_partitions.push_back({2, {12, 30}});
+    // After the heal, move domain 0 (node 3) under mid 1: the old mid must
+    // release (not fence) its grant -- asserted as the no-double-draw
+    // invariant.
+    d.reparents.push_back({36, 3, 2});
+    for (std::size_t leaf = 0; leaf < k; ++leaf) {
+      hier::TenantSpec& tenant = d.tree.nodes[3 + leaf].tenant;
+      tenant.sla_floor_w = leaf == 2 ? 400.0 : 150.0;  // one demanding tenant
+      tenant.priority_weight = leaf == 0 ? 2.0 : 1.0;
     }
 
-    const sysid::IdentifiedModel& tmodel = core::canonical_node_model();
-    const auto ttotal = static_cast<std::size_t>(
-        tcfg.engine.over_provision_factor *
-            double(tcfg.engine.worst_case_nodes) +
-        0.5);
-    std::vector<std::unique_ptr<core::PerqPolicy>> policies;
-    for (std::size_t d = 0; d < tcfg.domains; ++d) {
-      policies.push_back(std::make_unique<core::PerqPolicy>(
-          &tmodel, tcfg.engine.worst_case_nodes, ttotal));
-    }
     std::printf("perq_chaos: scenario 'tree-partition', seed %llu, "
                 "%zu domains under 2 mids, mid 1's root uplink dark for "
                 "[12, 30), domain 0 re-parented at tick 36\n",
-                static_cast<unsigned long long>(seed), tcfg.domains);
-    const fault::TreeChaosReport r = fault::run_tree_chaos(tcfg, policies);
+                static_cast<unsigned long long>(seed), k);
+    const fault::DeploymentReport r = run(d);
 
     std::printf("  %llu ticks (%llu held), %zu jobs done, %llu root rounds, "
                 "%llu re-parents executed\n",
                 static_cast<unsigned long long>(r.ticks),
                 static_cast<unsigned long long>(r.held_ticks),
                 r.result.jobs_completed,
-                static_cast<unsigned long long>(r.root_decisions),
+                static_cast<unsigned long long>(r.arbiters[0].decisions),
                 static_cast<unsigned long long>(r.reparents_executed));
     std::printf("  faults injected: %s\n", fault::to_string(r.faults).c_str());
     std::printf("  cluster-wide (root aggregate): %s\n",
@@ -217,72 +213,34 @@ int main(int argc, char** argv) {
     std::printf("  worst per-level overdraw: %.6f W\n",
                 r.max_level_overdraw_w);
     std::printf("  root grants:");
-    for (double g : r.root_grants_w) std::printf(" %.0f W", g);
+    for (double g : r.arbiters[0].grants_w) std::printf(" %.0f W", g);
     std::printf("\n");
 
-    if (!r.violations.empty()) {
-      std::printf("  INVARIANT VIOLATIONS (%zu):\n", r.violations.size());
-      for (const std::string& v : r.violations) {
-        std::printf("    %s\n", v.c_str());
-      }
-      return 1;
-    }
+    if (report_violations("", r)) return 1;
     std::printf("  all safety invariants held on every tick (per-level "
                 "conservation, tenant SLA fairness, re-parent hygiene)\n");
     return 0;
   }
 
   if (scenario == "failover") {
-    const auto base_config = [&] {
-      fault::FailoverChaosConfig fcfg;
-      fcfg.engine.trace.system = trace::SystemModel::kTrinity;
-      fcfg.engine.trace.max_job_nodes = 4;
-      fcfg.engine.trace.seed = 5;
-      fcfg.engine.worst_case_nodes = 16;
-      fcfg.engine.over_provision_factor = 2.0;
-      fcfg.engine.duration_s = 1200.0;
-      fcfg.engine.control_interval_s = 10.0;
-      fcfg.engine.trace.job_count = core::recommended_job_count(fcfg.engine);
-      fcfg.plant.agents = agents;
-      fcfg.plant.plan_timeout_ms = 50;
-      fcfg.plant.failover_after_held_ticks = 2;
-      fcfg.plant.failsafe_after_ticks = 3;
-      fcfg.controller.decide_grace_ms = 5;
-      fcfg.fault_seed = seed;
-      fcfg.max_ticks = ticks;
-      return fcfg;
+    const auto base = [&] {
+      fault::Deployment d = deployment(1200.0, agents);
+      d.plant.failover_after_held_ticks = 2;
+      d.plant.failsafe_after_ticks = 3;
+      return d;
     };
-    const sysid::IdentifiedModel& fmodel = core::canonical_node_model();
-    const auto ftotal = static_cast<std::size_t>(
-        2.0 * 16.0 + 0.5);  // over_provision_factor * worst_case_nodes
-    const auto run = [&](const fault::FailoverChaosConfig& fcfg) {
-      core::PerqPolicy pp(&fmodel, fcfg.engine.worst_case_nodes, ftotal);
-      core::PerqPolicy sp(&fmodel, fcfg.engine.worst_case_nodes, ftotal);
-      return fault::run_failover_chaos(fcfg, pp, sp);
-    };
-
     std::printf("perq_chaos: scenario 'failover', seed %llu, %zu agents\n",
                 static_cast<unsigned long long>(seed), agents);
     int rc = 0;
-    const auto check = [&rc](const char* name,
-                             const fault::FailoverChaosReport& r) {
-      if (r.violations.empty()) return;
-      std::printf("  %s: INVARIANT VIOLATIONS (%zu):\n", name,
-                  r.violations.size());
-      for (const std::string& v : r.violations) {
-        std::printf("    %s\n", v.c_str());
-      }
-      rc = 1;
-    };
 
-    const fault::FailoverChaosReport clean = run(base_config());
-    check("baseline", clean);
+    const fault::DeploymentReport clean = run(base(), true);
+    if (report_violations("baseline: ", clean)) rc = 1;
 
-    fault::FailoverChaosConfig tight_cfg = base_config();
+    fault::Deployment tight_cfg = base();
     tight_cfg.kill_primary_at_tick = 18;
     tight_cfg.tight_handover = true;
-    const fault::FailoverChaosReport tight = run(tight_cfg);
-    check("tight-handover", tight);
+    const fault::DeploymentReport tight = run(tight_cfg, true);
+    if (report_violations("tight-handover: ", tight)) rc = 1;
     const std::uint64_t tight_reconv = fault::reconvergence_tick(
         tight.history, clean.history, 0, /*tol_w=*/0.0);
     std::printf("  tight handover: primary killed + standby promoted at tick "
@@ -293,10 +251,10 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(tight.repl_divergence));
     if (tight_reconv != 0 || tight.repl_divergence != 0) rc = 1;
 
-    fault::FailoverChaosConfig det_cfg = base_config();
+    fault::Deployment det_cfg = base();
     det_cfg.kill_primary_at_tick = 18;
-    const fault::FailoverChaosReport det = run(det_cfg);
-    check("detected-takeover", det);
+    const fault::DeploymentReport det = run(det_cfg, true);
+    if (report_violations("detected-takeover: ", det)) rc = 1;
     // Per-job re-convergence is too strict here: two held ticks shift every
     // later job start. Sustained power divergence is the control-level
     // signature (see longest_power_divergence_streak), and the takeover
@@ -319,21 +277,22 @@ int main(int argc, char** argv) {
       rc = 1;
     }
 
-    fault::FailoverChaosConfig fence_cfg = base_config();
+    fault::Deployment fence_cfg = base();
     fence_cfg.partition_primary = {12, 60};
     for (std::size_t a = 0; a < agents; ++a) {
-      fence_cfg.redial_primary.emplace_back(30, a);
+      fence_cfg.events.push_back(
+          {30, a, fault::AgentEvent::Kind::kRedialPrimary});
     }
-    const fault::FailoverChaosReport fence = run(fence_cfg);
-    check("deposed-fence", fence);
+    const fault::DeploymentReport fence = run(fence_cfg, true);
+    if (report_violations("deposed-fence: ", fence)) rc = 1;
+    const std::uint64_t fenced_frames = fence.plant_counters.stale_epoch_frames;
     std::printf("  deposed primary: partitioned from tick 12, standby "
                 "promoted at tick %llu (epoch %llu); agents re-dialed the "
                 "old primary at tick 30 and fenced %llu stale-epoch frames\n",
                 static_cast<unsigned long long>(fence.promoted_at_tick),
                 static_cast<unsigned long long>(fence.standby_epoch),
-                static_cast<unsigned long long>(fence.stale_epoch_frames));
-    if (fence.promoted_at_tick == fault::kNever ||
-        fence.stale_epoch_frames == 0) {
+                static_cast<unsigned long long>(fenced_frames));
+    if (fence.promoted_at_tick == fault::kNever || fenced_frames == 0) {
       std::printf("  deposed primary: fencing did not engage\n");
       rc = 1;
     }
@@ -345,21 +304,7 @@ int main(int argc, char** argv) {
     return rc;
   }
 
-  fault::ChaosConfig cfg;
-  cfg.engine.trace.system = trace::SystemModel::kTrinity;
-  cfg.engine.trace.max_job_nodes = 4;
-  cfg.engine.trace.seed = 5;
-  cfg.engine.worst_case_nodes = 16;
-  cfg.engine.over_provision_factor = 2.0;
-  cfg.engine.duration_s = 1200.0;
-  cfg.engine.control_interval_s = 10.0;
-  cfg.engine.trace.job_count = core::recommended_job_count(cfg.engine);
-  cfg.plant.agents = agents;
-  cfg.plant.plan_timeout_ms = 50;  // loopback: no plan this tick means never
-  cfg.controller.decide_grace_ms = 5;
-  cfg.fault_seed = seed;
-  cfg.max_ticks = ticks;
-
+  fault::Deployment cfg = deployment(1200.0, agents);
   const fault::TickWindow kFaultWindow{10, 40};
   fault::ConnectionSchedule sched;
   sched.window = kFaultWindow;
@@ -402,23 +347,14 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const sysid::IdentifiedModel& model = core::canonical_node_model();
-  const auto total = static_cast<std::size_t>(
-      cfg.engine.over_provision_factor * double(cfg.engine.worst_case_nodes) +
-      0.5);
-
   std::printf("perq_chaos: scenario '%s', seed %llu, %zu agents\n",
               scenario.c_str(), static_cast<unsigned long long>(seed), agents);
 
-  core::PerqPolicy faulted_policy(&model, cfg.engine.worst_case_nodes, total);
-  const fault::ChaosReport faulted = fault::run_chaos(cfg, faulted_policy);
-
-  fault::ChaosConfig clean_cfg = cfg;  // identical run, no faults
+  const fault::DeploymentReport faulted = run(cfg);
+  fault::Deployment clean_cfg = cfg;  // identical run, no faults
   clean_cfg.default_schedule = {};
   clean_cfg.schedules.clear();
-  clean_cfg.events.clear();
-  core::PerqPolicy clean_policy(&model, cfg.engine.worst_case_nodes, total);
-  const fault::ChaosReport clean = fault::run_chaos(clean_cfg, clean_policy);
+  const fault::DeploymentReport clean = run(clean_cfg);
 
   std::printf("  faulted: %llu ticks (%llu held), %zu jobs done\n",
               static_cast<unsigned long long>(faulted.ticks),
@@ -427,7 +363,7 @@ int main(int argc, char** argv) {
   std::printf("  faults injected: %s\n",
               fault::to_string(faulted.faults).c_str());
   std::printf("  controller: %s\n",
-              core::to_string(faulted.controller_counters).c_str());
+              core::to_string(faulted.controller_counters[0]).c_str());
   std::printf("  plant:      %s\n",
               core::to_string(faulted.plant_counters).c_str());
 
@@ -453,13 +389,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(during),
               static_cast<unsigned long long>(after));
 
-  if (!faulted.violations.empty()) {
-    std::printf("  INVARIANT VIOLATIONS (%zu):\n", faulted.violations.size());
-    for (const std::string& v : faulted.violations) {
-      std::printf("    %s\n", v.c_str());
-    }
-    return 1;
-  }
+  if (report_violations("", faulted)) return 1;
   std::printf("  all safety invariants held on every tick\n");
   return 0;
 }

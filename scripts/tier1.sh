@@ -20,7 +20,8 @@
 # its schema fails the gate before anyone burns a full sweep on it. A
 # replay-smoke leg does the same for perq_replay: 10k jobs through the
 # SchedCtl/accounting stack, audit JSON schema-checked, all jobs complete,
-# fairness >= 0.5.
+# fairness >= 0.5. A perfbench leg builds the control-interval benchmark
+# from src/ and runs its own tests (perfbench/tests/test_run.py).
 #
 #   scripts/tier1.sh                        # all legs
 #   PERQ_SKIP_SANITIZE=1 scripts/tier1.sh   # plain leg only (quick iteration)
@@ -159,6 +160,12 @@ print("REPLAY_audit_smoke.json schema OK (%d factors, fairness >= 0.5)"
       % len(fs))
 EOF
 )
+
+# Perfbench leg: the control-interval benchmark compiles src/ itself and
+# calls run_tcp_daemon_experiment, run_hier_experiment, PerqController and
+# DaemonPlant directly, so a change to those library entry points must
+# still build the harness and pass its smoke runs and checks.
+python3 perfbench/tests/test_run.py
 
 if [[ "${PERQ_SKIP_SANITIZE:-0}" != "1" ]]; then
   cmake -B "$ASAN_BUILD_DIR" -S . -DPERQ_SANITIZE=ON

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "apps/app_model.hpp"
-#include "net/loopback.hpp"
 #include "net/tcp.hpp"
 #include "util/require.hpp"
 #include "util/stopwatch.hpp"
@@ -395,27 +394,6 @@ std::size_t DaemonPlant::reconnect_failover(net::Transport& transport) {
     addrs[g] = pcfg_.failover_addresses[g][addr_cursor_[g]];
   }
   return reconnect_lost(transport, addrs);
-}
-
-core::RunResult run_loopback_daemon_experiment(const core::EngineConfig& cfg,
-                                               core::PerqPolicy& policy,
-                                               std::size_t agents,
-                                               const ControllerConfig& ccfg) {
-  net::LoopbackTransport transport;
-  const std::string address = "perqd";
-  PerqController controller(transport.listen(address), policy, ccfg);
-
-  PlantConfig pcfg;
-  pcfg.agents = agents;
-  DaemonPlant plant(cfg, transport, address, pcfg);
-  controller.pump();
-
-  while (!plant.done()) {
-    plant.step([&controller] { controller.service(); });
-  }
-  for (std::size_t i = 0; i < plant.agent_count(); ++i) plant.agent(i).bye();
-  controller.pump();
-  return plant.finish(policy.name());
 }
 
 core::RunResult run_tcp_daemon_experiment(const core::EngineConfig& cfg,

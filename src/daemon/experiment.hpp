@@ -9,9 +9,11 @@
 // never blocks on the controller, the mirror image of the controller never
 // blocking on a silent agent.
 //
-// run_loopback_daemon_experiment() wires plant and controller through the
-// in-process loopback transport, single-threaded and deterministic: the
-// proof harness for "daemon run == in-process run, bit for bit".
+// run_tcp_daemon_experiment() wires plant and controller through real
+// loopback-TCP sockets; fault::run_deployment (fault/chaos.hpp) wires any
+// deployment through the in-process loopback transport, single-threaded
+// and deterministic: the proof harness for "daemon run == in-process run,
+// bit for bit".
 #pragma once
 
 #include <cstdint>
@@ -129,6 +131,8 @@ class DaemonPlant {
   }
   /// Current failover-candidate index for group `g`.
   std::size_t failover_cursor(std::size_t g) const { return addr_cursor_[g]; }
+  /// Group of the agent leading `job` (the one owning its first node).
+  std::size_t lead_group(const sched::Job& job) const;
 
   /// Plant-side robustness accounting: frames_dropped counts delivered cap
   /// plans discarded by the whole-plan validity check in step() (the plant
@@ -145,8 +149,6 @@ class DaemonPlant {
   /// (connections die and reconnect between steps). O(agents) integer
   /// compares when nothing changed.
   void sync_reactor();
-  /// Group of the agent leading `job` (the one owning its first node).
-  std::size_t lead_group(const sched::Job& job) const;
 
   core::SimulationEngine engine_;
   PlantConfig pcfg_;
@@ -164,20 +166,13 @@ class DaemonPlant {
   std::vector<std::uint8_t> fence_bumped_;      ///< fence already advanced cursor
 };
 
-/// Runs a full experiment through controller + agents over the loopback
-/// transport. Deterministic; produces bit-identical cap schedules to
-/// run_experiment(cfg, policy) with an identically configured policy.
-core::RunResult run_loopback_daemon_experiment(const core::EngineConfig& cfg,
-                                               core::PerqPolicy& policy,
-                                               std::size_t agents = 1,
-                                               const ControllerConfig& ccfg = {});
-
-/// Same experiment over real loopback-TCP sockets, single-threaded and
-/// lockstep (the controller is serviced from the plant's wait loop).
-/// `backend` selects the readiness backend on both sides. Decisions depend
-/// only on complete tick batches -- never on readiness or arrival order --
-/// so this run is bit-identical to the loopback and in-process runs, which
-/// is exactly what the epoll-vs-poll determinism test asserts.
+/// Runs a full experiment through controller + agents over real
+/// loopback-TCP sockets, single-threaded and lockstep (the controller is
+/// serviced from the plant's wait loop). `backend` selects the readiness
+/// backend on both sides. Decisions depend only on complete tick batches --
+/// never on readiness or arrival order -- so this run is bit-identical to
+/// the in-process run and to fault::run_deployment's lone-root loopback
+/// run, which is exactly what the epoll-vs-poll determinism test asserts.
 core::RunResult run_tcp_daemon_experiment(
     const core::EngineConfig& cfg, core::PerqPolicy& policy,
     std::size_t agents = 1, const ControllerConfig& ccfg = {},

@@ -23,788 +23,458 @@ std::string tick_msg(std::uint64_t tick, const char* what, double a, double b) {
   return buf;
 }
 
+/// A cap outside [cap_min, TDP]; 0 is the protocol's "hold" sentinel.
+bool outside_box(double cap) {
+  const auto& spec = apps::node_power_spec();
+  return cap != 0.0 && (!std::isfinite(cap) || cap < spec.cap_min - 1e-6 ||
+                        cap > spec.tdp + 1e-6);
+}
+
 }  // namespace
 
-ChaosReport run_chaos(const ChaosConfig& cfg, core::PerqPolicy& policy) {
+DeploymentReport run_deployment(const Deployment& dep,
+                                const std::vector<core::PerqPolicy*>& leaf_policies,
+                                core::PerqPolicy* standby_policy) {
+  const hier::PowerTree tree(dep.tree);  // validates the spec
+  const std::size_t n = tree.nodes();
+  const std::size_t leaves = tree.leaves();
+  const bool has_standby = standby_policy != nullptr;
+  PERQ_REQUIRE(leaf_policies.size() == leaves,
+               "need exactly one policy per leaf controller");
+  PERQ_REQUIRE(!has_standby || n == 1, "a standby needs a lone-root deployment");
+  PERQ_REQUIRE(has_standby || (dep.kill_primary_at_tick == kNever &&
+                               dep.partition_primary.begin >=
+                                   dep.partition_primary.end),
+               "killing or partitioning the primary needs a standby");
+
+  // --- fault plan ---
   net::LoopbackTransport loop;
-  FaultPlan plan(cfg.fault_seed);
-  plan.set_default_schedule(cfg.default_schedule);
-  for (const auto& [index, sched] : cfg.schedules) {
-    plan.set_schedule(index, sched);
-  }
-  FaultyTransport transport(loop, plan);
-
-  const std::string address = "perqd";
-  daemon::PerqController controller(transport.listen(address), policy,
-                                    cfg.controller);
-  daemon::DaemonPlant plant(cfg.engine, transport, address, cfg.plant);
-  controller.pump();
-
-  ChaosReport report;
-  const auto& spec = apps::node_power_spec();
-  const double budget_w = plant.engine().cluster().power_budget_w();
-
-  std::uint64_t tick = 0;
-  while (!plant.done() && (cfg.max_ticks == 0 || tick < cfg.max_ticks)) {
-    plan.set_tick(tick);
-
-    for (const AgentEvent& e : cfg.events) {
-      if (e.tick != tick || e.agent >= plant.agent_count()) continue;
-      if (e.kind == AgentEvent::Kind::kHang) {
-        plant.agent(e.agent).hang();
-      } else {
-        try {
-          if (auto conn = transport.connect(address)) {
-            plant.agent(e.agent).reconnect(std::move(conn));
-          }
-        } catch (const precondition_error&) {
-          // Listener gone; the regular reconnect path keeps retrying.
-        }
-      }
-    }
-
-    const bool planned = plant.step([&controller] { controller.service(); });
-    if (!planned) ++report.held_ticks;
-    // Re-dial crashed agents every tick (a single dead agent does not stop
-    // plans from arriving via the others, so held ticks alone would never
-    // trigger the reconnect path). Backoff pacing lives in the plant.
-    plant.reconnect_lost(transport, address);
-
-    // --- run-level safety invariants, evaluated every tick ---
-    TickRecord rec;
-    rec.tick = tick;
-    rec.plan_arrived = planned;
-    rec.budget_total_w = budget_w;
-    std::map<int, double> nodes_by_job;
-    for (const sched::Job* job : plant.engine().running()) {
-      const double cap = job->last_cap_w();
-      const double nodes = static_cast<double>(job->spec().nodes);
-      nodes_by_job[job->spec().id] = nodes;
-      rec.committed_w += cap * nodes;
-      rec.caps_by_job.emplace_back(job->spec().id, cap);
-      if (cap != 0.0 && (!std::isfinite(cap) || cap < spec.cap_min - 1e-6 ||
-                         cap > spec.tdp + 1e-6)) {
-        report.violations.push_back(
-            tick_msg(tick, "applied cap outside [cap_min, TDP]", cap,
-                     spec.tdp));
-      }
-    }
-    if (rec.committed_w > budget_w + 1e-3) {
-      report.violations.push_back(
-          tick_msg(tick, "committed watts exceed cluster budget",
-                   rec.committed_w, budget_w));
-    }
-    if (planned) {
-      // The plan the plant accepted this tick is the controller's latest.
-      const proto::CapPlan& p = controller.last_plan();
-      double plan_w = 0.0;
-      for (const proto::CapEntry& e : p.entries) {
-        if (e.cap_w != 0.0 &&
-            (!std::isfinite(e.cap_w) || e.cap_w < spec.cap_min - 1e-6 ||
-             e.cap_w > spec.tdp + 1e-6)) {
-          report.violations.push_back(tick_msg(
-              tick, "delivered plan cap outside [cap_min, TDP]", e.cap_w,
-              spec.tdp));
-        }
-        const auto it = nodes_by_job.find(e.job_id);
-        if (it != nodes_by_job.end()) plan_w += e.cap_w * it->second;
-      }
-      if (plan_w > budget_w + 1e-3) {
-        report.violations.push_back(tick_msg(
-            tick, "delivered plan sums above cluster budget", plan_w,
-            budget_w));
-      }
-      // Held (stale) watts are fenced off the optimized budget row, never
-      // double-spent: row + held must still fit the budget.
-      const auto& stats = controller.last_stats();
-      if (stats.budget_row_w + stats.held_w > budget_w + 1e-3) {
-        report.violations.push_back(
-            tick_msg(tick, "budget row + held watts exceed budget",
-                     stats.budget_row_w + stats.held_w, budget_w));
-      }
-    }
-    report.history.push_back(std::move(rec));
-    ++tick;
-  }
-
-  for (std::size_t i = 0; i < plant.agent_count(); ++i) plant.agent(i).bye();
-  controller.pump();
-
-  report.result = plant.finish(policy.name());
-  report.controller_counters = controller.counters();
-  report.plant_counters = plant.counters();
-  report.faults = plan.stats();
-  report.ticks = tick;
-  return report;
-}
-
-DomainChaosReport run_domain_chaos(
-    const DomainChaosConfig& cfg,
-    std::vector<std::unique_ptr<core::PerqPolicy>>& policies) {
-  PERQ_REQUIRE(cfg.domains >= 1, "need at least one domain");
-  PERQ_REQUIRE(policies.size() == cfg.domains,
-               "need exactly one policy per domain controller");
-
-  net::LoopbackTransport loop;
-  FaultPlan plan(cfg.fault_seed);
-  plan.set_default_schedule(cfg.default_schedule);
-  for (const auto& [index, sched] : cfg.schedules) {
-    plan.set_schedule(index, sched);
-  }
-  for (const auto& [domain, window] : cfg.domain_partitions) {
-    PERQ_REQUIRE(domain < cfg.domains, "partition for unknown domain");
-    ConnectionSchedule sched = plan.schedule_for(domain);
-    sched.partitions.push_back(window);
-    plan.set_schedule(domain, sched);
-  }
-  FaultyTransport transport(loop, plan);
-
-  const std::string arbiter_address = "perq-arbiter";
-  hier::ArbiterDaemon arbiter(transport.listen(arbiter_address), cfg.domains,
-                              cfg.arbiter);
-  std::vector<std::unique_ptr<daemon::PerqController>> controllers;
-  std::vector<std::string> addresses;
-  for (std::size_t d = 0; d < cfg.domains; ++d) {
-    addresses.push_back("perqd-" + std::to_string(d));
-    controllers.push_back(std::make_unique<daemon::PerqController>(
-        transport.listen(addresses.back()), *policies[d], cfg.controller));
-    // Dialed before any agent: connection index d is domain d's uplink.
-    controllers.back()->attach_arbiter(transport.connect(arbiter_address),
-                                       static_cast<std::uint32_t>(d),
-                                       static_cast<std::uint32_t>(cfg.domains));
-  }
-  daemon::DaemonPlant plant(cfg.engine, transport, addresses, cfg.plant);
-  for (auto& c : controllers) c->pump();
-
-  DomainChaosReport report;
-  const auto& spec = apps::node_power_spec();
-  const double budget_w = plant.engine().cluster().power_budget_w();
-  const auto service = [&] {
-    for (auto& c : controllers) c->service();
-    arbiter.service();
-  };
-
-  std::uint64_t tick = 0;
-  while (!plant.done() && (cfg.max_ticks == 0 || tick < cfg.max_ticks)) {
-    plan.set_tick(tick);
-
-    for (const AgentEvent& e : cfg.events) {
-      if (e.tick != tick || e.agent >= plant.agent_count()) continue;
-      if (e.kind == AgentEvent::Kind::kHang) {
-        plant.agent(e.agent).hang();
-      } else {
-        try {
-          if (auto conn =
-                  transport.connect(addresses[e.agent % cfg.domains])) {
-            plant.agent(e.agent).reconnect(std::move(conn));
-          }
-        } catch (const precondition_error&) {
-          // Listener gone; the regular reconnect path keeps retrying.
-        }
-      }
-    }
-
-    const bool planned = plant.step(service);
-    if (!planned) ++report.held_ticks;
-    plant.reconnect_lost(transport, addresses);
-
-    // --- run-level safety invariants, evaluated every tick ---
-    TickRecord rec;
-    rec.tick = tick;
-    rec.plan_arrived = planned;
-    rec.budget_total_w = budget_w;
-    for (const sched::Job* job : plant.engine().running()) {
-      const double cap = job->last_cap_w();
-      const double nodes = static_cast<double>(job->spec().nodes);
-      rec.committed_w += cap * nodes;
-      rec.caps_by_job.emplace_back(job->spec().id, cap);
-      if (cap != 0.0 && (!std::isfinite(cap) || cap < spec.cap_min - 1e-6 ||
-                         cap > spec.tdp + 1e-6)) {
-        report.violations.push_back(
-            tick_msg(tick, "applied cap outside [cap_min, TDP]", cap,
-                     spec.tdp));
-      }
-    }
-    if (rec.committed_w > budget_w + 1e-3) {
-      report.violations.push_back(
-          tick_msg(tick, "committed watts exceed cluster budget",
-                   rec.committed_w, budget_w));
-    }
-    // Grant conservation, the hierarchical invariant: everything the
-    // arbiter has outstanding -- live grants, grants fenced for silent
-    // domains, and the static reserves for domains that never reported --
-    // fits the cluster budget those grants were carved from.
-    if (arbiter.decisions() > 0) {
-      rec.grants_w = arbiter.grants_w();
-      double outstanding_w = arbiter.reserved_w();
-      for (const double g : rec.grants_w) outstanding_w += g;
-      if (outstanding_w > arbiter.cluster_budget_w() + 1e-3) {
-        report.violations.push_back(
-            tick_msg(tick, "domain grants exceed cluster budget",
-                     outstanding_w, arbiter.cluster_budget_w()));
-      }
-    }
-    // Each domain that decided this tick stayed within its own scope:
-    // optimized row + held watts fit the grant it ran under.
-    for (const auto& c : controllers) {
-      const auto& stats = c->last_stats();
-      if (stats.tick != tick) continue;
-      if (stats.budget_row_w + stats.held_w > stats.granted_w + 1e-3) {
-        report.violations.push_back(
-            tick_msg(tick, "domain budget row + held watts exceed grant",
-                     stats.budget_row_w + stats.held_w, stats.granted_w));
-      }
-    }
-    report.history.push_back(std::move(rec));
-    ++tick;
-  }
-
-  for (std::size_t i = 0; i < plant.agent_count(); ++i) plant.agent(i).bye();
-  for (auto& c : controllers) c->pump();
-  arbiter.pump();
-
-  report.result = plant.finish(
-      cfg.domains == 1 ? "PERQ" : "PERQ-HIER" + std::to_string(cfg.domains));
-  report.controller_counters.reserve(controllers.size());
-  for (const auto& c : controllers) {
-    report.controller_counters.push_back(c->counters());
-  }
-  report.aggregated_counters = arbiter.aggregated_counters();
-  report.plant_counters = plant.counters();
-  report.faults = plan.stats();
-  report.ticks = tick;
-  report.arbiter_decisions = arbiter.decisions();
-  report.final_grants_w = arbiter.grants_w();
-  report.final_fenced_w = arbiter.fenced_w();
-  return report;
-}
-
-TreeChaosReport run_tree_chaos(
-    const TreeChaosConfig& cfg,
-    std::vector<std::unique_ptr<core::PerqPolicy>>& policies) {
-  PERQ_REQUIRE(cfg.domains >= 1, "need at least one domain");
-  PERQ_REQUIRE(cfg.mids >= 1 && cfg.mids <= cfg.domains,
-               "need between 1 and `domains` mid arbiters");
-  PERQ_REQUIRE(policies.size() == cfg.domains,
-               "need exactly one policy per domain controller");
-  PERQ_REQUIRE(cfg.leaf_tenants.empty() ||
-                   cfg.leaf_tenants.size() == cfg.domains,
-               "leaf_tenants must be empty or one entry per domain");
-
-  net::LoopbackTransport loop;
-  FaultPlan plan(cfg.fault_seed);
-  plan.set_default_schedule(cfg.default_schedule);
-  for (const auto& [index, sched] : cfg.schedules) {
-    plan.set_schedule(index, sched);
-  }
-  for (const auto& [mid, window] : cfg.subtree_partitions) {
-    PERQ_REQUIRE(mid < cfg.mids, "subtree partition for unknown mid");
-    ConnectionSchedule sched = plan.schedule_for(mid);
-    sched.partitions.push_back(window);
-    plan.set_schedule(mid, sched);
-  }
-  for (const auto& [domain, window] : cfg.domain_partitions) {
-    PERQ_REQUIRE(domain < cfg.domains, "partition for unknown domain");
-    const std::size_t index = cfg.mids + domain;
+  FaultPlan plan(dep.fault_seed);
+  plan.set_default_schedule(dep.default_schedule);
+  for (const auto& [index, sched] : dep.schedules) plan.set_schedule(index, sched);
+  const auto black_out = [&plan](std::size_t index, TickWindow window) {
     ConnectionSchedule sched = plan.schedule_for(index);
     sched.partitions.push_back(window);
     plan.set_schedule(index, sched);
+  };
+  for (const auto& [node, window] : dep.uplink_partitions) {
+    PERQ_REQUIRE(node >= 1 && node < n, "uplink partition for a node without one");
+    black_out(node - 1, window);
+  }
+  if (dep.partition_primary.begin < dep.partition_primary.end) {
+    // Replication link (connection 0 on a lone root) plus every initial
+    // agent connection: nothing reaches the primary or leaves it.
+    for (std::size_t i = 0; i <= dep.plant.agents; ++i) {
+      black_out(i, dep.partition_primary);
+    }
   }
   FaultyTransport transport(loop, plan);
 
-  // Leaf d starts under mid d % mids as child d / mids; every mid carries
-  // one spare slot (capacity kids + 1) for scripted re-parents, so the
-  // moved controller lands on a fresh domain id instead of colliding.
-  std::vector<std::size_t> kids(cfg.mids, 0);
-  for (std::size_t d = 0; d < cfg.domains; ++d) ++kids[d % cfg.mids];
-
-  const std::string root_address = "perq-root";
-  hier::ArbiterDaemon root(transport.listen(root_address), cfg.mids,
-                           cfg.arbiter);
-  std::vector<std::unique_ptr<hier::ArbiterDaemon>> mid_daemons;
-  std::vector<std::string> mid_addresses;
-  for (std::size_t m = 0; m < cfg.mids; ++m) {
-    mid_addresses.push_back("perq-mid-" + std::to_string(m));
-    mid_daemons.push_back(std::make_unique<hier::ArbiterDaemon>(
-        transport.listen(mid_addresses.back()), kids[m] + 1, cfg.arbiter));
-    daemon::DomainAttachment att;
-    att.static_share = 1.0 / static_cast<double>(cfg.mids);
-    // Dialed before any controller: connection index m is mid m's uplink.
-    att.tree_path = {0u, static_cast<std::uint32_t>(1 + m)};
-    mid_daemons.back()->attach_parent(transport.connect(root_address),
-                                      static_cast<std::uint32_t>(m),
-                                      static_cast<std::uint32_t>(cfg.mids),
-                                      std::move(att));
+  // --- wiring: leaves are controllers, interior nodes arbiters ---
+  std::vector<std::uint32_t> parent(n);
+  std::vector<std::vector<std::uint32_t>> children(n);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    parent[i] = dep.tree.nodes[i].parent;
+    if (i > 0) children[parent[i]].push_back(i);
   }
-
-  const auto leaf_attachment = [&](std::size_t d, std::size_t m) {
+  // Child slots per arbiter, plus each node's slot under its parent (kept
+  // current across re-parents). Arbiters below the root carry one spare
+  // slot when re-parents are scripted.
+  std::vector<std::uint32_t> slots(n);
+  std::vector<std::uint32_t> slot_in_parent(n, 0);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const bool spare = i > 0 && !children[i].empty() && !dep.reparents.empty();
+    slots[i] = static_cast<std::uint32_t>(children[i].size() + (spare ? 1 : 0));
+    for (std::uint32_t c = 0; c < children[i].size(); ++c) {
+      slot_in_parent[children[i][c]] = c;
+    }
+  }
+  // Placement of `node` under arbiter `to`: its tenant terms and, below
+  // depth 1, the cold-start share composed down the tree (one division by
+  // the product of the slot counts above, so shares stay bit-exact) and the
+  // root paths that fence grants across re-parents. A depth-1 tree keeps
+  // the flat deployment's equal split and path-free (v1) frames.
+  const bool flat = tree.depth() <= 1;
+  const auto attachment = [&](std::uint32_t node, std::uint32_t to) {
     daemon::DomainAttachment att;
-    if (!cfg.leaf_tenants.empty()) att = cfg.leaf_tenants[d];
-    att.static_share =
-        1.0 / static_cast<double>(cfg.mids * (kids[m] + 1));
-    att.parent_path = {0u, static_cast<std::uint32_t>(1 + m)};
-    att.tree_path = {0u, static_cast<std::uint32_t>(1 + m),
-                     static_cast<std::uint32_t>(1 + cfg.mids + d)};
+    att.sla_floor_w = tree.tenant(node).sla_floor_w;
+    att.priority_weight = tree.tenant(node).priority_weight;
+    if (flat) return att;
+    const std::vector<std::uint32_t> above = tree.path_to(to);
+    std::size_t den = 1;
+    for (const std::uint32_t a : above) den *= slots[a];
+    att.static_share = 1.0 / static_cast<double>(den);
+    if (to != 0) att.parent_path = above;
+    att.tree_path = above;
+    att.tree_path.push_back(node);
     return att;
   };
 
-  std::vector<std::unique_ptr<daemon::PerqController>> controllers;
-  std::vector<std::string> addresses;
-  /// domain -> (mid, local child id), kept current across re-parents.
-  std::vector<std::pair<std::size_t, std::size_t>> where(cfg.domains);
-  for (std::size_t d = 0; d < cfg.domains; ++d) {
-    addresses.push_back("perqd-" + std::to_string(d));
-    controllers.push_back(std::make_unique<daemon::PerqController>(
-        transport.listen(addresses.back()), *policies[d], cfg.controller));
-    const std::size_t m = d % cfg.mids;
-    where[d] = {m, d / cfg.mids};
-    controllers.back()->attach_arbiter(
-        transport.connect(mid_addresses[m]),
-        static_cast<std::uint32_t>(d / cfg.mids),
-        static_cast<std::uint32_t>(kids[m] + 1), leaf_attachment(d, m));
+  std::vector<std::string> address(n);
+  std::vector<std::unique_ptr<daemon::PerqController>> controllers(n);
+  std::vector<std::unique_ptr<hier::ArbiterDaemon>> arbiters(n);
+  std::vector<std::string> leaf_addresses;  // by leaf slot
+  for (std::uint32_t i = 0; i < n; ++i) {
+    address[i] = "perq-node-" + std::to_string(i);
+    if (children[i].empty()) {
+      controllers[i] = std::make_unique<daemon::PerqController>(
+          transport.listen(address[i]), *leaf_policies[leaf_addresses.size()],
+          dep.controller);
+      leaf_addresses.push_back(address[i]);
+    } else {
+      arbiters[i] = std::make_unique<hier::ArbiterDaemon>(
+          transport.listen(address[i]), slots[i], dep.arbiter);
+    }
   }
-  daemon::DaemonPlant plant(cfg.engine, transport, addresses, cfg.plant);
-  for (auto& c : controllers) c->pump();
+  for (std::uint32_t i = 1; i < n; ++i) {  // uplinks, in dial order
+    auto uplink = transport.connect(address[parent[i]]);
+    if (arbiters[i] != nullptr) {
+      arbiters[i]->attach_parent(std::move(uplink), slot_in_parent[i],
+                                 slots[parent[i]], attachment(i, parent[i]));
+    } else {
+      controllers[i]->attach_arbiter(std::move(uplink), slot_in_parent[i],
+                                     slots[parent[i]], attachment(i, parent[i]));
+    }
+  }
+  const std::string standby_address = "perq-standby";
+  std::unique_ptr<daemon::PerqController> standby;
+  daemon::PlantConfig pcfg = dep.plant;
+  if (has_standby) {
+    daemon::ControllerConfig scfg = dep.controller;
+    scfg.standby = true;
+    standby = std::make_unique<daemon::PerqController>(
+        transport.listen(standby_address), *standby_policy, scfg);
+    controllers[0]->attach_standby(transport.connect(standby_address));
+    if (pcfg.failover_addresses.empty()) {
+      pcfg.failover_addresses = {{leaf_addresses[0], standby_address}};
+    }
+    if (pcfg.failover_after_held_ticks == 0) pcfg.failover_after_held_ticks = 2;
+  }
+  daemon::DaemonPlant plant(dep.engine, transport, leaf_addresses, pcfg);
+  for (auto& c : controllers) {
+    if (c != nullptr) c->pump();
+  }
+  if (standby != nullptr) standby->service();  // ingest the bootstrap snapshot
 
-  TreeChaosReport report;
-  const auto& spec = apps::node_power_spec();
-  const double budget_w = plant.engine().cluster().power_budget_w();
-
-  // Scope each level divided, captured the instant it decided (service()
-  // returns true): for a mid that is the parent grant it held right after
-  // its pump_parent, so conservation is checked against exactly the number
-  // the allocation used -- no cross-level lag slack required.
-  std::vector<double> mid_scope_w(cfg.mids, 0.0);
-  std::vector<bool> mid_ever_decided(cfg.mids, false);
-  double root_scope_w = 0.0;
-  bool root_ever_decided = false;
-  std::vector<bool> spare_used(cfg.mids, false);
-  /// (first tick to check from, mid, local slot) per executed re-parent.
-  std::vector<std::tuple<std::uint64_t, std::size_t, std::size_t>> released;
-
-  const auto probe = [&](hier::ArbiterDaemon& a, double scope) {
-    double sum = a.reserved_w();
-    for (double g : a.grants_w()) sum += g;
-    report.max_level_overdraw_w =
-        std::max(report.max_level_overdraw_w, sum - scope);
-  };
+  // One single-threaded event loop per wait iteration: controllers, then
+  // arbiters deepest level first (ascending id within a level). Reports
+  // ripple up one level per pass and grants ride back on the next -- the
+  // one-interval propagation delay per level documented in ArbiterDaemon.
+  std::vector<std::uint32_t> arbiter_order;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (arbiters[i] != nullptr) arbiter_order.push_back(i);
+  }
+  std::stable_sort(arbiter_order.begin(), arbiter_order.end(),
+                   [&tree](std::uint32_t a, std::uint32_t b) {
+                     return tree.path_to(a).size() > tree.path_to(b).size();
+                   });
+  DeploymentReport report;
+  // Scope each arbiter divided, captured the instant it decided: for a
+  // stacked arbiter the parent grant it held right after its parent pump,
+  // so conservation is checked against exactly the number the allocation
+  // used -- no cross-level lag slack required.
+  std::vector<double> scope_w(n, 0.0);
   const auto service = [&] {
-    for (auto& c : controllers) c->service();
-    for (std::size_t m = 0; m < cfg.mids; ++m) {
-      if (mid_daemons[m]->service()) {
-        mid_scope_w[m] =
-            mid_daemons[m]->any_parent_grant()
-                ? mid_daemons[m]->parent_grant_w()
-                : mid_daemons[m]->cluster_budget_w() /
-                      static_cast<double>(cfg.mids);
-        mid_ever_decided[m] = true;
-        probe(*mid_daemons[m], mid_scope_w[m]);
-      }
+    for (auto& c : controllers) {
+      if (c != nullptr) c->service();
     }
-    if (root.service()) {
-      root_scope_w = root.cluster_budget_w();
-      root_ever_decided = true;
-      probe(root, root_scope_w);
+    if (standby != nullptr) standby->service();
+    for (const std::uint32_t i : arbiter_order) {
+      hier::ArbiterDaemon& a = *arbiters[i];
+      if (!a.service()) continue;
+      scope_w[i] = a.scope_w();
+      double outstanding_w = a.reserved_w();
+      for (const double g : a.grants_w()) outstanding_w += g;
+      report.max_level_overdraw_w =
+          std::max(report.max_level_overdraw_w, outstanding_w - scope_w[i]);
     }
   };
 
-  std::uint64_t tick = 0;
-  while (!plant.done() && (cfg.max_ticks == 0 || tick < cfg.max_ticks)) {
-    plan.set_tick(tick);
-
-    for (const ReparentEvent& ev : cfg.reparents) {
-      if (ev.tick != tick) continue;
-      PERQ_REQUIRE(ev.domain < cfg.domains && ev.new_mid < cfg.mids,
-                   "re-parent names an unknown domain or mid");
-      const auto [old_mid, old_local] = where[ev.domain];
-      if (old_mid == ev.new_mid) continue;
-      PERQ_REQUIRE(!spare_used[ev.new_mid],
-                   "target mid's spare slot is already taken");
-      try {
-        controllers[ev.domain]->reattach_arbiter(
-            transport.connect(mid_addresses[ev.new_mid]),
-            static_cast<std::uint32_t>(kids[ev.new_mid]),  // the spare slot
-            static_cast<std::uint32_t>(kids[ev.new_mid] + 1),
-            leaf_attachment(ev.domain, ev.new_mid));
-        spare_used[ev.new_mid] = true;
-        where[ev.domain] = {ev.new_mid, kids[ev.new_mid]};
-        ++report.reparents_executed;
-        // The leaving report reaches the old mid on its next pump; by two
-        // ticks later the release must have zeroed the slot for good.
-        released.emplace_back(tick + 2, old_mid, old_local);
-      } catch (const precondition_error&) {
-        // Target listener gone; leave the domain where it is.
-      }
-    }
-
-    for (const AgentEvent& e : cfg.events) {
-      if (e.tick != tick || e.agent >= plant.agent_count()) continue;
-      if (e.kind == AgentEvent::Kind::kHang) {
-        plant.agent(e.agent).hang();
-      } else {
-        try {
-          if (auto conn =
-                  transport.connect(addresses[e.agent % cfg.domains])) {
-            plant.agent(e.agent).reconnect(std::move(conn));
-          }
-        } catch (const precondition_error&) {
-          // Listener gone; the regular reconnect path keeps retrying.
-        }
-      }
-    }
-
-    const bool planned = plant.step(service);
-    if (!planned) ++report.held_ticks;
-    plant.reconnect_lost(transport, addresses);
-
-    // --- run-level safety invariants, evaluated every tick ---
-    TickRecord rec;
-    rec.tick = tick;
-    rec.plan_arrived = planned;
-    rec.budget_total_w = budget_w;
-    for (const sched::Job* job : plant.engine().running()) {
-      const double cap = job->last_cap_w();
-      const double nodes = static_cast<double>(job->spec().nodes);
-      rec.committed_w += cap * nodes;
-      rec.caps_by_job.emplace_back(job->spec().id, cap);
-      if (cap != 0.0 && (!std::isfinite(cap) || cap < spec.cap_min - 1e-6 ||
-                         cap > spec.tdp + 1e-6)) {
-        report.violations.push_back(
-            tick_msg(tick, "applied cap outside [cap_min, TDP]", cap,
-                     spec.tdp));
-      }
-    }
-    if (rec.committed_w > budget_w + 1e-3) {
-      report.violations.push_back(
-          tick_msg(tick, "committed watts exceed cluster budget",
-                   rec.committed_w, budget_w));
-    }
-    // Conservation per level, against the scope captured at decide time.
-    if (root_ever_decided) {
-      rec.grants_w = root.grants_w();
-      double outstanding_w = root.reserved_w();
-      for (const double g : rec.grants_w) outstanding_w += g;
-      if (outstanding_w > root_scope_w + 1e-3) {
-        report.violations.push_back(
-            tick_msg(tick, "root grants exceed cluster budget",
-                     outstanding_w, root_scope_w));
-      }
-    }
-    for (std::size_t m = 0; m < cfg.mids; ++m) {
-      if (!mid_ever_decided[m]) continue;
-      const hier::ArbiterDaemon& mid = *mid_daemons[m];
-      const std::vector<double>& grants = mid.grants_w();
-      double outstanding_w = mid.reserved_w();
-      for (const double g : grants) outstanding_w += g;
-      if (outstanding_w > mid_scope_w[m] + 1e-3) {
-        report.violations.push_back(
-            tick_msg(tick, "mid grants exceed parent scope", outstanding_w,
-                     mid_scope_w[m]));
-      }
-      // Tenant SLA fairness: no live child below its (capacity-clipped)
-      // SLA floor while a live sibling holds head-room -- watts above its
-      // own effective floor AND above the equal share of the scope this
-      // mid divided. When the scope cannot cover the joint floors they
-      // scale proportionally (conservation outranks SLA, see DESIGN.md
-      // section 5i); a sibling sitting at its scaled floor is not unfair,
-      // so the check only fires when head-room flowed past an unmet floor.
-      const std::size_t slots = kids[m] + 1;
-      const double equal_w = mid_scope_w[m] / static_cast<double>(slots);
-      for (std::uint32_t c1 = 0; c1 < slots; ++c1) {
-        const hier::DomainDemand d1 =
-            mid.demand(static_cast<std::uint32_t>(c1));
-        if (d1.busy_nodes <= 0.0 || d1.sla_floor_w <= 0.0) continue;
-        if (mid.fenced(c1)) continue;
-        const double need_w = std::min(d1.sla_floor_w, d1.capacity_w);
-        if (grants[c1] >= need_w - 1e-6) continue;
-        for (std::uint32_t c2 = 0; c2 < slots; ++c2) {
-          if (c2 == c1 || mid.fenced(c2)) continue;
-          const hier::DomainDemand d2 =
-              mid.demand(static_cast<std::uint32_t>(c2));
-          const double floor2_w = std::max(d2.floor_w, d2.sla_floor_w);
-          if (grants[c2] > floor2_w + 1e-3 && grants[c2] > equal_w + 1e-3) {
-            report.violations.push_back(tick_msg(
-                tick, "tenant below SLA floor while sibling holds head-room",
-                grants[c1], grants[c2]));
-          }
-        }
-      }
-    }
-    // Re-parent hygiene: a released slot stays at zero watts -- the moved
-    // subtree must never draw from old and new parents at once.
-    for (const auto& [from_tick, m, local] : released) {
-      if (tick < from_tick) continue;
-      const double g = mid_daemons[m]->grants_w()[local];
-      if (g != 0.0) {
-        report.violations.push_back(tick_msg(
-            tick, "released slot still holds watts after re-parent", g, 0.0));
-      }
-    }
-    // Each domain that decided this tick stayed within its grant.
-    for (const auto& c : controllers) {
-      const auto& stats = c->last_stats();
-      if (stats.tick != tick) continue;
-      if (stats.budget_row_w + stats.held_w > stats.granted_w + 1e-3) {
-        report.violations.push_back(
-            tick_msg(tick, "domain budget row + held watts exceed grant",
-                     stats.budget_row_w + stats.held_w, stats.granted_w));
-      }
-    }
-    report.history.push_back(std::move(rec));
-    ++tick;
-  }
-
-  for (std::size_t i = 0; i < plant.agent_count(); ++i) plant.agent(i).bye();
-  for (auto& c : controllers) c->pump();
-  for (auto& m : mid_daemons) m->pump();
-  root.pump();
-
-  report.result = plant.finish("PERQ-TREE" + std::to_string(cfg.mids) + "x" +
-                               std::to_string(cfg.domains));
-  report.controller_counters.reserve(controllers.size());
-  for (const auto& c : controllers) {
-    report.controller_counters.push_back(c->counters());
-  }
-  report.aggregated_counters = root.aggregated_counters();
-  report.plant_counters = plant.counters();
-  report.faults = plan.stats();
-  report.ticks = tick;
-  report.root_decisions = root.decisions();
-  report.root_grants_w = root.grants_w();
-  for (const auto& m : mid_daemons) {
-    report.mid_decisions.push_back(m->decisions());
-    report.mid_grants_w.push_back(m->grants_w());
-  }
-  return report;
-}
-
-FailoverChaosReport run_failover_chaos(const FailoverChaosConfig& cfg,
-                                       core::PerqPolicy& primary_policy,
-                                       core::PerqPolicy& standby_policy) {
-  net::LoopbackTransport loop;
-  FaultPlan plan(cfg.fault_seed);
-  plan.set_default_schedule(cfg.default_schedule);
-  for (const auto& [index, sched] : cfg.schedules) {
-    plan.set_schedule(index, sched);
-  }
-  if (cfg.partition_primary.begin < cfg.partition_primary.end) {
-    // Replication link (index 0) plus every initial agent connection: the
-    // primary keeps running but nothing reaches it or leaves it.
-    for (std::size_t i = 0; i <= cfg.plant.agents; ++i) {
-      ConnectionSchedule sched = plan.schedule_for(i);
-      sched.partitions.push_back(cfg.partition_primary);
-      plan.set_schedule(i, sched);
-    }
-  }
-  FaultyTransport transport(loop, plan);
-
-  const std::string primary_address = "perqd-a";
-  const std::string standby_address = "perqd-b";
-  daemon::ControllerConfig standby_cfg = cfg.controller;
-  standby_cfg.standby = true;
-  auto standby = std::make_unique<daemon::PerqController>(
-      transport.listen(standby_address), standby_policy, standby_cfg);
-  auto primary = std::make_unique<daemon::PerqController>(
-      transport.listen(primary_address), primary_policy, cfg.controller);
-  // Dialed before any agent: connection index 0 is the replication link.
-  primary->attach_standby(transport.connect(standby_address));
-
-  daemon::PlantConfig pcfg = cfg.plant;
-  if (pcfg.failover_addresses.empty()) {
-    pcfg.failover_addresses = {{primary_address, standby_address}};
-  }
-  if (pcfg.failover_after_held_ticks == 0) pcfg.failover_after_held_ticks = 2;
-  daemon::DaemonPlant plant(cfg.engine, transport, primary_address, pcfg);
-  primary->pump();
-  standby->service();  // ingest the replicated bootstrap snapshot
-
-  FailoverChaosReport report;
   const auto& spec = apps::node_power_spec();
   const double budget_w = plant.engine().cluster().power_budget_w();
   const double floor_w =
       pcfg.failsafe_floor_w > 0.0
           ? std::clamp(pcfg.failsafe_floor_w, spec.cap_min, spec.tdp)
           : spec.cap_min;
-  const auto service = [&] {
-    if (primary != nullptr) primary->service();
-    standby->service();
-  };
-
   bool promoted = false;
   std::uint64_t silent = 0;
-  std::uint64_t last_repl = standby->replicated_decides();
+  std::uint64_t last_repl = has_standby ? standby->replicated_decides() : 0;
+  std::uint64_t divergence = 0;
+  std::vector<bool> spare_used(n, false);
+  /// (first tick to check from, arbiter, slot) per executed re-parent.
+  std::vector<std::tuple<std::uint64_t, std::uint32_t, std::uint32_t>> released;
+
+  // The controller whose plans the plant applies for leaf `node`.
+  const auto serving = [&](std::uint32_t node) {
+    return promoted && node == 0 ? standby.get() : controllers[node].get();
+  };
+  const auto promote = [&](std::uint64_t tick) {
+    standby->promote();
+    promoted = true;
+    report.promoted_at_tick = tick;
+  };
+  const auto redial = [&](std::size_t agent, const std::string& to) {
+    try {
+      if (auto conn = transport.connect(to)) {
+        plant.agent(agent).reconnect(std::move(conn));
+      }
+    } catch (const precondition_error&) {
+      // Listener gone; the plant's own reconnect path keeps retrying.
+    }
+  };
 
   std::uint64_t tick = 0;
-  while (!plant.done() && (cfg.max_ticks == 0 || tick < cfg.max_ticks)) {
+  while (!plant.done() && (dep.max_ticks == 0 || tick < dep.max_ticks)) {
     plan.set_tick(tick);
 
-    if (tick == cfg.kill_primary_at_tick && primary != nullptr) {
-      standby->service();  // drain replication queued by the last decide
-      report.primary_counters = primary->counters();
-      primary.reset();  // crash: listener and every session die
-      if (cfg.tight_handover && !promoted) {
-        standby->promote();
-        promoted = true;
-        report.promoted_at_tick = tick;
+    if (tick == dep.kill_primary_at_tick && controllers[0] != nullptr) {
+      standby->service();      // drain replication queued by the last decide
+      controllers[0].reset();  // crash: listener and every session die
+      if (dep.tight_handover && !promoted) {
+        promote(tick);
         for (std::size_t i = 0; i < plant.agent_count(); ++i) {
-          try {
-            if (auto conn = transport.connect(standby_address)) {
-              plant.agent(i).reconnect(std::move(conn));
-            }
-          } catch (const precondition_error&) {
-            // Standby gone too; the failover path keeps retrying.
-          }
+          redial(i, standby_address);
         }
       }
     }
 
-    for (const AgentEvent& e : cfg.events) {
-      if (e.tick != tick || e.agent >= plant.agent_count()) continue;
-      if (e.kind == AgentEvent::Kind::kHang) {
-        plant.agent(e.agent).hang();
-      } else {
-        // Rejoin dials the group's current failover candidate, like the
-        // plant's own reconnect path would.
-        const std::string& addr =
-            pcfg.failover_addresses[0][plant.failover_cursor(0)];
-        try {
-          if (auto conn = transport.connect(addr)) {
-            plant.agent(e.agent).reconnect(std::move(conn));
-          }
-        } catch (const precondition_error&) {
-          // Listener gone; the regular reconnect path keeps retrying.
-        }
-      }
-    }
-
-    // Deposed-primary fencing script: force an agent back onto the original
-    // primary address. If the old primary still lives, its stale-epoch
-    // announce must bounce the agent straight off again.
-    for (const auto& [t, a] : cfg.redial_primary) {
-      if (t != tick || a >= plant.agent_count()) continue;
+    for (const ReparentEvent& ev : dep.reparents) {
+      if (ev.tick != tick) continue;
+      PERQ_REQUIRE(ev.node < n && controllers[ev.node] != nullptr &&
+                       ev.new_parent >= 1 && ev.new_parent < n &&
+                       arbiters[ev.new_parent] != nullptr,
+                   "re-parent must move a leaf under an arbiter below the root");
+      const std::uint32_t old_parent = parent[ev.node];
+      if (old_parent == ev.new_parent) continue;
+      PERQ_REQUIRE(!spare_used[ev.new_parent],
+                   "target arbiter's spare slot is already taken");
+      const std::uint32_t spare = slots[ev.new_parent] - 1;
       try {
-        if (auto conn = transport.connect(primary_address)) {
-          plant.agent(a).reconnect(std::move(conn));
-        }
+        controllers[ev.node]->reattach_arbiter(
+            transport.connect(address[ev.new_parent]), spare,
+            slots[ev.new_parent], attachment(ev.node, ev.new_parent));
       } catch (const precondition_error&) {
-        // Primary really is dead; nothing to fence.
+        continue;  // target listener gone; the leaf stays where it is
+      }
+      spare_used[ev.new_parent] = true;
+      // The leaving report reaches the old parent on its next pump; by two
+      // ticks later the release must have zeroed the slot for good.
+      released.emplace_back(tick + 2, old_parent, slot_in_parent[ev.node]);
+      parent[ev.node] = ev.new_parent;
+      slot_in_parent[ev.node] = spare;
+      ++report.reparents_executed;
+    }
+
+    for (const AgentEvent& e : dep.events) {
+      if (e.tick != tick || e.agent >= plant.agent_count()) continue;
+      const std::size_t group = e.agent % leaves;
+      switch (e.kind) {
+        case AgentEvent::Kind::kHang:
+          plant.agent(e.agent).hang();
+          break;
+        case AgentEvent::Kind::kRejoin:  // like the plant's own reconnect
+          redial(e.agent,
+                 has_standby
+                     ? pcfg.failover_addresses[group][plant.failover_cursor(group)]
+                     : leaf_addresses[group]);
+          break;
+        case AgentEvent::Kind::kRedialPrimary:
+          redial(e.agent, leaf_addresses[group]);
+          break;
       }
     }
 
     const bool planned = plant.step(service);
     if (!planned) ++report.held_ticks;
-    plant.reconnect_failover(transport);
+    // Re-dial lost agents every tick (a single dead agent does not stop
+    // plans from arriving via the others, so held ticks alone would never
+    // trigger the reconnect path). Backoff pacing lives in the plant.
+    if (has_standby) {
+      plant.reconnect_failover(transport);
+    } else {
+      plant.reconnect_lost(transport, leaf_addresses);
+    }
 
     // Takeover detector: the standby promotes itself once the replication
     // stream has been silent while the plant is visibly planless -- both
     // signals together distinguish a dead primary from a quiet one.
-    if (!promoted) {
+    if (has_standby && !promoted) {
       const std::uint64_t repl = standby->replicated_decides();
       silent = (repl == last_repl && !planned) ? silent + 1 : 0;
       last_repl = repl;
-      if (cfg.takeover_after_silent_ticks > 0 &&
-          silent >= cfg.takeover_after_silent_ticks) {
-        standby->promote();
-        promoted = true;
-        report.promoted_at_tick = tick;
+      if (dep.takeover_after_silent_ticks > 0 &&
+          silent >= dep.takeover_after_silent_ticks) {
+        promote(tick);
       }
     }
 
     // --- run-level safety invariants, evaluated every tick ---
-    daemon::PerqController* active = promoted ? standby.get() : primary.get();
+    const auto violation = [&report, tick](const char* what, double a,
+                                           double b) {
+      report.violations.push_back(tick_msg(tick, what, a, b));
+    };
     TickRecord rec;
     rec.tick = tick;
-    rec.plan_arrived = planned;
-    rec.budget_total_w = budget_w;
+    // Fail-safe decay law: once a job's group has been planless past the
+    // threshold, its held cap must follow cap' <= floor + (cap - floor) * d,
+    // drifting toward the safe floor and never rising.
+    std::map<int, double> prev_caps;
+    if (pcfg.failsafe_after_ticks > 0 && !report.history.empty() &&
+        report.history.back().tick + 1 == tick) {
+      prev_caps.insert(report.history.back().caps_by_job.begin(),
+                       report.history.back().caps_by_job.end());
+    }
     std::map<int, double> nodes_by_job;
     for (const sched::Job* job : plant.engine().running()) {
+      const int id = job->spec().id;
       const double cap = job->last_cap_w();
       const double nodes = static_cast<double>(job->spec().nodes);
-      nodes_by_job[job->spec().id] = nodes;
+      nodes_by_job[id] = nodes;
       rec.committed_w += cap * nodes;
-      rec.caps_by_job.emplace_back(job->spec().id, cap);
-      if (cap != 0.0 && (!std::isfinite(cap) || cap < spec.cap_min - 1e-6 ||
-                         cap > spec.tdp + 1e-6)) {
-        report.violations.push_back(
-            tick_msg(tick, "applied cap outside [cap_min, TDP]", cap,
-                     spec.tdp));
+      rec.caps_by_job.emplace_back(id, cap);
+      if (outside_box(cap)) {
+        violation("applied cap outside [cap_min, TDP]", cap, spec.tdp);
+      }
+      const auto prev = prev_caps.find(id);
+      if (prev == prev_caps.end() ||
+          plant.group_held_ticks(plant.lead_group(*job)) <
+              pcfg.failsafe_after_ticks) {
+        continue;
+      }
+      const double want =
+          floor_w + (prev->second - floor_w) * pcfg.failsafe_decay;
+      if (cap > std::max(want, floor_w) + 1e-6) {
+        violation("held cap failed to decay toward fail-safe floor", cap, want);
       }
     }
     if (rec.committed_w > budget_w + 1e-3) {
-      report.violations.push_back(
-          tick_msg(tick, "committed watts exceed cluster budget",
-                   rec.committed_w, budget_w));
+      violation("committed watts exceed cluster budget", rec.committed_w,
+                budget_w);
     }
-    // Fail-safe decay law: once the group has been planless past the
-    // threshold, every held cap must follow cap' <= floor + (cap-floor)*d,
-    // drifting toward the safe floor and never rising.
-    if (pcfg.failsafe_after_ticks > 0 && !report.history.empty() &&
-        plant.group_held_ticks(0) >= pcfg.failsafe_after_ticks) {
-      const TickRecord& prev = report.history.back();
-      if (prev.tick + 1 == tick) {
-        std::map<int, double> prev_caps(prev.caps_by_job.begin(),
-                                        prev.caps_by_job.end());
-        for (const auto& [id, cap] : rec.caps_by_job) {
-          const auto it = prev_caps.find(id);
-          if (it == prev_caps.end()) continue;
-          const double want =
-              floor_w + (it->second - floor_w) * pcfg.failsafe_decay;
-          if (cap > std::max(want, floor_w) + 1e-6) {
-            report.violations.push_back(tick_msg(
-                tick, "held cap failed to decay toward fail-safe floor", cap,
-                want));
+
+    // The plan the plant accepted this tick is every serving controller's
+    // latest. Held (stale) watts are fenced off each decide's optimized
+    // row, never double-spent: row + held must fit the decide's scope.
+    double plan_w = 0.0;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const daemon::PerqController* c = serving(i);
+      if (c == nullptr) continue;
+      if (planned) {
+        for (const proto::CapEntry& e : c->last_plan().entries) {
+          if (outside_box(e.cap_w)) {
+            violation("delivered plan cap outside [cap_min, TDP]", e.cap_w,
+                      spec.tdp);
+          }
+          const auto it = nodes_by_job.find(e.job_id);
+          if (it != nodes_by_job.end()) plan_w += e.cap_w * it->second;
+        }
+      }
+      const auto& stats = c->last_stats();
+      const double scope = c->domain_mode() ? stats.granted_w : budget_w;
+      if (stats.tick == tick &&
+          stats.budget_row_w + stats.held_w > scope + 1e-3) {
+        violation("budget row + held watts exceed the decide's scope",
+                  stats.budget_row_w + stats.held_w, scope);
+      }
+    }
+    if (plan_w > budget_w + 1e-3) {
+      violation("delivered plan sums above cluster budget", plan_w, budget_w);
+    }
+
+    for (const std::uint32_t i : arbiter_order) {
+      const hier::ArbiterDaemon& a = *arbiters[i];
+      if (a.decisions() == 0) continue;
+      const std::vector<double>& grants = a.grants_w();
+      if (i == 0) rec.grants_w = grants;
+      // Conservation: everything outstanding -- live grants, grants fenced
+      // for silent children, the static reserves for children that never
+      // reported -- fits the scope those grants were carved from.
+      double outstanding_w = a.reserved_w();
+      for (const double g : grants) outstanding_w += g;
+      if (outstanding_w > scope_w[i] + 1e-3) {
+        violation("arbiter grants exceed the scope it divided", outstanding_w,
+                  scope_w[i]);
+      }
+      // Tenant SLA fairness: no live child below its (capacity-clipped) SLA
+      // floor while a live sibling holds head-room -- watts above its own
+      // effective floor AND above the equal share of the scope. When the
+      // scope cannot cover the joint floors they scale proportionally
+      // (conservation outranks SLA, see DESIGN.md section 5i); a sibling at
+      // its scaled floor is not unfair, so the check only fires when
+      // head-room flowed past an unmet floor.
+      const double equal_w = scope_w[i] / static_cast<double>(slots[i]);
+      for (std::uint32_t c1 = 0; c1 < slots[i]; ++c1) {
+        const hier::DomainDemand d1 = a.demand(c1);
+        if (d1.busy_nodes <= 0.0 || d1.sla_floor_w <= 0.0 || a.fenced(c1)) {
+          continue;
+        }
+        if (grants[c1] >= std::min(d1.sla_floor_w, d1.capacity_w) - 1e-6) {
+          continue;
+        }
+        for (std::uint32_t c2 = 0; c2 < slots[i]; ++c2) {
+          if (c2 == c1 || a.fenced(c2)) continue;
+          const hier::DomainDemand d2 = a.demand(c2);
+          const double floor2_w = std::max(d2.floor_w, d2.sla_floor_w);
+          if (grants[c2] > floor2_w + 1e-3 && grants[c2] > equal_w + 1e-3) {
+            violation("tenant below SLA floor while sibling holds head-room",
+                      grants[c1], grants[c2]);
           }
         }
       }
     }
-    if (planned && active != nullptr) {
-      const proto::CapPlan& p = active->last_plan();
-      double plan_w = 0.0;
-      for (const proto::CapEntry& e : p.entries) {
-        if (e.cap_w != 0.0 &&
-            (!std::isfinite(e.cap_w) || e.cap_w < spec.cap_min - 1e-6 ||
-             e.cap_w > spec.tdp + 1e-6)) {
-          report.violations.push_back(tick_msg(
-              tick, "delivered plan cap outside [cap_min, TDP]", e.cap_w,
-              spec.tdp));
-        }
-        const auto it = nodes_by_job.find(e.job_id);
-        if (it != nodes_by_job.end()) plan_w += e.cap_w * it->second;
+    // Re-parent hygiene: a released slot stays at zero watts -- the moved
+    // subtree must never draw from old and new parents at once.
+    for (const auto& [from_tick, a, slot] : released) {
+      const double g = arbiters[a]->grants_w()[slot];
+      if (tick >= from_tick && g != 0.0) {
+        violation("released slot still holds watts after re-parent", g, 0.0);
       }
-      if (plan_w > budget_w + 1e-3) {
-        report.violations.push_back(tick_msg(
-            tick, "delivered plan sums above cluster budget", plan_w,
-            budget_w));
-      }
-      const auto& stats = active->last_stats();
-      if (stats.budget_row_w + stats.held_w > budget_w + 1e-3) {
-        report.violations.push_back(
-            tick_msg(tick, "budget row + held watts exceed budget",
-                     stats.budget_row_w + stats.held_w, budget_w));
-      }
+    }
+    if (has_standby && standby->repl_divergence() > divergence) {
+      divergence = standby->repl_divergence();
+      violation("standby replay diverged from the primary's plan",
+                static_cast<double>(divergence), 0.0);
     }
     report.history.push_back(std::move(rec));
     ++tick;
   }
 
   for (std::size_t i = 0; i < plant.agent_count(); ++i) plant.agent(i).bye();
-  if (primary != nullptr) {
-    primary->pump();
-    report.primary_counters = primary->counters();
+  for (auto& c : controllers) {
+    if (c != nullptr) c->pump();
   }
-  standby->pump();
+  if (standby != nullptr) standby->pump();
+  for (const std::uint32_t i : arbiter_order) arbiters[i]->pump();
 
-  report.result = plant.finish(primary_policy.name());
-  report.standby_counters = standby->counters();
+  const std::size_t mids =
+      arbiter_order.size() - (arbiters[0] != nullptr ? 1 : 0);
+  report.result = plant.finish(
+      mids > 0      ? "PERQ-TREE" + std::to_string(mids) + "x" +
+                          std::to_string(leaves)
+      : leaves == 1 ? leaf_policies[0]->name()
+                    : "PERQ-HIER" + std::to_string(leaves));
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (!children[i].empty()) continue;
+    const daemon::PerqController* c = serving(i);
+    report.controller_counters.push_back(
+        c != nullptr ? c->counters() : core::RobustnessCounters{});
+  }
+  report.arbiters.resize(n);
+  for (const std::uint32_t i : arbiter_order) {
+    report.arbiters[i] = {arbiters[i]->decisions(), arbiters[i]->grants_w(),
+                          arbiters[i]->fenced_w()};
+  }
+  if (arbiters[0] != nullptr) {
+    report.aggregated_counters = arbiters[0]->aggregated_counters();
+  }
   report.plant_counters = plant.counters();
   report.faults = plan.stats();
   report.ticks = tick;
-  report.replicated_decides = standby->replicated_decides();
-  report.repl_divergence = standby->repl_divergence();
-  report.repl_rejected = standby->repl_rejected();
-  report.standby_epoch = standby->epoch();
-  for (std::size_t i = 0; i < plant.agent_count(); ++i) {
-    report.stale_epoch_frames += plant.agent(i).stale_epoch_frames();
+  if (has_standby) {
+    report.replicated_decides = standby->replicated_decides();
+    report.repl_divergence = standby->repl_divergence();
+    report.repl_rejected = standby->repl_rejected();
+    report.standby_epoch = standby->epoch();
   }
   return report;
 }

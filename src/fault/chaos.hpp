@@ -1,17 +1,46 @@
-// Chaos harness: the full perqd loop (controller + plant over loopback)
-// driven under a scripted or seeded-random fault schedule, with run-level
-// safety invariants checked every control tick.
+// Deployment runner: the full perqd stack -- node agents, leaf controllers,
+// the arbiter tree above them and an optional warm standby -- wired over
+// the in-process loopback transport through the fault-injecting decorator
+// and driven tick by tick under a scripted or seeded-random fault schedule,
+// with run-level safety invariants checked every control tick.
 //
-// Invariants (violations are recorded, not thrown, so one run reports every
-// breach):
-//   * Budget: the watts committed to running jobs never exceed the cluster
-//     power budget, and the budget row the controller optimized plus the
-//     watts held for stale jobs stays within it too -- held jobs are fenced
-//     off, never double-spent.
-//   * Box: every cap in a delivered plan and every applied cap lies within
+// The topology is a hier::TreeSpec, the description the in-process
+// PowerTree takes: childless nodes are PerqControllers (leaf slot d, in
+// ascending node id, runs policy d; agent i dials leaf i mod K), interior
+// nodes are stacked ArbiterDaemons. A lone root is the single controller,
+// TreeSpec::flat(K) is K domain controllers under one arbiter, and
+// TreeSpec::two_level(M, K) is the depth-2 tree. Fault-free, a lone root
+// (and flat(1)) is bit-identical to the in-process engine while jobs start
+// in id order (shadow jobs carry no start time; see DESIGN.md section 3).
+//
+// Connection dial order, which is what ConnectionSchedule indices count:
+// every non-root node's uplink in ascending node id (node n's uplink is
+// connection n - 1), then the standby's replication link, then agent i's
+// connection, then everything dialed later (rejoins, reconnects, re-parent
+// and failover dials).
+//
+// Invariants, each checked wherever it applies. Violations are recorded,
+// not thrown, so one run reports every breach:
+//   * Box: every applied cap and every cap in a delivered plan lies within
 //     [cap_min, TDP] (0 is the protocol's explicit "hold" sentinel).
-//   * Liveness accounting: a tick without a plan is a held tick; the engine
-//     still advances (the plant never blocks on the controller).
+//   * Budget: committed watts and a delivered plan's watts fit the cluster
+//     budget, and every controller that decided this tick kept its
+//     optimized row plus held watts within its scope (its grant under an
+//     arbiter, the cluster budget otherwise): held jobs are fenced off,
+//     never double-spent.
+//   * Conservation at every arbiter: grants + cold-start reserves fit the
+//     scope it divided, captured the instant it decided.
+//   * Tenant SLA fairness at every arbiter: no live child below its
+//     (capacity-clipped) SLA floor while a live sibling holds more than
+//     its own floor and the equal share of the scope.
+//   * Re-parent hygiene: from two ticks after a scripted re-parent, the old
+//     parent's slot holds zero watts (released, not fenced), so a subtree
+//     never draws from two parents.
+//   * Fail-safe decay: once a group has been planless past
+//     PlantConfig::failsafe_after_ticks, its held caps follow
+//     cap' <= floor + (cap - floor) * decay, never rising.
+//   * Replication: the standby's replayed decides never diverge from the
+//     primary's plans.
 //
 // The per-tick cap trajectory is recorded so tests can compare a faulted
 // run against its fault-free twin and assert re-convergence after the
@@ -20,7 +49,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,223 +60,68 @@
 #include "daemon/experiment.hpp"
 #include "fault/plan.hpp"
 #include "hier/arbiter_daemon.hpp"
+#include "hier/tree.hpp"
 
 namespace perq::fault {
 
-/// Scripted agent-process failures (the faults that live above the
-/// transport: a hung agent process, and its later rejoin with a fresh
-/// connection).
+/// Scripted agent-process events (the faults that live above the
+/// transport).
 struct AgentEvent {
-  enum class Kind { kHang, kRejoin };
+  enum class Kind {
+    kHang,    ///< the agent process hangs
+    kRejoin,  ///< fresh connection to its group's current controller
+    /// Fresh connection to its group's original (primary) controller,
+    /// whichever candidate failover moved on to: the deposed-primary
+    /// fencing script, where the stale epoch must bounce the agent off.
+    kRedialPrimary,
+  };
   std::uint64_t tick = 0;
   std::size_t agent = 0;
   Kind kind = Kind::kHang;
 };
 
-struct ChaosConfig {
-  core::EngineConfig engine;
-  daemon::ControllerConfig controller;
-  daemon::PlantConfig plant;
-  std::uint64_t fault_seed = 1;
-  /// Schedule for every agent connection without an explicit entry.
-  ConnectionSchedule default_schedule;
-  /// Per-connection-index schedules (index = dial order: agent i dials
-  /// i-th; reconnects dial later indices).
-  std::vector<std::pair<std::size_t, ConnectionSchedule>> schedules;
-  std::vector<AgentEvent> events;
-  /// Stop after this many ticks (0 = run until the engine is done).
-  std::uint64_t max_ticks = 0;
-};
-
-/// One control tick of the run, as observed at the plant.
-struct TickRecord {
-  std::uint64_t tick = 0;
-  bool plan_arrived = false;
-  double committed_w = 0.0;     ///< watts committed to running jobs
-  double budget_total_w = 0.0;  ///< cluster budget at this tick
-  /// Applied per-node cap of every running job, keyed by job id (the
-  /// trajectory the re-convergence comparison runs over).
-  std::vector<std::pair<int, double>> caps_by_job;
-  /// Hierarchical runs only: the arbiter's grants (indexed by domain) as of
-  /// this tick, so tests can assert conservation over the whole history.
-  std::vector<double> grants_w;
-};
-
-struct ChaosReport {
-  core::RunResult result;
-  std::vector<std::string> violations;  ///< empty <=> all invariants held
-  std::vector<TickRecord> history;
-  core::RobustnessCounters controller_counters;
-  core::RobustnessCounters plant_counters;
-  FaultStats faults;
-  std::uint64_t ticks = 0;
-  std::uint64_t held_ticks = 0;  ///< ticks the plant held previous caps
-};
-
-/// Runs the full daemon experiment under the configured fault schedule.
-/// Deterministic: same config + same policy construction => same report,
-/// field for field. The policy must match the engine's sizing (same
-/// contract as run_loopback_daemon_experiment).
-ChaosReport run_chaos(const ChaosConfig& cfg, core::PerqPolicy& policy);
-
-/// Chaos over the hierarchical deployment: K domain controllers + one
-/// arbiter + the multi-address plant, all over the fault-injecting
-/// transport. Connection dial order (and hence schedule indexing): the K
-/// controllers dial the arbiter first -- index d is domain d's arbiter
-/// uplink -- then the plant's agents dial their controllers (index
-/// domains + i for agent i). Partitioning index d therefore severs one
-/// domain from the arbiter while its agents keep running: the
-/// grant-fencing scenario.
-struct DomainChaosConfig {
-  core::EngineConfig engine;
-  daemon::ControllerConfig controller;
-  hier::ArbiterDaemonConfig arbiter;
-  daemon::PlantConfig plant;
-  std::size_t domains = 2;
-  std::uint64_t fault_seed = 1;
-  ConnectionSchedule default_schedule;
-  std::vector<std::pair<std::size_t, ConnectionSchedule>> schedules;
-  /// Sugar: black out domain d's arbiter uplink for the window (appended
-  /// to whatever schedule index d already has).
-  std::vector<std::pair<std::uint32_t, TickWindow>> domain_partitions;
-  std::vector<AgentEvent> events;
-  std::uint64_t max_ticks = 0;
-};
-
-struct DomainChaosReport {
-  core::RunResult result;
-  std::vector<std::string> violations;  ///< empty <=> all invariants held
-  std::vector<TickRecord> history;
-  /// Per-domain controller counters, indexed by domain.
-  std::vector<core::RobustnessCounters> controller_counters;
-  /// The arbiter's cross-domain aggregate (newest report per domain plus
-  /// its own frame screening) -- the satellite accounting view.
-  core::RobustnessCounters aggregated_counters;
-  core::RobustnessCounters plant_counters;
-  FaultStats faults;
-  std::uint64_t ticks = 0;
-  std::uint64_t held_ticks = 0;
-  std::uint64_t arbiter_decisions = 0;
-  std::vector<double> final_grants_w;
-  double final_fenced_w = 0.0;
-};
-
-/// Runs the K-domain deployment under faults, asserting on every tick --
-/// in addition to run_chaos's budget/box invariants -- that the grants the
-/// arbiter has outstanding (live + fenced + cold-start reserves) sum to no
-/// more than the cluster budget they were carved from. `policies` must
-/// hold exactly `cfg.domains` PerqPolicy instances.
-DomainChaosReport run_domain_chaos(
-    const DomainChaosConfig& cfg,
-    std::vector<std::unique_ptr<core::PerqPolicy>>& policies);
-
-/// Scripted runtime re-parent: at the top of `tick`, domain `domain`'s
-/// controller is detached from its current mid-level arbiter (sending the
-/// kDomainLeaving release) and re-attached under `new_mid`'s spare slot.
+/// Scripted runtime re-parent: at the top of `tick`, leaf `node` detaches
+/// from its arbiter (sending the kDomainLeaving release) and re-attaches in
+/// the spare slot of `new_parent`, an arbiter below the root. Tree node ids.
 struct ReparentEvent {
   std::uint64_t tick = 0;
-  std::uint32_t domain = 0;
-  std::uint32_t new_mid = 0;
+  std::uint32_t node = 0;
+  std::uint32_t new_parent = 0;
 };
 
-/// Chaos over the depth-2 arbiter tree: one root ArbiterDaemon over `mids`
-/// stacked mid arbiters, each parenting the domain controllers d with
-/// d % mids == m. Every mid is built with one spare child slot so scripted
-/// re-parents have somewhere to land (the slot's cold-start reserve is the
-/// price of admission capacity).
-///
-/// Connection dial order (and hence schedule indexing): the mids dial the
-/// root first -- index m is mid m's root uplink, so partitioning it severs
-/// a whole subtree (the subtree-partition scenario) -- then the domain
-/// controllers dial their mids (index mids + d), then the plant's agents
-/// dial their controllers (mids + domains + i). Re-parent dials take later
-/// indices.
-struct TreeChaosConfig {
+struct Deployment {
   core::EngineConfig engine;
-  daemon::ControllerConfig controller;
-  hier::ArbiterDaemonConfig arbiter;  ///< shared by the root and every mid
+  daemon::ControllerConfig controller;  ///< every leaf controller and standby
+  hier::ArbiterDaemonConfig arbiter;    ///< every arbiter
   daemon::PlantConfig plant;
-  std::size_t domains = 4;
-  std::size_t mids = 2;
+  /// Leaves take their tenant terms (SLA floor, priority) from their
+  /// TenantSpec, arbiters below the root likewise toward their parent.
+  hier::TreeSpec tree = hier::TreeSpec::uniform(0, 1);
   std::uint64_t fault_seed = 1;
+  /// Schedule for every connection without an explicit entry.
   ConnectionSchedule default_schedule;
+  /// Per-connection schedules, keyed by dial order (see the file comment).
   std::vector<std::pair<std::size_t, ConnectionSchedule>> schedules;
-  /// Sugar: black out mid m's root uplink for the window (appended to
-  /// whatever schedule index m already has) -- the subtree partition.
-  std::vector<std::pair<std::uint32_t, TickWindow>> subtree_partitions;
-  /// Sugar: black out domain d's mid uplink (schedule index mids + d).
-  std::vector<std::pair<std::uint32_t, TickWindow>> domain_partitions;
+  /// Black out tree node n's uplink for the window (appended to whatever
+  /// schedule connection n - 1 already has): severing a leaf's uplink
+  /// fences one domain, severing an arbiter's fences its whole subtree.
+  std::vector<std::pair<std::uint32_t, TickWindow>> uplink_partitions;
+  std::vector<AgentEvent> events;
+  /// When any re-parent is scripted, every arbiter below the root is built
+  /// with one spare child slot for it to land in (the slot's cold-start
+  /// reserve is the price of admission capacity).
   std::vector<ReparentEvent> reparents;
-  /// Per-domain tenant terms (sla_floor_w / priority_weight); empty means
-  /// defaults. Shares and tree paths are filled by the harness.
-  std::vector<daemon::DomainAttachment> leaf_tenants;
-  std::vector<AgentEvent> events;
+  /// Stop after this many ticks (0 = run until the engine is done).
   std::uint64_t max_ticks = 0;
-};
 
-struct TreeChaosReport {
-  core::RunResult result;
-  std::vector<std::string> violations;  ///< empty <=> all invariants held
-  std::vector<TickRecord> history;      ///< grants_w = root grants per mid
-  std::vector<core::RobustnessCounters> controller_counters;
-  /// The root's cluster-wide aggregate: every mid flattens its own subtree
-  /// view into its upward report, so this covers all levels.
-  core::RobustnessCounters aggregated_counters;
-  core::RobustnessCounters plant_counters;
-  FaultStats faults;
-  std::uint64_t ticks = 0;
-  std::uint64_t held_ticks = 0;
-  std::uint64_t root_decisions = 0;
-  std::vector<std::uint64_t> mid_decisions;
-  std::vector<double> root_grants_w;
-  std::vector<std::vector<double>> mid_grants_w;
-  std::uint64_t reparents_executed = 0;
-  /// Worst sum(grants) + reserved - scope over every decision at every
-  /// level (scope captured at decide time, so no lag slack is needed).
-  double max_level_overdraw_w = 0.0;
-};
-
-/// Runs the depth-2 tree deployment under faults. Per-tick invariants, on
-/// top of run_chaos's budget/box checks:
-///   * conservation at every level -- each arbiter's grants + cold-start
-///     reserves fit the scope it divided (root: cluster budget; mid: the
-///     parent grant it held at decide time, static share before that);
-///   * tenant SLA fairness -- no live child sits below its (capacity-
-///     clipped) SLA floor while a live sibling holds more than the equal
-///     share of the same scope;
-///   * re-parent hygiene -- from two ticks after a scripted re-parent, the
-///     old parent's slot for the moved domain holds zero watts (released,
-///     not fenced), so the subtree never draws from two parents.
-TreeChaosReport run_tree_chaos(
-    const TreeChaosConfig& cfg,
-    std::vector<std::unique_ptr<core::PerqPolicy>>& policies);
-
-/// Chaos over the warm-standby HA deployment: one primary controller
-/// replicating every tick's canonical inputs to a standby, with a scripted
-/// primary crash (or partition) and a standby takeover mid-run.
-///
-/// Connection dial order (and hence schedule indexing): the primary dials
-/// the standby first -- index 0 is the replication link -- then the plant's
-/// agents dial the primary (index 1 + i for agent i); reconnects and
-/// failover dials take later indices. `partition_primary` is sugar that
-/// blacks out indices 0 .. agents (the replication link plus every initial
-/// agent connection) for the window: the primary stays alive but
-/// unreachable -- the split-brain scenario, where it later resumes
-/// broadcasting with a stale epoch and must be fenced.
-struct FailoverChaosConfig {
-  core::EngineConfig engine;
-  daemon::ControllerConfig controller;  ///< shared by primary and standby
-  daemon::PlantConfig plant;
-  std::uint64_t fault_seed = 1;
-  ConnectionSchedule default_schedule;
-  std::vector<std::pair<std::size_t, ConnectionSchedule>> schedules;
-  std::vector<AgentEvent> events;
-  std::uint64_t max_ticks = 0;
+  // --- warm standby (lone root with a standby policy only) ---
   /// Destroy the primary outright at the top of this tick: its listener and
   /// every session die, the crash path. kNever disables.
   std::uint64_t kill_primary_at_tick = kNever;
-  /// Black out every initial primary link for the window instead of killing
-  /// the process (see above). begin >= end disables.
+  /// Black out the replication link and every initial agent connection for
+  /// the window: the primary stays alive but unreachable -- the split-brain
+  /// scenario, where it later resumes broadcasting with a stale epoch and
+  /// must be fenced. begin >= end disables.
   TickWindow partition_primary{0, 0};
   /// Takeover detector: promote the standby once it has replayed no new
   /// replicated decide for this many consecutive planless ticks.
@@ -256,43 +129,66 @@ struct FailoverChaosConfig {
   /// Tight handover: kill + promote + re-dial every agent to the standby at
   /// the top of kill_primary_at_tick, before that tick runs. Removes the
   /// detection gap entirely, so the whole cap trajectory is bit-identical
-  /// to a crash-free run of the same seed -- the acceptance-criterion mode.
+  /// to a crash-free run of the same seed.
   bool tight_handover = false;
-  /// Scripted re-dials of the *original primary* address (tick, agent): the
-  /// deposed-primary fencing scenario -- after takeover the old primary,
-  /// still alive behind a healed partition, announces its stale epoch and
-  /// the agent must reject the connection (counted, never applied).
-  std::vector<std::pair<std::uint64_t, std::size_t>> redial_primary;
 };
 
-struct FailoverChaosReport {
+/// One control tick of the run, as observed at the plant.
+struct TickRecord {
+  std::uint64_t tick = 0;
+  double committed_w = 0.0;  ///< watts committed to running jobs
+  /// Applied per-node cap of every running job, keyed by job id (the
+  /// trajectory the re-convergence comparison runs over).
+  std::vector<std::pair<int, double>> caps_by_job;
+  /// The root arbiter's grants (indexed by child) as of this tick, once it
+  /// has decided, so tests can assert on the whole history.
+  std::vector<double> grants_w;
+};
+
+/// One arbiter at the end of the run.
+struct ArbiterOutcome {
+  std::uint64_t decisions = 0;
+  std::vector<double> grants_w;  ///< by child slot
+  double fenced_w = 0.0;
+};
+
+struct DeploymentReport {
   core::RunResult result;
   std::vector<std::string> violations;  ///< empty <=> all invariants held
   std::vector<TickRecord> history;
-  core::RobustnessCounters primary_counters;  ///< as of the kill (or end)
-  core::RobustnessCounters standby_counters;
+  /// By leaf slot: the controller serving that leaf at the end of the run
+  /// (the standby once promoted; zero for a killed, unreplaced primary).
+  std::vector<core::RobustnessCounters> controller_counters;
+  /// The root arbiter's cluster-wide aggregate: every stacked arbiter
+  /// flattens its subtree into its upward report (zero for a lone root).
+  core::RobustnessCounters aggregated_counters;
   core::RobustnessCounters plant_counters;
   FaultStats faults;
   std::uint64_t ticks = 0;
-  std::uint64_t held_ticks = 0;
+  std::uint64_t held_ticks = 0;  ///< ticks the plant held previous caps
+  /// By tree node id; leaves keep the zero outcome.
+  std::vector<ArbiterOutcome> arbiters;
+  std::uint64_t reparents_executed = 0;
+  /// Worst sum(grants) + reserved - scope over every decision at every
+  /// arbiter (scope captured at decide time, so no lag slack is needed).
+  double max_level_overdraw_w = 0.0;
+  // Warm standby.
   std::uint64_t promoted_at_tick = kNever;  ///< kNever: never promoted
-  std::uint64_t replicated_decides = 0;  ///< standby's replayed decides
-  std::uint64_t repl_divergence = 0;     ///< standby plan-crc mismatches
-  std::uint64_t repl_rejected = 0;       ///< malformed replication frames
-  std::uint64_t stale_epoch_frames = 0;  ///< frames fenced by the agents
-  std::uint64_t standby_epoch = 0;       ///< standby's epoch at end of run
+  std::uint64_t replicated_decides = 0;     ///< standby's replayed decides
+  std::uint64_t repl_divergence = 0;        ///< standby plan-crc mismatches
+  std::uint64_t repl_rejected = 0;          ///< malformed replication frames
+  std::uint64_t standby_epoch = 0;          ///< standby's epoch at end of run
 };
 
-/// Runs the primary+standby deployment under the configured failure script,
-/// checking run_chaos's per-tick budget/box invariants across the handover
-/// plus the fail-safe decay law: once a group has been planless past
-/// PlantConfig::failsafe_after_ticks, its held caps must follow
-/// cap' <= floor + (cap - floor) * decay -- drifting to the safe floor,
-/// never rising. The two policies must be identically configured (the
-/// standby replays the primary's decisions through its own instance).
-FailoverChaosReport run_failover_chaos(const FailoverChaosConfig& cfg,
-                                       core::PerqPolicy& primary_policy,
-                                       core::PerqPolicy& standby_policy);
+/// Runs the deployment under its fault script. Deterministic: same
+/// deployment + same policy construction => same report, field for field.
+/// `leaf_policies` holds one policy per leaf slot, sized for the engine
+/// (the contract of core::run_experiment). A standby -- identically
+/// configured to the primary, whose decisions it replays through its own
+/// instance -- is accepted only on a lone root.
+DeploymentReport run_deployment(const Deployment& deployment,
+                                const std::vector<core::PerqPolicy*>& leaf_policies,
+                                core::PerqPolicy* standby_policy = nullptr);
 
 /// First tick T >= `from` such that from T on, every tick's caps in
 /// `faulted` match the same tick/job in `baseline` within `tol_w` watts

@@ -1,10 +1,7 @@
 #include "hier/experiment.hpp"
 
-#include <string>
 #include <utility>
 
-#include "net/loopback.hpp"
-#include "util/require.hpp"
 #include "util/stopwatch.hpp"
 
 namespace perq::hier {
@@ -50,190 +47,6 @@ core::RunResult run_hier_experiment(const core::EngineConfig& cfg,
     }
   }
   return engine.finish(policy.name());
-}
-
-HierDaemonResult run_hier_loopback_daemon_experiment(
-    const core::EngineConfig& cfg, std::size_t domains,
-    std::vector<std::unique_ptr<core::PerqPolicy>>& policies,
-    daemon::ControllerConfig ccfg, ArbiterDaemonConfig acfg,
-    std::size_t agents_per_domain) {
-  PERQ_REQUIRE(domains >= 1, "need at least one domain");
-  PERQ_REQUIRE(policies.size() == domains,
-               "need exactly one policy per domain controller");
-  PERQ_REQUIRE(agents_per_domain >= 1, "need at least one agent per domain");
-
-  net::LoopbackTransport transport;
-  const std::string arbiter_address = "perq-arbiter";
-  ArbiterDaemon arbiter(transport.listen(arbiter_address), domains, acfg);
-
-  // K domain controllers, each with its own listener and its own uplink to
-  // the arbiter. Domain membership is placement-based on this path: agent
-  // i dials controller i % K, and a controller's domain is exactly the
-  // jobs its agents lead.
-  std::vector<std::unique_ptr<daemon::PerqController>> controllers;
-  std::vector<std::string> addresses;
-  controllers.reserve(domains);
-  for (std::size_t d = 0; d < domains; ++d) {
-    addresses.push_back("perqd-" + std::to_string(d));
-    controllers.push_back(std::make_unique<daemon::PerqController>(
-        transport.listen(addresses.back()), *policies[d], ccfg));
-    controllers.back()->attach_arbiter(transport.connect(arbiter_address),
-                                       static_cast<std::uint32_t>(d),
-                                       static_cast<std::uint32_t>(domains));
-  }
-
-  daemon::PlantConfig pcfg;
-  pcfg.agents = domains * agents_per_domain;
-  daemon::DaemonPlant plant(cfg, transport, addresses, pcfg);
-  for (auto& c : controllers) c->pump();
-
-  // One deterministic single-threaded event loop: every wait iteration
-  // services each controller (report out, decide when granted) and then
-  // the arbiter (grants out once every domain reported the tick).
-  const auto service = [&] {
-    for (auto& c : controllers) c->service();
-    arbiter.service();
-  };
-  while (!plant.done()) {
-    plant.step(service);
-  }
-  for (std::size_t i = 0; i < plant.agent_count(); ++i) plant.agent(i).bye();
-  for (auto& c : controllers) c->pump();
-  arbiter.pump();
-
-  HierDaemonResult res;
-  res.run = plant.finish(domains == 1 ? "PERQ"
-                                      : "PERQ-HIER" + std::to_string(domains));
-  res.final_grants_w = arbiter.grants_w();
-  res.aggregated_counters = arbiter.aggregated_counters();
-  res.arbiter_decisions = arbiter.decisions();
-  return res;
-}
-
-TreeDaemonResult run_tree_loopback_daemon_experiment(
-    const core::EngineConfig& cfg, std::size_t domains, std::size_t mids,
-    std::vector<std::unique_ptr<core::PerqPolicy>>& policies,
-    daemon::ControllerConfig ccfg, ArbiterDaemonConfig acfg,
-    std::size_t agents_per_domain,
-    const std::vector<daemon::DomainAttachment>& leaf_tenants) {
-  PERQ_REQUIRE(domains >= 1, "need at least one domain");
-  PERQ_REQUIRE(policies.size() == domains,
-               "need exactly one policy per domain controller");
-  PERQ_REQUIRE(leaf_tenants.empty() || leaf_tenants.size() == domains,
-               "leaf_tenants must be empty or one entry per domain");
-
-  // Depth 1: the flat deployment *is* the tree degenerated to one level,
-  // so delegate outright -- the bit-identity claim is then by construction.
-  if (mids == 0) {
-    HierDaemonResult flat = run_hier_loopback_daemon_experiment(
-        cfg, domains, policies, ccfg, acfg, agents_per_domain);
-    TreeDaemonResult res;
-    res.run = std::move(flat.run);
-    res.root_grants_w = std::move(flat.final_grants_w);
-    res.aggregated_counters = flat.aggregated_counters;
-    res.root_decisions = flat.arbiter_decisions;
-    return res;
-  }
-  PERQ_REQUIRE(mids <= domains, "each mid arbiter needs at least one domain");
-
-  net::LoopbackTransport transport;
-  ArbiterDaemon root(transport.listen("perq-root"), mids, acfg);
-
-  // Leaf d sits under mid d % mids as that mid's child d / mids, mirroring
-  // the plant's agent -> controller placement so blocks stay balanced.
-  std::vector<std::size_t> kids(mids, 0);
-  for (std::size_t d = 0; d < domains; ++d) ++kids[d % mids];
-
-  std::vector<std::unique_ptr<ArbiterDaemon>> mid_daemons;
-  std::vector<std::string> mid_addresses;
-  mid_daemons.reserve(mids);
-  for (std::size_t m = 0; m < mids; ++m) {
-    mid_addresses.push_back("perq-mid-" + std::to_string(m));
-    mid_daemons.push_back(std::make_unique<ArbiterDaemon>(
-        transport.listen(mid_addresses.back()), kids[m], acfg));
-    daemon::DomainAttachment att;
-    att.static_share = 1.0 / static_cast<double>(mids);
-    att.tree_path = {0u, static_cast<std::uint32_t>(1 + m)};
-    mid_daemons.back()->attach_parent(transport.connect("perq-root"),
-                                      static_cast<std::uint32_t>(m),
-                                      static_cast<std::uint32_t>(mids),
-                                      std::move(att));
-  }
-
-  std::vector<std::unique_ptr<daemon::PerqController>> controllers;
-  std::vector<std::string> addresses;
-  controllers.reserve(domains);
-  for (std::size_t d = 0; d < domains; ++d) {
-    addresses.push_back("perqd-" + std::to_string(d));
-    controllers.push_back(std::make_unique<daemon::PerqController>(
-        transport.listen(addresses.back()), *policies[d], ccfg));
-    const std::size_t m = d % mids;
-    daemon::DomainAttachment att;
-    if (!leaf_tenants.empty()) att = leaf_tenants[d];
-    // Composed cold-start share: this leaf's equal slice of its mid's
-    // equal slice, so the whole frontier sums to the cluster budget.
-    att.static_share =
-        1.0 / static_cast<double>(mids * kids[m]);
-    att.parent_path = {0u, static_cast<std::uint32_t>(1 + m)};
-    att.tree_path = {0u, static_cast<std::uint32_t>(1 + m),
-                     static_cast<std::uint32_t>(1 + mids + d)};
-    controllers.back()->attach_arbiter(transport.connect(mid_addresses[m]),
-                                       static_cast<std::uint32_t>(d / mids),
-                                       static_cast<std::uint32_t>(kids[m]),
-                                       std::move(att));
-  }
-
-  daemon::PlantConfig pcfg;
-  pcfg.agents = domains * agents_per_domain;
-  daemon::DaemonPlant plant(cfg, transport, addresses, pcfg);
-  for (auto& c : controllers) c->pump();
-
-  TreeDaemonResult res;
-  // Leaf -> mid -> root per wait iteration: reports ripple up one level per
-  // service pass, grants ride back on the next pass (the one-interval
-  // propagation delay per level documented in ArbiterDaemon). The overdraw
-  // probe runs only on rounds where a level actually decided, comparing
-  // its grant sum + cold-start reserve against the scope it divided.
-  const auto probe = [&](ArbiterDaemon& a, double scope) {
-    double sum = 0.0;
-    for (double g : a.grants_w()) sum += g;
-    res.max_level_overdraw_w =
-        std::max(res.max_level_overdraw_w, sum + a.reserved_w() - scope);
-  };
-  const auto service = [&] {
-    for (auto& c : controllers) c->service();
-    for (std::size_t m = 0; m < mids; ++m) {
-      if (mid_daemons[m]->service()) {
-        const double scope =
-            mid_daemons[m]->any_parent_grant()
-                ? mid_daemons[m]->parent_grant_w()
-                : mid_daemons[m]->cluster_budget_w() /
-                      static_cast<double>(mids);
-        probe(*mid_daemons[m], scope);
-      }
-    }
-    if (root.service()) probe(root, root.cluster_budget_w());
-  };
-  while (!plant.done()) {
-    plant.step(service);
-  }
-  for (std::size_t i = 0; i < plant.agent_count(); ++i) plant.agent(i).bye();
-  for (auto& c : controllers) c->pump();
-  for (auto& m : mid_daemons) m->pump();
-  root.pump();
-
-  res.run = plant.finish("PERQ-TREE" + std::to_string(mids) + "x" +
-                         std::to_string(domains));
-  res.root_grants_w = root.grants_w();
-  res.mid_grants_w.reserve(mids);
-  res.mid_decisions.reserve(mids);
-  for (auto& m : mid_daemons) {
-    res.mid_grants_w.push_back(m->grants_w());
-    res.mid_decisions.push_back(m->decisions());
-  }
-  res.aggregated_counters = root.aggregated_counters();
-  res.root_decisions = root.decisions();
-  return res;
 }
 
 }  // namespace perq::hier

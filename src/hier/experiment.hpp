@@ -1,27 +1,15 @@
-// Experiment drivers for the hierarchical (K domains + arbiter) stack.
+// In-process experiment driver for the hierarchical (K domains + arbiter)
+// stack: run_experiment's exact loop, plus per-tick registration of the
+// domain grants with the engine so apply_caps checks each domain against
+// its own allocation (not only the cluster row). With K = 1 it is
+// bit-identical to core::run_experiment.
 //
-// run_hier_experiment is the in-process variant: run_experiment's exact
-// loop, plus per-tick registration of the domain grants with the engine so
-// apply_caps checks each domain against its own allocation (not only the
-// cluster row). With K = 1 it is bit-identical to core::run_experiment.
-//
-// run_hier_loopback_daemon_experiment is the service variant: one
-// ArbiterDaemon plus K PerqControllers (each attached to the arbiter over
-// a loopback connection) plus a DaemonPlant whose agents dial their
-// domain's controller. Everything is single-threaded and pumped
-// deterministically; with K = 1 the run is bit-identical to the
-// monolithic in-process experiment (same claim PR 2 proved for the
-// single-controller daemon).
+// The service variant -- K domain controllers under a tree of
+// ArbiterDaemons, over loopback -- is fault::run_deployment with the tree
+// described by a hier::TreeSpec (fault/chaos.hpp).
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <vector>
-
 #include "core/engine.hpp"
-#include "daemon/controller.hpp"
-#include "daemon/experiment.hpp"
-#include "hier/arbiter_daemon.hpp"
 #include "hier/hier_policy.hpp"
 
 namespace perq::hier {
@@ -31,65 +19,5 @@ namespace perq::hier {
 /// grant conservation and per-domain budget compliance on every interval.
 core::RunResult run_hier_experiment(const core::EngineConfig& cfg,
                                     HierarchicalPerqPolicy& policy);
-
-struct HierDaemonResult {
-  core::RunResult run;
-  /// Grants after the final arbiter decision, indexed by domain.
-  std::vector<double> final_grants_w;
-  /// Robustness counters aggregated across every domain controller by the
-  /// arbiter (the cross-process accounting satellite).
-  core::RobustnessCounters aggregated_counters;
-  std::uint64_t arbiter_decisions = 0;
-};
-
-/// Runs the full K+1-daemon deployment over loopback transports: K domain
-/// controllers (job id mod K), one arbiter, `agents_per_domain` node
-/// agents per domain controller. `policies` must hold exactly K
-/// PerqPolicy instances (one per domain controller), built against the
-/// same node model.
-HierDaemonResult run_hier_loopback_daemon_experiment(
-    const core::EngineConfig& cfg, std::size_t domains,
-    std::vector<std::unique_ptr<core::PerqPolicy>>& policies,
-    daemon::ControllerConfig ccfg = {}, ArbiterDaemonConfig acfg = {},
-    std::size_t agents_per_domain = 1);
-
-struct TreeDaemonResult {
-  core::RunResult run;
-  /// Root grants after the final decision, indexed by mid arbiter (for the
-  /// flat delegation, indexed by domain).
-  std::vector<double> root_grants_w;
-  /// Mid-level grants after each mid's final decision: mid_grants_w[m][c]
-  /// is mid m's grant to its c-th child controller. Empty when mids == 0.
-  std::vector<std::vector<double>> mid_grants_w;
-  /// The root's cluster-wide accounting view (every level flattened in).
-  core::RobustnessCounters aggregated_counters;
-  std::uint64_t root_decisions = 0;
-  std::vector<std::uint64_t> mid_decisions;
-  /// Worst per-level overdraw observed across the whole run:
-  /// max over every decision round of sum(grants) + reserved - scope,
-  /// where scope is the deciding arbiter's parent grant (static share
-  /// before the first one; the cluster budget at the root). Conservation
-  /// holds iff this stays within FP tolerance of zero.
-  double max_level_overdraw_w = 0.0;
-};
-
-/// Runs a depth-2 arbiter tree over loopback transports: one root
-/// ArbiterDaemon over `mids` stacked mid-level ArbiterDaemons, each mid
-/// parenting the domain controllers d with d % mids == m (local child id
-/// d / mids). Tree node ids: root 0, mid m is 1+m, leaf d is 1+mids+d;
-/// every attachment carries its root->self path so re-parent fencing is
-/// exercised exactly as in production. `mids == 0` delegates to the flat
-/// run_hier_loopback_daemon_experiment (depth-1), which is the bit-identity
-/// baseline the tree must reproduce when it degenerates.
-///
-/// `leaf_tenants`, when non-empty, must hold one DomainAttachment per
-/// domain; the driver takes sla_floor_w / priority_weight from it and
-/// fills share and paths itself.
-TreeDaemonResult run_tree_loopback_daemon_experiment(
-    const core::EngineConfig& cfg, std::size_t domains, std::size_t mids,
-    std::vector<std::unique_ptr<core::PerqPolicy>>& policies,
-    daemon::ControllerConfig ccfg = {}, ArbiterDaemonConfig acfg = {},
-    std::size_t agents_per_domain = 1,
-    const std::vector<daemon::DomainAttachment>& leaf_tenants = {});
 
 }  // namespace perq::hier

@@ -47,6 +47,18 @@ TreeSpec TreeSpec::uniform(std::size_t depth, std::size_t fanout) {
   return spec;
 }
 
+TreeSpec TreeSpec::two_level(std::size_t mids, std::size_t leaves) {
+  PERQ_REQUIRE(mids >= 1 && mids <= leaves,
+               "two-level tree needs between 1 and `leaves` mid nodes");
+  TreeSpec spec;
+  spec.nodes.resize(1 + mids + leaves);
+  for (std::size_t m = 0; m < mids; ++m) spec.nodes[1 + m].parent = 0;
+  for (std::size_t d = 0; d < leaves; ++d) {
+    spec.nodes[1 + mids + d].parent = static_cast<std::uint32_t>(1 + d % mids);
+  }
+  return spec;
+}
+
 PowerTree::PowerTree(TreeSpec spec) : spec_(std::move(spec)) {
   PERQ_REQUIRE(!spec_.nodes.empty(), "power tree needs at least a root");
   PERQ_REQUIRE(spec_.nodes[0].parent == TreeSpec::kNoParent,

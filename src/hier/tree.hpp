@@ -68,6 +68,11 @@ struct TreeSpec {
   /// per interior node: fanout^depth leaves. depth 0 is a lone root-leaf
   /// (the monolithic controller); depth 1 equals flat(fanout).
   static TreeSpec uniform(std::size_t depth, std::size_t fanout);
+
+  /// Root over `mids` interior nodes (ids 1..mids), each parenting the
+  /// leaves d with d % mids == m (leaf d is node 1 + mids + d): the depth-2
+  /// daemon deployment's layout, leaf slot d = leaf d.
+  static TreeSpec two_level(std::size_t mids, std::size_t leaves);
 };
 
 /// The recursive arbiter. Owns no policies and no wire state: callers

@@ -69,7 +69,21 @@ void project_budget(linalg::Vector& x, const BudgetConstraint& bc,
   double lambda_hi = 1.0;
   while (budget_value(y, bc, lb, ub, lambda_hi) > bc.bound) {
     lambda_hi *= 2.0;
-    PERQ_ASSERT(lambda_hi < 1e18, "projection bisection failed to bracket");
+    if (lambda_hi < 1e18) continue;
+    // Jacobi-scaled rows carry weights near 1e-10, which can need lambda
+    // beyond any doubling budget. At max_k (y_k - lb_k) / w_k every
+    // coordinate sits at its lower bound, where the row holds (lo_sum <
+    // bound above); rounding in y - lambda * w can leave one coordinate an
+    // ulp above its floor, which twice that lambda clears for certain.
+    lambda_hi = 0.0;
+    for (std::size_t k = 0; k < bc.index.size(); ++k) {
+      lambda_hi =
+          std::max(lambda_hi, (y[k] - lb[bc.index[k]]) / bc.weight[k]);
+    }
+    if (budget_value(y, bc, lb, ub, lambda_hi) > bc.bound) lambda_hi *= 2.0;
+    PERQ_ASSERT(budget_value(y, bc, lb, ub, lambda_hi) <= bc.bound,
+                "projection bisection failed to bracket");
+    break;
   }
   double lambda_lo = 0.0;
   for (int it = 0; it < 200; ++it) {

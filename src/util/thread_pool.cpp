@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 
 namespace perq {
 
@@ -71,7 +72,18 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
       for (std::size_t i = lo; i < hi; ++i) body(i);
     }));
   }
-  for (auto& f : futures) f.get();
+  // Join every block before rethrowing: `body` lives in the caller's frame,
+  // so leaving at the first failure would let the other blocks run on in a
+  // frame that is already gone.
+  std::exception_ptr first_error;
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 ThreadPool& ThreadPool::shared() {

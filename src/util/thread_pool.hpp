@@ -54,7 +54,8 @@ class ThreadPool {
   /// for tiny ranges where task overhead would dominate, and when called
   /// from inside a pool worker (nested parallelism runs inline -- the outer
   /// level already owns the cores, and blocking a worker on queued sub-tasks
-  /// could deadlock the pool).
+  /// could deadlock the pool). When a body throws, every block still runs
+  /// to completion before the first exception is rethrown to the caller.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& body,
                     std::size_t grain = 1);

@@ -11,6 +11,7 @@
 #include "core/node_model.hpp"
 #include "core/perq_policy.hpp"
 #include "daemon/experiment.hpp"
+#include "fault/chaos.hpp"
 #include "daemon/snapshot.hpp"
 #include "net/loopback.hpp"
 #include "util/require.hpp"
@@ -41,6 +42,17 @@ std::size_t total_nodes(const core::EngineConfig& cfg) {
 core::PerqPolicy make_policy(const core::EngineConfig& cfg) {
   return core::PerqPolicy(&core::canonical_node_model(), cfg.worst_case_nodes,
                           total_nodes(cfg));
+}
+
+/// The lone-root loopback deployment: one controller, `agents` agents.
+core::RunResult run_loopback(const core::EngineConfig& cfg,
+                             core::PerqPolicy& policy, std::size_t agents,
+                             const ControllerConfig& ccfg = {}) {
+  fault::Deployment d;
+  d.engine = cfg;
+  d.controller = ccfg;
+  d.plant.agents = agents;
+  return fault::run_deployment(d, {&policy}).result;
 }
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
@@ -104,7 +116,7 @@ TEST(DaemonEquivalence, LoopbackDaemonMatchesInProcessBitForBit) {
   const auto direct = core::run_experiment(cfg, in_process);
 
   core::PerqPolicy daemon_side = make_policy(cfg);
-  const auto via_daemon = run_loopback_daemon_experiment(cfg, daemon_side, 1);
+  const auto via_daemon = run_loopback(cfg, daemon_side, 1);
 
   ASSERT_GT(direct.jobs_completed, 0u);
   ASSERT_FALSE(direct.traces.empty());
@@ -118,7 +130,7 @@ TEST(DaemonEquivalence, NodeShardingAcrossAgentsIsInvariant) {
   const auto direct = core::run_experiment(cfg, in_process);
 
   core::PerqPolicy daemon_side = make_policy(cfg);
-  const auto sharded = run_loopback_daemon_experiment(cfg, daemon_side, 4);
+  const auto sharded = run_loopback(cfg, daemon_side, 4);
 
   expect_bit_identical(direct, sharded);
 }

@@ -13,6 +13,7 @@
 #include "core/node_model.hpp"
 #include "core/perq_policy.hpp"
 #include "daemon/experiment.hpp"
+#include "fault/chaos.hpp"
 #include "net/reactor.hpp"
 
 namespace perq::daemon {
@@ -41,6 +42,17 @@ std::size_t total_nodes(const core::EngineConfig& cfg) {
 core::PerqPolicy make_policy(const core::EngineConfig& cfg) {
   return core::PerqPolicy(&core::canonical_node_model(), cfg.worst_case_nodes,
                           total_nodes(cfg));
+}
+
+/// The lone-root loopback deployment: one controller, `agents` agents.
+core::RunResult run_loopback(const core::EngineConfig& cfg,
+                             core::PerqPolicy& policy, std::size_t agents,
+                             const ControllerConfig& ccfg = {}) {
+  fault::Deployment d;
+  d.engine = cfg;
+  d.controller = ccfg;
+  d.plant.agents = agents;
+  return fault::run_deployment(d, {&policy}).result;
 }
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
@@ -109,7 +121,7 @@ TEST(ReactorIdentity, TcpAndLoopbackTransportsAgreeBitForBit) {
 
   core::PerqPolicy loop_side = make_policy(cfg);
   const auto via_loopback =
-      run_loopback_daemon_experiment(cfg, loop_side, 2, patient_ccfg());
+      run_loopback(cfg, loop_side, 2, patient_ccfg());
   ASSERT_GT(via_loopback.jobs_completed, 0u);
 
   core::PerqPolicy tcp_side = make_policy(cfg);

@@ -13,6 +13,7 @@
 #include "core/node_model.hpp"
 #include "core/perq_policy.hpp"
 #include "daemon/experiment.hpp"
+#include "fault/chaos.hpp"
 #include "net/reactor.hpp"
 
 namespace perq::daemon {
@@ -41,6 +42,17 @@ std::size_t total_nodes(const core::EngineConfig& cfg) {
 core::PerqPolicy make_policy(const core::EngineConfig& cfg) {
   return core::PerqPolicy(&core::canonical_node_model(), cfg.worst_case_nodes,
                           total_nodes(cfg));
+}
+
+/// The lone-root loopback deployment: one controller, `agents` agents.
+core::RunResult run_loopback(const core::EngineConfig& cfg,
+                             core::PerqPolicy& policy, std::size_t agents,
+                             const ControllerConfig& ccfg = {}) {
+  fault::Deployment d;
+  d.engine = cfg;
+  d.controller = ccfg;
+  d.plant.agents = agents;
+  return fault::run_deployment(d, {&policy}).result;
 }
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
@@ -84,7 +96,7 @@ TEST(ShardedIdentity, ShardedLoopbackRunMatchesInProcessBitForBit) {
   ASSERT_GT(direct.jobs_completed, 0u);
 
   core::PerqPolicy daemon_side = make_policy(cfg);
-  const auto sharded = run_loopback_daemon_experiment(
+  const auto sharded = run_loopback(
       cfg, daemon_side, 4, ccfg_with(/*shards=*/4, /*delta=*/true));
 
   expect_bit_identical(direct, sharded);
@@ -111,12 +123,12 @@ TEST(ShardedIdentity, DeltaBroadcastsMatchFullPlanBroadcasts) {
   const auto cfg = small_cfg();
 
   core::PerqPolicy full_side = make_policy(cfg);
-  const auto full = run_loopback_daemon_experiment(
+  const auto full = run_loopback(
       cfg, full_side, 2, ccfg_with(/*shards=*/2, /*delta=*/false));
   ASSERT_GT(full.jobs_completed, 0u);
 
   core::PerqPolicy delta_side = make_policy(cfg);
-  const auto delta = run_loopback_daemon_experiment(
+  const auto delta = run_loopback(
       cfg, delta_side, 2, ccfg_with(/*shards=*/2, /*delta=*/true));
 
   expect_bit_identical(full, delta);
@@ -129,12 +141,12 @@ TEST(ShardedIdentity, UnboundedDeltaChainStaysLossless) {
   const auto cfg = small_cfg();
 
   core::PerqPolicy full_side = make_policy(cfg);
-  const auto full = run_loopback_daemon_experiment(
+  const auto full = run_loopback(
       cfg, full_side, 2, ccfg_with(/*shards=*/1, /*delta=*/false));
   ASSERT_GT(full.jobs_completed, 0u);
 
   core::PerqPolicy delta_side = make_policy(cfg);
-  const auto delta = run_loopback_daemon_experiment(
+  const auto delta = run_loopback(
       cfg, delta_side, 2,
       ccfg_with(/*shards=*/1, /*delta=*/true, /*full_every=*/0));
 
@@ -145,7 +157,7 @@ TEST(ShardedIdentity, ShardedTcpMatchesShardedLoopback) {
   const auto cfg = small_cfg();
 
   core::PerqPolicy loop_side = make_policy(cfg);
-  const auto via_loopback = run_loopback_daemon_experiment(
+  const auto via_loopback = run_loopback(
       cfg, loop_side, 4, ccfg_with(/*shards=*/2, /*delta=*/true));
   ASSERT_GT(via_loopback.jobs_completed, 0u);
 

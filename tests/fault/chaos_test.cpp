@@ -1,8 +1,8 @@
-// Chaos-harness tests: the full perqd control loop under each fault type,
-// asserting the run-level safety invariants hold on every tick, the fault
-// counters observe what was scheduled, the trajectory re-converges onto the
-// fault-free twin after the fault window, and the whole report is a pure
-// function of the seed.
+// Deployment-runner tests on a lone root: the full perqd control loop under
+// each fault type, asserting the run-level safety invariants hold on every
+// tick, the fault counters observe what was scheduled, the trajectory
+// re-converges onto the fault-free twin after the fault window, and the
+// whole report is a pure function of the seed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -45,8 +45,8 @@ core::PerqPolicy make_policy(const core::EngineConfig& cfg,
                           total_nodes(cfg), pcfg);
 }
 
-ChaosConfig chaos_cfg(std::uint64_t seed) {
-  ChaosConfig cfg;
+Deployment chaos_cfg(std::uint64_t seed) {
+  Deployment cfg;
   cfg.engine = small_cfg();
   cfg.plant.agents = 4;
   cfg.plant.plan_timeout_ms = 50;  // loopback: no plan this tick means never
@@ -55,16 +55,16 @@ ChaosConfig chaos_cfg(std::uint64_t seed) {
   return cfg;
 }
 
-void expect_no_violations(const ChaosReport& r) {
+void expect_no_violations(const DeploymentReport& r) {
   for (const std::string& v : r.violations) ADD_FAILURE() << v;
 }
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 TEST(Chaos, CleanRunHasNoFaultsNoViolations) {
-  ChaosConfig cfg = chaos_cfg(1);
+  Deployment cfg = chaos_cfg(1);
   core::PerqPolicy policy = make_policy(cfg.engine);
-  const ChaosReport r = run_chaos(cfg, policy);
+  const DeploymentReport r = run_deployment(cfg, {&policy});
 
   expect_no_violations(r);
   EXPECT_GT(r.result.jobs_completed, 0u);
@@ -74,28 +74,28 @@ TEST(Chaos, CleanRunHasNoFaultsNoViolations) {
                 r.faults.duplicated + r.faults.delayed + r.faults.reordered +
                 r.faults.partitioned + r.faults.killed,
             0u);
-  EXPECT_EQ(r.controller_counters.clamp_activations, 0u);
-  EXPECT_EQ(r.controller_counters.frames_corrupt, 0u);
+  EXPECT_EQ(r.controller_counters[0].clamp_activations, 0u);
+  EXPECT_EQ(r.controller_counters[0].frames_corrupt, 0u);
   EXPECT_EQ(r.plant_counters.frames_dropped, 0u);
 }
 
 TEST(Chaos, DropInvariantsHoldAndTrajectoryReconverges) {
-  ChaosConfig cfg = chaos_cfg(7);
+  Deployment cfg = chaos_cfg(7);
   cfg.engine.duration_s = 2400.0;
   cfg.default_schedule.window = {10, 25};
   cfg.default_schedule.tx.drop = 0.25;
   cfg.default_schedule.rx.drop = 0.25;
   core::PerqPolicy policy = make_policy(cfg.engine);
-  const ChaosReport faulted = run_chaos(cfg, policy);
+  const DeploymentReport faulted = run_deployment(cfg, {&policy});
 
   expect_no_violations(faulted);
   EXPECT_GT(faulted.faults.dropped, 0u);
   EXPECT_GT(faulted.result.jobs_completed, 0u);
 
-  ChaosConfig clean_cfg = cfg;
+  Deployment clean_cfg = cfg;
   clean_cfg.default_schedule = {};
   core::PerqPolicy clean_policy = make_policy(clean_cfg.engine);
-  const ChaosReport clean = run_chaos(clean_cfg, clean_policy);
+  const DeploymentReport clean = run_deployment(clean_cfg, {&clean_policy});
 
   // The fault must be visible as sustained power divergence inside the
   // window (dropped telemetry leaves the controller blind to jobs, so the
@@ -112,7 +112,7 @@ TEST(Chaos, DropInvariantsHoldAndTrajectoryReconverges) {
 }
 
 TEST(Chaos, DelayAndDuplicateInvariantsHold) {
-  ChaosConfig cfg = chaos_cfg(11);
+  Deployment cfg = chaos_cfg(11);
   cfg.default_schedule.window = {10, 40};
   cfg.default_schedule.tx.delay = 0.3;
   cfg.default_schedule.rx.delay = 0.3;
@@ -121,7 +121,7 @@ TEST(Chaos, DelayAndDuplicateInvariantsHold) {
   cfg.default_schedule.tx.duplicate = 0.15;
   cfg.default_schedule.tx.reorder = 0.15;
   core::PerqPolicy policy = make_policy(cfg.engine);
-  const ChaosReport r = run_chaos(cfg, policy);
+  const DeploymentReport r = run_deployment(cfg, {&policy});
 
   expect_no_violations(r);
   EXPECT_GT(r.faults.delayed, 0u);
@@ -131,13 +131,13 @@ TEST(Chaos, DelayAndDuplicateInvariantsHold) {
 }
 
 TEST(Chaos, CorruptionKillsConnectionsWhichRejoin) {
-  ChaosConfig cfg = chaos_cfg(3);
+  Deployment cfg = chaos_cfg(3);
   cfg.default_schedule.window = {10, 40};
   cfg.default_schedule.tx.truncate = 0.05;
   cfg.default_schedule.tx.bit_flip = 0.1;
   cfg.default_schedule.rx.bit_flip = 0.1;
   core::PerqPolicy policy = make_policy(cfg.engine);
-  const ChaosReport r = run_chaos(cfg, policy);
+  const DeploymentReport r = run_deployment(cfg, {&policy});
 
   expect_no_violations(r);
   EXPECT_GT(r.faults.truncated + r.faults.bit_flipped, 0u);
@@ -147,7 +147,7 @@ TEST(Chaos, CorruptionKillsConnectionsWhichRejoin) {
 }
 
 TEST(Chaos, CrashedConnectionsRejoinAndFinishTheRun) {
-  ChaosConfig cfg = chaos_cfg(5);
+  Deployment cfg = chaos_cfg(5);
   ConnectionSchedule kill1;
   kill1.kill_at_tick = 20;
   ConnectionSchedule kill2;
@@ -155,7 +155,7 @@ TEST(Chaos, CrashedConnectionsRejoinAndFinishTheRun) {
   cfg.schedules.emplace_back(1, kill1);
   cfg.schedules.emplace_back(2, kill2);
   core::PerqPolicy policy = make_policy(cfg.engine);
-  const ChaosReport r = run_chaos(cfg, policy);
+  const DeploymentReport r = run_deployment(cfg, {&policy});
 
   expect_no_violations(r);
   EXPECT_EQ(r.faults.killed, 2u);
@@ -164,49 +164,49 @@ TEST(Chaos, CrashedConnectionsRejoinAndFinishTheRun) {
 }
 
 TEST(Chaos, PartitionTriggersStalenessNotViolations) {
-  ChaosConfig cfg = chaos_cfg(9);
+  Deployment cfg = chaos_cfg(9);
   cfg.controller.stale_after_ticks = 2;
   ConnectionSchedule part;
   part.partitions.push_back({15, 25});
   cfg.schedules.emplace_back(0, part);
   core::PerqPolicy policy = make_policy(cfg.engine);
-  const ChaosReport r = run_chaos(cfg, policy);
+  const DeploymentReport r = run_deployment(cfg, {&policy});
 
   expect_no_violations(r);
   EXPECT_GT(r.faults.partitioned, 0u);
   // The blacked-out agent goes silent while its connection stays open:
   // exactly the heartbeat-staleness path, observed by the counter.
-  EXPECT_GE(r.controller_counters.stale_transitions, 1u);
+  EXPECT_GE(r.controller_counters[0].stale_transitions, 1u);
   EXPECT_GT(r.result.jobs_completed, 0u);
 }
 
 TEST(Chaos, HungAgentRejoinsAndRunCompletes) {
-  ChaosConfig cfg = chaos_cfg(13);
+  Deployment cfg = chaos_cfg(13);
   cfg.controller.stale_after_ticks = 2;
   cfg.events.push_back({15, 1, AgentEvent::Kind::kHang});
   cfg.events.push_back({25, 1, AgentEvent::Kind::kRejoin});
   core::PerqPolicy policy = make_policy(cfg.engine);
-  const ChaosReport r = run_chaos(cfg, policy);
+  const DeploymentReport r = run_deployment(cfg, {&policy});
 
   expect_no_violations(r);
-  EXPECT_GE(r.controller_counters.stale_transitions, 1u);
+  EXPECT_GE(r.controller_counters[0].stale_transitions, 1u);
   EXPECT_GT(r.result.jobs_completed, 0u);
 }
 
 TEST(Chaos, ReportIsAPureFunctionOfTheSeed) {
   const auto run = [](std::uint64_t seed) {
-    ChaosConfig cfg = chaos_cfg(seed);
+    Deployment cfg = chaos_cfg(seed);
     cfg.default_schedule.window = {10, 40};
     cfg.default_schedule.tx.drop = 0.1;
     cfg.default_schedule.rx.delay = 0.2;
     cfg.default_schedule.rx.delay_ticks = 1;
     cfg.default_schedule.tx.bit_flip = 0.05;
     core::PerqPolicy policy = make_policy(cfg.engine);
-    return run_chaos(cfg, policy);
+    return run_deployment(cfg, {&policy});
   };
-  const ChaosReport a = run(21);
-  const ChaosReport b = run(21);
-  const ChaosReport c = run(22);
+  const DeploymentReport a = run(21);
+  const DeploymentReport b = run(21);
+  const DeploymentReport c = run(22);
 
   EXPECT_EQ(a.ticks, b.ticks);
   EXPECT_EQ(a.held_ticks, b.held_ticks);
@@ -216,8 +216,8 @@ TEST(Chaos, ReportIsAPureFunctionOfTheSeed) {
   EXPECT_EQ(a.faults.dropped, b.faults.dropped);
   EXPECT_EQ(a.faults.delayed, b.faults.delayed);
   EXPECT_EQ(a.faults.bit_flipped, b.faults.bit_flipped);
-  EXPECT_EQ(a.controller_counters.frames_corrupt,
-            b.controller_counters.frames_corrupt);
+  EXPECT_EQ(a.controller_counters[0].frames_corrupt,
+            b.controller_counters[0].frames_corrupt);
   EXPECT_EQ(a.plant_counters.frames_dropped, b.plant_counters.frames_dropped);
   ASSERT_EQ(a.history.size(), b.history.size());
   for (std::size_t i = 0; i < a.history.size(); ++i) {
@@ -236,17 +236,17 @@ TEST(Chaos, StarvedSolverFallsBackToEqualShareWithinBudget) {
   // (active set, then projected gradient), forcing the last rung: the
   // equal-share fallback. The run must stay within every invariant and the
   // fallback must be observable in the controller's counters.
-  ChaosConfig cfg = chaos_cfg(17);
+  Deployment cfg = chaos_cfg(17);
   core::PerqConfig pcfg;
   pcfg.mpc.max_qp_iterations = 1;
   core::PerqPolicy policy = make_policy(cfg.engine, pcfg);
-  const ChaosReport r = run_chaos(cfg, policy);
+  const DeploymentReport r = run_deployment(cfg, {&policy});
 
   expect_no_violations(r);
-  EXPECT_GT(r.controller_counters.solver_fallbacks, 0u);
+  EXPECT_GT(r.controller_counters[0].solver_fallbacks, 0u);
   // The fallback itself respects the budget, so the defensive clamp before
   // broadcast never needs to fire.
-  EXPECT_EQ(r.controller_counters.clamp_activations, 0u);
+  EXPECT_EQ(r.controller_counters[0].clamp_activations, 0u);
   EXPECT_GT(r.result.jobs_completed, 0u);
 }
 

@@ -1,8 +1,11 @@
-// Hierarchical daemon tests: the K=1 arbiter-attached deployment is
-// bit-identical to both the in-process engine and the monolithic daemon,
-// K>1 deployments conserve grants and aggregate counters at the arbiter,
-// and the controller<->arbiter wire exchange survives restarts (snapshot
-// v3 carries the grant state).
+// Hierarchical daemon tests. HierDaemon: the K=1 arbiter-attached
+// deployment is bit-identical to both the in-process engine and the
+// monolithic daemon, K>1 deployments conserve grants and aggregate counters
+// at the arbiter, and the controller<->arbiter wire exchange survives
+// restarts (snapshot v3 carries the grant state). TreeDaemon: a depth-2
+// tree -- root arbiter over mid arbiters over domain controllers -- runs to
+// completion deterministically while conserving grants at every level
+// (max_level_overdraw_w stays at FP noise).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -14,9 +17,9 @@
 #include "core/engine.hpp"
 #include "core/node_model.hpp"
 #include "core/perq_policy.hpp"
-#include "daemon/experiment.hpp"
 #include "daemon/snapshot.hpp"
-#include "hier/experiment.hpp"
+#include "fault/chaos.hpp"
+#include "hier/arbiter_daemon.hpp"
 #include "net/loopback.hpp"
 
 namespace perq::hier {
@@ -42,15 +45,23 @@ std::size_t total_nodes(const core::EngineConfig& cfg) {
                                   0.5);
 }
 
-std::vector<std::unique_ptr<core::PerqPolicy>> make_policies(
-    const core::EngineConfig& cfg, std::size_t k) {
-  std::vector<std::unique_ptr<core::PerqPolicy>> policies;
-  for (std::size_t d = 0; d < k; ++d) {
-    policies.push_back(std::make_unique<core::PerqPolicy>(
+/// The loopback deployment of `tree` with `agents` node agents and one
+/// identically built policy per leaf controller.
+fault::DeploymentReport run(const core::EngineConfig& cfg, TreeSpec tree,
+                            std::size_t agents) {
+  fault::Deployment d;
+  d.engine = cfg;
+  d.tree = std::move(tree);
+  d.plant.agents = agents;
+  std::vector<std::unique_ptr<core::PerqPolicy>> owned;
+  std::vector<core::PerqPolicy*> policies;
+  for (std::size_t i = 0; i < PowerTree(d.tree).leaves(); ++i) {
+    owned.push_back(std::make_unique<core::PerqPolicy>(
         &core::canonical_node_model(), cfg.worst_case_nodes,
         total_nodes(cfg)));
+    policies.push_back(owned.back().get());
   }
-  return policies;
+  return fault::run_deployment(d, policies);
 }
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
@@ -75,6 +86,10 @@ void expect_bit_identical(const core::RunResult& a, const core::RunResult& b) {
   EXPECT_EQ(bits(a.mean_power_draw_w), bits(b.mean_power_draw_w));
 }
 
+void expect_no_violations(const fault::DeploymentReport& r) {
+  for (const std::string& v : r.violations) ADD_FAILURE() << v;
+}
+
 TEST(HierDaemon, SingleDomainLoopbackMatchesInProcessBitForBit) {
   const auto cfg = small_cfg();
 
@@ -82,41 +97,34 @@ TEST(HierDaemon, SingleDomainLoopbackMatchesInProcessBitForBit) {
                               cfg.worst_case_nodes, total_nodes(cfg));
   const auto direct = core::run_experiment(cfg, in_process);
 
-  auto policies = make_policies(cfg, 1);
-  const auto hier = run_hier_loopback_daemon_experiment(cfg, 1, policies);
+  const auto hier = run(cfg, TreeSpec::flat(1), 1);
 
   ASSERT_GT(direct.jobs_completed, 0u);
-  expect_bit_identical(direct, hier.run);
-  EXPECT_EQ(hier.run.policy_name, "PERQ");
-  EXPECT_GT(hier.arbiter_decisions, 0u);
-  ASSERT_EQ(hier.final_grants_w.size(), 1u);
+  expect_bit_identical(direct, hier.result);
+  EXPECT_EQ(hier.result.policy_name, "PERQ");
+  EXPECT_GT(hier.arbiters[0].decisions, 0u);
+  ASSERT_EQ(hier.arbiters[0].grants_w.size(), 1u);
 }
 
 TEST(HierDaemon, SingleDomainLoopbackMatchesMonolithicDaemonBitForBit) {
   const auto cfg = small_cfg();
-
-  core::PerqPolicy mono(&core::canonical_node_model(), cfg.worst_case_nodes,
-                        total_nodes(cfg));
-  const auto via_daemon = daemon::run_loopback_daemon_experiment(cfg, mono, 1);
-
-  auto policies = make_policies(cfg, 1);
-  const auto hier = run_hier_loopback_daemon_experiment(cfg, 1, policies);
-  expect_bit_identical(via_daemon, hier.run);
+  const auto via_daemon = run(cfg, TreeSpec::uniform(0, 1), 1);  // lone root
+  const auto hier = run(cfg, TreeSpec::flat(1), 1);
+  expect_bit_identical(via_daemon.result, hier.result);
 }
 
 TEST(HierDaemon, TwoDomainDeploymentConservesGrantsAndAggregatesCounters) {
   const auto cfg = small_cfg();
-  auto policies = make_policies(cfg, 2);
-  const auto hier = run_hier_loopback_daemon_experiment(cfg, 2, policies);
+  const auto hier = run(cfg, TreeSpec::flat(2), 2);
 
-  EXPECT_GT(hier.run.jobs_completed, 0u);
-  EXPECT_EQ(hier.run.policy_name, "PERQ-HIER2");
-  EXPECT_GT(hier.arbiter_decisions, 0u);
+  expect_no_violations(hier);  // conservation, checked every tick
+  EXPECT_GT(hier.result.jobs_completed, 0u);
+  EXPECT_EQ(hier.result.policy_name, "PERQ-HIER2");
+  EXPECT_GT(hier.arbiters[0].decisions, 0u);
 
-  ASSERT_EQ(hier.final_grants_w.size(), 2u);
-  const double granted = std::accumulate(hier.final_grants_w.begin(),
-                                         hier.final_grants_w.end(), 0.0);
-  EXPECT_GE(granted, 0.0);
+  const std::vector<double>& grants = hier.arbiters[0].grants_w;
+  ASSERT_EQ(grants.size(), 2u);
+  EXPECT_GE(std::accumulate(grants.begin(), grants.end(), 0.0), 0.0);
   // A clean loopback run fires no defenses anywhere; the aggregate across
   // both domains must agree.
   EXPECT_EQ(hier.aggregated_counters.frames_corrupt, 0u);
@@ -178,13 +186,10 @@ TEST(HierDaemon, ArbiterAggregatesReportedCountersAcrossDomains) {
 }
 
 TEST(HierDaemon, FourDomainsTwoAgentsEachRunsToCompletion) {
-  const auto cfg = small_cfg();
-  auto policies = make_policies(cfg, 4);
-  const auto hier = run_hier_loopback_daemon_experiment(
-      cfg, 4, policies, {}, {}, /*agents_per_domain=*/2);
-  EXPECT_GT(hier.run.jobs_completed, 0u);
-  EXPECT_GT(hier.arbiter_decisions, 0u);
-  ASSERT_EQ(hier.final_grants_w.size(), 4u);
+  const auto hier = run(small_cfg(), TreeSpec::flat(4), /*agents=*/8);
+  EXPECT_GT(hier.result.jobs_completed, 0u);
+  EXPECT_GT(hier.arbiters[0].decisions, 0u);
+  ASSERT_EQ(hier.arbiters[0].grants_w.size(), 4u);
 }
 
 TEST(HierDaemon, SnapshotV3RoundTripsGrantState) {
@@ -202,6 +207,57 @@ TEST(HierDaemon, SnapshotV3RoundTripsGrantState) {
   EXPECT_EQ(back->any_grant, 1);
   EXPECT_EQ(bits(back->granted_w), bits(4321.5));
   EXPECT_EQ(back->grant_tick, 41u);
+}
+
+TEST(TreeDaemon, DepthTwoTreeRunsCleanAndConservesEveryLevel) {
+  const auto r = run(small_cfg(), TreeSpec::two_level(2, 4), 4);
+
+  expect_no_violations(r);
+  EXPECT_GT(r.result.jobs_completed, 0u);
+  EXPECT_EQ(r.result.policy_name, "PERQ-TREE2x4");
+  ASSERT_EQ(r.arbiters.size(), 7u);
+  EXPECT_GT(r.arbiters[0].decisions, 0u);  // root
+  EXPECT_GT(r.arbiters[1].decisions, 0u);  // mid 0
+  EXPECT_GT(r.arbiters[2].decisions, 0u);  // mid 1
+  ASSERT_EQ(r.arbiters[0].grants_w.size(), 2u);
+  ASSERT_EQ(r.arbiters[1].grants_w.size(), 2u);  // domains 0, 2 under mid 0
+  // Conservation at every level: the worst observed overdraw (grants +
+  // cold-start reserves minus the scope divided, captured at decide time)
+  // must be FP noise, never a real watt.
+  EXPECT_LE(r.max_level_overdraw_w, 1e-3);
+  // A clean loopback run fires no defenses at any level.
+  EXPECT_EQ(r.aggregated_counters.frames_corrupt, 0u);
+  EXPECT_EQ(r.aggregated_counters.grants_fenced, 0u);
+  EXPECT_EQ(r.aggregated_counters.reparent_events, 0u);
+}
+
+TEST(TreeDaemon, DepthTwoTreeIsDeterministic) {
+  const auto cfg = small_cfg();
+  const auto a = run(cfg, TreeSpec::two_level(2, 4), 4);
+  const auto b = run(cfg, TreeSpec::two_level(2, 4), 4);
+
+  expect_bit_identical(a.result, b.result);
+  EXPECT_EQ(a.arbiters[0].decisions, b.arbiters[0].decisions);
+  ASSERT_EQ(a.arbiters[0].grants_w.size(), b.arbiters[0].grants_w.size());
+  for (std::size_t m = 0; m < a.arbiters[0].grants_w.size(); ++m) {
+    EXPECT_EQ(bits(a.arbiters[0].grants_w[m]), bits(b.arbiters[0].grants_w[m]));
+  }
+  EXPECT_EQ(bits(a.max_level_overdraw_w), bits(b.max_level_overdraw_w));
+}
+
+TEST(TreeDaemon, TenantTermsTravelUpTheTree) {
+  TreeSpec tree = TreeSpec::two_level(2, 4);
+  // Above the whole machine's nj * P_min (32 nodes x 90 W), so it lifts
+  // domain 2's (node 5's) physical floor on every tick the domain reports.
+  tree.nodes[5].tenant.sla_floor_w = 2900.0;
+  tree.nodes[3].tenant.priority_weight = 2.0;  // domain 0
+  const auto r = run(small_cfg(), std::move(tree), 4);
+
+  EXPECT_GT(r.result.jobs_completed, 0u);
+  EXPECT_LE(r.max_level_overdraw_w, 1e-3);
+  // The SLA floor actually shaped mid-level fills, and the activation
+  // count aggregated through the mid's report into the root's view.
+  EXPECT_GT(r.aggregated_counters.sla_floor_activations, 0u);
 }
 
 }  // namespace

@@ -76,6 +76,30 @@ TEST(ProjectBudget, InfeasibleAgainstBoxThrows) {
                precondition_error);
 }
 
+TEST(ProjectBudget, BracketsPastDoublingForTinyJacobiWeights) {
+  // Jacobi-scaled MPC rows carry budget weights near 1e-10 on coordinates
+  // of order 1e9, so meeting the bound needs lambda near 1e19 -- beyond
+  // where doubling from 1 gives up.
+  BudgetConstraint bc;
+  bc.index = {0, 1, 2};
+  bc.weight = {9e-11, 1.5e-10, 2e-10};
+  const Vector lb{1e8, 2e8, 1e8}, ub{5e9, 5e9, 5e9};
+  double lo_sum = 0.0;
+  for (std::size_t k = 0; k < 3; ++k) lo_sum += bc.weight[k] * lb[k];
+  bc.bound = lo_sum + 1e-3;
+  Vector x{4e9, 3e9, 4.5e9};
+
+  project_budget(x, bc, lb, ub);
+  double row = 0.0;
+  for (std::size_t k = 0; k < 3; ++k) {
+    EXPECT_GE(x[k], lb[k]);
+    EXPECT_LE(x[k], ub[k]);
+    row += bc.weight[k] * x[k];
+  }
+  EXPECT_LE(row, bc.bound);
+  EXPECT_NEAR(row, bc.bound, 1e-9);  // the projection lands on the row
+}
+
 TEST(ProjectBudget, ProjectionIsIdempotent) {
   Rng rng(5);
   for (int trial = 0; trial < 20; ++trial) {

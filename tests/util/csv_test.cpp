@@ -19,9 +19,13 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
+// ctest runs each case as its own process, concurrently under -j, so every
+// case writes a file named after itself.
 class CsvTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "perq_csv_test.csv";
+  std::string path_ =
+      ::testing::TempDir() + "perq_csv_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".csv";
   void TearDown() override { std::remove(path_.c_str()); }
 };
 
