@@ -1,30 +1,21 @@
-// perqd data-plane throughput: baseline poll-per-call loop vs the epoll
-// reactor + serialize-once broadcast + pooled frame I/O, vs the sharded
-// data plane (reactor shards on a worker pool + delta-encoded CapPlans).
+// perqd data-plane throughput: the single-pump epoll data plane vs the
+// sharded one (reactor shards on a worker pool).
 //
-// All modes run the same lockstep exchange -- na agents each send
+// Both modes run the same lockstep exchange -- na agents each send
 // Telemetry + Heartbeat, the controller drains everything and broadcasts a
-// cap plan, every agent reads its copy:
+// full cap plan, every agent reads its copy:
 //
-//   * baseline   rebuilds the descriptor vector for every wait_readable()
-//                call, drains with receive() (a fresh vector per call), and
-//                re-encodes the CapPlan once per connection via send().
-//                This is the pre-reactor data plane, byte-for-byte.
-//   * optimized  registers descriptors once with the epoll Reactor, drains
-//                into a reused scratch vector via receive_into(), and
-//                encodes the full CapPlan once into a pooled SharedFrame
-//                fanned out with send_frame(). This is the PR-5 data plane.
-//   * sharded    partitions the na connections round robin across S reactor
-//                shards, drains them in S pool-worker tasks (one epoll set,
-//                one frame pool, one scratch inbox per shard), and
-//                broadcasts delta-encoded CapPlans: each tick only ~1/16 of
-//                the caps move, so most broadcasts are a CapPlanDelta a
-//                fraction of the full plan's size (a full plan goes out
-//                every 8th tick as the resync anchor, mirroring perqd's
-//                full_plan_every_ticks). Agent 0 patches every delta onto
-//                its copy of the previous plan and the harness asserts the
-//                chain applies cleanly, so the measured stream is a valid
-//                delta protocol run, not just bytes.
+//   * epoll    registers descriptors once with the epoll Reactor, drains
+//              into a reused scratch vector via receive_into(), and encodes
+//              the CapPlan once into a pooled SharedFrame fanned out with
+//              send_frame().
+//   * sharded  partitions the na connections round robin across S reactor
+//              shards, drains them in S pool-worker tasks (one epoll set,
+//              one frame pool, one scratch inbox per shard), and encodes the
+//              plan once per shard. Every cap moves every tick, as it does
+//              under PERQ (the MPC re-solves every job each interval and the
+//              probing dither moves every cap), and every agent checks that
+//              it received this tick's plan with one entry per agent.
 //
 // ticks/sec is measured over the controller phase only: from the start of
 // the inbound drain to the last broadcast byte accepted by the kernel. The
@@ -34,17 +25,16 @@
 // (controller + load generators serialized) is reported alongside as
 // loop_ticks_per_s for transparency. Also reported: controller CPU per tick
 // (CLOCK_THREAD_CPUTIME_ID; for sharded rows, measured inside each shard
-// task and reported per shard), process-wide heap allocations + allocated
-// bytes per tick (global operator new hook), and the delta hit rate (share
-// of broadcasts that went out as deltas).
+// task and reported per shard) and process-wide heap allocations +
+// allocated bytes per tick (global operator new hook).
 //
 // Transport: rows run over loopback TCP while 2*na + slack descriptors fit
 // the RLIMIT_NOFILE hard cap; beyond that (na = 16384 needs ~33k fds, more
-// than this container's unraisable 20k cap) the sharded rows fall back to
-// the in-process loopback transport -- the identical sharded drain and
-// delta path minus the kernel socket hop -- and are tagged
-// "transport": "loopback" in the JSON so TCP and loopback numbers are
-// never compared as equals.
+// than a typical unraisable 20k cap) the epoll leg is skipped and the
+// sharded rows fall back to the in-process loopback transport -- the
+// identical sharded drain and broadcast path minus the kernel socket hop --
+// tagged "transport": "loopback" in the JSON so TCP and loopback numbers
+// are never compared as equals.
 //
 // Output: a stdout table plus a JSON report (default
 // <repo-root>/BENCH_daemon_throughput.json; override with --output PATH).
@@ -73,7 +63,6 @@
 #include "net/tcp.hpp"
 #include "net/tcp_connection.hpp"
 #include "net/transport.hpp"
-#include "proto/delta.hpp"
 #include "proto/message.hpp"
 #include "util/require.hpp"
 #include "util/thread_pool.hpp"
@@ -131,7 +120,7 @@ struct ModeResult {
 /// One lockstep controller + na in-process agents over loopback TCP.
 class Harness {
  public:
-  Harness(std::size_t na, bool optimized) : na_(na), optimized_(optimized) {
+  explicit Harness(std::size_t na) : na_(na) {
     auto listener = transport_.listen("127.0.0.1:0");
     const std::string address =
         "127.0.0.1:" + std::to_string(net::listener_port(*listener));
@@ -144,10 +133,8 @@ class Harness {
     }
     while (ctrl_.size() < na_) accept_pending(*listener);
     listener->close();
-    if (optimized_) {
-      for (const auto& c : ctrl_) ctrl_reactor_.add(c->fd());
-      for (const auto& c : agents_) agent_reactor_.add(c->fd());
-    }
+    for (const auto& c : ctrl_) ctrl_reactor_.add(c->fd());
+    for (const auto& c : agents_) agent_reactor_.add(c->fd());
   }
 
   void tick(std::uint64_t t) {
@@ -176,14 +163,10 @@ class Harness {
     const double cpu0 = thread_cpu_ms();
     std::size_t got = 0;
     while (got < 2 * na_) {
-      wait_ctrl();
-      if (optimized_) {
-        inbox_.clear();
-        for (const auto& c : ctrl_) c->receive_into(inbox_);
-        got += inbox_.size();
-      } else {
-        for (const auto& c : ctrl_) got += c->receive().size();
-      }
+      ctrl_reactor_.wait(50);
+      inbox_.clear();
+      for (const auto& c : ctrl_) c->receive_into(inbox_);
+      got += inbox_.size();
     }
     plan_.tick = t;
     plan_.entries.resize(na_);
@@ -192,15 +175,10 @@ class Harness {
       plan_.entries[i].cap_w = 150.0 + static_cast<double>(t % 7);
       plan_.entries[i].target_ips = 2e9;
     }
-    if (optimized_) {
-      auto buf = pool_.acquire();
-      proto::encode_into(proto::Message{plan_}, *buf);
-      const net::SharedFrame frame = net::FramePool::freeze(buf);
-      for (const auto& c : ctrl_) c->send_frame(frame);
-    } else {
-      const proto::Message pm{plan_};
-      for (const auto& c : ctrl_) c->send(pm);
-    }
+    auto buf = pool_.acquire();
+    proto::encode_into(proto::Message{plan_}, *buf);
+    const net::SharedFrame frame = net::FramePool::freeze(buf);
+    for (const auto& c : ctrl_) c->send_frame(frame);
     std::size_t pending;
     do {
       pending = 0;
@@ -218,14 +196,10 @@ class Harness {
     // Load-generation phase: every agent reads its plan copy.
     std::size_t plans = 0;
     while (plans < na_) {
-      wait_agents();
-      if (optimized_) {
-        inbox_.clear();
-        for (const auto& c : agents_) c->receive_into(inbox_);
-        plans += inbox_.size();
-      } else {
-        for (const auto& c : agents_) plans += c->receive().size();
-      }
+      agent_reactor_.wait(50);
+      inbox_.clear();
+      for (const auto& c : agents_) c->receive_into(inbox_);
+      plans += inbox_.size();
     }
   }
 
@@ -246,28 +220,7 @@ class Harness {
     for (auto& c : listener.accept_new()) ctrl_.push_back(std::move(c));
   }
 
-  void wait_ctrl() {
-    if (optimized_) {
-      ctrl_reactor_.wait(50);
-      return;
-    }
-    fds_.clear();
-    for (const auto& c : ctrl_) fds_.push_back(c->fd());
-    net::wait_readable(fds_, 50);
-  }
-
-  void wait_agents() {
-    if (optimized_) {
-      agent_reactor_.wait(50);
-      return;
-    }
-    fds_.clear();
-    for (const auto& c : agents_) fds_.push_back(c->fd());
-    net::wait_readable(fds_, 50);
-  }
-
   std::size_t na_;
-  bool optimized_;
   net::TcpTransport transport_;
   std::vector<std::unique_ptr<net::Connection>> ctrl_;
   std::vector<std::unique_ptr<net::Connection>> agents_;
@@ -275,14 +228,13 @@ class Harness {
   net::Reactor agent_reactor_{net::Reactor::Backend::kEpoll};
   net::FramePool pool_;
   std::vector<proto::Message> inbox_;
-  std::vector<int> fds_;
   proto::CapPlan plan_;
   double ctrl_cpu_ms_ = 0.0;
   double ctrl_wall_ms_ = 0.0;
 };
 
-ModeResult run_mode(std::size_t na, bool optimized) {
-  Harness h(na, optimized);
+ModeResult run_epoll(std::size_t na) {
+  Harness h(na);
   // Warm-up past decoder compaction thresholds and buffer/pool growth so
   // the measured window is steady state.
   const std::size_t warm = 12;
@@ -316,22 +268,17 @@ struct ShardedResult {
   double loop_ticks_per_s = 0.0;
   double ctrl_cpu_ms_per_tick = 0.0;            ///< summed over shards
   std::vector<double> shard_cpu_ms_per_tick;    ///< one entry per shard
-  double delta_hit_rate = 0.0;  ///< deltas / broadcasts in the window
   double allocs_per_tick = 0.0;
   double alloc_bytes_per_tick = 0.0;
 };
 
 /// The sharded data plane as a lockstep harness: connections partitioned
 /// round robin across S shards, drained in S worker tasks (one epoll set,
-/// one frame pool, one inbox per shard), broadcasts delta-encoded with a
-/// periodic full-plan anchor. The controller phase is the parallel section
-/// between the two joins.
+/// one frame pool, one inbox per shard), the full plan encoded once per
+/// shard. The controller phase is the parallel section between the two
+/// joins.
 class ShardedHarness {
  public:
-  /// The ControllerConfig::full_plan_every_ticks default.
-  static constexpr std::uint64_t kFullPlanEvery = 16;
-  static constexpr std::uint64_t kChurnPeriod = 16;  ///< 1/16 caps move/tick
-
   ShardedHarness(std::size_t na, std::size_t shards, bool tcp)
       : na_(na), shards_(shards), tcp_(tcp), pool_(shards) {
     if (tcp_) {
@@ -397,7 +344,7 @@ class ShardedHarness {
     }
 
     // Controller phase (timed): parallel per-shard drain, serial plan
-    // build + delta decision, parallel per-shard encode + fan-out.
+    // build, parallel per-shard encode + fan-out.
     const auto wall0 = std::chrono::steady_clock::now();
     {
       std::vector<std::future<void>> joins;
@@ -408,33 +355,17 @@ class ShardedHarness {
       for (auto& j : joins) j.get();
     }
 
-    // Mutate the 1/16 churn slice of the persistent plan; everything else
-    // keeps last tick's bit pattern, which is what makes the delta small.
-    plan_.tick = t;
-    if (plan_.entries.empty()) {
-      plan_.entries.resize(na_);
-      for (std::size_t i = 0; i < na_; ++i) {
-        plan_.entries[i].job_id = static_cast<std::int32_t>(i);
-        plan_.entries[i].cap_w = 150.0 + static_cast<double>(i % 7);
-        plan_.entries[i].target_ips = 2e9;
-      }
+    // Every cap moves every tick. The plan is built in place in the
+    // broadcast message (capacity kept), which the shard tasks then share
+    // read-only.
+    auto& plan = std::get<proto::CapPlan>(msg_);
+    plan.tick = t;
+    plan.entries.resize(na_);
+    for (std::size_t i = 0; i < na_; ++i) {
+      plan.entries[i].job_id = static_cast<std::int32_t>(i);
+      plan.entries[i].cap_w = 150.5 + static_cast<double>((t + i) % 7);
+      plan.entries[i].target_ips = 2e9;
     }
-    for (std::size_t i = t % kChurnPeriod; i < na_; i += kChurnPeriod) {
-      plan_.entries[i].cap_w =
-          150.0 + static_cast<double>((t + i) % 7) + 0.5;
-    }
-
-    bool send_delta = false;
-    if (have_base_ && (t % kFullPlanEvery) != 0) {
-      proto::make_delta(base_plan_, plan_, delta_);
-      // Same wire-size guard the controller applies: fall back to the full
-      // plan when the delta would not actually be smaller.
-      send_delta = 24 + 22 * delta_.ops.size() < 12 + 21 * plan_.entries.size();
-    }
-    // One Message copy per tick, shared read-only by every shard task.
-    msg_ = send_delta ? proto::Message{delta_} : proto::Message{plan_};
-    ++broadcasts_;
-    if (send_delta) ++deltas_;
 
     {
       std::vector<std::future<void>> joins;
@@ -444,8 +375,6 @@ class ShardedHarness {
       }
       for (auto& j : joins) j.get();
     }
-    base_plan_ = plan_;  // canonical image (job ids ascend by construction)
-    have_base_ = true;
     ctrl_wall_ms_ +=
         std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
                                                   wall0)
@@ -453,33 +382,19 @@ class ShardedHarness {
 
     // Load-generation phase: every agent reads its copy in place (nothing
     // moved or copied -- consume_received/drain hand out references, so
-    // the agent side is allocation-free at steady state too). Agent 0
-    // patches deltas onto its shadow of the previous plan and the harness
-    // asserts the chain applies -- the measured stream must be a valid
-    // protocol run, not just bytes on the floor.
-    const auto on_a0 = [this](const proto::Message& m) {
-      if (const auto* full = std::get_if<proto::CapPlan>(&m)) {
-        a0_base_ = *full;  // copy-assign: capacity reused after warm-up
-        proto::canonicalize(a0_base_);
-        a0_have_base_ = true;
-      } else if (const auto* d = std::get_if<proto::CapPlanDelta>(&m)) {
-        PERQ_REQUIRE(
-            a0_have_base_ && proto::apply_delta(a0_base_, *d, a0_patch_),
-            "delta chain broke on a lossless transport");
-        std::swap(a0_base_, a0_patch_);
-      }
-    };
-    std::size_t plans = 0;
-    bool is_a0 = false;
+    // the agent side is allocation-free at steady state too).
+    plans_ = 0;
     const std::function<void(const proto::Message&)> sink =
-        [&plans, &is_a0, &on_a0](const proto::Message& m) {
-          ++plans;
-          if (is_a0) on_a0(m);
+        [this](const proto::Message& m) {
+          const auto* p = std::get_if<proto::CapPlan>(&m);
+          PERQ_REQUIRE(p != nullptr && p->entries.size() == na_ &&
+                           p->tick == std::get<proto::CapPlan>(msg_).tick,
+                       "an agent did not receive this tick's full plan");
+          ++plans_;
         };
-    while (plans < na_) {
+    while (plans_ < na_) {
       if (tcp_) agent_reactor_.wait(50);
       for (std::size_t i = 0; i < na_; ++i) {
-        is_a0 = i == 0;
         if (tcp_) {
           static_cast<net::TcpConnection*>(agents_[i].get())
               ->consume_received(sink);
@@ -500,13 +415,6 @@ class ShardedHarness {
     std::vector<double> v = shard_cpu_ms_;
     shard_cpu_ms_.assign(shards_, 0.0);
     return v;
-  }
-
-  void take_broadcast_counters(std::uint64_t* broadcasts, std::uint64_t* deltas) {
-    *broadcasts = broadcasts_;
-    *deltas = deltas_;
-    broadcasts_ = 0;
-    deltas_ = 0;
   }
 
  private:
@@ -579,16 +487,8 @@ class ShardedHarness {
   net::Reactor agent_reactor_{net::Reactor::Backend::kEpoll};
   std::vector<net::FramePool> pools_;
   std::vector<std::vector<proto::Message>> inboxes_;
-  proto::CapPlan plan_;       ///< persistent plan image, churned per tick
-  proto::CapPlan base_plan_;  ///< previous broadcast (delta base)
-  proto::CapPlanDelta delta_;
-  proto::Message msg_;  ///< this tick's broadcast, shared by shard tasks
-  bool have_base_ = false;
-  proto::CapPlan a0_base_;  ///< agent 0's shadow of the last broadcast
-  proto::CapPlan a0_patch_;
-  bool a0_have_base_ = false;
-  std::uint64_t broadcasts_ = 0;
-  std::uint64_t deltas_ = 0;
+  proto::Message msg_{proto::CapPlan{}};  ///< this tick's plan, shared by shard tasks
+  std::size_t plans_ = 0;  ///< plans the agents received this tick
   std::vector<double> shard_cpu_ms_;
   double ctrl_wall_ms_ = 0.0;
 };
@@ -602,8 +502,6 @@ ShardedResult run_sharded(std::size_t na, std::size_t shards, bool tcp) {
   for (std::size_t i = 0; i < warm; ++i) h.tick(t++);
   h.take_ctrl_wall_ms();
   h.take_shard_cpu_ms();
-  std::uint64_t b_drop, d_drop;
-  h.take_broadcast_counters(&b_drop, &d_drop);
   const std::uint64_t a0 = g_allocs.load();
   const std::uint64_t b0 = g_alloc_bytes.load();
   const auto w0 = std::chrono::steady_clock::now();
@@ -622,12 +520,6 @@ ShardedResult run_sharded(std::size_t na, std::size_t shards, bool tcp) {
     v /= ticks;
     r.ctrl_cpu_ms_per_tick += v;
   }
-  std::uint64_t broadcasts = 0, deltas = 0;
-  h.take_broadcast_counters(&broadcasts, &deltas);
-  r.delta_hit_rate = broadcasts > 0
-                         ? static_cast<double>(deltas) /
-                               static_cast<double>(broadcasts)
-                         : 0.0;
   r.allocs_per_tick = static_cast<double>(g_allocs.load() - a0) / ticks;
   r.alloc_bytes_per_tick =
       static_cast<double>(g_alloc_bytes.load() - b0) / ticks;
@@ -636,10 +528,8 @@ ShardedResult run_sharded(std::size_t na, std::size_t shards, bool tcp) {
 
 struct Row {
   std::size_t na = 0;
-  bool has_modes = false;  ///< baseline/optimized legs ran (fd budget fit)
-  bool has_baseline = false;
-  ModeResult baseline;
-  ModeResult optimized;
+  bool has_epoll = false;  ///< the single-pump TCP leg ran (fd budget fit)
+  ModeResult epoll;
   std::vector<ShardedResult> sharded;
 };
 
@@ -661,8 +551,7 @@ rlim_t raise_fd_limit(rlim_t want) {
 int main(int argc, char** argv) {
   using namespace perq::bench;
   banner("Daemon data-plane throughput",
-         "poll-per-call vs epoll reactor + serialize-once broadcast vs "
-         "sharded reactors + delta-encoded CapPlans");
+         "epoll reactor + serialize-once broadcast vs sharded reactors");
 
   std::vector<std::size_t> sweep;
   std::vector<std::size_t> shard_sweep;
@@ -703,45 +592,33 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   std::printf(
       "    na     mode   ctrl-ticks/s   loop-ticks/s   ctrl-cpu(ms)"
-      "   allocs/tick   alloc-KB/tick   delta-hit\n");
+      "   allocs/tick   alloc-KB/tick\n");
+  const auto print_row = [](std::size_t na, const char* mode, double ticks_per_s,
+                            double loop_ticks_per_s, double cpu_ms,
+                            double allocs, double alloc_bytes) {
+    std::printf("  %5zu %9s  %12.1f   %12.1f   %12.4f   %11.1f   %13.1f\n", na,
+                mode, ticks_per_s, loop_ticks_per_s, cpu_ms, allocs,
+                alloc_bytes / 1024.0);
+  };
   for (std::size_t na : sweep) {
     Row row;
     row.na = na;
     const bool fits_tcp = static_cast<rlim_t>(2 * na + 64) <= fd_limit;
-    // The poll baseline re-encodes O(na^2) broadcast bytes per tick; past
-    // 1024 agents a single measured window takes minutes for a number
-    // whose trend is already unambiguous, so the leg is capped there.
-    row.has_baseline = fits_tcp && na <= 1024;
-    row.has_modes = fits_tcp;
-    if (row.has_baseline) row.baseline = run_mode(na, /*optimized=*/false);
-    if (row.has_modes) row.optimized = run_mode(na, /*optimized=*/true);
-    if (row.has_baseline) {
-      const ModeResult& m = row.baseline;
-      std::printf("  %5zu %9s  %12.1f   %12.1f   %12.4f   %11.1f   %13.1f   %9s\n",
-                  na, "poll", m.ticks_per_s, m.loop_ticks_per_s,
-                  m.ctrl_cpu_ms_per_tick, m.allocs_per_tick,
-                  m.alloc_bytes_per_tick / 1024.0, "-");
-    }
-    if (row.has_modes) {
-      const ModeResult& m = row.optimized;
-      std::printf("  %5zu %9s  %12.1f   %12.1f   %12.4f   %11.1f   %13.1f   %9s\n",
-                  na, "epoll", m.ticks_per_s, m.loop_ticks_per_s,
-                  m.ctrl_cpu_ms_per_tick, m.allocs_per_tick,
-                  m.alloc_bytes_per_tick / 1024.0, "-");
+    row.has_epoll = fits_tcp;
+    if (row.has_epoll) {
+      row.epoll = run_epoll(na);
+      const ModeResult& m = row.epoll;
+      print_row(na, "epoll", m.ticks_per_s, m.loop_ticks_per_s,
+                m.ctrl_cpu_ms_per_tick, m.allocs_per_tick, m.alloc_bytes_per_tick);
     }
     for (const std::size_t s : shard_sweep) {
       const ShardedResult sr = run_sharded(na, s, fits_tcp);
       char mode[32];
       std::snprintf(mode, sizeof mode, "S=%zu%s", s, sr.tcp ? "" : "*");
-      std::printf("  %5zu %9s  %12.1f   %12.1f   %12.4f   %11.1f   %13.1f   %8.2f%%\n",
-                  na, mode, sr.ticks_per_s, sr.loop_ticks_per_s,
-                  sr.ctrl_cpu_ms_per_tick, sr.allocs_per_tick,
-                  sr.alloc_bytes_per_tick / 1024.0, 100.0 * sr.delta_hit_rate);
+      print_row(na, mode, sr.ticks_per_s, sr.loop_ticks_per_s,
+                sr.ctrl_cpu_ms_per_tick, sr.allocs_per_tick,
+                sr.alloc_bytes_per_tick);
       row.sharded.push_back(sr);
-    }
-    if (row.has_baseline) {
-      std::printf("  %5zu   speedup  %11.2fx\n", na,
-                  row.optimized.ticks_per_s / row.baseline.ticks_per_s);
     }
     rows.push_back(row);
   }
@@ -754,29 +631,17 @@ int main(int argc, char** argv) {
   std::fprintf(json, "{\n  \"bench\": \"daemon_throughput\",\n");
   std::fprintf(json, "  \"fd_limit\": %llu,\n",
                static_cast<unsigned long long>(fd_limit));
-  std::fprintf(json, "  \"rows\": [\n");
-  double last_speedup = 0.0;
+  std::fprintf(json, "  \"epoll\": [\n");
   bool first = true;
   for (const Row& r : rows) {
-    if (!r.has_baseline) continue;
-    const double speedup = r.optimized.ticks_per_s / r.baseline.ticks_per_s;
-    last_speedup = speedup;
-    std::fprintf(
-        json,
-        "%s    {\"agents\": %zu,\n"
-        "     \"baseline\": {\"ticks_per_s\": %.3f, \"loop_ticks_per_s\": %.3f,"
-        " \"ctrl_cpu_ms_per_tick\": %.5f,"
-        " \"allocs_per_tick\": %.1f, \"alloc_bytes_per_tick\": %.1f},\n"
-        "     \"optimized\": {\"ticks_per_s\": %.3f, \"loop_ticks_per_s\": %.3f,"
-        " \"ctrl_cpu_ms_per_tick\": %.5f,"
-        " \"allocs_per_tick\": %.1f, \"alloc_bytes_per_tick\": %.1f},\n"
-        "     \"speedup\": %.3f}",
-        first ? "" : ",\n", r.na, r.baseline.ticks_per_s,
-        r.baseline.loop_ticks_per_s, r.baseline.ctrl_cpu_ms_per_tick,
-        r.baseline.allocs_per_tick, r.baseline.alloc_bytes_per_tick,
-        r.optimized.ticks_per_s, r.optimized.loop_ticks_per_s,
-        r.optimized.ctrl_cpu_ms_per_tick, r.optimized.allocs_per_tick,
-        r.optimized.alloc_bytes_per_tick, speedup);
+    if (!r.has_epoll) continue;
+    std::fprintf(json,
+                 "%s    {\"agents\": %zu, \"ticks_per_s\": %.3f,"
+                 " \"loop_ticks_per_s\": %.3f, \"ctrl_cpu_ms_per_tick\": %.5f,"
+                 " \"allocs_per_tick\": %.1f, \"alloc_bytes_per_tick\": %.1f}",
+                 first ? "" : ",\n", r.na, r.epoll.ticks_per_s,
+                 r.epoll.loop_ticks_per_s, r.epoll.ctrl_cpu_ms_per_tick,
+                 r.epoll.allocs_per_tick, r.epoll.alloc_bytes_per_tick);
     first = false;
   }
   std::fprintf(json, "\n  ],\n  \"sharded\": [\n");
@@ -797,14 +662,13 @@ int main(int argc, char** argv) {
                      s.shard_cpu_ms_per_tick[i]);
       }
       std::fprintf(json,
-                   "],\n     \"delta_hit_rate\": %.4f,"
-                   " \"allocs_per_tick\": %.1f,"
+                   "],\n     \"allocs_per_tick\": %.1f,"
                    " \"alloc_bytes_per_tick\": %.1f}",
-                   s.delta_hit_rate, s.allocs_per_tick, s.alloc_bytes_per_tick);
+                   s.allocs_per_tick, s.alloc_bytes_per_tick);
       first = false;
     }
   }
-  std::fprintf(json, "\n  ],\n  \"speedup_max_na\": %.3f\n}\n", last_speedup);
+  std::fprintf(json, "\n  ]\n}\n");
   std::fclose(json);
   std::printf("\nJSON written to %s\n", output.c_str());
   return 0;

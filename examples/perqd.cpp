@@ -3,7 +3,7 @@
 //   ./examples/perqd --listen 127.0.0.1:7421 --wc-nodes 32 --f 2.0
 //                    [--ratio 8] [--stale-ticks 3] [--grace-ms 250]
 //                    [--snapshot perqd.snap --snapshot-every 10]
-//                    [--shards 4] [--no-delta] [--full-every 16]
+//                    [--shards 4]
 //
 // Identifies the node model, then serves cap plans to perq_agent plants
 // until every agent has left. --wc-nodes and --f size the policy's target
@@ -96,9 +96,6 @@ void usage(const char* argv0) {
       "  --snapshot <path>      controller state snapshot file\n"
       "  --snapshot-every <n>   snapshot every n decisions (default 10)\n"
       "  --shards <s>           reactor shards for the data plane (default 1)\n"
-      "  --no-delta             always broadcast full CapPlans, never deltas\n"
-      "  --full-every <n>       full-plan resync cadence with deltas on\n"
-      "                         (default 16; 0 = deltas only after joins)\n"
       "  --domains <k>          budget domain count (default 1: monolithic)\n"
       "  --domain <d>           run domain d's controller (needs --arbiter)\n"
       "  --arbiter <host:port>  arbiter address for a domain controller\n"
@@ -160,8 +157,6 @@ int main(int argc, char** argv) {
       else if (arg == "--snapshot") ccfg.snapshot_path = next();
       else if (arg == "--snapshot-every") ccfg.snapshot_every_ticks = cli::parse_u64(arg, next());
       else if (arg == "--shards") ccfg.shards = parse_u64_in(arg, next(), 1, 1024);
-      else if (arg == "--no-delta") ccfg.delta_broadcast = false;
-      else if (arg == "--full-every") ccfg.full_plan_every_ticks = cli::parse_u64(arg, next());
       else if (arg == "--domains") domains = parse_u64_in(arg, next(), 1, 4096);
       else if (arg == "--domain") domain = static_cast<long>(parse_u64_in(arg, next(), 0, 4095));
       else if (arg == "--arbiter") arbiter_addr = next();
@@ -366,11 +361,9 @@ int main(int argc, char** argv) {
                 standby_of.c_str(), takeover_ms);
   }
 
-  std::printf("perqd: serving on %s (wc-nodes %zu, f %.2f, %zu shard%s, "
-              "%s broadcasts)\n",
+  std::printf("perqd: serving on %s (wc-nodes %zu, f %.2f, %zu shard%s)\n",
               listen.c_str(), wc_nodes, f, ccfg.shards,
-              ccfg.shards == 1 ? "" : "s",
-              ccfg.delta_broadcast ? "delta" : "full-plan");
+              ccfg.shards == 1 ? "" : "s");
   bool saw_agent = false;
   std::uint64_t last_repl = controller.replicated_decides();
   bool saw_repl = false;

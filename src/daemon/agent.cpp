@@ -1,6 +1,5 @@
 #include "daemon/agent.hpp"
 
-#include "proto/delta.hpp"
 #include "util/require.hpp"
 
 namespace perq::daemon {
@@ -30,10 +29,6 @@ void NodeAgent::hello() {
   h.agent_id = id_;
   h.node_begin = static_cast<std::uint32_t>(node_begin_);
   h.node_end = static_cast<std::uint32_t>(node_end_);
-  // Report the delta base still held (if any): a rejoin whose base matches
-  // the controller's keeps riding deltas instead of forcing a full plan.
-  h.has_plan = have_base_ ? 1 : 0;
-  h.last_plan_tick = have_base_ ? base_plan_.tick : 0;
   conn_->send(h);
 }
 
@@ -111,34 +106,7 @@ std::optional<proto::CapPlan> NodeAgent::poll_plan() {
         fence_connection();
         break;
       }
-      // Full plan: becomes the new delta base (canonical image) and, when
-      // newest, the plan to actuate -- returned exactly as received, so
-      // full-plan-only deployments are bit-for-bit unchanged.
-      base_plan_ = *plan;
-      proto::canonicalize(base_plan_);
-      have_base_ = true;
       if (!newest || plan->tick >= newest->tick) newest = std::move(*plan);
-      continue;
-    }
-    if (auto* delta = std::get_if<proto::CapPlanDelta>(&m)) {
-      if (conn_epoch_ < max_epoch_) {
-        fence_connection();
-        break;
-      }
-      // Frames are processed in arrival order, so each delta chains off
-      // the immediately preceding broadcast. A chain break (missed frame,
-      // controller restart) rejects the delta whole: stale caps persist
-      // physically on the nodes, holding is the safe default, and the
-      // controller's next full plan resynchronizes the base.
-      if (!have_base_ || !proto::apply_delta(base_plan_, *delta, patched_)) {
-        ++deltas_rejected_;
-        have_base_ = false;  // the chain is broken until the next full plan
-        continue;
-      }
-      ++deltas_applied_;
-      std::swap(base_plan_, patched_);
-      if (!newest || base_plan_.tick >= newest->tick) newest = base_plan_;
-      continue;
     }
   }
   return newest;
@@ -181,10 +149,6 @@ void NodeAgent::reconnect(std::unique_ptr<net::Connection> conn) {
   hung_ = false;
   fenced_ = false;
   conn_epoch_ = 0;  // the new peer announces its epoch on accept
-  // The delta base deliberately survives: the Hello reports its tick, and
-  // the controller keeps the chain alive when the base matches its own
-  // canonical image (no broadcast was missed) instead of always paying a
-  // full-plan resync.
   hello();
 }
 

@@ -53,17 +53,7 @@ class NodeAgent {
   void publish(const core::TickView& view);
 
   /// Drains the connection; returns the newest cap plan received, if any.
-  /// CapPlanDelta frames are patched onto the plan of the previous
-  /// broadcast (kept in canonical job-id order); a delta that does not
-  /// apply -- stale base tick after a missed frame, unknown job id,
-  /// mangled count -- is rejected whole and the agent holds its caps until
-  /// the controller's next full plan resynchronizes it.
   std::optional<proto::CapPlan> poll_plan();
-
-  /// Deltas rejected by the chain check so far (resync accounting).
-  std::uint64_t deltas_rejected() const { return deltas_rejected_; }
-  /// Deltas successfully applied so far.
-  std::uint64_t deltas_applied() const { return deltas_applied_; }
 
   /// Frames rejected by epoch fencing: plans (or announces) from a
   /// controller whose epoch is below the newest this agent has ever seen.
@@ -114,14 +104,6 @@ class NodeAgent {
   /// needs their node lists).
   std::vector<const sched::Job*> last_running_;
   std::vector<proto::Message> inbox_;  ///< reused poll_plan drain scratch
-  /// Delta base: canonical image of the last broadcast plan received. It
-  /// survives reconnect -- the Hello reports its tick, and the controller
-  /// keeps the delta chain alive when the base still matches its own.
-  proto::CapPlan base_plan_;
-  proto::CapPlan patched_;  ///< reused apply_delta output scratch
-  bool have_base_ = false;
-  std::uint64_t deltas_rejected_ = 0;
-  std::uint64_t deltas_applied_ = 0;
   /// Epoch fencing (see proto::PromoteAnnounce): the epoch announced on the
   /// current connection, the newest epoch ever seen across connections, and
   /// how many frames the fence has rejected. 0/0 keeps every check inert

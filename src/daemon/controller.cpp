@@ -367,10 +367,8 @@ void PerqController::ingest(Session& session, const proto::Message& m) {
       session.shard = home;
       reactor_.add(session.reg_fd, session.shard);
     }
-    // The delta-vs-full resync decision lives in ingest_state so a standby
-    // replaying this Hello tracks the same broadcast sequencing.
-    record_repl(m);
-    ingest_state(m);
+    // A Hello binds the session only; it never touches decision state, so
+    // it stays out of ingest_state and the replication batch.
     return;
   }
   if (std::holds_alternative<proto::Bye>(m)) {
@@ -421,15 +419,6 @@ void PerqController::ingest(Session& session, const proto::Message& m) {
 }
 
 bool PerqController::ingest_state(const proto::Message& m) {
-  if (const auto* hello = std::get_if<proto::Hello>(&m)) {
-    // Resync decision: a (re)joiner that still holds the canonical image we
-    // diff against (it reports the tick of its applied base plan) can keep
-    // riding deltas; anyone else forces the next broadcast to a full plan.
-    const bool base_matches = have_base_plan_ && hello->has_plan != 0 &&
-                              hello->last_plan_tick == base_plan_.tick;
-    if (!base_matches) force_full_ = true;
-    return true;
-  }
   if (std::holds_alternative<proto::Bye>(m)) return true;  // leave: no state
   if (const auto* hb = std::get_if<proto::Heartbeat>(&m)) {
     // Sanity screen: a heartbeat drives the budget row the policy optimizes
@@ -762,47 +751,31 @@ bool PerqController::service() {
 }
 
 void PerqController::broadcast_plan() {
-  // Delta-or-full decision. The canonical (job-id-sorted) image of the
-  // outgoing plan is what in-sync agents hold as their patch base, so the
-  // diff runs between consecutive canonical images. Full plans go out on
-  // the first decision, whenever an agent (re)joined since the last
-  // broadcast (it has no base), on the periodic resync beat, and whenever
-  // the delta would not actually be smaller on the wire.
-  sorted_plan_ = plan_;
-  proto::canonicalize(sorted_plan_);
-  // Replication integrity: crc32 of the canonical plan encoding travels in
-  // the ReplTick so the standby can prove its replayed decision bit-equal.
-  // Gated so the non-replicated data plane never pays the extra encode.
+  // Replication integrity: crc32 of the job-id-sorted plan encoding travels
+  // in the ReplTick so the standby can prove its replayed decision
+  // bit-equal. Gated so the non-replicated data plane never pays the sort
+  // and the extra encode.
   if (standby_ || standby_conn_ != nullptr || repl_log_ != nullptr) {
-    crc_msg_ = sorted_plan_;
+    crc_msg_ = plan_;  // copy-assign: the scratch keeps its capacity
+    auto& entries = std::get<proto::CapPlan>(crc_msg_).entries;
+    std::sort(entries.begin(), entries.end(),
+              [](const proto::CapEntry& a, const proto::CapEntry& b) {
+                return a.job_id < b.job_id;
+              });
     proto::encode_into(crc_msg_, repl_scratch_);
     last_plan_crc_ = acct::crc32(repl_scratch_.data(), repl_scratch_.size());
   }
-  bool send_delta = false;
-  if (cfg_.delta_broadcast && have_base_plan_ && !force_full_ &&
-      (cfg_.full_plan_every_ticks == 0 ||
-       decisions_since_full_ + 1 < cfg_.full_plan_every_ticks)) {
-    proto::make_delta(base_plan_, sorted_plan_, delta_);
-    // Wire economics, exact body sizes: delta header 24B + 22B/op vs full
-    // header 12B + 21B/entry.
-    const std::size_t delta_bytes = 24 + 22 * delta_.ops.size();
-    const std::size_t full_bytes = 12 + 21 * plan_.entries.size();
-    send_delta = delta_bytes < full_bytes;
-  }
+  ++full_broadcasts_;
 
-  // Serialize-once, per shard: each shard's worker encodes the broadcast
+  // Serialize-once, per shard: each shard's worker encodes the plan
   // exactly once from its own frame pool; every connection of the shard
   // queues a reference to the same bytes (TCP writev's them out with
   // partial-write resume, loopback decodes the bit-exact frame back into a
   // message). Pool slots recycle once the last connection finishes
   // sending, so steady state never allocates.
-  const auto broadcast_shard = [this, send_delta](std::size_t shard) {
+  const auto broadcast_shard = [this](std::size_t shard) {
     auto buf = frame_pools_[shard].acquire();
-    if (send_delta) {
-      proto::encode_into(delta_, *buf);
-    } else {
-      proto::encode_into(plan_, *buf);
-    }
+    proto::encode_into(plan_, *buf);
     const net::SharedFrame frame = net::FramePool::freeze(buf);
     for (Session& s : sessions_) {
       if (s.shard == shard && s.conn->open() && !s.said_bye) {
@@ -810,31 +783,17 @@ void PerqController::broadcast_plan() {
       }
     }
   };
-  if (standby_) {
-    // A standby replays decide() for state continuity but serves no agents:
-    // skip the send, keep every piece of delta bookkeeping below identical
-    // to the primary's so behavior after promote() matches it bit-exactly.
-  } else if (cfg_.shards == 1) {
+  if (standby_) return;  // replays decide() for state only; serves no agents
+  if (cfg_.shards == 1) {
     broadcast_shard(0);
-  } else {
-    std::vector<std::future<void>> joins;
-    joins.reserve(cfg_.shards);
-    for (std::size_t s = 0; s < cfg_.shards; ++s) {
-      joins.push_back(pool().submit([&broadcast_shard, s] { broadcast_shard(s); }));
-    }
-    for (auto& j : joins) j.get();
+    return;
   }
-
-  std::swap(base_plan_, sorted_plan_);
-  have_base_plan_ = true;
-  if (send_delta) {
-    ++decisions_since_full_;
-    ++delta_broadcasts_;
-  } else {
-    decisions_since_full_ = 0;
-    force_full_ = false;
-    ++full_broadcasts_;
+  std::vector<std::future<void>> joins;
+  joins.reserve(cfg_.shards);
+  for (std::size_t s = 0; s < cfg_.shards; ++s) {
+    joins.push_back(pool().submit([&broadcast_shard, s] { broadcast_shard(s); }));
   }
+  for (auto& j : joins) j.get();
 }
 
 bool clamp_cap_plan(proto::CapPlan& plan, double budget_for_busy_w,
@@ -902,13 +861,6 @@ void PerqController::clamp_plan() {
   }
 }
 
-std::vector<int> PerqController::fds() const {
-  std::vector<int> fds;
-  fds.push_back(listener_->fd());
-  for (const Session& s : sessions_) fds.push_back(s.conn->fd());
-  return fds;
-}
-
 void PerqController::write_snapshot() const {
   save_snapshot(cfg_.snapshot_path, state());
 }
@@ -952,12 +904,6 @@ void PerqController::promote() {
   // Strictly above everything the old primary could ever have announced:
   // its own epoch is <= max(snapshot epoch, newest stream epoch).
   epoch_ = std::max(epoch_, repl_epoch_) + 1;
-  // Reconnecting agents hold plan images served by the dead primary; their
-  // Hellos renegotiate delta resumption, but until then the only safe
-  // broadcast is a full plan.
-  have_base_plan_ = false;
-  force_full_ = true;
-  decisions_since_full_ = 0;
   any_report_ = false;
   for (Session& s : sessions_) {
     if (!s.conn->open() || s.said_bye) continue;
@@ -1150,12 +1096,6 @@ void PerqController::restore(const ControllerState& s) {
   // have already seen its successor's.
   epoch_ = s.epoch;
   any_report_ = false;  // re-report the pending tick after a restart
-  // Delta state is deliberately not part of the snapshot: a restarted
-  // controller does not know which plan image the agents hold, so the
-  // first post-restore broadcast is always a full plan.
-  have_base_plan_ = false;
-  force_full_ = true;
-  decisions_since_full_ = 0;
 }
 
 }  // namespace perq::daemon

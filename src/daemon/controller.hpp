@@ -62,7 +62,7 @@
 #include "net/reactor.hpp"
 #include "net/sharded_reactor.hpp"
 #include "net/transport.hpp"
-#include "proto/delta.hpp"
+#include "proto/message.hpp"
 #include "sched/job.hpp"
 #include "trace/trace.hpp"
 
@@ -96,15 +96,6 @@ struct ControllerConfig {
   /// Worker pool for shard tasks; null uses ThreadPool::shared(). Ignored
   /// when shards == 1.
   ThreadPool* pool = nullptr;
-  /// Delta-encode broadcasts: send CapPlanDelta frames carrying only the
-  /// caps that changed since the previous broadcast, falling back to the
-  /// full CapPlan whenever an agent (re)joined, the delta would not be
-  /// smaller, or the periodic resync below comes due.
-  bool delta_broadcast = true;
-  /// Broadcast the full plan at least every N decisions even when deltas
-  /// apply, bounding how long a desynchronized agent (missed frame) holds
-  /// stale caps. 0 means no periodic resync (joins still force full plans).
-  std::uint64_t full_plan_every_ticks = 16;
   /// Warm-standby mode: the controller applies the primary's replication
   /// stream (ReplSnapshot restore + ReplTick replay) and drops agent
   /// telemetry/heartbeats until promote() flips it into a serving primary.
@@ -264,9 +255,6 @@ class PerqController {
   /// true when a decision was made.
   bool service();
 
-  /// Pollable descriptors (listener + sessions) for net::wait_readable.
-  std::vector<int> fds() const;
-
   std::size_t session_count() const { return sessions_.size(); }
   std::size_t shadow_count() const { return shadows_.size(); }
   std::uint64_t current_tick() const { return current_tick_; }
@@ -287,9 +275,10 @@ class PerqController {
   /// The most recently broadcast cap plan (valid after the first decide()).
   const proto::CapPlan& last_plan() const { return plan_; }
 
-  /// Broadcast accounting: how many decide() broadcasts went out as deltas
-  /// vs full plans (their sum is the decision count).
-  std::uint64_t delta_broadcasts() const { return delta_broadcasts_; }
+  /// Broadcast accounting: every decide() broadcasts one full plan, so
+  /// full_broadcasts() is the decision count and delta_broadcasts() is
+  /// always 0 (kept for readers that report a delta share).
+  std::uint64_t delta_broadcasts() const { return 0; }
   std::uint64_t full_broadcasts() const { return full_broadcasts_; }
 
   /// Merged robustness counters: controller-side accounting (corrupt frames,
@@ -321,8 +310,8 @@ class PerqController {
 
   /// Standby -> primary takeover: bumps the controller epoch past
   /// everything seen on the replication stream, re-enables agent ingest
-  /// and deciding, forces the next broadcast to be a full plan, and sends
-  /// PromoteAnnounce to every connected session. Only valid on a standby.
+  /// and deciding, and sends PromoteAnnounce to every connected session.
+  /// Only valid on a standby.
   void promote();
 
   bool standby() const { return standby_; }
@@ -423,15 +412,6 @@ class PerqController {
   proto::CapPlan plan_;
   DecideStats stats_;
   core::RobustnessCounters counters_;
-  // Delta-broadcast state: the canonical (job-id-sorted) image of the last
-  // broadcast plan, which every in-sync agent also holds as its patch base.
-  proto::CapPlan base_plan_;
-  proto::CapPlan sorted_plan_;   ///< scratch: canonical image of plan_
-  proto::CapPlanDelta delta_;    ///< scratch: diff against base_plan_
-  bool have_base_plan_ = false;
-  bool force_full_ = true;       ///< a (re)joined agent needs a full plan
-  std::uint64_t decisions_since_full_ = 0;
-  std::uint64_t delta_broadcasts_ = 0;
   std::uint64_t full_broadcasts_ = 0;
   std::vector<sched::Job*> fresh_running_;  ///< scratch for PolicyContext
   /// When the pending tick first became visible (grace accounting).
@@ -464,7 +444,8 @@ class PerqController {
   std::vector<std::uint8_t> repl_batch_;
   std::vector<std::uint8_t> repl_scratch_;      ///< encode scratch
   std::vector<proto::Message> repl_msgs_;       ///< replay parse scratch
-  proto::Message crc_msg_;                      ///< plan-crc encode scratch
+  /// Plan-crc scratch: the job-id-sorted copy of plan_ that the crc covers.
+  proto::Message crc_msg_;
   bool repl_overflow_ = false;  ///< batch outgrew a frame; snapshot instead
   bool replaying_ = false;      ///< inside WAL replay (suppress re-emission)
   std::uint64_t replicated_decides_ = 0;

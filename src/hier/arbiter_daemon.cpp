@@ -13,6 +13,25 @@ namespace {
 /// Same corrupted-integer screen the controller applies to heartbeats: a
 /// report claiming a tick this far past everything seen is a bit flip.
 constexpr std::uint64_t kMaxTickJump = 1024;
+
+/// The allocator's view of one domain's report. Tenant terms come from the
+/// wire too (defaults are exact no-ops, so a v1 report allocates
+/// bit-identically).
+DomainDemand to_demand(const proto::DomainReport& r) {
+  DomainDemand d;
+  d.domain_id = r.domain_id;
+  d.jobs = r.jobs;
+  d.busy_nodes = r.busy_nodes;
+  d.floor_w = r.floor_w;
+  d.capacity_w = r.capacity_w;
+  d.committed_w = r.committed_w;
+  d.utility_per_w = r.utility_per_w;
+  d.achieved_ips = r.achieved_ips;
+  d.target_ips = r.target_ips;
+  d.sla_floor_w = r.sla_floor_w;
+  d.priority_weight = r.priority_weight;
+  return d;
+}
 }  // namespace
 
 ArbiterDaemon::ArbiterDaemon(std::unique_ptr<net::Listener> listener,
@@ -306,21 +325,7 @@ bool ArbiterDaemon::try_decide() {
       continue;
     }
     if (s.latest.tick == t) {
-      DomainDemand d;
-      d.domain_id = s.latest.domain_id;
-      d.jobs = s.latest.jobs;
-      d.busy_nodes = s.latest.busy_nodes;
-      d.floor_w = s.latest.floor_w;
-      d.capacity_w = s.latest.capacity_w;
-      d.committed_w = s.latest.committed_w;
-      d.utility_per_w = s.latest.utility_per_w;
-      d.achieved_ips = s.latest.achieved_ips;
-      d.target_ips = s.latest.target_ips;
-      // Tenant terms from the wire (defaults are exact no-ops, so a v1
-      // report allocates bit-identically).
-      d.sla_floor_w = s.latest.sla_floor_w;
-      d.priority_weight = s.latest.priority_weight;
-      live.push_back(d);
+      live.push_back(to_demand(s.latest));
       budget_w = std::max(budget_w, s.latest.cluster_budget_w);
     } else if (s.latest.tick + cfg_.stale_after_ticks >= t) {
       return false;  // lagging but not yet stale: wait for it
@@ -386,20 +391,7 @@ bool ArbiterDaemon::service() {
 DomainDemand ArbiterDaemon::demand(std::uint32_t domain) const {
   PERQ_REQUIRE(domain < slots_.size(), "domain id out of range");
   const DomainSlot& s = slots_[domain];
-  DomainDemand d;
-  if (!s.any_report) return d;
-  d.domain_id = s.latest.domain_id;
-  d.jobs = s.latest.jobs;
-  d.busy_nodes = s.latest.busy_nodes;
-  d.floor_w = s.latest.floor_w;
-  d.capacity_w = s.latest.capacity_w;
-  d.committed_w = s.latest.committed_w;
-  d.utility_per_w = s.latest.utility_per_w;
-  d.achieved_ips = s.latest.achieved_ips;
-  d.target_ips = s.latest.target_ips;
-  d.sla_floor_w = s.latest.sla_floor_w;
-  d.priority_weight = s.latest.priority_weight;
-  return d;
+  return s.any_report ? to_demand(s.latest) : DomainDemand{};
 }
 
 core::RobustnessCounters ArbiterDaemon::aggregated_counters() const {
@@ -425,16 +417,6 @@ core::RobustnessCounters ArbiterDaemon::aggregated_counters() const {
     sum.sla_floor_activations += s.latest.sla_floor_activations;
   }
   return sum;
-}
-
-std::vector<int> ArbiterDaemon::fds() const {
-  std::vector<int> fds;
-  fds.push_back(listener_->fd());
-  for (const Session& s : sessions_) fds.push_back(s.conn->fd());
-  if (parent_conn_ != nullptr && parent_conn_->open()) {
-    fds.push_back(parent_conn_->fd());
-  }
-  return fds;
 }
 
 }  // namespace perq::hier

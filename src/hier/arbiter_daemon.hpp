@@ -132,9 +132,6 @@ class ArbiterDaemon {
   /// frames_corrupt).
   core::RobustnessCounters aggregated_counters() const;
 
-  /// Pollable descriptors (listener + sessions) for net::wait_readable.
-  std::vector<int> fds() const;
-
   /// Blocks until a registered descriptor is readable, at most timeout_ms.
   /// Returns the ready count (0 on timeout); pacing sleep when nothing is
   /// registered (loopback).

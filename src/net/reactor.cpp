@@ -99,11 +99,11 @@ int Reactor::wait(int timeout_ms) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
   if (fds_.empty()) {
-    // Nothing registered: pure pacing sleep, same as wait_readable({}, ms).
-    // EINTR must be retried against the deadline like the registered paths
-    // below do -- an early return here would surface as an empty readiness
-    // set indistinguishable from a real timeout, silently shortening the
-    // caller's pacing interval whenever a signal lands mid-sleep.
+    // Nothing registered: pure pacing sleep. EINTR must be retried against
+    // the deadline like the registered paths below do -- an early return
+    // here would surface as an empty readiness set indistinguishable from a
+    // real timeout, silently shortening the caller's pacing interval
+    // whenever a signal lands mid-sleep.
     while (timeout_ms > 0) {
       const int left = remaining_ms(deadline);
       if (left <= 0) break;

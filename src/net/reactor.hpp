@@ -1,9 +1,8 @@
 // Readiness reactor: persistent fd registration instead of per-call
 // pollfd reconstruction.
 //
-// The old data plane called net::wait_readable(fds, ms) every loop
-// iteration, rebuilding a pollfd vector from scratch each time -- O(na)
-// work per wait even when nothing changed. The reactor keeps the interest
+// Rebuilding a pollfd vector from scratch for every wait is O(na) work per
+// loop iteration even when nothing changed. The reactor keeps the interest
 // set registered across waits: callers add() an fd once when a connection
 // arrives and remove() it when the connection dies, and each wait() is a
 // single epoll_wait(2) (or, on the portable fallback, a poll(2) over an
@@ -24,8 +23,7 @@
 // Negative fds (loopback connections report fd() == -1) must not be
 // registered; add(-1) is ignored so callers can feed connection fds
 // blindly. A wait() with an empty interest set degrades to a plain sleep
-// for the timeout -- the same pacing behavior wait_readable() had -- so
-// loopback-driven loops keep working unchanged.
+// for the timeout, so loopback-driven loops keep their pacing.
 #pragma once
 
 #include <poll.h>
@@ -60,7 +58,7 @@ class Reactor {
   /// Blocks up to `timeout_ms` for readability; returns the number of
   /// ready fds (0 on timeout) and fills ready(). EINTR is retried against
   /// the deadline. With an empty interest set this sleeps the full
-  /// timeout, preserving the pacing behavior of wait_readable({}, ms).
+  /// timeout (a pure pacing sleep).
   int wait(int timeout_ms);
 
   /// Fds readable at the last wait(), sorted ascending (deterministic

@@ -149,28 +149,6 @@ std::unique_ptr<Connection> TcpTransport::connect_timeout(const std::string& add
   return std::make_unique<TcpConnection>(fd);
 }
 
-int wait_readable(const std::vector<int>& fds, int timeout_ms) {
-  std::vector<pollfd> pfds;
-  pfds.reserve(fds.size());
-  for (int fd : fds) {
-    if (fd >= 0) pfds.push_back({fd, POLLIN, 0});
-  }
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
-  for (;;) {
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - std::chrono::steady_clock::now());
-    const int wait_ms = std::max<int>(0, static_cast<int>(left.count()));
-    const int n = pfds.empty()
-                      ? ::poll(nullptr, 0, wait_ms)  // pure pacing sleep
-                      : ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()),
-                               wait_ms);
-    if (n >= 0) return pfds.empty() ? 0 : n;
-    if (errno != EINTR) return -1;  // hard poll error, distinct from timeout
-    if (wait_ms == 0) return 0;     // interrupted with no budget left
-  }
-}
-
 std::uint16_t listener_port(const Listener& listener) {
   const auto* tcp = dynamic_cast<const TcpListener*>(&listener);
   PERQ_REQUIRE(tcp != nullptr, "listener_port: not a TCP listener");

@@ -1,4 +1,4 @@
-// POSIX TCP transport: non-blocking sockets + poll(2)-based waiting.
+// POSIX TCP transport: non-blocking sockets.
 //
 // Address strings are "host:port" (IPv4 dotted quad or "localhost"); port 0
 // on listen picks an ephemeral port, readable afterwards via
@@ -8,8 +8,8 @@
 // connection and flushed opportunistically on every send()/receive() call;
 // reads drain until EAGAIN and feed the frame decoder. A read of 0 (peer
 // EOF), any hard socket error, or a corrupt inbound stream closes the
-// connection. wait_readable() is the event-loop primitive: it poll(2)s a set
-// of descriptors so daemon loops block in the kernel instead of spinning.
+// connection. Daemon loops block in the kernel through net::Reactor, which
+// registers each connection's fd() once.
 #pragma once
 
 #include <cstdint>
@@ -28,13 +28,6 @@ class TcpTransport final : public Transport {
   std::unique_ptr<Connection> connect_timeout(const std::string& address,
                                               int timeout_ms);
 };
-
-/// Blocks until one of `fds` is readable (or has an error/hangup pending),
-/// at most `timeout_ms`. Negative descriptors are skipped. Returns the
-/// number of ready descriptors, 0 on timeout, or -1 on a hard poll error --
-/// never a negative ready count. EINTR is retried with the remaining
-/// budget rather than reported as either outcome.
-int wait_readable(const std::vector<int>& fds, int timeout_ms);
 
 /// The ephemeral port a listener bound to (for "host:0" listens).
 std::uint16_t listener_port(const Listener& listener);

@@ -13,8 +13,6 @@ void write_body(WireWriter& w, const Hello& m) {
   w.u32(m.agent_id);
   w.u32(m.node_begin);
   w.u32(m.node_end);
-  w.u64(m.last_plan_tick);
-  w.u8(m.has_plan);
 }
 
 void write_body(WireWriter& w, const Telemetry& m) {
@@ -116,27 +114,11 @@ void write_body(WireWriter& w, const BudgetGrant& m) {
   for (std::uint32_t node : m.tree_path) w.u32(node);
 }
 
-void write_body(WireWriter& w, const CapPlanDelta& m) {
-  w.u64(m.tick);
-  w.u64(m.base_tick);
-  w.u32(m.result_entries);
-  w.u32(static_cast<std::uint32_t>(m.ops.size()));
-  for (const CapDeltaOp& o : m.ops) {
-    w.u8(o.op);
-    w.i32(o.entry.job_id);
-    w.f64(o.entry.cap_w);
-    w.f64(o.entry.target_ips);
-    w.u8(o.entry.held);
-  }
-}
-
 Hello read_hello(WireReader& r) {
   Hello m;
   m.agent_id = r.u32();
   m.node_begin = r.u32();
   m.node_end = r.u32();
-  m.last_plan_tick = r.u64();
-  m.has_plan = r.u8();
   return m;
 }
 
@@ -282,31 +264,6 @@ bool read_budget_grant(WireReader& r, BudgetGrant& m) {
   return r.ok();
 }
 
-bool read_cap_plan_delta(WireReader& r, CapPlanDelta& m) {
-  m.ops.clear();  // capacity kept: the reuse contract of parse_frame_into
-  m.tick = r.u64();
-  m.base_tick = r.u64();
-  m.result_entries = r.u32();
-  const std::uint32_t n = r.u32();
-  // Each op is exactly 22 bytes; a count that cannot fit in the remaining
-  // body is a forged length, not a short read.
-  if (!r.ok() || static_cast<std::size_t>(n) * 22 > r.remaining()) return false;
-  m.ops.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    CapDeltaOp o;
-    o.op = r.u8();
-    o.entry.job_id = r.i32();
-    o.entry.cap_w = r.f64();
-    o.entry.target_ips = r.f64();
-    o.entry.held = r.u8();
-    // An op byte outside the known set is a malformed body, not forward
-    // compatibility: the frame type is known, so its grammar is fixed.
-    if (o.op > kDeltaRemove) return false;
-    m.ops.push_back(o);
-  }
-  return true;
-}
-
 void write_body(WireWriter& w, const ReplTick& m) {
   w.u64(m.epoch);
   w.u64(m.tick);
@@ -357,6 +314,26 @@ T& slot_as(Message& out) {
   return out.emplace<T>();
 }
 
+/// True for the frame types this build parses. Retired values (8, the old
+/// CapPlanDelta) fall through to false, so the stream decoder steps over
+/// them like any frame type from a newer peer.
+bool known_type(std::uint8_t type) {
+  switch (static_cast<MsgType>(type)) {
+    case MsgType::kHello:
+    case MsgType::kTelemetry:
+    case MsgType::kCapPlan:
+    case MsgType::kHeartbeat:
+    case MsgType::kBye:
+    case MsgType::kDomainReport:
+    case MsgType::kBudgetGrant:
+    case MsgType::kReplTick:
+    case MsgType::kReplSnapshot:
+    case MsgType::kPromoteAnnounce:
+      return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 MsgType type_of(const Message& m) {
@@ -368,7 +345,6 @@ MsgType type_of(const Message& m) {
     MsgType operator()(const Bye&) const { return MsgType::kBye; }
     MsgType operator()(const DomainReport&) const { return MsgType::kDomainReport; }
     MsgType operator()(const BudgetGrant&) const { return MsgType::kBudgetGrant; }
-    MsgType operator()(const CapPlanDelta&) const { return MsgType::kCapPlanDelta; }
     MsgType operator()(const ReplTick&) const { return MsgType::kReplTick; }
     MsgType operator()(const ReplSnapshot&) const { return MsgType::kReplSnapshot; }
     MsgType operator()(const PromoteAnnounce&) const { return MsgType::kPromoteAnnounce; }
@@ -385,7 +361,6 @@ std::string to_string(MsgType t) {
     case MsgType::kBye: return "Bye";
     case MsgType::kDomainReport: return "DomainReport";
     case MsgType::kBudgetGrant: return "BudgetGrant";
-    case MsgType::kCapPlanDelta: return "CapPlanDelta";
     case MsgType::kReplTick: return "ReplTick";
     case MsgType::kReplSnapshot: return "ReplSnapshot";
     case MsgType::kPromoteAnnounce: return "PromoteAnnounce";
@@ -437,9 +412,6 @@ bool parse_frame_into(const std::uint8_t* data, std::size_t size, Message& out) 
     case MsgType::kBudgetGrant:
       if (!read_budget_grant(r, slot_as<BudgetGrant>(out))) return false;
       break;
-    case MsgType::kCapPlanDelta:
-      if (!read_cap_plan_delta(r, slot_as<CapPlanDelta>(out))) return false;
-      break;
     case MsgType::kReplTick:
       if (!read_repl_tick(r, slot_as<ReplTick>(out))) return false;
       break;
@@ -488,10 +460,7 @@ void FrameDecoder::feed(const std::uint8_t* data, std::size_t size) {
       WireReader hdr(frame, len);
       const bool framing_ok = hdr.u16() == kMagic && hdr.u8() == kVersion;
       const std::uint8_t type = hdr.u8();
-      const bool known =
-          type >= static_cast<std::uint8_t>(MsgType::kHello) &&
-          type <= static_cast<std::uint8_t>(MsgType::kPromoteAnnounce);
-      if (framing_ok && hdr.ok() && !known) {
+      if (framing_ok && hdr.ok() && !known_type(type)) {
         ++unknown_skipped_;
         consumed_ += 4 + len;
         continue;

@@ -25,9 +25,6 @@
 //   Bye          agent -> controller    graceful leave (no staleness alarm)
 //   DomainReport domain ctl -> arbiter  demand + utility for one budget domain
 //   BudgetGrant  arbiter -> domain ctl  the domain's watt allocation this tick
-//   CapPlanDelta controller -> agents   only the caps that changed since the
-//                                       last broadcast plan (full CapPlan is
-//                                       the rejoin/resync fallback)
 //   ReplTick     primary -> standby     one decide's canonical inputs (the
 //                                       accepted frames since the previous
 //                                       decide, in ingest order) + a crc of
@@ -65,23 +62,18 @@ enum class MsgType : std::uint8_t {
   kBye = 5,
   kDomainReport = 6,
   kBudgetGrant = 7,
-  kCapPlanDelta = 8,
+  // 8 was CapPlanDelta (retired). Never reuse it: an older controller may
+  // still send one, and the stream decoder must step over it as unknown.
   kReplTick = 9,
   kReplSnapshot = 10,
   kPromoteAnnounce = 11,
 };
 
 /// Agent introduction: which slice of the machine room it speaks for.
-/// A reconnecting agent also reports the newest broadcast plan it still
-/// holds (has_plan + last_plan_tick), so the controller can keep delta
-/// broadcasts flowing when the rejoiner's base matches its own instead of
-/// always forcing a full-plan resync.
 struct Hello {
   std::uint32_t agent_id = 0;
   std::uint32_t node_begin = 0;  ///< first cluster node id owned (inclusive)
   std::uint32_t node_end = 0;    ///< one past the last owned node id
-  std::uint64_t last_plan_tick = 0;  ///< tick of the agent's base plan
-  std::uint8_t has_plan = 0;         ///< 1 when last_plan_tick is meaningful
 };
 
 /// Telemetry flags.
@@ -227,33 +219,6 @@ struct BudgetGrant {
   std::vector<std::uint32_t> tree_path;
 };
 
-/// CapPlanDelta op kinds. Update and insert carry a full CapEntry; remove
-/// carries only the job id (its entry fields are ignored on the wire level
-/// but still travel, keeping every op fixed-width).
-inline constexpr std::uint8_t kDeltaUpdate = 0;
-inline constexpr std::uint8_t kDeltaInsert = 1;
-inline constexpr std::uint8_t kDeltaRemove = 2;
-
-struct CapDeltaOp {
-  std::uint8_t op = kDeltaUpdate;
-  CapEntry entry;
-};
-
-/// Differential cap broadcast: patches the receiver's copy of the plan for
-/// `base_tick` into the plan for `tick`. The receiver's base plan is kept
-/// sorted by job id (apply_delta's canonical order); `result_entries` is
-/// the entry count of the patched plan, an end-to-end integrity check. A
-/// receiver whose base does not match `base_tick` (missed broadcast, fresh
-/// rejoin) must reject the delta and hold its caps until the next full
-/// CapPlan resynchronizes it -- the controller periodically broadcasts the
-/// full plan and always does so when a new agent joined.
-struct CapPlanDelta {
-  std::uint64_t tick = 0;
-  std::uint64_t base_tick = 0;
-  std::uint32_t result_entries = 0;
-  std::vector<CapDeltaOp> ops;
-};
-
 /// One replicated decide: every frame the primary accepted into decision
 /// state since its previous decide, concatenated in canonical ingest order
 /// as complete encoded frames (length prefix included). A standby that
@@ -290,8 +255,7 @@ struct PromoteAnnounce {
 
 using Message =
     std::variant<Hello, Telemetry, CapPlan, Heartbeat, Bye, DomainReport,
-                 BudgetGrant, CapPlanDelta, ReplTick, ReplSnapshot,
-                 PromoteAnnounce>;
+                 BudgetGrant, ReplTick, ReplSnapshot, PromoteAnnounce>;
 
 MsgType type_of(const Message& m);
 std::string to_string(MsgType t);
@@ -310,7 +274,7 @@ std::optional<Message> parse_frame(const std::uint8_t* data, std::size_t size);
 
 /// Parses into a caller-owned Message, reusing its heap state: when `out`
 /// already holds the same alternative, dynamic bodies (CapPlan::entries,
-/// CapPlanDelta::ops) are cleared and refilled in place, so a slot that
+/// ReplTick::batch) are cleared and refilled in place, so a slot that
 /// sees the same frame type every tick decodes allocation-free once its
 /// capacity has warmed up. Returns false on any malformation, in which
 /// case `out` is unspecified (the caller must not read it).

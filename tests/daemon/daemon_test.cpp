@@ -1,6 +1,7 @@
 // Daemon subsystem tests: the loopback-equivalence proof (a daemon-mediated
 // experiment is bit-identical to the in-process engine), snapshot codec and
-// restart determinism, and the heartbeat-timeout / rejoin path.
+// restart determinism, the heartbeat-timeout / rejoin path, and the
+// one-full-plan-per-decide broadcast.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -291,6 +292,34 @@ TEST(DaemonRobustness, HungAgentCapsHeldBudgetRowShrinksThenRejoin) {
   EXPECT_EQ(stats.stale_agents, 0u);
   EXPECT_EQ(rig.controller->shadow_count(),
             rig.plant->engine().running().size());
+}
+
+TEST(DaemonBroadcast, EveryDecideQueuesOneFullPlanOnEverySession) {
+  const auto cfg = small_cfg();
+  ControllerConfig ccfg;
+  ccfg.shards = 2;
+  ccfg.decide_grace_ms = 5;
+  ccfg.stale_after_ticks = 1;
+  LoopbackRig rig(cfg, ccfg, 4);
+  // A session that never reports goes stale, but it stays open and must
+  // still receive every broadcast.
+  auto probe = rig.transport.connect("perqd");
+  std::vector<proto::CapPlan> sent;
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(rig.step());
+    sent.push_back(rig.controller->last_plan());
+  }
+  EXPECT_EQ(rig.controller->full_broadcasts(), sent.size());
+  EXPECT_EQ(rig.controller->delta_broadcasts(), 0u);
+
+  std::vector<proto::CapPlan> got;
+  for (const proto::Message& m : probe->receive()) {
+    if (const auto* p = std::get_if<proto::CapPlan>(&m)) got.push_back(*p);
+  }
+  ASSERT_EQ(got.size(), sent.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_EQ(proto::encode(got[i]), proto::encode(sent[i])) << "decide " << i;
+  }
 }
 
 }  // namespace

@@ -1,10 +1,8 @@
 // Sharded data-plane determinism proofs: a daemon experiment is
 // bit-identical whether the controller drains its sessions through one
-// reactor or S reactor shards merged through the reduction tree, and
-// whether cap plans travel as full broadcasts or delta-encoded patches.
-// Both knobs reroute bytes and scheduling only -- the canonical
-// (tick, node-id) ingest order and the bit-exact delta reconstruction
-// guarantee the decision stream never notices.
+// reactor or S reactor shards merged through the reduction tree. The shard
+// count reroutes bytes and scheduling only -- the canonical (tick, node-id)
+// ingest order guarantees the decision stream never notices.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -78,13 +76,10 @@ void expect_bit_identical(const core::RunResult& a, const core::RunResult& b) {
   EXPECT_EQ(bits(a.mean_power_draw_w), bits(b.mean_power_draw_w));
 }
 
-ControllerConfig ccfg_with(std::size_t shards, bool delta,
-                           std::uint64_t full_every = 16) {
+ControllerConfig ccfg_with(std::size_t shards) {
   ControllerConfig ccfg;
   ccfg.decide_grace_ms = 20000;  // completeness-gated, never clock-gated
   ccfg.shards = shards;
-  ccfg.delta_broadcast = delta;
-  ccfg.full_plan_every_ticks = full_every;
   return ccfg;
 }
 
@@ -96,8 +91,7 @@ TEST(ShardedIdentity, ShardedLoopbackRunMatchesInProcessBitForBit) {
   ASSERT_GT(direct.jobs_completed, 0u);
 
   core::PerqPolicy daemon_side = make_policy(cfg);
-  const auto sharded = run_loopback(
-      cfg, daemon_side, 4, ccfg_with(/*shards=*/4, /*delta=*/true));
+  const auto sharded = run_loopback(cfg, daemon_side, 4, ccfg_with(/*shards=*/4));
 
   expect_bit_identical(direct, sharded);
 }
@@ -107,63 +101,26 @@ TEST(ShardedIdentity, OneShardAndFourShardsAgreeOverTcp) {
 
   core::PerqPolicy one_side = make_policy(cfg);
   const auto one = run_tcp_daemon_experiment(
-      cfg, one_side, 4, ccfg_with(/*shards=*/1, /*delta=*/true),
-      net::Reactor::Backend::kEpoll);
+      cfg, one_side, 4, ccfg_with(/*shards=*/1), net::Reactor::Backend::kEpoll);
   ASSERT_GT(one.jobs_completed, 0u);
 
   core::PerqPolicy four_side = make_policy(cfg);
   const auto four = run_tcp_daemon_experiment(
-      cfg, four_side, 4, ccfg_with(/*shards=*/4, /*delta=*/true),
-      net::Reactor::Backend::kEpoll);
+      cfg, four_side, 4, ccfg_with(/*shards=*/4), net::Reactor::Backend::kEpoll);
 
   expect_bit_identical(one, four);
-}
-
-TEST(ShardedIdentity, DeltaBroadcastsMatchFullPlanBroadcasts) {
-  const auto cfg = small_cfg();
-
-  core::PerqPolicy full_side = make_policy(cfg);
-  const auto full = run_loopback(
-      cfg, full_side, 2, ccfg_with(/*shards=*/2, /*delta=*/false));
-  ASSERT_GT(full.jobs_completed, 0u);
-
-  core::PerqPolicy delta_side = make_policy(cfg);
-  const auto delta = run_loopback(
-      cfg, delta_side, 2, ccfg_with(/*shards=*/2, /*delta=*/true));
-
-  expect_bit_identical(full, delta);
-}
-
-// full_plan_every_ticks == 0 disables the periodic resync anchor: after
-// the first decide, every broadcast is a delta. The longest possible
-// delta chain must still reconstruct the same trajectories.
-TEST(ShardedIdentity, UnboundedDeltaChainStaysLossless) {
-  const auto cfg = small_cfg();
-
-  core::PerqPolicy full_side = make_policy(cfg);
-  const auto full = run_loopback(
-      cfg, full_side, 2, ccfg_with(/*shards=*/1, /*delta=*/false));
-  ASSERT_GT(full.jobs_completed, 0u);
-
-  core::PerqPolicy delta_side = make_policy(cfg);
-  const auto delta = run_loopback(
-      cfg, delta_side, 2,
-      ccfg_with(/*shards=*/1, /*delta=*/true, /*full_every=*/0));
-
-  expect_bit_identical(full, delta);
 }
 
 TEST(ShardedIdentity, ShardedTcpMatchesShardedLoopback) {
   const auto cfg = small_cfg();
 
   core::PerqPolicy loop_side = make_policy(cfg);
-  const auto via_loopback = run_loopback(
-      cfg, loop_side, 4, ccfg_with(/*shards=*/2, /*delta=*/true));
+  const auto via_loopback = run_loopback(cfg, loop_side, 4, ccfg_with(/*shards=*/2));
   ASSERT_GT(via_loopback.jobs_completed, 0u);
 
   core::PerqPolicy tcp_side = make_policy(cfg);
-  const auto via_tcp = run_tcp_daemon_experiment(
-      cfg, tcp_side, 4, ccfg_with(/*shards=*/2, /*delta=*/true));
+  const auto via_tcp =
+      run_tcp_daemon_experiment(cfg, tcp_side, 4, ccfg_with(/*shards=*/2));
 
   expect_bit_identical(via_loopback, via_tcp);
 }

@@ -14,7 +14,6 @@
 #include "core/perq_policy.hpp"
 #include "daemon/controller.hpp"
 #include "net/loopback.hpp"
-#include "proto/delta.hpp"
 #include "proto/message.hpp"
 #include "proto/wire.hpp"
 #include "util/rng.hpp"
@@ -67,14 +66,6 @@ std::vector<Message> sample_messages() {
   Bye b;
   b.agent_id = 3;
   out.push_back(b);
-  CapPlanDelta d;
-  d.tick = 19;
-  d.base_tick = 18;
-  d.result_entries = 5;
-  d.ops.push_back({kDeltaRemove, {0, 0.0, 0.0, 0}});
-  d.ops.push_back({kDeltaUpdate, {2, 131.5, 1.5e9, 0}});
-  d.ops.push_back({kDeltaInsert, {9, 120.0, 1e9, 0}});
-  out.push_back(d);
   ReplTick rt;
   rt.epoch = 2;
   rt.tick = 18;
@@ -202,63 +193,6 @@ TEST(ProtoFuzz, MutatedValidFramesParseOrRejectWithoutCrashing) {
   // Both outcomes must actually occur, or the fuzz proves nothing.
   EXPECT_GT(parsed, 0u);
   EXPECT_GT(rejected, 0u);
-}
-
-// Mutated deltas must reject cleanly, never apply partially: whatever a
-// bit flip does to a CapPlanDelta frame, the receiver either drops it at
-// the codec, rejects it whole at apply_delta (out is unspecified and the
-// caller must not actuate it), or applies a delta whose result is still a
-// canonical plan with exactly the declared entry count.
-TEST(ProtoFuzz, MutatedDeltasApplyAllOrNothing) {
-  CapPlan base;
-  base.tick = 18;
-  for (int i = 0; i < 5; ++i) {
-    base.entries.push_back({i, 90.0 + 10.0 * i, 1e9, i == 4});
-  }
-  CapPlan next = base;
-  next.tick = 19;
-  next.entries[1].cap_w = 131.5;
-  next.entries.erase(next.entries.begin());
-  next.entries.push_back({9, 120.0, 1e9, 0});
-  CapPlanDelta clean;
-  make_delta(base, next, clean);
-
-  Rng rng(4096);
-  std::size_t applied = 0, rejected = 0, unparsed = 0;
-  for (int round = 0; round < 600; ++round) {
-    std::vector<std::uint8_t> frame = encode(Message{clean});
-    const int flips = static_cast<int>(rng.uniform_int(1, 4));
-    for (int i = 0; i < flips; ++i) {
-      const std::size_t bit = static_cast<std::size_t>(rng.uniform_int(
-          32, static_cast<std::int64_t>(frame.size() * 8) - 1));
-      frame[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-    }
-    const auto m = parse_frame(frame.data() + 4, frame.size() - 4);
-    if (!m.has_value()) {
-      ++unparsed;
-      continue;
-    }
-    const auto* d = std::get_if<CapPlanDelta>(&*m);
-    if (d == nullptr) continue;  // header mutation turned it into junk-typed
-    CapPlan out;
-    if (apply_delta(base, *d, out)) {
-      ++applied;
-      // A delta that applies must yield a canonical (sorted, duplicate-free)
-      // plan with exactly the count it declared.
-      EXPECT_EQ(out.entries.size(), d->result_entries);
-      for (std::size_t i = 1; i < out.entries.size(); ++i) {
-        EXPECT_LT(out.entries[i - 1].job_id, out.entries[i].job_id);
-      }
-    } else {
-      ++rejected;
-    }
-  }
-  // All three outcomes must occur or the fuzz proves nothing: payload bits
-  // flip silently (applied), grammar bits reject (rejected), and framing
-  // bits kill the parse (unparsed).
-  EXPECT_GT(applied, 0u);
-  EXPECT_GT(rejected, 0u);
-  EXPECT_GT(unparsed, 0u);
 }
 
 // A ReplTick's inner batch is applied all-or-nothing (ISSUE satellite):

@@ -306,16 +306,6 @@ TEST(Tcp, EofClosesServerSide) {
   EXPECT_FALSE(server->open());
 }
 
-TEST(Tcp, WaitReadableHonorsTimeoutOnEmptySet) {
-  const auto before = std::chrono::steady_clock::now();
-  wait_readable({}, 20);
-  const auto elapsed = std::chrono::steady_clock::now() - before;
-  EXPECT_GE(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(),
-            15);
-  // Negative fds (loopback connections) are skipped without error.
-  wait_readable({-1, -1}, 1);
-}
-
 TEST(Tcp, BadAddressThrows) {
   TcpTransport t;
   EXPECT_THROW(t.listen("not-an-address"), precondition_error);

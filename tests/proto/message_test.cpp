@@ -49,8 +49,6 @@ Hello sample_hello() {
   h.agent_id = 7;
   h.node_begin = 16;
   h.node_end = 32;
-  h.last_plan_tick = 41;
-  h.has_plan = 1;
   return h;
 }
 
@@ -110,10 +108,8 @@ TEST(Message, HelloRoundTrip) {
   EXPECT_EQ(h.agent_id, 7u);
   EXPECT_EQ(h.node_begin, 16u);
   EXPECT_EQ(h.node_end, 32u);
-  // The resync base (ISSUE satellite): a rejoining agent advertises the
-  // plan it still holds so the controller can pick delta vs full.
-  EXPECT_EQ(h.last_plan_tick, 41u);
-  EXPECT_EQ(h.has_plan, 1u);
+  // Length prefix + header + a 12-byte body (three u32s).
+  EXPECT_EQ(encode(Message(sample_hello())).size(), 4u + 4u + 12u);
 }
 
 TEST(Message, TelemetryRoundTripIsBitExact) {
@@ -424,6 +420,8 @@ TEST(MessageReject, UnknownType) {
   auto body = body_of(sample_hello());
   body[3] = 0;  // no such MsgType
   EXPECT_FALSE(parse_frame(body.data(), body.size()).has_value());
+  body[3] = 8;  // retired (CapPlanDelta)
+  EXPECT_FALSE(parse_frame(body.data(), body.size()).has_value());
   body[3] = 200;
   EXPECT_FALSE(parse_frame(body.data(), body.size()).has_value());
 }
@@ -676,29 +674,35 @@ TEST(FrameDecoder, SkipsWellFramedUnknownTypesWithoutPoisoning) {
   auto future = encode(Message(sample_heartbeat()));
   future[4 + 3] = 200;  // type byte lives after the length prefix + magic
   EXPECT_FALSE(parse_frame(future.data() + 4, future.size() - 4).has_value());
+  // A retired type (8, the old CapPlanDelta) from an older peer is unknown
+  // to this build in the same way and must be stepped over too.
+  auto retired = encode(Message(sample_heartbeat()));
+  retired[4 + 3] = 8;
+  EXPECT_FALSE(parse_frame(retired.data() + 4, retired.size() - 4).has_value());
 
   std::vector<std::uint8_t> stream;
   const auto first = encode(Message(sample_hello()));
   const auto last = encode(Message(Bye{3}));
   stream.insert(stream.end(), first.begin(), first.end());
   stream.insert(stream.end(), future.begin(), future.end());
+  stream.insert(stream.end(), retired.begin(), retired.end());
   stream.insert(stream.end(), last.begin(), last.end());
 
   FrameDecoder dec;
   dec.feed(stream.data(), stream.size());
   const auto got = dec.take();
-  ASSERT_EQ(got.size(), 2u);  // the unknown frame is dropped, not delivered
+  ASSERT_EQ(got.size(), 2u);  // the unknown frames are dropped, not delivered
   EXPECT_EQ(type_of(got[0]), MsgType::kHello);
   EXPECT_EQ(type_of(got[1]), MsgType::kBye);
   EXPECT_FALSE(dec.corrupt());
-  EXPECT_EQ(dec.unknown_skipped(), 1u);
+  EXPECT_EQ(dec.unknown_skipped(), 2u);
 
   // Byte-at-a-time delivery takes the same path.
   FrameDecoder trickle;
   for (std::uint8_t b : stream) trickle.feed(&b, 1);
   EXPECT_EQ(trickle.take().size(), 2u);
   EXPECT_FALSE(trickle.corrupt());
-  EXPECT_EQ(trickle.unknown_skipped(), 1u);
+  EXPECT_EQ(trickle.unknown_skipped(), 2u);
 
   // An unknown type with a *broken* body length still poisons: skipping is
   // only safe when the framing itself is sound.
@@ -802,15 +806,9 @@ TEST(Allocation, DecoderSteadyStateDrainDoesNotAllocate) {
 
 TEST(Allocation, ParseFrameIntoReusesDynamicBodyCapacity) {
   std::vector<std::uint8_t> frame_p;
-  std::vector<std::uint8_t> frame_d;
+  std::vector<std::uint8_t> frame_r;
   encode_into(Message{sample_plan()}, frame_p);
-  CapPlanDelta delta;
-  delta.tick = 100;
-  delta.base_tick = 99;
-  delta.result_entries = 3;
-  delta.ops.push_back({kDeltaUpdate, {1, 260.0, 2.6e9, 0}});
-  delta.ops.push_back({kDeltaInsert, {5, 100.0, 1.0e9, 1}});
-  encode_into(Message{delta}, frame_d);
+  encode_into(Message{sample_repl_tick()}, frame_r);
 
   Message slot;
   ASSERT_TRUE(parse_frame_into(frame_p.data() + 4, frame_p.size() - 4, slot));
@@ -828,45 +826,38 @@ TEST(Allocation, ParseFrameIntoReusesDynamicBodyCapacity) {
   EXPECT_EQ(p.entries[1].job_id, -7);
 
   // Switching alternatives re-seats the variant (allocation allowed); once
-  // the slot has carried a delta, re-decoding deltas is free too.
-  ASSERT_TRUE(parse_frame_into(frame_d.data() + 4, frame_d.size() - 4, slot));
-  const CapDeltaOp* ops = std::get<CapPlanDelta>(slot).ops.data();
+  // the slot has carried a ReplTick, re-decoding ReplTicks is free too.
+  ASSERT_TRUE(parse_frame_into(frame_r.data() + 4, frame_r.size() - 4, slot));
+  const std::uint8_t* batch = std::get<ReplTick>(slot).batch.data();
   before = g_allocs.load(std::memory_order_relaxed);
-  ASSERT_TRUE(parse_frame_into(frame_d.data() + 4, frame_d.size() - 4, slot));
+  ASSERT_TRUE(parse_frame_into(frame_r.data() + 4, frame_r.size() - 4, slot));
   EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u);
-  const auto& d = std::get<CapPlanDelta>(slot);
-  EXPECT_EQ(d.ops.data(), ops);
-  ASSERT_EQ(d.ops.size(), 2u);
-  EXPECT_EQ(d.tick, 100u);
-  EXPECT_EQ(d.base_tick, 99u);
-  EXPECT_EQ(d.ops[1].op, kDeltaInsert);
-  EXPECT_EQ(d.ops[1].entry.job_id, 5);
+  const auto& rt = std::get<ReplTick>(slot);
+  EXPECT_EQ(rt.batch.data(), batch);
+  EXPECT_EQ(rt.batch, sample_repl_tick().batch);
+  EXPECT_EQ(rt.tick, 41u);
+  EXPECT_EQ(rt.plan_crc, 0xDEADBEEFu);
 }
 
 TEST(Allocation, DecoderConsumeSteadyStateIsAllocationFreeForPlans) {
   // consume() hands out in-place references to persistent slots, so even
-  // dynamic-body frames (plan + delta) decode allocation-free once every
+  // dynamic-body frames (plan + ReplTick) decode allocation-free once every
   // slot has carried its frame type -- the property drain() cannot offer
   // because it must surrender owned vectors to the caller.
   std::vector<std::uint8_t> frame_p;
-  std::vector<std::uint8_t> frame_d;
+  std::vector<std::uint8_t> frame_r;
   encode_into(Message{sample_plan()}, frame_p);
-  CapPlanDelta delta;
-  delta.tick = 100;
-  delta.base_tick = 99;
-  delta.result_entries = 2;
-  delta.ops.push_back({kDeltaRemove, {-7, 0.0, 0.0, 0}});
-  encode_into(Message{delta}, frame_d);
+  encode_into(Message{sample_repl_tick()}, frame_r);
 
   FrameDecoder dec;
   std::size_t plans = 0;
-  std::size_t deltas = 0;
+  std::size_t repl_ticks = 0;
   auto tick = [&] {
     dec.feed(frame_p.data(), frame_p.size());
-    dec.feed(frame_d.data(), frame_d.size());
+    dec.feed(frame_r.data(), frame_r.size());
     dec.consume([&](const Message& m) {
       if (std::holds_alternative<CapPlan>(m)) ++plans;
-      if (std::holds_alternative<CapPlanDelta>(m)) ++deltas;
+      if (std::holds_alternative<ReplTick>(m)) ++repl_ticks;
     });
   };
   // Warm-up: seats each slot's alternative and crosses the decoder's
@@ -880,7 +871,7 @@ TEST(Allocation, DecoderConsumeSteadyStateIsAllocationFreeForPlans) {
       << "consume steady state allocated " << (after - before) << " times";
   EXPECT_FALSE(dec.corrupt());
   EXPECT_EQ(plans, 320u);
-  EXPECT_EQ(deltas, 320u);
+  EXPECT_EQ(repl_ticks, 320u);
 }
 
 }  // namespace
