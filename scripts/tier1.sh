@@ -175,9 +175,11 @@ if [[ "${PERQ_SKIP_SANITIZE:-0}" != "1" ]]; then
   cmake --build "$UBSAN_BUILD_DIR" -j
   ctest --test-dir "$UBSAN_BUILD_DIR" --output-on-failure -j "$(nproc)" "$@"
 
-  # TSan leg: the threaded subset (reactor + frame I/O + ThreadPool users).
+  # TSan leg: the threaded subset (reactor + frame I/O + ThreadPool users,
+  # including HierPolicy's K domain QPs solving concurrently on the shared
+  # pool, each with its own BlockFactor).
   cmake -B "$TSAN_BUILD_DIR" -S . -DPERQ_TSAN=ON
   cmake --build "$TSAN_BUILD_DIR" -j
   ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j "$(nproc)" \
-    -R 'Reactor|Shard|ShortWrite|Transport|Tcp|Daemon|FramePool|ZeroAlloc|Mpc|Replay|Replication|Failover|EpochFence|FailSafe|Tree|Tenant' "$@"
+    -R 'Reactor|Shard|ShortWrite|Transport|Tcp|Daemon|FramePool|ZeroAlloc|Mpc|Replay|Replication|Failover|EpochFence|FailSafe|Tree|Tenant|HierPolicy|BlockFactor' "$@"
 fi

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include "apps/app_model.hpp"
 #include "qp/active_set.hpp"
@@ -109,6 +111,13 @@ MpcDecision MpcController::decide(const std::vector<ControlledJob>& jobs,
   sp.lb.assign(nv, spec.cap_min / spec.tdp);
   sp.ub.assign(nv, 1.0);
   sp.add_ridge(cfg_.ridge);
+  // One block per job: its tracking rows, Delta-P chain and ridge stay
+  // inside it, and only the system rows couple the jobs.
+  {
+    std::vector<std::uint32_t> block(nv);
+    for (std::size_t v = 0; v < nv; ++v) block[v] = static_cast<std::uint32_t>(v % nj);
+    sp.set_blocks(std::move(block));
+  }
 
   const double cap_to_u = spec.tdp / u_scale;  // d(u_norm)/d(v)
   // The system error is normalized by the *achievable* scale (the sum of
@@ -208,17 +217,18 @@ MpcDecision MpcController::decide(const std::vector<ControlledJob>& jobs,
   }
 
   // Warm start: previous solution where job ids line up, else the previous
-  // applied cap replicated over the horizon.
+  // applied cap replicated over the horizon. Ids are unique, so a sorted
+  // (id, position) table finds the same slot a linear scan would.
+  std::vector<std::pair<int, std::size_t>> prev_slot(warm_ids_.size());
+  for (std::size_t k = 0; k < warm_ids_.size(); ++k) prev_slot[k] = {warm_ids_[k], k};
+  std::sort(prev_slot.begin(), prev_slot.end());
   Vector warm(nv);
   for (std::size_t i = 0; i < nj; ++i) {
     const int id = jobs[i].job->spec().id;
-    std::size_t prev_pos = warm_ids_.size();
-    for (std::size_t k = 0; k < warm_ids_.size(); ++k) {
-      if (warm_ids_[k] == id) {
-        prev_pos = k;
-        break;
-      }
-    }
+    const auto hit = std::lower_bound(prev_slot.begin(), prev_slot.end(),
+                                      std::pair<int, std::size_t>{id, 0});
+    const std::size_t prev_pos =
+        hit != prev_slot.end() && hit->first == id ? hit->second : warm_ids_.size();
     for (std::size_t j = 0; j < m; ++j) {
       if (prev_pos < warm_ids_.size()) {
         // Shift the previous plan one step forward.

@@ -42,9 +42,10 @@ struct MpcConfig {
   /// Which QP pipeline solves the condensed problem.
   ///   kStructured (default): the assembly emits the structured Hessian form
   ///     (ridge + sparse residual rows + banded Delta-P terms) and solves it
-  ///     with the structure-exploiting solvers -- incrementally-factorized
-  ///     active set for small/medium problems, matrix-free FISTA beyond.
-  ///     The dense (nj*m)^2 Hessian is never materialized.
+  ///     with the structure-exploiting solvers -- an active set that
+  ///     factors one block per job plus a rank-m coupling for the system
+  ///     rows, with matrix-free FISTA as its fallback. The dense (nj*m)^2
+  ///     Hessian is never materialized.
   ///   kDense: materializes the dense QpProblem from the same structured
   ///     assembly and runs the legacy dense active-set/FISTA facade. Debug
   ///     and baseline adapter: tests use it to prove exact equivalence and

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "linalg/chol_update.hpp"
 #include "linalg/decompose.hpp"
+#include "qp/block_factor.hpp"
 #include "qp/projected_gradient.hpp"
 #include "qp/projection.hpp"
 #include "util/require.hpp"
@@ -289,11 +289,69 @@ QpResult solve_active_set(const StructuredQp& p, const linalg::Vector& x0,
   linalg::Vector x = x0.size() == n ? x0 : linalg::Vector(n, 0.0);
   project_feasible(p, x);
 
+  // Budget incidence per variable: its (row, weight) entries in ascending
+  // row order, so a sum over a variable's rows adds in the order a scan of
+  // the rows would. Built once; every per-variable row sum is then O(deg).
+  std::vector<std::size_t> inc_off(n + 1, 0);
+  for (const auto& bc : p.budgets) {
+    for (std::size_t idx : bc.index) ++inc_off[idx + 1];
+  }
+  for (std::size_t i = 0; i < n; ++i) inc_off[i + 1] += inc_off[i];
+  std::vector<std::size_t> inc_row(inc_off[n]);
+  linalg::Vector inc_w(inc_off[n]);
+  {
+    std::vector<std::size_t> fill(inc_off.begin(), inc_off.end() - 1);
+    for (std::size_t k = 0; k < nb; ++k) {
+      const auto& bc = p.budgets[k];
+      for (std::size_t j = 0; j < bc.index.size(); ++j) {
+        const std::size_t e = fill[bc.index[j]]++;
+        inc_row[e] = k;
+        inc_w[e] = bc.weight[j];
+      }
+    }
+  }
+  // g_i + sum_k mult_k w_ki: the stationarity residual of variable i
+  // before its own bound multiplier.
+  const auto reduced_gradient = [&](std::size_t i, double gi,
+                                    const linalg::Vector& mult) {
+    for (std::size_t e = inc_off[i]; e < inc_off[i + 1]; ++e) {
+      if (mult[inc_row[e]] != 0.0) gi += mult[inc_row[e]] * inc_w[e];
+    }
+    return gi;
+  };
+
+  // Floor-pinned rows: a row that shares no variable with another row and
+  // whose bound is at most sum w*lb (within the working-set tolerance) has
+  // the box floor as its whole feasible set. Its caps are held at lb from
+  // the start and the row never enters the working set: the only free
+  // moves inside it have zero length, and cycling through them (free ->
+  // zero step -> fix) would exhaust the iteration budget. Its multiplier is
+  // certified in closed form at exit.
+  std::vector<char> pinned_row(nb, 0);
+  std::vector<char> held(n, 0);  // never leaves its bound
+  for (std::size_t k = 0; k < nb; ++k) {
+    const auto& bc = p.budgets[k];
+    bool disjoint = true;
+    double lo_sum = 0.0;
+    for (std::size_t j = 0; j < bc.index.size(); ++j) {
+      const std::size_t i = bc.index[j];
+      disjoint = disjoint && inc_off[i + 1] - inc_off[i] == 1;
+      lo_sum += bc.weight[j] * p.lb[i];
+    }
+    if (!disjoint || lo_sum < bc.bound - tol * (1.0 + std::abs(bc.bound))) continue;
+    pinned_row[k] = 1;
+    for (std::size_t i : bc.index) {
+      held[i] = 1;
+      x[i] = p.lb[i];
+    }
+  }
+
   WorkingSet ws{std::vector<BoundState>(n, BoundState::kFree),
                 std::vector<bool>(nb, false)};
   for (std::size_t i = 0; i < n; ++i) {
-    if (p.ub[i] - p.lb[i] < tol) {
-      ws.bound[i] = BoundState::kAtLower;  // fixed variable
+    if (p.ub[i] - p.lb[i] < tol) held[i] = 1;  // genuinely fixed
+    if (held[i]) {
+      ws.bound[i] = BoundState::kAtLower;
     } else if (x[i] <= p.lb[i] + tol) {
       ws.bound[i] = BoundState::kAtLower;
       x[i] = p.lb[i];
@@ -303,140 +361,75 @@ QpResult solve_active_set(const StructuredQp& p, const linalg::Vector& x0,
     }
   }
   for (std::size_t k = 0; k < nb; ++k) {
+    if (pinned_row[k]) continue;
     const auto& bc = p.budgets[k];
     double s = 0.0;
     for (std::size_t j = 0; j < bc.index.size(); ++j) s += bc.weight[j] * x[bc.index[j]];
     if (s >= bc.bound - tol * (1.0 + std::abs(bc.bound))) ws.budget[k] = true;
   }
 
-  // Free-set bookkeeping: pos[v] is v's position in free_idx or SIZE_MAX.
-  std::vector<std::size_t> free_idx;
-  std::vector<std::size_t> pos(n, SIZE_MAX);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (ws.bound[i] == BoundState::kFree) {
-      pos[i] = free_idx.size();
-      free_idx.push_back(i);
-    }
-  }
+  std::vector<char> is_free(n);
+  for (std::size_t i = 0; i < n; ++i) is_free[i] = ws.bound[i] == BoundState::kFree;
+  BlockFactor factor(p, is_free);
 
-  // The maintained factorization: chol holds Q_FF = L L' for the current
-  // free set. Each working-set change applies one append/remove; a periodic
-  // full rebuild bounds drift from long update chains, and any update that
-  // loses positive definiteness triggers an immediate rebuild (a rebuild
-  // that itself fails propagates invariant_error to the facade, which falls
-  // back to projected gradient).
-  linalg::UpdatableCholesky chol;
-  const auto rebuild = [&] {
-    linalg::Matrix qff;
-    p.assemble_free_block(free_idx, pos, qff);
-    chol.reset(qff);
-  };
-  rebuild();
-  constexpr std::size_t kRebuildPeriod = 128;
-  std::size_t updates_since_rebuild = 0;
-
-  const auto free_variable = [&](std::size_t i) {
-    linalg::Vector col(free_idx.size(), 0.0);
-    double diag = 0.0;
-    p.hessian_column(i, pos, col, diag);
-    pos[i] = free_idx.size();
-    free_idx.push_back(i);
-    try {
-      chol.append(col, diag);
-    } catch (const invariant_error&) {
-      rebuild();
-      updates_since_rebuild = 0;
-      return;
-    }
-    if (++updates_since_rebuild >= kRebuildPeriod) {
-      rebuild();
-      updates_since_rebuild = 0;
-    }
-  };
-
-  const auto fix_variable = [&](std::size_t i) {
-    const std::size_t pi = pos[i];
-    free_idx.erase(free_idx.begin() + static_cast<std::ptrdiff_t>(pi));
-    pos[i] = SIZE_MAX;
-    for (std::size_t a = pi; a < free_idx.size(); ++a) pos[free_idx[a]] = a;
-    try {
-      chol.remove(pi);
-    } catch (const invariant_error&) {
-      rebuild();
-      updates_since_rebuild = 0;
-      return;
-    }
-    if (++updates_since_rebuild >= kRebuildPeriod) {
-      rebuild();
-      updates_since_rebuild = 0;
-    }
-  };
-
-  // Equality-constrained subproblem on the free variables via the maintained
+  // Equality-constrained subproblem on the free variables via the block
   // factor and a Schur complement over the active budget rows:
   //   d0 = -Q_FF^{-1} g_F,  u_e = Q_FF^{-1} a_e,
   //   (A Q_FF^{-1} A') nu = A d0,  d = d0 - sum_e nu_e u_e.
   std::vector<std::size_t> rows;
-  const auto solve_eqp = [&](const linalg::Vector& g, linalg::Vector& nu_out) {
+  std::vector<linalg::Vector> u;
+  linalg::Vector rhs(n);
+  // a_e' v for a vector that is zero on the fixed variables.
+  const auto row_dot = [](const BudgetConstraint& bc, const linalg::Vector& v) {
+    double s = 0.0;
+    for (std::size_t j = 0; j < bc.index.size(); ++j) s += bc.weight[j] * v[bc.index[j]];
+    return s;
+  };
+  const auto solve_eqp = [&](const linalg::Vector& g, linalg::Vector& d,
+                             linalg::Vector& nu_out) {
     nu_out.assign(nb, 0.0);
-    linalg::Vector d(n, 0.0);
-    const std::size_t nf = free_idx.size();
-    if (nf == 0) return d;
-
     rows.clear();
     for (std::size_t k = 0; k < nb; ++k) {
       if (!ws.budget[k]) continue;
       const auto& bc = p.budgets[k];
-      bool has_free = false;
-      for (std::size_t idx : bc.index) {
-        if (pos[idx] != SIZE_MAX) {
-          has_free = true;
-          break;
-        }
-      }
+      const bool has_free =
+          std::any_of(bc.index.begin(), bc.index.end(),
+                      [&](std::size_t i) { return ws.bound[i] == BoundState::kFree; });
       if (has_free) rows.push_back(k);
     }
-
-    linalg::Vector rhs(nf);
-    for (std::size_t a = 0; a < nf; ++a) rhs[a] = -g[free_idx[a]];
-    linalg::Vector d0 = chol.solve(rhs);
+    for (std::size_t i = 0; i < n; ++i) rhs[i] = -g[i];
+    factor.solve(rhs, d);
 
     const std::size_t ne = rows.size();
-    if (ne > 0) {
-      std::vector<linalg::Vector> a_free(ne, linalg::Vector(nf, 0.0));
-      std::vector<linalg::Vector> u(ne);
-      for (std::size_t e = 0; e < ne; ++e) {
-        const auto& bc = p.budgets[rows[e]];
-        for (std::size_t j = 0; j < bc.index.size(); ++j) {
-          const std::size_t fp = pos[bc.index[j]];
-          if (fp != SIZE_MAX) a_free[e][fp] = bc.weight[j];
-        }
-        u[e] = chol.solve(a_free[e]);
-      }
-      linalg::Matrix schur(ne, ne);
-      linalg::Vector srhs(ne);
-      for (std::size_t e = 0; e < ne; ++e) {
-        srhs[e] = linalg::dot(a_free[e], d0);
-        for (std::size_t f = 0; f < ne; ++f) {
-          schur(e, f) = linalg::dot(a_free[e], u[f]);
-        }
-      }
-      const linalg::Vector nu_rows = linalg::Lu(schur).solve(srhs);
-      for (std::size_t e = 0; e < ne; ++e) {
-        nu_out[rows[e]] = nu_rows[e];
-        for (std::size_t a = 0; a < nf; ++a) d0[a] -= nu_rows[e] * u[e][a];
-      }
+    if (ne == 0) return;
+    if (u.size() < ne) u.resize(ne);
+    for (std::size_t e = 0; e < ne; ++e) {
+      std::fill(rhs.begin(), rhs.end(), 0.0);
+      const auto& bc = p.budgets[rows[e]];
+      for (std::size_t j = 0; j < bc.index.size(); ++j) rhs[bc.index[j]] = bc.weight[j];
+      factor.solve(rhs, u[e]);
     }
-    for (std::size_t a = 0; a < nf; ++a) d[free_idx[a]] = d0[a];
-    return d;
+    linalg::Matrix schur(ne, ne);
+    linalg::Vector srhs(ne);
+    for (std::size_t e = 0; e < ne; ++e) {
+      const auto& bc = p.budgets[rows[e]];
+      srhs[e] = row_dot(bc, d);
+      for (std::size_t f = 0; f < ne; ++f) schur(e, f) = row_dot(bc, u[f]);
+    }
+    const linalg::Vector nu_rows = linalg::Lu(schur).solve(srhs);
+    for (std::size_t e = 0; e < ne; ++e) {
+      nu_out[rows[e]] = nu_rows[e];
+      for (std::size_t i = 0; i < n; ++i) d[i] -= nu_rows[e] * u[e][i];
+    }
   };
 
   linalg::Vector nu(nb, 0.0);
+  linalg::Vector d(n);
   r.status = SolveStatus::kMaxIterations;
   for (std::size_t it = 0; it < max_it; ++it) {
     r.iterations = it + 1;
     const linalg::Vector g = p.gradient(x);
-    const linalg::Vector d = solve_eqp(g, nu);
+    solve_eqp(g, d, nu);
 
     if (linalg::norm_inf(d) <= tol) {
       // Candidate optimum for the current working set: check multipliers.
@@ -452,16 +445,8 @@ QpResult solve_active_set(const StructuredQp& p, const linalg::Vector& x0,
         }
       }
       for (std::size_t i = 0; i < n; ++i) {
-        if (ws.bound[i] == BoundState::kFree) continue;
-        if (p.ub[i] - p.lb[i] < tol) continue;  // genuinely fixed: never drop
-        double gi = g[i];
-        for (std::size_t k = 0; k < nb; ++k) {
-          if (!ws.budget[k] || nu[k] == 0.0) continue;
-          const auto& bc = p.budgets[k];
-          for (std::size_t j = 0; j < bc.index.size(); ++j) {
-            if (bc.index[j] == i) gi += nu[k] * bc.weight[j];
-          }
-        }
+        if (ws.bound[i] == BoundState::kFree || held[i]) continue;
+        const double gi = reduced_gradient(i, g[i], nu);
         const double mu = ws.bound[i] == BoundState::kAtLower ? gi : -gi;
         if (mu < worst) {
           worst = mu;
@@ -476,7 +461,7 @@ QpResult solve_active_set(const StructuredQp& p, const linalg::Vector& x0,
       }
       if (drop_kind == DropKind::kBound) {
         ws.bound[drop_idx] = BoundState::kFree;
-        free_variable(drop_idx);
+        factor.set_free(drop_idx, true);
       } else {
         ws.budget[drop_idx] = false;
       }
@@ -487,9 +472,8 @@ QpResult solve_active_set(const StructuredQp& p, const linalg::Vector& x0,
     double alpha = 1.0;
     enum class BlockKind { kNone, kLower, kUpper, kBudget } block = BlockKind::kNone;
     std::size_t block_idx = 0;
-    for (std::size_t a = 0; a < free_idx.size(); ++a) {
-      const std::size_t i = free_idx[a];
-      if (d[i] == 0.0) continue;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (ws.bound[i] != BoundState::kFree || d[i] == 0.0) continue;
       if (d[i] > 0.0) {
         const double step = (p.ub[i] - x[i]) / d[i];
         if (step < alpha) {
@@ -526,20 +510,19 @@ QpResult solve_active_set(const StructuredQp& p, const linalg::Vector& x0,
     }
 
     alpha = std::max(alpha, 0.0);
-    for (std::size_t a = 0; a < free_idx.size(); ++a) {
-      const std::size_t i = free_idx[a];
-      x[i] += alpha * d[i];
+    for (std::size_t i = 0; i < n; ++i) {
+      if (ws.bound[i] == BoundState::kFree) x[i] += alpha * d[i];
     }
     switch (block) {
       case BlockKind::kLower:
         ws.bound[block_idx] = BoundState::kAtLower;
         x[block_idx] = p.lb[block_idx];
-        fix_variable(block_idx);
+        factor.set_free(block_idx, false);
         break;
       case BlockKind::kUpper:
         ws.bound[block_idx] = BoundState::kAtUpper;
         x[block_idx] = p.ub[block_idx];
-        fix_variable(block_idx);
+        factor.set_free(block_idx, false);
         break;
       case BlockKind::kBudget:
         ws.budget[block_idx] = true;
@@ -551,23 +534,23 @@ QpResult solve_active_set(const StructuredQp& p, const linalg::Vector& x0,
 
   r.x = x;
   r.objective = p.objective(x);
-  // Export multipliers in the result's convention (non-negative).
+  // Export multipliers in the result's convention (non-negative). A pinned
+  // row's multiplier is the least nu >= 0 that leaves every one of its caps
+  // a non-negative lower-bound multiplier g_i + nu w_i.
+  const linalg::Vector g = p.gradient(x);
   r.budget_mult.assign(nb, 0.0);
   for (std::size_t k = 0; k < nb; ++k) {
     if (ws.budget[k]) r.budget_mult[k] = std::max(0.0, nu[k]);
+    if (!pinned_row[k]) continue;
+    const auto& bc = p.budgets[k];
+    for (std::size_t j = 0; j < bc.index.size(); ++j) {
+      r.budget_mult[k] = std::max(r.budget_mult[k], -g[bc.index[j]] / bc.weight[j]);
+    }
   }
   r.bound_mult.assign(n, 0.0);
-  const linalg::Vector g = p.gradient(x);
   for (std::size_t i = 0; i < n; ++i) {
     if (ws.bound[i] == BoundState::kFree) continue;
-    double gi = g[i];
-    for (std::size_t k = 0; k < nb; ++k) {
-      if (r.budget_mult[k] == 0.0) continue;
-      const auto& bc = p.budgets[k];
-      for (std::size_t j = 0; j < bc.index.size(); ++j) {
-        if (bc.index[j] == i) gi += r.budget_mult[k] * bc.weight[j];
-      }
-    }
+    const double gi = reduced_gradient(i, g[i], r.budget_mult);
     const double mu = ws.bound[i] == BoundState::kAtLower ? gi : -gi;
     if (mu > 0.0) r.bound_mult[i] = mu;
   }
@@ -614,12 +597,14 @@ QpResult solve(const StructuredQp& p, const linalg::Vector& warm_start,
     // a handful of flips.
     as_opts.max_iterations = 2 * (p.size() + p.budgets.size()) + 25;
   }
-  // Up to this size the incrementally-factorized active set is the fastest
-  // certified path (the one-off O(nf^3) Cholesky is amortized across all
-  // iterations). Beyond it, matrix-free FISTA is the only path that avoids
-  // cubic work entirely.
+  // The active set's block factor costs O(s^3) per working-set change for
+  // blocks of s variables. Up to this block size it is the fastest certified
+  // path; a problem with larger blocks (an undeclared partition makes the
+  // whole problem one block) goes to matrix-free FISTA, which avoids cubic
+  // work entirely. MPC blocks are one job's horizon, so for the controller
+  // FISTA is the fallback only.
   constexpr std::size_t kDirectLimit = 1200;
-  if (p.size() <= kDirectLimit) {
+  if (p.largest_block() <= kDirectLimit) {
     try {
       QpResult r = solve_active_set(p, warm_start, as_opts);
       if (r.status == SolveStatus::kInfeasible) return r;

@@ -26,12 +26,14 @@ struct AsOptions {
 QpResult solve_active_set(const QpProblem& p, const linalg::Vector& x0,
                           const AsOptions& opts = {});
 
-/// Structured overload. Never materializes Q: gradients are matrix-free,
-/// the free-variable block Q_FF is assembled on demand from the structured
-/// terms, and its Cholesky factorization is reused across working-set
-/// changes (one append/remove per iteration, O(nf^2)) instead of being
-/// refactorized (O(nf^3)). Budget-row multipliers come from a small Schur
-/// complement against the maintained factor.
+/// Structured overload. Never materializes Q: gradients are matrix-free and
+/// Q_FF is held by a BlockFactor over the problem's declared partition, so
+/// a working-set change refactors one block plus the coupling capacitance.
+/// Budget-row multipliers come from a small Schur complement against that
+/// factor. A budget row that shares no variable with another row and whose
+/// bound is at most sum w*lb is floor-pinned: its caps are held at lb, the
+/// row never enters the working set, and its multiplier is certified in
+/// closed form as max(0, max_j -g_j / w_j).
 QpResult solve_active_set(const StructuredQp& p, const linalg::Vector& x0,
                           const AsOptions& opts = {});
 
@@ -51,10 +53,10 @@ struct SolveOptions {
 QpResult solve(const QpProblem& p, const linalg::Vector& warm_start = {},
                const SolveOptions& opts = {});
 
-/// Structured facade: the incrementally-factorized active set for problems
-/// up to a size where direct factorization pays off, matrix-free FISTA
-/// beyond that (and as the fallback when the active set cannot certify
-/// optimality).
+/// Structured facade: the block-factored active set for problems whose
+/// largest block is small enough for direct factorization to pay off,
+/// matrix-free FISTA beyond that (and as the fallback when the active set
+/// cannot certify optimality).
 QpResult solve(const StructuredQp& p, const linalg::Vector& warm_start = {},
                const SolveOptions& opts = {});
 

@@ -1,16 +1,30 @@
 // Shared implementation of the KKT residual diagnostics, templated over the
 // problem representation (dense QpProblem or StructuredQp). Both expose the
 // same interface subset: size(), gradient(), infeasibility(), budgets,
-// lb, ub. Internal header -- include only from qp/*.cpp.
+// lb, ub. Also the budget-row disjointness test both forms share. Internal
+// header -- include only from qp/*.cpp.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "qp/problem.hpp"
 #include "util/require.hpp"
 
 namespace perq::qp::detail {
+
+/// True when no variable of [0, n) appears in more than one of `rows`.
+inline bool rows_disjoint(const std::vector<BudgetConstraint>& rows, std::size_t n) {
+  std::vector<char> seen(n, 0);
+  for (const auto& bc : rows) {
+    for (std::size_t idx : bc.index) {
+      if (seen[idx]) return false;
+      seen[idx] = 1;
+    }
+  }
+  return true;
+}
 
 template <class Problem>
 KktResidual kkt_residual_impl(const Problem& p, const QpResult& r) {

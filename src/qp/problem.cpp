@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 #include "qp/kkt_impl.hpp"
 #include "util/require.hpp"
@@ -63,13 +62,7 @@ double QpProblem::infeasibility(const linalg::Vector& x) const {
 }
 
 bool QpProblem::budgets_disjoint() const {
-  std::set<std::size_t> seen;
-  for (const auto& bc : budgets) {
-    for (std::size_t idx : bc.index) {
-      if (!seen.insert(idx).second) return false;
-    }
-  }
-  return true;
+  return detail::rows_disjoint(budgets, size());
 }
 
 std::string to_string(SolveStatus s) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 #include "qp/kkt_impl.hpp"
 #include "util/require.hpp"
@@ -13,10 +12,9 @@ StructuredQp::StructuredQp(std::size_t n)
     : lb(n, -1e30),
       ub(n, 1e30),
       n_(n),
+      largest_block_(n),
       diag_(n, 0.0),
-      c_(n, 0.0),
-      var_rows_(n),
-      var_pairs_(n) {
+      c_(n, 0.0) {
   PERQ_REQUIRE(n >= 1, "StructuredQp needs at least one variable");
 }
 
@@ -33,19 +31,17 @@ void StructuredQp::add_residual(const std::vector<std::size_t>& idx,
   PERQ_REQUIRE(w >= 0.0, "residual weight must be non-negative");
   if (w == 0.0) return;
   {
-    // Duplicate indices would double-count in the per-variable adjacency
-    // (hessian_column / q_entry assume each variable appears once per row).
+    // Duplicate indices would double-count when the block factor scatters
+    // a row's outer product (it assumes each variable appears once per row).
     std::vector<std::size_t> sorted(idx);
     std::sort(sorted.begin(), sorted.end());
     PERQ_REQUIRE(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
                  "duplicate index in residual row");
   }
   const double w2 = 2.0 * w;
-  const auto row_id = static_cast<std::uint32_t>(rows_.size());
   for (std::size_t k = 0; k < idx.size(); ++k) {
     PERQ_REQUIRE(idx[k] < n_, "residual index out of range");
     c_[idx[k]] -= w2 * b * coef[k];
-    var_rows_[idx[k]].emplace_back(row_id, static_cast<std::uint32_t>(k));
   }
   rows_.push_back(Residual{idx, coef, w2});
 }
@@ -61,10 +57,7 @@ void StructuredQp::add_smooth(std::size_t a, std::size_t b, double w) {
   PERQ_REQUIRE(a < n_ && b < n_ && a != b, "smooth term needs two distinct variables");
   PERQ_REQUIRE(w >= 0.0, "smooth weight must be non-negative");
   if (w == 0.0) return;
-  const auto pair_id = static_cast<std::uint32_t>(pairs_.size());
   pairs_.push_back(Pair{a, b, 2.0 * w});
-  var_pairs_[a].push_back(pair_id);
-  var_pairs_[b].push_back(pair_id);
 }
 
 void StructuredQp::validate() const {
@@ -128,13 +121,7 @@ double StructuredQp::infeasibility(const linalg::Vector& x) const {
 }
 
 bool StructuredQp::budgets_disjoint() const {
-  std::set<std::size_t> seen;
-  for (const auto& bc : budgets) {
-    for (std::size_t idx : bc.index) {
-      if (!seen.insert(idx).second) return false;
-    }
-  }
-  return true;
+  return detail::rows_disjoint(budgets, n_);
 }
 
 double StructuredQp::gershgorin_bound() const {
@@ -188,10 +175,6 @@ StructuredQp StructuredQp::jacobi_scaled(const linalg::Vector& s) const {
   for (const auto& row : rows_) {
     Residual r = row;
     for (std::size_t k = 0; k < r.idx.size(); ++k) r.coef[k] /= s[r.idx[k]];
-    const auto row_id = static_cast<std::uint32_t>(out.rows_.size());
-    for (std::size_t k = 0; k < r.idx.size(); ++k) {
-      out.var_rows_[r.idx[k]].emplace_back(row_id, static_cast<std::uint32_t>(k));
-    }
     out.rows_.push_back(std::move(r));
   }
   // A pair couples its endpoints with unit coefficients; scaling makes the
@@ -202,11 +185,10 @@ StructuredQp StructuredQp::jacobi_scaled(const linalg::Vector& s) const {
     r.idx = {pr.a, pr.b};
     r.coef = {1.0 / s[pr.a], -1.0 / s[pr.b]};
     r.w = pr.w;
-    const auto row_id = static_cast<std::uint32_t>(out.rows_.size());
-    out.var_rows_[pr.a].emplace_back(row_id, 0);
-    out.var_rows_[pr.b].emplace_back(row_id, 1);
     out.rows_.push_back(std::move(r));
   }
+  out.block_ = block_;
+  out.largest_block_ = largest_block_;
   out.budgets = budgets;
   for (auto& bc : out.budgets) {
     for (std::size_t k = 0; k < bc.index.size(); ++k) bc.weight[k] /= s[bc.index[k]];
@@ -214,88 +196,40 @@ StructuredQp StructuredQp::jacobi_scaled(const linalg::Vector& s) const {
   return out;
 }
 
+void StructuredQp::set_blocks(std::vector<std::uint32_t> block) {
+  PERQ_REQUIRE(block.size() == n_, "partition size mismatch");
+  std::vector<std::size_t> count;
+  for (std::uint32_t b : block) {
+    if (b >= count.size()) count.resize(b + 1, 0);
+    ++count[b];
+  }
+  PERQ_REQUIRE(std::find(count.begin(), count.end(), 0) == count.end(),
+               "block ids must be dense from 0");
+  largest_block_ = *std::max_element(count.begin(), count.end());
+  block_ = std::move(block);
+}
+
 double StructuredQp::q_entry(std::size_t i, std::size_t j) const {
   PERQ_REQUIRE(i < n_ && j < n_, "entry index out of range");
-  double v = 0.0;
-  if (i == j) v += diag_[i];
-  for (const auto& [row_id, ki] : var_rows_[i]) {
-    const Residual& row = rows_[row_id];
-    // Find j within the row (rows are short: O(nnz) scan).
+  double v = i == j ? diag_[i] : 0.0;
+  for (const auto& row : rows_) {
+    double ci = 0.0;
+    double cj = 0.0;
     for (std::size_t k = 0; k < row.idx.size(); ++k) {
-      if (row.idx[k] == j) v += row.w * row.coef[ki] * row.coef[k];
+      if (row.idx[k] == i) ci = row.coef[k];
+      if (row.idx[k] == j) cj = row.coef[k];
     }
+    v += row.w * ci * cj;
   }
-  for (std::uint32_t pid : var_pairs_[i]) {
-    const Pair& pr = pairs_[pid];
-    if (i == j) {
+  for (const auto& pr : pairs_) {
+    const bool has_i = pr.a == i || pr.b == i;
+    if (i == j && has_i) {
       v += pr.w;
-    } else if ((pr.a == i && pr.b == j) || (pr.a == j && pr.b == i)) {
+    } else if (has_i && (pr.a == j || pr.b == j)) {
       v -= pr.w;
     }
   }
   return v;
-}
-
-void StructuredQp::assemble_free_block(const std::vector<std::size_t>& free_idx,
-                                       const std::vector<std::size_t>& pos,
-                                       linalg::Matrix& qff) const {
-  const std::size_t nf = free_idx.size();
-  qff = linalg::Matrix(nf, nf);
-  for (std::size_t a = 0; a < nf; ++a) qff(a, a) = diag_[free_idx[a]];
-  // Scatter each residual row over its free entries only.
-  std::vector<std::size_t> fpos;
-  std::vector<double> fcoef;
-  for (const auto& row : rows_) {
-    fpos.clear();
-    fcoef.clear();
-    for (std::size_t k = 0; k < row.idx.size(); ++k) {
-      const std::size_t p = pos[row.idx[k]];
-      if (p != SIZE_MAX) {
-        fpos.push_back(p);
-        fcoef.push_back(row.coef[k]);
-      }
-    }
-    for (std::size_t r = 0; r < fpos.size(); ++r) {
-      const double wc = row.w * fcoef[r];
-      for (std::size_t s = 0; s < fpos.size(); ++s) {
-        qff(fpos[r], fpos[s]) += wc * fcoef[s];
-      }
-    }
-  }
-  for (const auto& pr : pairs_) {
-    const std::size_t pa = pos[pr.a];
-    const std::size_t pb = pos[pr.b];
-    if (pa != SIZE_MAX) qff(pa, pa) += pr.w;
-    if (pb != SIZE_MAX) qff(pb, pb) += pr.w;
-    if (pa != SIZE_MAX && pb != SIZE_MAX) {
-      qff(pa, pb) -= pr.w;
-      qff(pb, pa) -= pr.w;
-    }
-  }
-}
-
-void StructuredQp::hessian_column(std::size_t v,
-                                  const std::vector<std::size_t>& pos,
-                                  linalg::Vector& col, double& diag) const {
-  diag = diag_[v];
-  for (const auto& [row_id, kv] : var_rows_[v]) {
-    const Residual& row = rows_[row_id];
-    const double wc = row.w * row.coef[kv];
-    for (std::size_t k = 0; k < row.idx.size(); ++k) {
-      const std::size_t i = row.idx[k];
-      if (i == v) {
-        diag += wc * row.coef[k];
-      } else if (pos[i] != SIZE_MAX) {
-        col[pos[i]] += wc * row.coef[k];
-      }
-    }
-  }
-  for (std::uint32_t pid : var_pairs_[v]) {
-    const Pair& pr = pairs_[pid];
-    diag += pr.w;
-    const std::size_t other = pr.a == v ? pr.b : pr.a;
-    if (pos[other] != SIZE_MAX) col[pos[other]] -= pr.w;
-  }
 }
 
 QpProblem StructuredQp::to_dense() const {

@@ -16,8 +16,8 @@
 // keeps the terms themselves and provides
 //
 //   * matrix-free products `qx` / `gradient` in O(total nnz),
-//   * on-demand assembly of the free-variable Hessian block Q_FF (and single
-//     Hessian columns) for the active-set solver, and
+//   * a declared variable partition (one block per MPC job) that the
+//     active set's BlockFactor factors by, and
 //   * a dense adapter `to_dense()` used by tests and the debug/baseline
 //     solver path to prove exact equivalence with the legacy pipeline.
 //
@@ -109,23 +109,18 @@ class StructuredQp {
 
   // ---- structure access for the active-set solver -------------------------
 
-  /// Single Hessian entry Q(i, j). O(rows touching i); intended for tests
+  /// Declares the variable partition the active set factors by: variable v
+  /// lies in block `block[v]`, ids dense from 0. Terms inside one block form
+  /// that block's Hessian; terms spanning blocks become the factor's
+  /// low-rank coupling. A problem that declares none is one block.
+  void set_blocks(std::vector<std::uint32_t> block);
+
+  /// Size of the largest block (n without a partition).
+  std::size_t largest_block() const { return largest_block_; }
+
+  /// Single Hessian entry Q(i, j). O(total term nnz); intended for tests
   /// and diagnostics, not hot loops.
   double q_entry(std::size_t i, std::size_t j) const;
-
-  /// Fills `qff` (resized to nf x nf) with Q restricted to `free_idx`.
-  /// `pos[v]` must map each variable to its position in free_idx, or
-  /// SIZE_MAX when fixed. Cost is O(sum over terms of free-nnz^2), which for
-  /// the MPC form is far below one dense n^2 sweep.
-  void assemble_free_block(const std::vector<std::size_t>& free_idx,
-                           const std::vector<std::size_t>& pos,
-                           linalg::Matrix& qff) const;
-
-  /// Extracts the Hessian column for variable v restricted to the current
-  /// free set: col[pos[f]] = Q(f, v) for free f != v, and diag = Q(v, v).
-  /// `col` must be pre-sized to the free count and zeroed by the caller.
-  void hessian_column(std::size_t v, const std::vector<std::size_t>& pos,
-                      linalg::Vector& col, double& diag) const;
 
   // ---- dense adapter ------------------------------------------------------
 
@@ -144,15 +139,15 @@ class StructuredQp {
     double w = 0.0;  // stored as 2*w
   };
 
+  friend class BlockFactor;  // reads the terms to factor them by block
+
   std::size_t n_;
+  std::size_t largest_block_;
   linalg::Vector diag_;  // accumulated diagonal (ridge + anchors), Q units
   linalg::Vector c_;     // linear term
   std::vector<Residual> rows_;
   std::vector<Pair> pairs_;
-  // Per-variable adjacency: (row id, position of the variable inside the
-  // row) and pair ids, for column extraction and q_entry.
-  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> var_rows_;
-  std::vector<std::vector<std::uint32_t>> var_pairs_;
+  std::vector<std::uint32_t> block_;  // declared partition, empty = one block
 };
 
 /// KKT residual diagnostics against the structured form (same definition as
