@@ -1,5 +1,5 @@
 // perqd data-plane throughput: the single-pump epoll data plane vs the
-// sharded one (reactor shards on a worker pool).
+// sharded one (reactor shards fanned out on a thread pool).
 //
 // Both modes run the same lockstep exchange -- na agents each send
 // Telemetry + Heartbeat, the controller drains everything and broadcasts a
@@ -10,12 +10,13 @@
 //              the CapPlan once into a pooled SharedFrame fanned out with
 //              send_frame().
 //   * sharded  partitions the na connections round robin across S reactor
-//              shards, drains them in S pool-worker tasks (one epoll set,
-//              one frame pool, one scratch inbox per shard), and encodes the
-//              plan once per shard. Every cap moves every tick, as it does
-//              under PERQ (the MPC re-solves every job each interval and the
-//              probing dither moves every cap), and every agent checks that
-//              it received this tick's plan with one entry per agent.
+//              shards, drains them as one fork-join over the shards (one
+//              epoll set, one frame pool, one scratch inbox per shard), and
+//              encodes the plan once per shard. Every cap moves every
+//              tick, as it does under PERQ (the MPC re-solves every job
+//              each interval and the probing dither moves every cap), and
+//              every agent checks that it received this tick's plan with
+//              one entry per agent.
 //
 // ticks/sec is measured over the controller phase only: from the start of
 // the inbound drain to the last broadcast byte accepted by the kernel. The
@@ -25,7 +26,7 @@
 // (controller + load generators serialized) is reported alongside as
 // loop_ticks_per_s for transparency. Also reported: controller CPU per tick
 // (CLOCK_THREAD_CPUTIME_ID; for sharded rows, measured inside each shard
-// task and reported per shard) and process-wide heap allocations +
+// run and reported per shard) and process-wide heap allocations +
 // allocated bytes per tick (global operator new hook).
 //
 // Transport: rows run over loopback TCP while 2*na + slack descriptors fit
@@ -50,7 +51,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <future>
 #include <memory>
 #include <new>
 #include <string>
@@ -273,10 +273,10 @@ struct ShardedResult {
 };
 
 /// The sharded data plane as a lockstep harness: connections partitioned
-/// round robin across S shards, drained in S worker tasks (one epoll set,
-/// one frame pool, one inbox per shard), the full plan encoded once per
-/// shard. The controller phase is the parallel section between the two
-/// joins.
+/// round robin across S shards, drained as one fork-join over the shards
+/// (one epoll set, one frame pool, one inbox per shard), the full plan
+/// encoded once per shard. The controller phase is the parallel section
+/// between the two joins.
 class ShardedHarness {
  public:
   ShardedHarness(std::size_t na, std::size_t shards, bool tcp)
@@ -346,14 +346,9 @@ class ShardedHarness {
     // Controller phase (timed): parallel per-shard drain, serial plan
     // build, parallel per-shard encode + fan-out.
     const auto wall0 = std::chrono::steady_clock::now();
-    {
-      std::vector<std::future<void>> joins;
-      for (std::size_t s = 0; s < shards_; ++s) {
-        if (shard_members_[s].empty()) continue;
-        joins.push_back(pool_.submit([this, s] { drain_shard(s); }));
-      }
-      for (auto& j : joins) j.get();
-    }
+    pool_.parallel_for(0, shards_, [this](std::size_t s) {
+      if (!shard_members_[s].empty()) drain_shard(s);
+    });
 
     // Every cap moves every tick. The plan is built in place in the
     // broadcast message (capacity kept), which the shard tasks then share
@@ -367,14 +362,9 @@ class ShardedHarness {
       plan.entries[i].target_ips = 2e9;
     }
 
-    {
-      std::vector<std::future<void>> joins;
-      for (std::size_t s = 0; s < shards_; ++s) {
-        if (shard_members_[s].empty()) continue;
-        joins.push_back(pool_.submit([this, s] { broadcast_shard(s); }));
-      }
-      for (auto& j : joins) j.get();
-    }
+    pool_.parallel_for(0, shards_, [this](std::size_t s) {
+      if (!shard_members_[s].empty()) broadcast_shard(s);
+    });
     ctrl_wall_ms_ +=
         std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
                                                   wall0)
@@ -477,7 +467,7 @@ class ShardedHarness {
   std::size_t na_;
   std::size_t shards_;
   bool tcp_;
-  ThreadPool pool_;  ///< S workers: one per shard task
+  ThreadPool pool_;  ///< S participants: one per shard
   std::unique_ptr<net::TcpTransport> tcp_transport_;
   std::unique_ptr<net::LoopbackTransport> loop_transport_;
   std::vector<std::unique_ptr<net::Connection>> ctrl_;

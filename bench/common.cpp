@@ -3,7 +3,6 @@
 #include <cmath>
 #include <filesystem>
 #include <functional>
-#include <future>
 
 #include "util/thread_pool.hpp"
 
@@ -74,52 +73,45 @@ std::vector<PolicyPoint> run_policy_sweep(
     const std::vector<double>& factors,
     const std::function<core::EngineConfig(double)>& make_config) {
   // Every run (the f = 1 FOP baseline plus {FOP, SJS, SRN, PERQ} at each f)
-  // is an independent deterministic simulation, so they all go to the shared
-  // pool at once. Configs are built serially first (recommended_job_count
-  // generates a sizing trace), each task owns its policy object, and the
-  // results are collected into PolicyPoints in the same order as the old
-  // serial sweep -- including the pairing of each run with FOP at the same f
-  // as its fairness reference.
+  // is an independent deterministic simulation, so they all fan out on the
+  // shared pool at once, each into its own slot. Configs are built serially
+  // first (recommended_job_count generates a sizing trace), each run owns
+  // its policy object, and the results are collected into PolicyPoints in
+  // the same order as the old serial sweep -- including the pairing of each
+  // run with FOP at the same f as its fairness reference.
   const auto base_cfg = make_config(1.0);
   std::vector<core::EngineConfig> cfgs;
   cfgs.reserve(factors.size());
   for (double f : factors) cfgs.push_back(make_config(f));
 
-  auto& pool = ThreadPool::shared();
-  const auto run_fop = [](const core::EngineConfig& cfg) {
-    auto fop = policy::make_fop();
-    return core::run_experiment(cfg, *fop);
-  };
-  auto base_fut = pool.submit([&run_fop, &base_cfg] { return run_fop(base_cfg); });
+  // Slot 0 is the baseline; slot 1 + kPolicies * k + p is policy p at f_k.
+  constexpr std::size_t kPolicies = 4;  // FOP, SJS, SRN, PERQ
+  std::vector<core::RunResult> runs(1 + kPolicies * factors.size());
+  ThreadPool::shared().parallel_for(0, runs.size(), [&](std::size_t r) {
+    if (r == 0) {
+      runs[r] = core::run_experiment(base_cfg, *policy::make_fop());
+      return;
+    }
+    const core::EngineConfig& cfg = cfgs[(r - 1) / kPolicies];
+    switch ((r - 1) % kPolicies) {
+      case 0: runs[r] = core::run_experiment(cfg, *policy::make_fop()); break;
+      case 1: runs[r] = core::run_experiment(cfg, *policy::make_sjs()); break;
+      case 2: runs[r] = core::run_experiment(cfg, *policy::make_srn()); break;
+      default: {
+        auto perq = make_perq(cfg);
+        runs[r] = core::run_experiment(cfg, perq);
+      }
+    }
+  });
 
-  struct SweepFutures {
-    std::future<core::RunResult> fop, sjs, srn, perq;
-  };
-  std::vector<SweepFutures> futs(factors.size());
-  for (std::size_t k = 0; k < factors.size(); ++k) {
-    const core::EngineConfig& cfg = cfgs[k];
-    futs[k].fop = pool.submit([&run_fop, &cfg] { return run_fop(cfg); });
-    futs[k].sjs = pool.submit([&cfg] {
-      auto p = policy::make_sjs();
-      return core::run_experiment(cfg, *p);
-    });
-    futs[k].srn = pool.submit([&cfg] {
-      auto p = policy::make_srn();
-      return core::run_experiment(cfg, *p);
-    });
-    futs[k].perq = pool.submit([&cfg] {
-      auto p = make_perq(cfg);
-      return core::run_experiment(cfg, p);
-    });
-  }
-
-  const auto base = base_fut.get();
+  const core::RunResult& base = runs[0];
   std::printf("baseline f=1.0: %zu jobs completed\n", base.jobs_completed);
 
   std::vector<PolicyPoint> points;
   for (std::size_t k = 0; k < factors.size(); ++k) {
     const double f = factors[k];
-    const auto fop_run = futs[k].fop.get();
+    const core::RunResult* at_f = &runs[1 + kPolicies * k];
+    const core::RunResult& fop_run = at_f[0];
 
     const auto add = [&](const core::RunResult& run) {
       PolicyPoint p;
@@ -134,10 +126,7 @@ std::vector<PolicyPoint> run_policy_sweep(
       points.push_back(p);
     };
 
-    add(fop_run);
-    add(futs[k].sjs.get());
-    add(futs[k].srn.get());
-    add(futs[k].perq.get());
+    for (std::size_t p = 0; p < kPolicies; ++p) add(at_f[p]);
     std::printf("  f=%.1f done\n", f);
   }
   return points;

@@ -7,7 +7,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <future>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -52,31 +51,24 @@ int main(int argc, char** argv) {
   base_cfg.trace.job_count = core::recommended_job_count(base_cfg);
 
   // All six runs (baseline, FOP reference, SJS/LJS/SRN, PERQ) are independent
-  // deterministic simulations: submit them all to the pool and report in the
-  // original order once everything lands.
-  auto& pool = perq::ThreadPool::shared();
-  auto base_fut = pool.submit([&base_cfg] {
-    auto p = policy::make_fop();
-    return core::run_experiment(base_cfg, *p);
-  });
-  // FOP is both a contender and the fairness reference.
-  auto fop_fut = pool.submit([&cfg] {
-    auto p = policy::make_fop();
-    return core::run_experiment(cfg, *p);
-  });
-  std::vector<std::future<core::RunResult>> others;
-  for (auto make : {policy::make_sjs, policy::make_ljs, policy::make_srn}) {
-    others.push_back(pool.submit([&cfg, make] {
-      auto p = make();
-      return core::run_experiment(cfg, *p);
-    }));
-  }
+  // deterministic simulations: fan them out on the pool, each into its own
+  // slot, and report in the original order once everything lands.
   const auto total = static_cast<std::size_t>(f * double(cfg.worst_case_nodes) + 0.5);
   core::PerqPolicy perq(&core::canonical_node_model(), cfg.worst_case_nodes, total);
-  auto perq_fut = pool.submit([&cfg, &perq] { return core::run_experiment(cfg, perq); });
-
-  const auto base = base_fut.get();
-  const auto fop_run = fop_fut.get();
+  std::vector<core::RunResult> runs(6);
+  ThreadPool::shared().parallel_for(0, runs.size(), [&](std::size_t r) {
+    switch (r) {
+      case 0: runs[r] = core::run_experiment(base_cfg, *policy::make_fop()); break;
+      // FOP is both a contender and the fairness reference.
+      case 1: runs[r] = core::run_experiment(cfg, *policy::make_fop()); break;
+      case 2: runs[r] = core::run_experiment(cfg, *policy::make_sjs()); break;
+      case 3: runs[r] = core::run_experiment(cfg, *policy::make_ljs()); break;
+      case 4: runs[r] = core::run_experiment(cfg, *policy::make_srn()); break;
+      default: runs[r] = core::run_experiment(cfg, perq);
+    }
+  });
+  const core::RunResult& base = runs[0];
+  const core::RunResult& fop_run = runs[1];
 
   std::printf("%-6s %10s %14s %12s %12s\n", "policy", "completed", "throughput+%",
               "mean-deg%", "max-deg%");
@@ -88,9 +80,7 @@ int main(int argc, char** argv) {
                                                     base.jobs_completed),
                 fair.mean_degradation_pct, fair.max_degradation_pct);
   };
-  report(fop_run);
-  for (auto& fut : others) report(fut.get());
-  report(perq_fut.get());
+  for (std::size_t r = 1; r < runs.size(); ++r) report(runs[r]);
 
   const auto latency = metrics::summarize_decision_times(perq.decision_seconds());
   std::printf("\nPERQ decision latency: p50 %.2f ms, p99 %.2f ms over %zu decisions\n",

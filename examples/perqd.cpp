@@ -14,7 +14,7 @@
 // Hierarchical deployment (K budget domains, one arbiter):
 //
 //   ./examples/perqd --domains 4 --listen 127.0.0.1:7420          # arbiter
-//   ./examples/perqd --domains 4 --domain 0 --arbiter 127.0.0.1:7420 \
+//   ./examples/perqd --domains 4 --domain 0 --arbiter 127.0.0.1:7420
 //                    --listen 127.0.0.1:7421                      # domain 0
 //   ...one more controller per domain, each on its own --listen port.
 //
@@ -32,11 +32,11 @@
 // and divides its parent grant among its children:
 //
 //   ./examples/perqd --domains 2 --listen :7420 --tree-path 0    # root
-//   ./examples/perqd --domains 2 --listen :7430 --depth 2 \
-//                    --parent 127.0.0.1:7420 --parent-domain 0 \
+//   ./examples/perqd --domains 2 --listen :7430 --depth 2
+//                    --parent 127.0.0.1:7420 --parent-domain 0
 //                    --parent-count 2 --share 0.5 --tree-path 0,1  # mid 0
-//   ./examples/perqd --domain 0 --domains 3 --arbiter 127.0.0.1:7430 \
-//                    --share 0.1667 --tree-path 0,1,3 \
+//   ./examples/perqd --domain 0 --domains 3 --arbiter 127.0.0.1:7430
+//                    --share 0.1667 --tree-path 0,1,3
 //                    --sla-floor 150 --priority 2 --listen :7431  # leaf
 //
 // --tree-path names the root->self node ids; the parent's path is derived
@@ -48,9 +48,9 @@
 //
 // High availability (warm standby, see DESIGN.md section 5h):
 //
-//   ./examples/perqd --standby-of 127.0.0.1:7421 --listen 127.0.0.1:7422 \
+//   ./examples/perqd --standby-of 127.0.0.1:7421 --listen 127.0.0.1:7422
 //                    [--takeover-ms 2000]                       # standby
-//   ./examples/perqd --listen 127.0.0.1:7421 \
+//   ./examples/perqd --listen 127.0.0.1:7421
 //                    --replicate-to 127.0.0.1:7422              # primary
 //
 // Start the standby first: the primary dials it and streams every tick's

@@ -9,9 +9,10 @@
 # only optimized code hits still aborts the suite. Leg 4 is TSan
 # (PERQ_TSAN=ON) over the threaded subset: the epoll/poll reactor and
 # frame I/O (Reactor/Tcp/Daemon tests run a controller thread against the
-# main thread), the sharded pump (Shard* tests drain per-shard inboxes on
-# ThreadPool workers), plus the other ThreadPool paths
-# (MpcController::decide fans out per-job work via parallel_for).
+# main thread), the fork-join ThreadPool's own tests (the caller and the
+# woken workers claim chunks of one job; two callers share one pool), and
+# its users: the sharded pump (Shard* tests drain per-shard inboxes as one
+# fork-join) and HierPolicy's K domain solves.
 #
 # A perf-smoke leg then runs bench_daemon_throughput at na=64 with two
 # reactor shards on the plain build and validates the shape of
@@ -175,11 +176,11 @@ if [[ "${PERQ_SKIP_SANITIZE:-0}" != "1" ]]; then
   cmake --build "$UBSAN_BUILD_DIR" -j
   ctest --test-dir "$UBSAN_BUILD_DIR" --output-on-failure -j "$(nproc)" "$@"
 
-  # TSan leg: the threaded subset (reactor + frame I/O + ThreadPool users,
-  # including HierPolicy's K domain QPs solving concurrently on the shared
-  # pool, each with its own BlockFactor).
+  # TSan leg: the threaded subset (reactor + frame I/O + the fork-join
+  # ThreadPool and its users, including HierPolicy's K domain QPs solving
+  # concurrently on the shared pool, each with its own BlockFactor).
   cmake -B "$TSAN_BUILD_DIR" -S . -DPERQ_TSAN=ON
   cmake --build "$TSAN_BUILD_DIR" -j
   ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j "$(nproc)" \
-    -R 'Reactor|Shard|ShortWrite|Transport|Tcp|Daemon|FramePool|ZeroAlloc|Mpc|Replay|Replication|Failover|EpochFence|FailSafe|Tree|Tenant|HierPolicy|BlockFactor' "$@"
+    -R 'ThreadPool|Reactor|Shard|ShortWrite|Transport|Tcp|Daemon|FramePool|ZeroAlloc|Mpc|Replay|Replication|Failover|EpochFence|FailSafe|Tree|Tenant|HierPolicy|BlockFactor' "$@"
 fi

@@ -9,7 +9,6 @@
 #include "qp/active_set.hpp"
 #include "qp/structured.hpp"
 #include "util/require.hpp"
-#include "util/thread_pool.hpp"
 
 namespace perq::control {
 
@@ -85,11 +84,10 @@ MpcDecision MpcController::decide(const std::vector<ControlledJob>& jobs,
       jobs[0].estimator->node_model().u_mean() / u_scale;
 
   // Per-job affine prediction pieces: y_i(j) = free_i[j] + sum_l g[j-l] u_il.
-  // Jobs are independent here, so the loop is thread-pooled: job i writes
-  // only free_resp[i], which keeps the result bit-for-bit identical to the
-  // serial loop regardless of scheduling.
+  // Only m x model-order multiply-adds per job: a fan-out would cost more
+  // than it spreads.
   std::vector<Vector> free_resp(nj, Vector(m, 0.0));
-  const auto compute_free_response = [&](std::size_t i) {
+  for (std::size_t i = 0; i < nj; ++i) {
     const Vector& x0 = jobs[i].estimator->state();
     for (std::size_t j = 0; j < m; ++j) {
       double v = 0.0;
@@ -97,11 +95,6 @@ MpcDecision MpcController::decide(const std::vector<ControlledJob>& jobs,
       // Fold in the constant contribution of the input centering.
       free_resp[i][j] = v - u_mean_norm * g_cum[j];
     }
-  };
-  if (cfg_.parallel) {
-    ThreadPool::shared().parallel_for(0, nj, compute_free_response, /*grain=*/8);
-  } else {
-    for (std::size_t i = 0; i < nj; ++i) compute_free_response(i);
   }
 
   // Assemble the QP in normalized cap units v = p / TDP, in the structured

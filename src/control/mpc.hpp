@@ -58,12 +58,6 @@ struct MpcConfig {
   /// fallback, surfacing kMaxIterations to the policy layer -- the hook the
   /// degradation-ladder tests use to force an uncertified solve.
   std::size_t max_qp_iterations = 0;
-
-  /// Thread-pool the per-job free-response computation. The decomposition
-  /// is index-addressed (job i writes only slot i), so the result is
-  /// bit-for-bit identical to the serial loop; disable only to measure the
-  /// serial baseline.
-  bool parallel = true;
 };
 
 /// Outcome of one decision instant.

@@ -200,7 +200,7 @@ void SimulationEngine::advance() {
   // disjoint node sets and every node carries its own noise stream, so
   // job i's task touches only its nodes and advance_scratch_[i] -- the
   // decomposition is index-addressed and bit-deterministic regardless of
-  // scheduling (and collapses to the plain loop on one worker). The
+  // scheduling (and collapses to the plain loop on a one-thread pool). The
   // in-node accumulation order (node_ids() order) matches the old loop.
   advance_scratch_.resize(running_.size());
   ThreadPool::shared().parallel_for(

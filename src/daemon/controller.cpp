@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
 #include <limits>
 
 #include "acct/event_log.hpp"  // acct::crc32
@@ -38,10 +37,6 @@ PerqController::PerqController(std::unique_ptr<net::Listener> listener,
   frame_pools_.resize(cfg_.shards);
   shard_order_.resize(cfg_.shards);
   reactor_.add(listener_->fd(), 0);  // no-op for loopback (fd -1)
-}
-
-ThreadPool& PerqController::pool() {
-  return cfg_.pool != nullptr ? *cfg_.pool : ThreadPool::shared();
 }
 
 PerqController::~PerqController() = default;
@@ -214,7 +209,7 @@ void PerqController::pump() {
   // Drain first, ingest second: epoll readiness order is nondeterministic,
   // so arrival order must never shape the decision state. Every open
   // session's bytes land in its inbox (reused, so steady state is
-  // allocation-free) -- one worker task per shard when sharded -- then
+  // allocation-free) -- one fork-join index per shard when sharded -- then
   // ingestion runs in canonical order below.
   drain_sessions();
   // Hellos first, in accept order: they only bind agent ids (and supersede
@@ -259,34 +254,22 @@ void PerqController::pump() {
 }
 
 void PerqController::drain_sessions() {
-  if (cfg_.shards == 1) {
-    for (auto& session : sessions_) {
-      if (!session.conn->open()) continue;
-      session.conn->receive_into(session.inbox);
-    }
-    return;
-  }
   // Partition session indices by shard (scratch reused across pumps), then
-  // drain each shard's partition in its own task. Tasks touch disjoint
-  // sessions and disjoint connections, so no state is shared; everything
-  // order-dependent happens after the join, in canonical order.
+  // drain each shard's partition as one index of a fork-join (inline for
+  // one shard). Shards touch disjoint sessions and disjoint connections, so
+  // no state is shared; everything order-dependent happens after the join,
+  // in canonical order.
   for (auto& members : shard_order_) members.clear();
   for (std::size_t i = 0; i < sessions_.size(); ++i) {
     shard_order_[sessions_[i].shard].push_back(i);
   }
-  std::vector<std::future<void>> joins;
-  joins.reserve(cfg_.shards);
-  for (std::size_t s = 0; s < cfg_.shards; ++s) {
-    if (shard_order_[s].empty()) continue;
-    joins.push_back(pool().submit([this, s] {
-      for (const std::size_t idx : shard_order_[s]) {
-        Session& session = sessions_[idx];
-        if (!session.conn->open()) continue;
-        session.conn->receive_into(session.inbox);
-      }
-    }));
-  }
-  for (auto& j : joins) j.get();
+  ThreadPool::shared().parallel_for(0, cfg_.shards, [this](std::size_t s) {
+    for (const std::size_t idx : shard_order_[s]) {
+      Session& session = sessions_[idx];
+      if (!session.conn->open()) continue;
+      session.conn->receive_into(session.inbox);
+    }
+  });
 }
 
 void PerqController::build_ingest_order() {
@@ -513,12 +496,13 @@ bool PerqController::on_telemetry(const proto::Telemetry& t) {
 
   auto it = shadows_.find(id);
   if (it == shadows_.end()) {
-    trace::JobSpec spec;
-    spec.id = id;
-    spec.nodes = t.nodes;
-    spec.runtime_ref_s = t.runtime_ref_s;
-    spec.app_index = t.app_index;
-    Shadow shadow{sched::Job(spec, &catalog[spec.app_index]), 0, 0, 0, 0.0, 0.0};
+    trace::JobSpec job_spec;
+    job_spec.id = id;
+    job_spec.nodes = t.nodes;
+    job_spec.runtime_ref_s = t.runtime_ref_s;
+    job_spec.app_index = t.app_index;
+    Shadow shadow{sched::Job(job_spec, &catalog[job_spec.app_index]), 0, 0, 0,
+                  0.0, 0.0};
     it = shadows_.emplace(id, std::move(shadow)).first;
     policy_.on_job_started(it->second.job);
   }
@@ -767,8 +751,8 @@ void PerqController::broadcast_plan() {
   }
   ++full_broadcasts_;
 
-  // Serialize-once, per shard: each shard's worker encodes the plan
-  // exactly once from its own frame pool; every connection of the shard
+  // Serialize-once, per shard: the thread that runs a shard encodes the
+  // plan exactly once from the shard's frame pool; every connection of it
   // queues a reference to the same bytes (TCP writev's them out with
   // partial-write resume, loopback decodes the bit-exact frame back into a
   // message). Pool slots recycle once the last connection finishes
@@ -784,16 +768,7 @@ void PerqController::broadcast_plan() {
     }
   };
   if (standby_) return;  // replays decide() for state only; serves no agents
-  if (cfg_.shards == 1) {
-    broadcast_shard(0);
-    return;
-  }
-  std::vector<std::future<void>> joins;
-  joins.reserve(cfg_.shards);
-  for (std::size_t s = 0; s < cfg_.shards; ++s) {
-    joins.push_back(pool().submit([&broadcast_shard, s] { broadcast_shard(s); }));
-  }
-  for (auto& j : joins) j.get();
+  ThreadPool::shared().parallel_for(0, cfg_.shards, broadcast_shard);
 }
 
 bool clamp_cap_plan(proto::CapPlan& plan, double budget_for_busy_w,

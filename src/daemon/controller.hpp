@@ -66,10 +66,6 @@
 #include "sched/job.hpp"
 #include "trace/trace.hpp"
 
-namespace perq {
-class ThreadPool;
-}
-
 namespace perq::daemon {
 
 class ReplicationLog;
@@ -89,13 +85,11 @@ struct ControllerConfig {
   /// fallback. The two are proven interchangeable by the bit-identity test.
   net::Reactor::Backend reactor_backend = net::Reactor::default_backend();
   /// Data-plane shards: sessions are partitioned by agent id into this many
-  /// reactor shards, each with its own epoll set and frame pool, drained by
-  /// worker tasks. 1 keeps the single-threaded pump; any S produces
-  /// bit-identical decisions (the canonical merge order is shard-blind).
+  /// reactor shards, each with its own epoll set and frame pool, drained
+  /// side by side on ThreadPool::shared(). 1 keeps the single-threaded
+  /// pump; any S produces bit-identical decisions (the canonical merge
+  /// order is shard-blind).
   std::size_t shards = 1;
-  /// Worker pool for shard tasks; null uses ThreadPool::shared(). Ignored
-  /// when shards == 1.
-  ThreadPool* pool = nullptr;
   /// Warm-standby mode: the controller applies the primary's replication
   /// stream (ReplSnapshot restore + ReplTick replay) and drops agent
   /// telemetry/heartbeats until promote() flips it into a serving primary.
@@ -376,7 +370,6 @@ class PerqController {
   void drain_sessions();
   void build_ingest_order();
   void broadcast_plan();
-  ThreadPool& pool();
 
   // HA plumbing.
   bool replicating() const {
@@ -393,7 +386,7 @@ class PerqController {
   ControllerConfig cfg_;
   net::ShardedReactor reactor_;
   /// One frame pool per shard: broadcast frames are encoded once per shard
-  /// by that shard's worker, so pools are never shared across threads.
+  /// by the one thread that runs that shard, so no two threads share one.
   std::vector<net::FramePool> frame_pools_;
   std::size_t next_shard_ = 0;  ///< accept-order round robin (pre-Hello)
   std::vector<Session> sessions_;

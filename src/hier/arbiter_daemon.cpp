@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
 
 #include "util/require.hpp"
 #include "util/thread_pool.hpp"
@@ -46,10 +45,6 @@ ArbiterDaemon::ArbiterDaemon(std::unique_ptr<net::Listener> listener,
   cfg_.shards = std::max<std::size_t>(1, cfg_.shards);
   shard_order_.resize(cfg_.shards);
   reactor_.add(listener_->fd(), 0);
-}
-
-ThreadPool& ArbiterDaemon::pool() {
-  return cfg_.pool != nullptr ? *cfg_.pool : ThreadPool::shared();
 }
 
 void ArbiterDaemon::attach_parent(std::unique_ptr<net::Connection> conn,
@@ -169,29 +164,17 @@ void ArbiterDaemon::send_parent_report(std::uint64_t t,
 }
 
 void ArbiterDaemon::drain_sessions() {
-  if (cfg_.shards == 1) {
-    for (Session& session : sessions_) {
-      session.inbox.clear();
-      if (session.conn->open()) session.conn->receive_into(session.inbox);
-    }
-    return;
-  }
   for (auto& order : shard_order_) order.clear();
   for (std::size_t i = 0; i < sessions_.size(); ++i) {
     sessions_[i].inbox.clear();
     if (sessions_[i].conn->open()) shard_order_[sessions_[i].shard].push_back(i);
   }
-  std::vector<std::future<void>> joins;
-  for (const auto& order : shard_order_) {
-    if (order.empty()) continue;
-    joins.push_back(pool().submit([this, &order] {
-      for (std::size_t i : order) {
-        Session& session = sessions_[i];
-        session.conn->receive_into(session.inbox);
-      }
-    }));
-  }
-  for (auto& j : joins) j.get();
+  ThreadPool::shared().parallel_for(0, cfg_.shards, [this](std::size_t s) {
+    for (std::size_t i : shard_order_[s]) {
+      Session& session = sessions_[i];
+      session.conn->receive_into(session.inbox);
+    }
+  });
 }
 
 void ArbiterDaemon::pump() {

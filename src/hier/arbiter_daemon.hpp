@@ -49,10 +49,6 @@
 #include "net/sharded_reactor.hpp"
 #include "net/transport.hpp"
 
-namespace perq {
-class ThreadPool;
-}  // namespace perq
-
 namespace perq::hier {
 
 struct ArbiterDaemonConfig {
@@ -65,9 +61,6 @@ struct ArbiterDaemonConfig {
   /// robin at accept). 1 keeps the original serial pump; the grant math
   /// in try_decide() is serial regardless, so any S is bit-identical.
   std::size_t shards = 1;
-  /// Worker pool for the per-shard drain (nullptr: process-wide shared
-  /// pool). Only consulted when shards > 1.
-  ThreadPool* pool = nullptr;
 };
 
 class ArbiterDaemon {
@@ -171,12 +164,11 @@ class ArbiterDaemon {
   /// children reported: parent grant when stacked and granted, static
   /// share before that, the full cluster budget at the root.
   double budget_in_use(double cluster_budget_w) const;
-  /// Fills every open session's inbox: serial for shards == 1, otherwise
-  /// one drain task per non-empty shard on the worker pool. Ingestion
-  /// stays serial in session-index order either way, so the decision
-  /// state never depends on drain scheduling.
+  /// Fills every open session's inbox, one fork-join index per shard on
+  /// ThreadPool::shared() (inline for one shard). Ingestion stays serial
+  /// in session-index order, so the decision state never depends on drain
+  /// scheduling.
   void drain_sessions();
-  ThreadPool& pool();
 
   std::unique_ptr<net::Listener> listener_;
   ArbiterDaemonConfig cfg_;

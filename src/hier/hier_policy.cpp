@@ -124,9 +124,9 @@ std::vector<double> HierarchicalPerqPolicy::allocate(
       tree_->allocate(ctx.budget_for_busy_w, last_demands_);
   last_grants_w_ = filled;
 
-  // Domain solves, fanned out on the shared pool. Each solve writes only
-  // its own slot; the MPC's nested parallel_for runs inline on a pool
-  // worker, so nesting cannot deadlock and results stay bit-deterministic.
+  // Domain solves, fanned out on the shared pool with the calling thread
+  // solving alongside the workers. Each solve writes only its own slot, so
+  // results stay bit-deterministic.
   std::vector<std::vector<double>> domain_caps(active.size());
   const auto solve_domain = [&](std::size_t a) {
     const std::size_t d = active[a];
@@ -151,9 +151,8 @@ std::vector<double> HierarchicalPerqPolicy::allocate(
     dctx.domain_count = static_cast<std::uint32_t>(k);
     domain_caps[a] = policies_[d]->allocate(dctx);
   };
-  if (cfg_.parallel && active.size() > 1) {
-    ThreadPool::shared().parallel_for(0, active.size(), solve_domain,
-                                      /*grain=*/1);
+  if (cfg_.parallel) {
+    ThreadPool::shared().parallel_for(0, active.size(), solve_domain);
   } else {
     for (std::size_t a = 0; a < active.size(); ++a) solve_domain(a);
   }

@@ -6,10 +6,11 @@
 // decision instant the embedded BudgetArbiter re-divides the cluster's
 // busy-node budget across the non-empty domains from their previous
 // feedback (committed watts, QP budget-row dual, achieved-vs-target IPS),
-// and the K domain solves then run concurrently on the shared ThreadPool
-// -- each one writes only its own output slot, and the MPC's inner
-// parallel_for executes inline when called from a pool worker, so the
-// fan-out is deterministic and deadlock-free.
+// and the K domain solves then run concurrently as one fork-join on the
+// shared ThreadPool: the calling thread solves domains alongside the
+// workers, and each solve writes only its own output slot, so the fan-out
+// is deterministic. A domain solve makes no nested fan-out (the MPC's
+// per-job work is a plain loop), and a nested one would run inline.
 //
 // K = 1 is special-cased into a straight delegation to the single domain
 // policy with the caller's unmodified context: the monolithic

@@ -77,10 +77,10 @@ struct ReplayResult {
 ReplayResult run_replay(const ReplayConfig& cfg, acct::Store* store = nullptr);
 
 /// Replays the same trace at each over-provisioning factor (the Fig. 9
-/// jobs/day-vs-f sweep), fanning out across `threads` pool workers (0 =
-/// hardware concurrency). Results are indexed like `factors`; each replay
-/// is single-threaded and seed-deterministic, so the fan-out changes
-/// nothing but wall time.
+/// jobs/day-vs-f sweep), fanning out across `threads` threads, the caller
+/// included (0 = one per factor). Results are indexed like `factors`; each
+/// replay is single-threaded and seed-deterministic, so the fan-out
+/// changes nothing but wall time.
 std::vector<ReplayResult> run_replay_sweep(const ReplayConfig& base,
                                            const std::vector<double>& factors,
                                            std::size_t threads = 0);

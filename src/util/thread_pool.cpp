@@ -1,23 +1,20 @@
 #include "util/thread_pool.hpp"
 
-#include <algorithm>
-#include <exception>
-
 namespace perq {
 
 namespace {
-// Set while a pool worker is executing a task. parallel_for uses it to run
-// nested invocations inline: a worker that blocked on sub-tasks queued behind
-// other blocking tasks would deadlock the pool.
-thread_local bool t_in_pool_worker = false;
+// Set while a thread runs chunks of a job (the caller and the workers).
+// parallel_for runs nested calls inline: the outer level already owns the
+// participants, and a body blocking on a second job could deadlock.
+thread_local bool t_in_job = false;
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+ThreadPool::ThreadPool(std::size_t participants) {
+  if (participants == 0) {
+    participants = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
+  workers_.reserve(participants - 1);
+  for (std::size_t i = 1; i < participants; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -27,63 +24,64 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  cv_.notify_all();
+  work_cv_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
 void ThreadPool::worker_loop() {
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ set and drained
-      task = std::move(queue_.front());
-      queue_.pop();
-    }
-    t_in_pool_worker = true;
-    task();
-    t_in_pool_worker = false;
+    work_cv_.wait(lock, [this] { return stop_ || wanted_ > 0; });
+    if (stop_) return;
+    --wanted_;
+    ++active_;
+    Job& job = *job_;
+    lock.unlock();
+    work(job);
+    lock.lock();
+    if (--active_ == 0) done_cv_.notify_one();
   }
 }
 
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& body,
-                              std::size_t grain) {
-  if (begin >= end) return;
-  const std::size_t count = end - begin;
-  const std::size_t blocks =
-      t_in_pool_worker
-          ? 1  // nested call from a worker: run inline, never block the pool
-          : std::min({size(), count, grain > 0 ? (count + grain - 1) / grain
-                                               : count});
-  if (blocks <= 1) {
-    for (std::size_t i = begin; i < end; ++i) body(i);
-    return;
-  }
-  std::vector<std::future<void>> futures;
-  futures.reserve(blocks);
-  const std::size_t chunk = (count + blocks - 1) / blocks;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t lo = begin + b * chunk;
-    const std::size_t hi = std::min(end, lo + chunk);
-    if (lo >= hi) break;
-    futures.push_back(submit([lo, hi, &body] {
-      for (std::size_t i = lo; i < hi; ++i) body(i);
-    }));
-  }
-  // Join every block before rethrowing: `body` lives in the caller's frame,
-  // so leaving at the first failure would let the other blocks run on in a
-  // frame that is already gone.
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
+void ThreadPool::work(Job& job) {
+  const bool outer = t_in_job;
+  t_in_job = true;
+  for (;;) {
+    const std::size_t c = job.next.fetch_add(1, std::memory_order_relaxed);
+    if (c >= job.chunks) break;
+    const std::size_t lo = job.begin + c * job.grain;
+    const std::size_t hi = lo + std::min(job.grain, job.end - lo);
     try {
-      f.get();
+      for (std::size_t i = lo; i < hi; ++i) job.call(job.body, i);
     } catch (...) {
-      if (!first_error) first_error = std::current_exception();
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!job.error) job.error = std::current_exception();
     }
   }
-  if (first_error) std::rethrow_exception(first_error);
+  t_in_job = outer;
+}
+
+void ThreadPool::run(Job& job) {
+  std::size_t wake = 0;
+  if (job.chunks > 1 && !workers_.empty() && !t_in_job) {
+    std::lock_guard<std::mutex> lock(mu_);
+    // Another thread's job in flight holds the workers: run inline rather
+    // than wait for it.
+    if (job_ == nullptr) {
+      job_ = &job;
+      wake = wanted_ = std::min(workers_.size(), job.chunks - 1);
+    }
+  }
+  for (std::size_t w = 0; w < wake; ++w) work_cv_.notify_one();
+  work(job);
+  if (wake > 0) {
+    std::unique_lock<std::mutex> lock(mu_);
+    wanted_ = 0;  // the chunks are all claimed: a late riser never joins
+    done_cv_.wait(lock, [this] { return active_ == 0; });
+    job_ = nullptr;
+  }
+  // Rethrow only after the join: every chunk borrows the caller's frame.
+  if (job.error) std::rethrow_exception(job.error);
 }
 
 ThreadPool& ThreadPool::shared() {

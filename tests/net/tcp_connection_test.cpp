@@ -1,7 +1,7 @@
 // TcpConnection data-plane tests: deterministic short-write injection for
 // the partial-write resume logic (flush_writes/advance_queue), FramePool
 // slot recycling, and the zero-steady-state-allocation contract of the
-// send/receive hot path.
+// send/receive hot path and of ThreadPool::parallel_for.
 //
 // The tests run TcpConnection over an AF_UNIX socketpair: same read/write
 // semantics as a TCP socket (SOCK_STREAM, nonblocking), no network setup,
@@ -22,6 +22,7 @@
 #include "net/frame_pool.hpp"
 #include "net/tcp_connection.hpp"
 #include "proto/message.hpp"
+#include "util/thread_pool.hpp"
 
 // ---------------------------------------------------------------------------
 // Global allocation counter. Replacing operator new is per-binary; this file
@@ -296,6 +297,28 @@ TEST(ZeroAlloc, SteadyStateSendReceiveAndBroadcastDoNotAllocate) {
   }
   EXPECT_EQ(plans.size(), 128u);
   EXPECT_NE(std::get_if<proto::CapPlan>(&plans.back()), nullptr);
+}
+
+TEST(ZeroAlloc, ParallelForDoesNotAllocate) {
+  // The body borrows its captures by reference and carries more than the
+  // 16 bytes std::function stores inline, so a type-erasing copy of it
+  // would have to allocate.
+  ThreadPool pool(4);
+  std::vector<double> out(256, 0.0);
+  const double scale = 2.0;
+  const std::size_t offset = 3;
+  const auto body = [&out, scale, offset](std::size_t i) {
+    out[i] = scale * static_cast<double>(i + offset);
+  };
+  static_assert(sizeof(body) > 16);
+
+  for (int i = 0; i < 8; ++i) pool.parallel_for(0, out.size(), body, 4);
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (int i = 0; i < 64; ++i) pool.parallel_for(0, out.size(), body, 4);
+  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u)
+      << "parallel_for allocated " << (after - before) << " times";
+  EXPECT_EQ(out[255], 2.0 * 258.0);
 }
 
 }  // namespace

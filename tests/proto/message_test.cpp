@@ -430,7 +430,7 @@ TEST(MessageReject, EveryTruncationOfEveryType) {
   const Message msgs[] = {Message(sample_hello()), Message(sample_telemetry()),
                           Message(sample_plan()), Message(sample_heartbeat()),
                           Message(Bye{4}), Message(sample_report()),
-                          Message(BudgetGrant{1, 2, 3.0, 4.0}),
+                          Message(BudgetGrant{1, 2, 3.0, 4.0, 0, {}}),
                           Message(sample_repl_tick()),
                           Message(ReplSnapshot{2, {0x01, 0x02}}),
                           Message(PromoteAnnounce{5, 99})};
