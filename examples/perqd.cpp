@@ -3,7 +3,6 @@
 //   ./examples/perqd --listen 127.0.0.1:7421 --wc-nodes 32 --f 2.0
 //                    [--ratio 8] [--stale-ticks 3] [--grace-ms 250]
 //                    [--snapshot perqd.snap --snapshot-every 10]
-//                    [--shards 4]
 //
 // Identifies the node model, then serves cap plans to perq_agent plants
 // until every agent has left. --wc-nodes and --f size the policy's target
@@ -95,7 +94,6 @@ void usage(const char* argv0) {
       "  --grace-ms <ms>        decide grace for lagging agents (default 250)\n"
       "  --snapshot <path>      controller state snapshot file\n"
       "  --snapshot-every <n>   snapshot every n decisions (default 10)\n"
-      "  --shards <s>           reactor shards for the data plane (default 1)\n"
       "  --domains <k>          budget domain count (default 1: monolithic)\n"
       "  --domain <d>           run domain d's controller (needs --arbiter)\n"
       "  --arbiter <host:port>  arbiter address for a domain controller\n"
@@ -156,7 +154,6 @@ int main(int argc, char** argv) {
       else if (arg == "--grace-ms") ccfg.decide_grace_ms = static_cast<int>(parse_u64_in(arg, next(), 0, 600000));
       else if (arg == "--snapshot") ccfg.snapshot_path = next();
       else if (arg == "--snapshot-every") ccfg.snapshot_every_ticks = cli::parse_u64(arg, next());
-      else if (arg == "--shards") ccfg.shards = parse_u64_in(arg, next(), 1, 1024);
       else if (arg == "--domains") domains = parse_u64_in(arg, next(), 1, 4096);
       else if (arg == "--domain") domain = static_cast<long>(parse_u64_in(arg, next(), 0, 4095));
       else if (arg == "--arbiter") arbiter_addr = next();
@@ -223,7 +220,6 @@ int main(int argc, char** argv) {
     net::TcpTransport transport;
     hier::ArbiterDaemonConfig acfg;
     acfg.stale_after_ticks = ccfg.stale_after_ticks;
-    acfg.shards = ccfg.shards;
     hier::ArbiterDaemon arbiter(transport.listen(listen), domains, acfg);
     if (!parent_addr.empty()) {
       auto up = transport.connect(parent_addr);
@@ -248,10 +244,8 @@ int main(int argc, char** argv) {
                   "(share %.4f)\n",
                   parent_addr.c_str(), parent_domain, parent_count, share);
     }
-    std::printf("perq-arbiter: serving %zu domains on %s (%zu shard%s%s)\n",
-                domains, listen.c_str(), acfg.shards,
-                acfg.shards == 1 ? "" : "s",
-                depth > 0 ? ", multi-level" : "");
+    std::printf("perq-arbiter: serving %zu domains on %s%s\n", domains,
+                listen.c_str(), depth > 0 ? " (multi-level)" : "");
     bool saw_domain = false;
     for (;;) {
       arbiter.wait(50);
@@ -361,9 +355,8 @@ int main(int argc, char** argv) {
                 standby_of.c_str(), takeover_ms);
   }
 
-  std::printf("perqd: serving on %s (wc-nodes %zu, f %.2f, %zu shard%s)\n",
-              listen.c_str(), wc_nodes, f, ccfg.shards,
-              ccfg.shards == 1 ? "" : "s");
+  std::printf("perqd: serving on %s (wc-nodes %zu, f %.2f)\n",
+              listen.c_str(), wc_nodes, f);
   bool saw_agent = false;
   std::uint64_t last_repl = controller.replicated_decides();
   bool saw_repl = false;

@@ -11,15 +11,15 @@
 # frame I/O (Reactor/Tcp/Daemon tests run a controller thread against the
 # main thread), the fork-join ThreadPool's own tests (the caller and the
 # woken workers claim chunks of one job; two callers share one pool), and
-# its users: the sharded pump (Shard* tests drain per-shard inboxes as one
-# fork-join) and HierPolicy's K domain solves.
+# its users: HierPolicy's K domain solves, the engine's node advance and
+# DaemonPlant's agent fan-out. The daemons' own pumps are single-threaded.
 #
-# A perf-smoke leg then runs bench_daemon_throughput at na=64 with two
-# reactor shards on the plain build and validates the shape of
-# BENCH_daemon_throughput.json -- the epoll rows and the sharded rows
-# (per-shard CPU) -- so a regression that breaks the bench binary or its
-# schema fails the gate before anyone burns a full sweep on it. A
-# replay-smoke leg does the same for perq_replay: 10k jobs through the
+# A perf-smoke leg then runs bench_daemon_throughput at na=64 on the plain
+# build and validates the shape of BENCH_daemon_throughput.json -- its
+# single-pump epoll rows, and that the retired keys (the deleted "sharded"
+# list among them) stay gone -- so a regression that breaks the bench
+# binary or its schema fails the gate before anyone burns a full sweep on
+# it. A replay-smoke leg does the same for perq_replay: 10k jobs through the
 # SchedCtl/accounting stack, audit JSON schema-checked, all jobs complete,
 # fairness >= 0.5. A perfbench leg builds the control-interval benchmark
 # from src/ and runs its own tests (perfbench/tests/test_run.py).
@@ -94,36 +94,28 @@ done
 # default path is reserved for real sweeps.
 (
   cd "$BUILD_DIR"
-  ./bench/bench_daemon_throughput --shards 2 \
-    --output BENCH_daemon_throughput.json 64
+  ./bench/bench_daemon_throughput --output BENCH_daemon_throughput.json 64
   python3 - <<'EOF'
 import json
 import math
 with open("BENCH_daemon_throughput.json") as f:
     doc = json.load(f)
 assert doc["bench"] == "daemon_throughput", doc
-for gone in ("rows", "baseline", "speedup", "speedup_max_na", "delta_hit_rate"):
+for gone in ("rows", "baseline", "speedup", "speedup_max_na", "delta_hit_rate",
+             "sharded"):
     assert gone not in doc, gone
 KEYS = ("ticks_per_s", "loop_ticks_per_s", "ctrl_cpu_ms_per_tick",
         "allocs_per_tick", "alloc_bytes_per_tick")
-for leg in ("epoll", "sharded"):
-    rows = doc[leg]
-    assert isinstance(rows, list) and rows, leg + " rows missing/empty"
-    for row in rows:
-        assert row["agents"] > 0, row
-        for key in KEYS:
-            assert math.isfinite(row[key]) and row[key] >= 0.0, (leg, key, row)
-        for gone in ("baseline", "optimized", "speedup", "delta_hit_rate"):
-            assert gone not in row, (leg, gone, row)
-assert {r["agents"] for r in doc["epoll"]} == {64}, doc["epoll"]
-sharded = doc["sharded"]
-assert {r["shards"] for r in sharded} == {2}, sharded  # what --shards asked for
-for row in sharded:
-    assert row["transport"] in ("tcp", "loopback"), row
-    cpus = row["shard_cpu_ms_per_tick"]
-    assert len(cpus) == row["shards"], row
-    assert all(math.isfinite(c) and c >= 0.0 for c in cpus), row
-print("BENCH_daemon_throughput.json schema OK (epoll + sharded rows)")
+rows = doc["epoll"]
+assert isinstance(rows, list) and rows, "epoll rows missing/empty"
+for row in rows:
+    assert row["agents"] > 0, row
+    for key in KEYS:
+        assert math.isfinite(row[key]) and row[key] >= 0.0, (key, row)
+    for gone in ("baseline", "optimized", "speedup", "delta_hit_rate"):
+        assert gone not in row, (gone, row)
+assert {r["agents"] for r in rows} == {64}, rows
+print("BENCH_daemon_throughput.json schema OK (epoll rows)")
 EOF
 )
 
@@ -176,11 +168,12 @@ if [[ "${PERQ_SKIP_SANITIZE:-0}" != "1" ]]; then
   cmake --build "$UBSAN_BUILD_DIR" -j
   ctest --test-dir "$UBSAN_BUILD_DIR" --output-on-failure -j "$(nproc)" "$@"
 
-  # TSan leg: the threaded subset (reactor + frame I/O + the fork-join
-  # ThreadPool and its users, including HierPolicy's K domain QPs solving
-  # concurrently on the shared pool, each with its own BlockFactor).
+  # TSan leg: the threaded subset (reactor + frame I/O with a controller
+  # thread against the main thread, the fork-join ThreadPool and its
+  # users, including HierPolicy's K domain QPs solving concurrently on the
+  # shared pool, each with its own BlockFactor).
   cmake -B "$TSAN_BUILD_DIR" -S . -DPERQ_TSAN=ON
   cmake --build "$TSAN_BUILD_DIR" -j
   ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j "$(nproc)" \
-    -R 'ThreadPool|Reactor|Shard|ShortWrite|Transport|Tcp|Daemon|FramePool|ZeroAlloc|Mpc|Replay|Replication|Failover|EpochFence|FailSafe|Tree|Tenant|HierPolicy|BlockFactor' "$@"
+    -R 'ThreadPool|Reactor|ShortWrite|Transport|Tcp|Daemon|FramePool|ZeroAlloc|Mpc|Replay|Replication|Failover|EpochFence|FailSafe|Tree|Tenant|HierPolicy|BlockFactor' "$@"
 fi

@@ -10,7 +10,6 @@
 #include "daemon/replication.hpp"
 #include "daemon/snapshot.hpp"
 #include "util/require.hpp"
-#include "util/thread_pool.hpp"
 
 namespace perq::daemon {
 
@@ -29,14 +28,11 @@ PerqController::PerqController(std::unique_ptr<net::Listener> listener,
     : listener_(std::move(listener)),
       policy_(policy),
       cfg_(std::move(cfg)),
-      reactor_(std::max<std::size_t>(1, cfg_.shards), cfg_.reactor_backend) {
+      reactor_(cfg_.reactor_backend) {
   PERQ_REQUIRE(listener_ != nullptr, "controller needs a listener");
   PERQ_REQUIRE(cfg_.stale_after_ticks >= 1, "stale_after_ticks must be >= 1");
   standby_ = cfg_.standby;
-  cfg_.shards = std::max<std::size_t>(1, cfg_.shards);
-  frame_pools_.resize(cfg_.shards);
-  shard_order_.resize(cfg_.shards);
-  reactor_.add(listener_->fd(), 0);  // no-op for loopback (fd -1)
+  reactor_.add(listener_->fd());  // no-op for loopback (fd -1)
 }
 
 PerqController::~PerqController() = default;
@@ -53,7 +49,7 @@ void PerqController::attach_arbiter(std::unique_ptr<net::Connection> conn,
   domain_count_ = domain_count;
   attachment_ = std::move(att);
   arbiter_reg_fd_ = arbiter_conn_->fd();
-  reactor_.add(arbiter_reg_fd_, 0);
+  reactor_.add(arbiter_reg_fd_);
 }
 
 void PerqController::reattach_arbiter(std::unique_ptr<net::Connection> conn,
@@ -74,7 +70,7 @@ void PerqController::reattach_arbiter(std::unique_ptr<net::Connection> conn,
     leaving.tree_path = attachment_.tree_path;
     arbiter_conn_->send(leaving);
   }
-  if (arbiter_reg_fd_ >= 0) reactor_.remove(arbiter_reg_fd_, 0);
+  if (arbiter_reg_fd_ >= 0) reactor_.remove(arbiter_reg_fd_);
   arbiter_conn_.reset();
   // Fence the old grant on this side too: the watts it named belong to the
   // old subtree's budget and must never be drawn under the new parent.
@@ -124,7 +120,7 @@ void PerqController::pump_arbiter() {
   }
   if (!arbiter_conn_->open()) {
     if (arbiter_conn_->corrupt()) ++counters_.frames_corrupt;
-    reactor_.remove(arbiter_reg_fd_, 0);
+    reactor_.remove(arbiter_reg_fd_);
     arbiter_reg_fd_ = -1;
   }
 }
@@ -197,9 +193,7 @@ void PerqController::pump() {
     Session s;
     s.conn = std::move(conn);
     s.reg_fd = s.conn->fd();
-    s.shard = next_shard_;
-    next_shard_ = (next_shard_ + 1) % cfg_.shards;
-    reactor_.add(s.reg_fd, s.shard);
+    reactor_.add(s.reg_fd);
     // Epoch fencing handshake: every peer learns this controller's epoch
     // the moment it connects, so an agent that failed over to a newer
     // primary recognizes (and rejects) a deposed one it later redials.
@@ -209,9 +203,10 @@ void PerqController::pump() {
   // Drain first, ingest second: epoll readiness order is nondeterministic,
   // so arrival order must never shape the decision state. Every open
   // session's bytes land in its inbox (reused, so steady state is
-  // allocation-free) -- one fork-join index per shard when sharded -- then
-  // ingestion runs in canonical order below.
-  drain_sessions();
+  // allocation-free), then ingestion runs in canonical order below.
+  for (Session& session : sessions_) {
+    if (session.conn->open()) session.conn->receive_into(session.inbox);
+  }
   // Hellos first, in accept order: they only bind agent ids (and supersede
   // dead sessions keyed by that id), and must land before the id-ordered
   // pass so a just-connected agent sorts under its real id.
@@ -225,9 +220,7 @@ void PerqController::pump() {
   // Everything else in ascending agent-id order -- the canonical
   // (tick, node-id) processing order. Frames within one session stay FIFO
   // (per-connection ordering), which fixes the tick order per agent;
-  // unbound sessions (no Hello yet) go last, in accept order. The order is
-  // assembled from per-shard sorted batches merged through a reduction
-  // tree -- identical to one global sort, whatever the shard count.
+  // unbound sessions (no Hello yet) go last, in accept order.
   build_ingest_order();
   for (const std::size_t idx : ingest_order_) {
     Session& session = sessions_[idx];
@@ -246,87 +239,28 @@ void PerqController::pump() {
   for (const Session& s : sessions_) {
     if (!s.conn->open()) {
       if (s.conn->corrupt()) ++counters_.frames_corrupt;
-      reactor_.remove(s.reg_fd, s.shard);
+      reactor_.remove(s.reg_fd);
     }
   }
   std::erase_if(sessions_, [](const Session& s) { return !s.conn->open(); });
   pump_arbiter();
 }
 
-void PerqController::drain_sessions() {
-  // Partition session indices by shard (scratch reused across pumps), then
-  // drain each shard's partition as one index of a fork-join (inline for
-  // one shard). Shards touch disjoint sessions and disjoint connections, so
-  // no state is shared; everything order-dependent happens after the join,
-  // in canonical order.
-  for (auto& members : shard_order_) members.clear();
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    shard_order_[sessions_[i].shard].push_back(i);
-  }
-  ThreadPool::shared().parallel_for(0, cfg_.shards, [this](std::size_t s) {
-    for (const std::size_t idx : shard_order_[s]) {
-      Session& session = sessions_[idx];
-      if (!session.conn->open()) continue;
-      session.conn->receive_into(session.inbox);
-    }
-  });
-}
-
 void PerqController::build_ingest_order() {
-  // Canonical key, totalized by accept index so per-shard sorts and the
-  // merge agree on every tie: helloed sessions first, ascending agent id,
-  // accept order among equals -- exactly the stable_sort the single pump
-  // used, so S=1 and S=N produce one and the same sequence.
-  const auto less = [this](std::size_t a, std::size_t b) {
-    const Session& sa = sessions_[a];
-    const Session& sb = sessions_[b];
-    if (sa.helloed != sb.helloed) return sa.helloed;
-    if (sa.helloed && sa.agent_id != sb.agent_id) {
-      return sa.agent_id < sb.agent_id;
-    }
-    return a < b;
-  };
-  if (cfg_.shards == 1) {
-    ingest_order_.clear();
-    for (std::size_t i = 0; i < sessions_.size(); ++i) {
-      ingest_order_.push_back(i);
-    }
-    std::sort(ingest_order_.begin(), ingest_order_.end(), less);
-    return;
-  }
-  // Per-shard batches (membership may have moved in the Hello pass: a
-  // re-homed session sorts under its new shard, which only permutes batch
-  // boundaries, never the merged order).
-  for (auto& batch : shard_order_) batch.clear();
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    shard_order_[sessions_[i].shard].push_back(i);
-  }
-  for (auto& batch : shard_order_) std::sort(batch.begin(), batch.end(), less);
-  // Reduction tree: pairwise-merge sorted batches until one remains. The
-  // key is a total order, so the tree's shape cannot influence the result.
-  std::size_t width = shard_order_.size();
-  merge_scratch_.resize(shard_order_.size());
-  auto* level = &shard_order_;
-  auto* next = &merge_scratch_;
-  while (width > 1) {
-    const std::size_t half = (width + 1) / 2;
-    for (std::size_t p = 0; p < half; ++p) {
-      auto& out = (*next)[p];
-      out.clear();
-      const std::size_t lhs = 2 * p;
-      const std::size_t rhs = 2 * p + 1;
-      if (rhs < width) {
-        std::merge((*level)[lhs].begin(), (*level)[lhs].end(),
-                   (*level)[rhs].begin(), (*level)[rhs].end(),
-                   std::back_inserter(out), less);
-      } else {
-        out = (*level)[lhs];
-      }
-    }
-    std::swap(level, next);
-    width = half;
-  }
-  ingest_order_ = (*level)[0];
+  // Canonical key, totalized by accept index: helloed sessions first,
+  // ascending agent id, accept order among equals.
+  ingest_order_.clear();
+  for (std::size_t i = 0; i < sessions_.size(); ++i) ingest_order_.push_back(i);
+  std::sort(ingest_order_.begin(), ingest_order_.end(),
+            [this](std::size_t a, std::size_t b) {
+              const Session& sa = sessions_[a];
+              const Session& sb = sessions_[b];
+              if (sa.helloed != sb.helloed) return sa.helloed;
+              if (sa.helloed && sa.agent_id != sb.agent_id) {
+                return sa.agent_id < sb.agent_id;
+              }
+              return a < b;
+            });
 }
 
 void PerqController::ingest(Session& session, const proto::Message& m) {
@@ -342,14 +276,6 @@ void PerqController::ingest(Session& session, const proto::Message& m) {
     }
     session.helloed = true;
     session.agent_id = hello->agent_id;
-    // Re-home the session to its id-stable shard (accept order assigned a
-    // provisional round-robin slot).
-    const std::size_t home = hello->agent_id % cfg_.shards;
-    if (home != session.shard) {
-      reactor_.remove(session.reg_fd, session.shard);
-      session.shard = home;
-      reactor_.add(session.reg_fd, session.shard);
-    }
     // A Hello binds the session only; it never touches decision state, so
     // it stays out of ingest_state and the replication batch.
     return;
@@ -751,24 +677,19 @@ void PerqController::broadcast_plan() {
   }
   ++full_broadcasts_;
 
-  // Serialize-once, per shard: the thread that runs a shard encodes the
-  // plan exactly once from the shard's frame pool; every connection of it
+  if (standby_) return;  // replays decide() for state only; serves no agents
+
+  // Serialize-once: the plan is encoded exactly once and every connection
   // queues a reference to the same bytes (TCP writev's them out with
   // partial-write resume, loopback decodes the bit-exact frame back into a
   // message). Pool slots recycle once the last connection finishes
   // sending, so steady state never allocates.
-  const auto broadcast_shard = [this](std::size_t shard) {
-    auto buf = frame_pools_[shard].acquire();
-    proto::encode_into(plan_, *buf);
-    const net::SharedFrame frame = net::FramePool::freeze(buf);
-    for (Session& s : sessions_) {
-      if (s.shard == shard && s.conn->open() && !s.said_bye) {
-        s.conn->send_frame(frame);
-      }
-    }
-  };
-  if (standby_) return;  // replays decide() for state only; serves no agents
-  ThreadPool::shared().parallel_for(0, cfg_.shards, broadcast_shard);
+  auto buf = frame_pool_.acquire();
+  proto::encode_into(plan_, *buf);
+  const net::SharedFrame frame = net::FramePool::freeze(buf);
+  for (Session& s : sessions_) {
+    if (s.conn->open() && !s.said_bye) s.conn->send_frame(frame);
+  }
 }
 
 bool clamp_cap_plan(proto::CapPlan& plan, double budget_for_busy_w,

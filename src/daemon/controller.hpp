@@ -5,7 +5,9 @@
 // the batch, and broadcasts a cap plan -- the slurmctld/slurmd split
 // applied to power management. The service half is deliberately thin: all
 // control math lives in core::PerqPolicy, and the controller's job is
-// session bookkeeping, staleness, and state continuity.
+// session bookkeeping, staleness, and state continuity. Its data plane is
+// one pump on the service thread: one reactor, one serial drain per
+// pump(), and one serialize-once full-plan broadcast per decide().
 //
 // Fault tolerance model:
 //   * Per-job freshness. A job is "fresh" for tick t when its telemetry for
@@ -60,7 +62,6 @@
 #include "core/robustness.hpp"
 #include "net/frame_pool.hpp"
 #include "net/reactor.hpp"
-#include "net/sharded_reactor.hpp"
 #include "net/transport.hpp"
 #include "proto/message.hpp"
 #include "sched/job.hpp"
@@ -84,12 +85,6 @@ struct ControllerConfig {
   /// Readiness backend for wait(): epoll on Linux, poll(2) as the portable
   /// fallback. The two are proven interchangeable by the bit-identity test.
   net::Reactor::Backend reactor_backend = net::Reactor::default_backend();
-  /// Data-plane shards: sessions are partitioned by agent id into this many
-  /// reactor shards, each with its own epoll set and frame pool, drained
-  /// side by side on ThreadPool::shared(). 1 keeps the single-threaded
-  /// pump; any S produces bit-identical decisions (the canonical merge
-  /// order is shard-blind).
-  std::size_t shards = 1;
   /// Warm-standby mode: the controller applies the primary's replication
   /// stream (ReplSnapshot restore + ReplTick replay) and drops agent
   /// telemetry/heartbeats until promote() flips it into a serving primary.
@@ -218,15 +213,13 @@ class PerqController {
   ///
   /// Determinism contract: readiness order (which epoll reports in
   /// whatever order it likes) never reaches the decision state. Every
-  /// session is drained into its inbox first -- in parallel across the
-  /// reactor shards when cfg.shards > 1 -- then Hellos are processed in
-  /// accept order (they only bind agent ids), and everything else is then
-  /// ingested in ascending agent-id order: per-shard sorted batches merged
-  /// through a reduction tree into one canonical sequence, identical to
-  /// the single-pump sort regardless of shard count or arrival order.
-  /// Each agent's frames stay FIFO within its connection and tick batching
-  /// completes before any decision, so this is the canonical
-  /// (tick, node-id) order of the bit-identity contract.
+  /// session is drained into its inbox first, serially on the calling
+  /// thread; then Hellos are processed in accept order (they only bind
+  /// agent ids), and everything else is ingested in ascending agent-id
+  /// order, whatever the arrival order. Each agent's frames stay FIFO
+  /// within its connection and tick batching completes before any
+  /// decision, so this is the canonical (tick, node-id) order of the
+  /// bit-identity contract.
   void pump();
 
   /// Blocks until a registered descriptor (listener, sessions, arbiter
@@ -334,12 +327,10 @@ class PerqController {
     bool any_message = false;
     bool counted_stale = false;  ///< stale transition already counted
     int reg_fd = -1;             ///< fd registered with the reactor
-    /// Reactor shard this session lives in: accept-order round robin until
-    /// the Hello binds the agent id, then re-homed to agent_id % shards so
-    /// the partition is stable across reconnects.
-    std::size_t shard = 0;
     /// Per-pump inbox, reused across ticks (capacity kept) so a steady-
-    /// state drain never allocates.
+    /// state drain never allocates. Every session is drained before any is
+    /// ingested: the Hello pass must see every inbox before the id-ordered
+    /// pass.
     std::vector<proto::Message> inbox;
   };
 
@@ -367,7 +358,6 @@ class PerqController {
   void write_snapshot() const;
   void pump_arbiter();
   void send_domain_report();
-  void drain_sessions();
   void build_ingest_order();
   void broadcast_plan();
 
@@ -384,17 +374,10 @@ class PerqController {
   std::unique_ptr<net::Listener> listener_;
   core::PerqPolicy& policy_;
   ControllerConfig cfg_;
-  net::ShardedReactor reactor_;
-  /// One frame pool per shard: broadcast frames are encoded once per shard
-  /// by the one thread that runs that shard, so no two threads share one.
-  std::vector<net::FramePool> frame_pools_;
-  std::size_t next_shard_ = 0;  ///< accept-order round robin (pre-Hello)
+  net::Reactor reactor_;
+  net::FramePool frame_pool_;  ///< serialize-once broadcast buffers
   std::vector<Session> sessions_;
   std::vector<std::size_t> ingest_order_;  ///< scratch: session indices
-  /// Reduction-tree scratch: per-shard session batches (sorted by the
-  /// canonical key) and the pairwise-merge ping-pong buffers.
-  std::vector<std::vector<std::size_t>> shard_order_;
-  std::vector<std::vector<std::size_t>> merge_scratch_;
   std::map<int, Shadow> shadows_;
   proto::Heartbeat hb_{};
   bool have_hb_ = false;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/require.hpp"
-#include "util/thread_pool.hpp"
 
 namespace perq::hier {
 
@@ -37,14 +36,12 @@ ArbiterDaemon::ArbiterDaemon(std::unique_ptr<net::Listener> listener,
                              std::size_t domains, ArbiterDaemonConfig cfg)
     : listener_(std::move(listener)),
       cfg_(cfg),
-      reactor_(std::max<std::size_t>(1, cfg.shards), cfg.reactor_backend),
+      reactor_(cfg.reactor_backend),
       arbiter_(domains),
       slots_(domains) {
   PERQ_REQUIRE(listener_ != nullptr, "arbiter daemon needs a listener");
   PERQ_REQUIRE(cfg_.stale_after_ticks >= 1, "stale_after_ticks must be >= 1");
-  cfg_.shards = std::max<std::size_t>(1, cfg_.shards);
-  shard_order_.resize(cfg_.shards);
-  reactor_.add(listener_->fd(), 0);
+  reactor_.add(listener_->fd());
 }
 
 void ArbiterDaemon::attach_parent(std::unique_ptr<net::Connection> conn,
@@ -59,7 +56,7 @@ void ArbiterDaemon::attach_parent(std::unique_ptr<net::Connection> conn,
   parent_domain_count_ = domain_count;
   attachment_ = std::move(att);
   parent_reg_fd_ = parent_conn_->fd();
-  reactor_.add(parent_reg_fd_, 0);
+  reactor_.add(parent_reg_fd_);
 }
 
 double ArbiterDaemon::budget_in_use(double cluster_budget_w) const {
@@ -79,9 +76,9 @@ double ArbiterDaemon::budget_in_use(double cluster_budget_w) const {
 
 void ArbiterDaemon::pump_parent() {
   if (parent_conn_ == nullptr || !parent_conn_->open()) return;
-  parent_inbox_.clear();
-  parent_conn_->receive_into(parent_inbox_);
-  for (const proto::Message& m : parent_inbox_) {
+  inbox_.clear();
+  parent_conn_->receive_into(inbox_);
+  for (const proto::Message& m : inbox_) {
     const auto* g = std::get_if<proto::BudgetGrant>(&m);
     if (g == nullptr) {
       ++counters_.frames_corrupt;  // only grants flow down this link
@@ -110,7 +107,7 @@ void ArbiterDaemon::pump_parent() {
   }
   if (!parent_conn_->open()) {
     if (parent_conn_->corrupt()) ++counters_.frames_corrupt;
-    reactor_.remove(parent_reg_fd_, 0);
+    reactor_.remove(parent_reg_fd_);
     parent_reg_fd_ = -1;
   }
 }
@@ -163,41 +160,23 @@ void ArbiterDaemon::send_parent_report(std::uint64_t t,
   parent_conn_->send(r);
 }
 
-void ArbiterDaemon::drain_sessions() {
-  for (auto& order : shard_order_) order.clear();
-  for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    sessions_[i].inbox.clear();
-    if (sessions_[i].conn->open()) shard_order_[sessions_[i].shard].push_back(i);
-  }
-  ThreadPool::shared().parallel_for(0, cfg_.shards, [this](std::size_t s) {
-    for (std::size_t i : shard_order_[s]) {
-      Session& session = sessions_[i];
-      session.conn->receive_into(session.inbox);
-    }
-  });
-}
-
 void ArbiterDaemon::pump() {
   for (auto& conn : listener_->accept_new()) {
     Session s;
     s.conn = std::move(conn);
     s.reg_fd = s.conn->fd();
-    s.shard = next_shard_;
-    next_shard_ = (next_shard_ + 1) % cfg_.shards;
-    reactor_.add(s.reg_fd, s.shard);
+    reactor_.add(s.reg_fd);
     sessions_.push_back(std::move(s));
   }
-  // Drain (possibly in parallel across shards), then ingest serially in
-  // session-index order: the newest-report-wins slot update is the same
-  // whichever shard's bytes landed first.
-  drain_sessions();
-  // Messages drained from a connection that closed mid-receive still count
-  // (the old serial pump ingested them too); sessions closed before the
-  // drain have empty inboxes.
+  // Drain and ingest each session in turn, in session-index order. ingest()
+  // touches no connection, so ingesting one session cannot change what a
+  // later session's drain reads. Messages drained from a connection that
+  // closed mid-receive still count.
   for (std::size_t i = 0; i < sessions_.size(); ++i) {
-    for (const proto::Message& m : sessions_[i].inbox) {
-      ingest(i, m);
-    }
+    if (!sessions_[i].conn->open()) continue;
+    inbox_.clear();
+    sessions_[i].conn->receive_into(inbox_);
+    for (const proto::Message& m : inbox_) ingest(i, m);
   }
   for (const Session& s : sessions_) {
     if (!s.conn->open() && s.conn->corrupt()) ++counters_.frames_corrupt;
@@ -207,7 +186,7 @@ void ArbiterDaemon::pump() {
   // domain's controller reconnects and reports again).
   for (std::size_t i = sessions_.size(); i-- > 0;) {
     if (sessions_[i].conn->open()) continue;
-    reactor_.remove(sessions_[i].reg_fd, sessions_[i].shard);
+    reactor_.remove(sessions_[i].reg_fd);
     for (DomainSlot& slot : slots_) {
       if (slot.session == i) {
         slot.session = SIZE_MAX;
@@ -227,9 +206,9 @@ void ArbiterDaemon::ingest(std::size_t session_index, const proto::Message& m) {
     return;
   }
   // Sanity screen before any state is touched: the report drives the watt
-  // split for the whole cluster, so a bit-flipped one (NaN demand, a floor
-  // above the ceiling, a domain id from nowhere) must not skew every
-  // other domain's grant.
+  // split for the whole cluster, so a bit-flipped one (NaN demand, a
+  // non-finite or negative tenant term, a floor above the ceiling, a domain
+  // id from nowhere) must not skew every other domain's grant.
   std::uint64_t newest = 0;
   for (const DomainSlot& s : slots_) {
     if (s.any_report) newest = std::max(newest, s.latest.tick);
@@ -241,7 +220,9 @@ void ArbiterDaemon::ingest(std::size_t session_index, const proto::Message& m) {
       !std::isfinite(r->capacity_w) || !std::isfinite(r->committed_w) ||
       !std::isfinite(r->utility_per_w) || !std::isfinite(r->achieved_ips) ||
       !std::isfinite(r->target_ips) || !std::isfinite(r->cluster_budget_w) ||
+      !std::isfinite(r->sla_floor_w) || !std::isfinite(r->priority_weight) ||
       r->busy_nodes < 0.0 || r->floor_w < 0.0 || r->utility_per_w < 0.0 ||
+      r->sla_floor_w < 0.0 || r->priority_weight < 0.0 ||
       r->capacity_w < r->floor_w - 1e-6 || r->cluster_budget_w < 0.0 ||
       r->tick > newest + kMaxTickJump;
   if (insane) {

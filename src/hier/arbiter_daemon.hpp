@@ -5,7 +5,9 @@
 // session layer around hier::BudgetArbiter, the same split perqd uses for
 // core::PerqPolicy: all allocation math lives in arbiter.cpp, and this
 // class does bookkeeping -- which session speaks for which domain, which
-// report is newest, when a decision tick is complete.
+// report is newest, when a decision tick is complete. Its data plane is
+// one pump on the service thread: one reactor, each session drained and
+// ingested in turn, one serialize-once frame per grant.
 //
 // Decision gating is tick-based and deterministic (no wall-clock grace):
 // the arbiter allocates for tick T = the newest reported tick once every
@@ -46,7 +48,6 @@
 #include "hier/arbiter.hpp"
 #include "net/frame_pool.hpp"
 #include "net/reactor.hpp"
-#include "net/sharded_reactor.hpp"
 #include "net/transport.hpp"
 
 namespace perq::hier {
@@ -57,10 +58,6 @@ struct ArbiterDaemonConfig {
   std::uint64_t stale_after_ticks = 3;
   /// Readiness backend for wait() (see ControllerConfig::reactor_backend).
   net::Reactor::Backend reactor_backend = net::Reactor::default_backend();
-  /// Reactor shards for the session drain (sessions are assigned round
-  /// robin at accept). 1 keeps the original serial pump; the grant math
-  /// in try_decide() is serial regardless, so any S is bit-identical.
-  std::size_t shards = 1;
 };
 
 class ArbiterDaemon {
@@ -83,8 +80,9 @@ class ArbiterDaemon {
   bool any_parent_grant() const { return any_parent_grant_; }
   double parent_grant_w() const { return parent_grant_w_; }
 
-  /// Drains the network: accepts domain controllers, ingests every pending
-  /// report, reaps dead connections.
+  /// Drains the network: accepts domain controllers, then drains and
+  /// ingests each session in turn (session-index order, one reused scratch
+  /// inbox, all on the calling thread), and reaps dead connections.
   void pump();
 
   /// pump() + one allocation round when the newest tick is complete (see
@@ -136,9 +134,6 @@ class ArbiterDaemon {
     bool bound = false;
     std::uint32_t domain_id = 0;
     int reg_fd = -1;          ///< fd registered with the reactor
-    std::size_t shard = 0;    ///< reactor shard this session lives on
-    /// Per-pump inbox, reused across ticks (capacity kept).
-    std::vector<proto::Message> inbox;
   };
 
   /// Per-domain view assembled from the wire.
@@ -164,22 +159,16 @@ class ArbiterDaemon {
   /// children reported: parent grant when stacked and granted, static
   /// share before that, the full cluster budget at the root.
   double budget_in_use(double cluster_budget_w) const;
-  /// Fills every open session's inbox, one fork-join index per shard on
-  /// ThreadPool::shared() (inline for one shard). Ingestion stays serial
-  /// in session-index order, so the decision state never depends on drain
-  /// scheduling.
-  void drain_sessions();
 
   std::unique_ptr<net::Listener> listener_;
   ArbiterDaemonConfig cfg_;
-  net::ShardedReactor reactor_;
+  net::Reactor reactor_;
   net::FramePool frame_pool_;  ///< serialize-once grant buffers
   BudgetArbiter arbiter_;
   std::vector<Session> sessions_;
   std::vector<DomainSlot> slots_;
-  std::size_t next_shard_ = 0;  ///< round-robin accept assignment
-  /// Per-shard session-index scratch for the parallel drain.
-  std::vector<std::vector<std::size_t>> shard_order_;
+  /// Drain scratch, reused for every session and the parent link.
+  std::vector<proto::Message> inbox_;
   core::RobustnessCounters counters_;  ///< arbiter-side screening only
   bool any_decision_ = false;
   std::uint64_t decided_tick_ = 0;
@@ -189,7 +178,6 @@ class ArbiterDaemon {
   // Stacked-mode state (all inert while parent_conn_ is null).
   std::unique_ptr<net::Connection> parent_conn_;
   int parent_reg_fd_ = -1;
-  std::vector<proto::Message> parent_inbox_;  ///< reused drain scratch
   std::uint32_t parent_domain_id_ = 0;
   std::uint32_t parent_domain_count_ = 1;
   daemon::DomainAttachment attachment_;

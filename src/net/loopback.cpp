@@ -1,26 +1,18 @@
 #include "net/loopback.hpp"
 
 #include <deque>
+#include <iterator>
 #include <map>
 
 #include "util/require.hpp"
 
 namespace perq::net {
 
-/// One queued message: either owned in place (send) or jointly owned with
-/// every other recipient of the same broadcast (send_shared).
-struct LoopbackItem {
-  proto::Message msg;
-  std::shared_ptr<const proto::Message> shared;
-
-  const proto::Message& view() const { return shared ? *shared : msg; }
-};
-
 /// Shared state of one connection: a queue per direction plus open flags.
 struct LoopbackQueue {
   std::mutex mu;
-  std::deque<LoopbackItem> to_server;
-  std::deque<LoopbackItem> to_client;
+  std::deque<proto::Message> to_server;
+  std::deque<proto::Message> to_client;
   bool server_open = true;
   bool client_open = true;
 };
@@ -34,27 +26,15 @@ LoopbackConnection::~LoopbackConnection() { close(); }
 bool LoopbackConnection::send(const proto::Message& m) {
   std::lock_guard lock(q_->mu);
   if (!my_open() || !peer_open()) return false;
-  (is_server_ ? q_->to_client : q_->to_server).push_back({m, nullptr});
-  return true;
-}
-
-bool LoopbackConnection::send_shared(std::shared_ptr<const proto::Message> m) {
-  if (m == nullptr) return false;
-  std::lock_guard lock(q_->mu);
-  if (!my_open() || !peer_open()) return false;
-  (is_server_ ? q_->to_client : q_->to_server)
-      .push_back({proto::Message{}, std::move(m)});
+  (is_server_ ? q_->to_client : q_->to_server).push_back(m);
   return true;
 }
 
 std::vector<proto::Message> LoopbackConnection::receive() {
   std::lock_guard lock(q_->mu);
   auto& inbox = is_server_ ? q_->to_server : q_->to_client;
-  std::vector<proto::Message> out;
-  out.reserve(inbox.size());
-  for (LoopbackItem& it : inbox) {
-    out.push_back(it.shared ? *it.shared : std::move(it.msg));
-  }
+  std::vector<proto::Message> out(std::make_move_iterator(inbox.begin()),
+                                  std::make_move_iterator(inbox.end()));
   inbox.clear();
   return out;
 }
@@ -62,17 +42,7 @@ std::vector<proto::Message> LoopbackConnection::receive() {
 void LoopbackConnection::receive_into(std::vector<proto::Message>& out) {
   std::lock_guard lock(q_->mu);
   auto& inbox = is_server_ ? q_->to_server : q_->to_client;
-  for (LoopbackItem& it : inbox) {
-    out.push_back(it.shared ? *it.shared : std::move(it.msg));
-  }
-  inbox.clear();
-}
-
-void LoopbackConnection::drain(
-    const std::function<void(const proto::Message&)>& f) {
-  std::lock_guard lock(q_->mu);
-  auto& inbox = is_server_ ? q_->to_server : q_->to_client;
-  for (const LoopbackItem& it : inbox) f(it.view());
+  for (proto::Message& m : inbox) out.push_back(std::move(m));
   inbox.clear();
 }
 

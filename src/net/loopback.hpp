@@ -5,10 +5,11 @@
 // visible to the peer's receive() immediately after send() -- so a
 // single-threaded test can interleave controller and agents and observe the
 // exact per-tick exchange order. A mutex guards the shared queues, so the
-// transport also works when the controller runs on its own thread.
+// transport also works when the controller runs on its own thread. A
+// broadcast frame (send_frame) takes the Connection default: it is decoded
+// back into a message per peer, so every receiver owns its copy.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <mutex>
 
@@ -18,12 +19,7 @@ namespace perq::net {
 
 struct LoopbackQueue;
 
-/// One endpoint of an in-process connection. Beyond the Connection
-/// interface it offers two colocated-fleet fast paths that a socket cannot:
-/// refcounted broadcast delivery (send_shared: one decoded message fanned
-/// out to thousands of peers without a copy per connection) and in-place
-/// receive (drain: the callback reads queued messages where they sit, so a
-/// steady-state tick moves zero message bytes).
+/// One endpoint of an in-process connection.
 class LoopbackConnection final : public Connection {
  public:
   LoopbackConnection(std::shared_ptr<LoopbackQueue> q, bool is_server);
@@ -34,18 +30,6 @@ class LoopbackConnection final : public Connection {
   void receive_into(std::vector<proto::Message>& out) override;
   bool open() const override;
   void close() override;
-
-  /// Queues a message owned jointly with the caller (and every other
-  /// recipient of the same broadcast): delivery is a refcount bump, not a
-  /// copy. FIFO order with send() is preserved. receive()/receive_into()
-  /// still yield owned values (they copy shared messages out); drain() is
-  /// the copy-free way to read them.
-  bool send_shared(std::shared_ptr<const proto::Message> m);
-
-  /// Calls `f` on every queued inbound message in FIFO order without
-  /// copying or moving it, then clears the queue. The references are only
-  /// valid inside the call.
-  void drain(const std::function<void(const proto::Message&)>& f);
 
  private:
   bool my_open() const;

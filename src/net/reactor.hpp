@@ -20,6 +20,12 @@
 // order (the controller's (tick, node-id) drain) must not rely on arrival
 // order anyway -- the reactor only answers "which fds are readable".
 //
+// Each daemon (perqd's controller, the arbiter) owns exactly one reactor
+// and drains its sessions serially on its service thread: one decision per
+// control interval needs one drain and one broadcast, and scale-out comes
+// from the budget tree (one daemon per domain), not from threads inside
+// one receive loop.
+//
 // Negative fds (loopback connections report fd() == -1) must not be
 // registered; add(-1) is ignored so callers can feed connection fds
 // blindly. A wait() with an empty interest set degrades to a plain sleep
@@ -67,12 +73,6 @@ class Reactor {
 
   Backend backend() const { return backend_; }
   std::size_t size() const { return fds_.size(); }
-
-  /// The backing epoll descriptor (kEpoll), or -1 on the poll backend. An
-  /// epoll fd is itself pollable -- readable while events are pending --
-  /// which is what lets ShardedReactor wait on S shard reactors at once
-  /// without flattening their interest sets.
-  int pollable_fd() const { return epfd_; }
 
  private:
   Backend backend_;

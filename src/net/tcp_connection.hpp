@@ -80,17 +80,6 @@ class TcpConnection : public Connection {
     decoder_.drain(out);
   }
 
-  /// In-place receive: `f(proto::Message&)` per decoded message, nothing
-  /// moved or copied. The decoder's message slots persist across ticks, so
-  /// a connection whose per-tick frame mix is stable (the broadcast steady
-  /// state) decodes with zero heap traffic -- including the dynamic plan
-  /// bodies that receive_into() must surrender. References die with `f`.
-  template <typename F>
-  void consume_received(F&& f) {
-    progress_reads();
-    decoder_.consume(std::forward<F>(f));
-  }
-
   void flush() override { flush_writes(); }
 
   bool open() const override { return fd_ >= 0; }

@@ -301,18 +301,6 @@ class FrameDecoder {
   /// (moved-out dynamic bodies still surrender their capacity).
   void drain(std::vector<Message>& out);
 
-  /// In-place consumption: calls `f(Message&)` for each decoded message,
-  /// then resets the logical count. Nothing is moved or copied -- the
-  /// message slots persist across feed/consume cycles, so a slot that
-  /// carries the same frame type every tick (the broadcast steady state)
-  /// reuses its dynamic-body capacity and the whole decode path is
-  /// allocation-free. The references are only valid inside the call.
-  template <typename F>
-  void consume(F&& f) {
-    for (std::size_t i = 0; i < live_; ++i) f(out_[i]);
-    live_ = 0;
-  }
-
   bool corrupt() const { return corrupt_; }
   const std::string& error() const { return error_; }
 
@@ -324,8 +312,8 @@ class FrameDecoder {
 
   std::vector<std::uint8_t> buf_;
   std::size_t consumed_ = 0;  ///< bytes of buf_ already parsed
-  /// Slot pool: indices [0, live_) are decoded-but-unconsumed messages;
-  /// slots past live_ are retained for their warmed-up capacity.
+  /// Slot pool: indices [0, live_) are decoded messages not yet taken or
+  /// drained; slots past live_ are retained for their warmed-up capacity.
   std::vector<Message> out_;
   std::size_t live_ = 0;
   bool corrupt_ = false;

@@ -297,7 +297,6 @@ TEST(DaemonRobustness, HungAgentCapsHeldBudgetRowShrinksThenRejoin) {
 TEST(DaemonBroadcast, EveryDecideQueuesOneFullPlanOnEverySession) {
   const auto cfg = small_cfg();
   ControllerConfig ccfg;
-  ccfg.shards = 2;
   ccfg.decide_grace_ms = 5;
   ccfg.stale_after_ticks = 1;
   LoopbackRig rig(cfg, ccfg, 4);

@@ -1,13 +1,15 @@
 // Reactor determinism proofs: a daemon experiment over real loopback-TCP
 // sockets is bit-identical whether readiness comes from epoll or poll(2),
-// and both match the in-process engine -- decisions depend only on complete
-// tick batches, never on readiness or arrival order. Plus a generous
-// throughput smoke test at 64 agents so the scaled data plane stays wired
-// into ctest.
+// matches the in-process engine, and matches the loopback transport at 2
+// and 4 agents -- the controller's one pump makes decisions depend only on
+// complete tick batches, never on readiness or arrival order. Plus a
+// generous throughput smoke test at 64 agents so the data plane at scale
+// stays wired into ctest.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <chrono>
+#include <string>
 
 #include "core/engine.hpp"
 #include "core/node_model.hpp"
@@ -119,16 +121,19 @@ TEST(ReactorIdentity, EpollAndPollBackendsAreInterchangeable) {
 TEST(ReactorIdentity, TcpAndLoopbackTransportsAgreeBitForBit) {
   const auto cfg = small_cfg();
 
-  core::PerqPolicy loop_side = make_policy(cfg);
-  const auto via_loopback =
-      run_loopback(cfg, loop_side, 2, patient_ccfg());
-  ASSERT_GT(via_loopback.jobs_completed, 0u);
+  for (const std::size_t agents : {2u, 4u}) {
+    SCOPED_TRACE("agents = " + std::to_string(agents));
+    core::PerqPolicy loop_side = make_policy(cfg);
+    const auto via_loopback =
+        run_loopback(cfg, loop_side, agents, patient_ccfg());
+    ASSERT_GT(via_loopback.jobs_completed, 0u);
 
-  core::PerqPolicy tcp_side = make_policy(cfg);
-  const auto via_tcp = run_tcp_daemon_experiment(cfg, tcp_side, 2,
-                                                 patient_ccfg());
+    core::PerqPolicy tcp_side = make_policy(cfg);
+    const auto via_tcp = run_tcp_daemon_experiment(cfg, tcp_side, agents,
+                                                   patient_ccfg());
 
-  expect_bit_identical(via_loopback, via_tcp);
+    expect_bit_identical(via_loopback, via_tcp);
+  }
 }
 
 // Smoke, not benchmark: 64 real agents over loopback TCP must sustain a

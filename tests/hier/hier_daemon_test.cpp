@@ -1,17 +1,21 @@
 // Hierarchical daemon tests. HierDaemon: the K=1 arbiter-attached
 // deployment is bit-identical to both the in-process engine and the
 // monolithic daemon, K>1 deployments conserve grants and aggregate counters
-// at the arbiter, and the controller<->arbiter wire exchange survives
-// restarts (snapshot v3 carries the grant state). TreeDaemon: a depth-2
+// at the arbiter, the arbiter screens out reports whose tenant terms are
+// non-finite or negative, and the controller<->arbiter wire exchange
+// survives restarts (snapshot v3 carries the grant state). TreeDaemon: a depth-2
 // tree -- root arbiter over mid arbiters over domain controllers -- runs to
 // completion deterministically while conserving grants at every level
 // (max_level_overdraw_w stays at FP noise).
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <variant>
 
 #include "core/engine.hpp"
@@ -183,6 +187,79 @@ TEST(HierDaemon, ArbiterAggregatesReportedCountersAcrossDomains) {
   c0->send(proto::Hello{});
   arbiter.pump();
   EXPECT_EQ(arbiter.aggregated_counters().frames_corrupt, 6u);
+}
+
+// Tenant terms feed water_fill directly: a non-finite or negative
+// sla_floor_w or priority_weight off the wire must be screened like any
+// other corrupt report, never turned into a NaN grant (or, once the domain
+// goes silent, a NaN fenced hold that poisons every later round).
+TEST(HierDaemon, ArbiterRejectsNonFiniteOrNegativeTenantTerms) {
+  net::LoopbackTransport transport;
+  ArbiterDaemon arbiter(transport.listen("arb"), 2);
+  auto c0 = transport.connect("arb");
+  auto c1 = transport.connect("arb");
+
+  const double budget = 1500.0;
+  auto report = [budget](std::uint32_t domain, std::uint64_t tick) {
+    proto::DomainReport r;
+    r.domain_id = domain;
+    r.domain_count = 2;
+    r.tick = tick;
+    r.busy_nodes = 4.0;
+    r.floor_w = 280.0;
+    r.capacity_w = 860.0;
+    r.cluster_budget_w = budget;
+    return r;
+  };
+  const auto expect_sane_grants = [&] {
+    const auto& grants = arbiter.grants_w();
+    ASSERT_EQ(grants.size(), 2u);
+    double sum = 0.0;
+    for (const double g : grants) {
+      EXPECT_TRUE(std::isfinite(g)) << g;
+      sum += g;
+    }
+    EXPECT_LE(sum, budget + 1e-6);
+    for (auto* c : {c0.get(), c1.get()}) {
+      for (const proto::Message& m : c->receive()) {
+        if (const auto* g = std::get_if<proto::BudgetGrant>(&m)) {
+          EXPECT_TRUE(std::isfinite(g->grant_w)) << "tick " << g->tick;
+        }
+      }
+    }
+  };
+
+  // A clean round first, so domain 1 holds a real grant the bad reports
+  // could otherwise overwrite (and, once it falls stale, a fenced hold).
+  c0->send(report(0, 1));
+  c1->send(report(1, 1));
+  ASSERT_TRUE(arbiter.service());
+  expect_sane_grants();
+  ASSERT_EQ(arbiter.aggregated_counters().frames_corrupt, 0u);
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::uint64_t tick = 1;
+  std::uint64_t rejected = 0;
+  for (const double bad : {inf, nan, -1.0}) {
+    for (const bool floor_term : {true, false}) {
+      ++tick;
+      SCOPED_TRACE(std::string(floor_term ? "sla_floor_w" : "priority_weight") +
+                   " = " + std::to_string(bad));
+      proto::DomainReport r1 = report(1, tick);
+      (floor_term ? r1.sla_floor_w : r1.priority_weight) = bad;
+      c0->send(report(0, tick));
+      c1->send(r1);
+      arbiter.service();
+      EXPECT_EQ(arbiter.aggregated_counters().frames_corrupt, ++rejected);
+      expect_sane_grants();
+    }
+  }
+  // Domain 1 fell stale behind its screened reports: domain 0 kept getting
+  // grant rounds, with domain 1's last clean grant fenced.
+  EXPECT_GT(arbiter.decisions(), 1u);
+  EXPECT_TRUE(arbiter.fenced(1));
+  EXPECT_TRUE(std::isfinite(arbiter.fenced_w()));
 }
 
 TEST(HierDaemon, FourDomainsTwoAgentsEachRunsToCompletion) {

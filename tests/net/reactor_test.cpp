@@ -1,8 +1,6 @@
 // Reactor wait-loop contracts: EINTR never shortens a wait (the regression
 // where a signal landing during the empty-interest pacing sleep returned
-// early, indistinguishable from a timeout), and ShardedReactor's combined
-// wait sees readiness on any shard, keeps ready() in canonical ascending
-// order, and degrades to the flat reactor on the poll backend.
+// early, indistinguishable from a timeout), on either backend.
 #include <gtest/gtest.h>
 #include <pthread.h>
 #include <signal.h>
@@ -13,7 +11,6 @@
 #include <thread>
 
 #include "net/reactor.hpp"
-#include "net/sharded_reactor.hpp"
 
 namespace perq::net {
 namespace {
@@ -100,101 +97,6 @@ TEST_P(ReactorEintr, RegisteredWaitSurvivesSignalsUntilTimeout) {
 INSTANTIATE_TEST_SUITE_P(Backends, ReactorEintr,
                          ::testing::Values(Reactor::Backend::kEpoll,
                                            Reactor::Backend::kPoll));
-
-class ShardedReactorTest : public ::testing::TestWithParam<Reactor::Backend> {
- protected:
-  void SetUp() override {
-    for (auto& p : pipes_) ASSERT_EQ(::pipe(p), 0);
-  }
-  void TearDown() override {
-    for (auto& p : pipes_) {
-      ::close(p[0]);
-      ::close(p[1]);
-    }
-  }
-  void poke(int i) { ASSERT_EQ(::write(pipes_[i][1], "x", 1), 1); }
-  void drain(int i) {
-    char c;
-    ASSERT_EQ(::read(pipes_[i][0], &c, 1), 1);
-  }
-  int pipes_[4][2]{};
-};
-
-TEST_P(ShardedReactorTest, CombinedWaitSeesEveryShardSorted) {
-  ShardedReactor r(2, GetParam());
-  for (int i = 0; i < 4; ++i) {
-    r.add(pipes_[i][0], static_cast<std::size_t>(i % 2));
-  }
-  EXPECT_EQ(r.size(), 4u);
-
-  poke(1);
-  poke(2);
-  ASSERT_EQ(r.wait(1000), 2);
-  ASSERT_EQ(r.ready().size(), 2u);
-  // Canonical ascending fd order, whatever shard each fd lives on. pipe()
-  // hands out ascending fds, so pipe 1's read end sorts before pipe 2's.
-  EXPECT_EQ(r.ready()[0], pipes_[1][0]);
-  EXPECT_EQ(r.ready()[1], pipes_[2][0]);
-  EXPECT_LT(r.ready()[0], r.ready()[1]);
-
-  drain(1);
-  drain(2);
-  EXPECT_EQ(r.wait(20), 0);
-  EXPECT_TRUE(r.ready().empty());
-}
-
-TEST_P(ShardedReactorTest, RemoveStopsDelivery) {
-  ShardedReactor r(2, GetParam());
-  for (int i = 0; i < 4; ++i) {
-    r.add(pipes_[i][0], static_cast<std::size_t>(i % 2));
-  }
-  r.remove(pipes_[3][0], 1);
-  EXPECT_EQ(r.size(), 3u);
-  poke(3);
-  EXPECT_EQ(r.wait(20), 0);
-  poke(0);
-  ASSERT_EQ(r.wait(1000), 1);
-  EXPECT_EQ(r.ready()[0], pipes_[0][0]);
-}
-
-TEST_P(ShardedReactorTest, ShardIndicesWrapModulo) {
-  ShardedReactor r(2, GetParam());
-  r.add(pipes_[0][0], 5);  // 5 % 2 == shard 1
-  poke(0);
-  ASSERT_EQ(r.wait(1000), 1);
-  EXPECT_EQ(r.ready()[0], pipes_[0][0]);
-  // Removing via the congruent index hits the same shard.
-  r.remove(pipes_[0][0], 1);
-  EXPECT_EQ(r.size(), 0u);
-}
-
-TEST_P(ShardedReactorTest, EmptyShardedWaitIsAPacingSleep) {
-  SigusrScope scope;
-  ShardedReactor r(4, GetParam());
-  SignalStorm storm(pthread_self());
-  const auto t0 = std::chrono::steady_clock::now();
-  EXPECT_EQ(r.wait(150), 0);
-  EXPECT_GE(elapsed_ms(t0), 140.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, ShardedReactorTest,
-                         ::testing::Values(Reactor::Backend::kEpoll,
-                                           Reactor::Backend::kPoll));
-
-TEST(ShardedReactorBasics, SingleShardMatchesPlainReactor) {
-  ShardedReactor sharded(1, Reactor::Backend::kEpoll);
-  Reactor plain(Reactor::Backend::kEpoll);
-  int p[2];
-  ASSERT_EQ(::pipe(p), 0);
-  sharded.add(p[0], 0);
-  plain.add(p[0]);
-  ASSERT_EQ(::write(p[1], "x", 1), 1);
-  EXPECT_EQ(sharded.wait(1000), 1);
-  EXPECT_EQ(plain.wait(1000), 1);
-  EXPECT_EQ(sharded.ready(), plain.ready());
-  ::close(p[0]);
-  ::close(p[1]);
-}
 
 }  // namespace
 }  // namespace perq::net

@@ -8,7 +8,6 @@
 
 #include "net/loopback.hpp"
 #include "net/tcp.hpp"
-#include "net/tcp_connection.hpp"
 #include "util/require.hpp"
 
 namespace perq::net {
@@ -84,62 +83,6 @@ TEST(Loopback, PeerCloseDrainsThenCloses) {
   EXPECT_FALSE(server->open());
 }
 
-TEST(Loopback, SendSharedKeepsFifoAndDrainReadsInPlace) {
-  LoopbackTransport t;
-  auto listener = t.listen("perqd");
-  auto client = t.connect("perqd");
-  auto server = std::move(listener->accept_new()[0]);
-  auto* cli = static_cast<LoopbackConnection*>(client.get());
-  auto* srv = static_cast<LoopbackConnection*>(server.get());
-
-  const auto shared = std::make_shared<const proto::Message>(hello(2));
-  EXPECT_TRUE(client->send(hello(1)));
-  EXPECT_TRUE(cli->send_shared(shared));
-  EXPECT_TRUE(client->send(hello(3)));
-  EXPECT_FALSE(cli->send_shared(nullptr));
-
-  std::vector<std::uint32_t> ids;
-  const proto::Message* second = nullptr;
-  srv->drain([&](const proto::Message& m) {
-    ids.push_back(hello_id(m));
-    if (ids.size() == 2) second = &m;
-  });
-  EXPECT_EQ(ids, (std::vector<std::uint32_t>{1, 2, 3}));
-  // drain() read the broadcast where it sits -- no copy was ever made.
-  EXPECT_EQ(second, shared.get());
-  EXPECT_TRUE(server->receive().empty());  // drain cleared the queue
-
-  client->close();
-  EXPECT_FALSE(cli->send_shared(shared));
-}
-
-TEST(Loopback, SendSharedFanOutReceiveYieldsOwnedCopies) {
-  LoopbackTransport t;
-  auto listener = t.listen("perqd");
-  auto c1 = t.connect("perqd");
-  auto c2 = t.connect("perqd");
-  auto accepted = listener->accept_new();
-  ASSERT_EQ(accepted.size(), 2u);
-
-  // One decoded broadcast fanned out to both peers by refcount bump.
-  auto shared = std::make_shared<const proto::Message>(hello(9));
-  for (auto& s : accepted) {
-    EXPECT_TRUE(static_cast<LoopbackConnection*>(s.get())->send_shared(shared));
-  }
-  EXPECT_EQ(shared.use_count(), 3);  // caller + one reference per queue
-
-  // receive() still yields owned values: copies, not aliases.
-  const auto got1 = c1->receive();
-  const auto got2 = c2->receive();
-  ASSERT_EQ(got1.size(), 1u);
-  ASSERT_EQ(got2.size(), 1u);
-  EXPECT_EQ(hello_id(got1[0]), 9u);
-  EXPECT_EQ(hello_id(got2[0]), 9u);
-  EXPECT_NE(&got1[0], shared.get());
-  EXPECT_NE(&got2[0], shared.get());
-  EXPECT_EQ(shared.use_count(), 1);  // queues released their references
-}
-
 // ---- tcp -------------------------------------------------------------------
 
 TEST(Tcp, EphemeralPortRoundTrip) {
@@ -206,34 +149,6 @@ TEST(Tcp, ManyMessagesSurvivePartialWrites) {
   }
   ASSERT_EQ(got.size(), kCount);
   for (std::uint32_t i = 0; i < kCount; ++i) EXPECT_EQ(hello_id(got[i]), i);
-}
-
-TEST(Tcp, ConsumeReceivedSeesMessagesInPlaceInOrder) {
-  TcpTransport t;
-  auto listener = t.listen("127.0.0.1:0");
-  auto client =
-      t.connect("127.0.0.1:" + std::to_string(listener_port(*listener)));
-  constexpr std::uint32_t kCount = 500;
-  for (std::uint32_t i = 0; i < kCount; ++i) client->send(hello(i));
-
-  std::unique_ptr<Connection> server;
-  std::vector<std::uint32_t> ids;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (ids.size() < kCount && std::chrono::steady_clock::now() < deadline) {
-    if (!server) {
-      auto accepted = listener->accept_new();
-      if (!accepted.empty()) server = std::move(accepted[0]);
-    }
-    client->receive();  // flush pending writes
-    if (server) {
-      static_cast<TcpConnection*>(server.get())
-          ->consume_received(
-              [&](proto::Message& m) { ids.push_back(hello_id(m)); });
-    }
-  }
-  ASSERT_EQ(ids.size(), kCount);
-  for (std::uint32_t i = 0; i < kCount; ++i) EXPECT_EQ(ids[i], i);
 }
 
 TEST(Tcp, CorruptStreamClosesConnection) {

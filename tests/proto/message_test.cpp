@@ -839,40 +839,5 @@ TEST(Allocation, ParseFrameIntoReusesDynamicBodyCapacity) {
   EXPECT_EQ(rt.plan_crc, 0xDEADBEEFu);
 }
 
-TEST(Allocation, DecoderConsumeSteadyStateIsAllocationFreeForPlans) {
-  // consume() hands out in-place references to persistent slots, so even
-  // dynamic-body frames (plan + ReplTick) decode allocation-free once every
-  // slot has carried its frame type -- the property drain() cannot offer
-  // because it must surrender owned vectors to the caller.
-  std::vector<std::uint8_t> frame_p;
-  std::vector<std::uint8_t> frame_r;
-  encode_into(Message{sample_plan()}, frame_p);
-  encode_into(Message{sample_repl_tick()}, frame_r);
-
-  FrameDecoder dec;
-  std::size_t plans = 0;
-  std::size_t repl_ticks = 0;
-  auto tick = [&] {
-    dec.feed(frame_p.data(), frame_p.size());
-    dec.feed(frame_r.data(), frame_r.size());
-    dec.consume([&](const Message& m) {
-      if (std::holds_alternative<CapPlan>(m)) ++plans;
-      if (std::holds_alternative<ReplTick>(m)) ++repl_ticks;
-    });
-  };
-  // Warm-up: seats each slot's alternative and crosses the decoder's
-  // compaction threshold so the backing buffer reaches steady capacity.
-  for (int i = 0; i < 64; ++i) tick();
-
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
-  for (int i = 0; i < 256; ++i) tick();
-  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
-  EXPECT_EQ(after - before, 0u)
-      << "consume steady state allocated " << (after - before) << " times";
-  EXPECT_FALSE(dec.corrupt());
-  EXPECT_EQ(plans, 320u);
-  EXPECT_EQ(repl_ticks, 320u);
-}
-
 }  // namespace
 }  // namespace perq::proto

@@ -55,9 +55,9 @@ TEST(CliParse, U64RejectsGarbage) {
 }
 
 TEST(CliParse, U64RangeChecked) {
-  EXPECT_EQ(parse_u64_in("--shards", "4", 1, 64), 4u);
-  EXPECT_THROW(parse_u64_in("--shards", "0", 1, 64), precondition_error);
-  EXPECT_THROW(parse_u64_in("--shards", "65", 1, 64), precondition_error);
+  EXPECT_EQ(parse_u64_in("--stale-ticks", "4", 1, 64), 4u);
+  EXPECT_THROW(parse_u64_in("--stale-ticks", "0", 1, 64), precondition_error);
+  EXPECT_THROW(parse_u64_in("--stale-ticks", "65", 1, 64), precondition_error);
 }
 
 TEST(CliParse, ErrorMessagesNameTheFlag) {
