@@ -32,7 +32,6 @@
 #include "hier/hier_policy.hpp"
 #include "hier/tree.hpp"
 #include "util/require.hpp"
-#include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 
 namespace {
@@ -132,7 +131,6 @@ Latency measure_tree(std::size_t depth, std::size_t fanout, std::size_t nj,
   hier::PowerTree tree(std::move(spec));
   const std::size_t leaves = tree.leaves();
 
-  Rng rng(7);
   std::vector<hier::DomainDemand> demands(leaves);
   double busy_total = 0.0;
   for (std::size_t d = 0; d < leaves; ++d) {
@@ -143,7 +141,6 @@ Latency measure_tree(std::size_t depth, std::size_t fanout, std::size_t nj,
     dem.floor_w = dem.busy_nodes * 90.0;
     dem.capacity_w = dem.busy_nodes * 290.0;
     dem.committed_w = dem.busy_nodes * 160.0;
-    dem.utility_per_w = rng.uniform(0.0, 2e6);
     dem.achieved_ips = 1.0e9;
     dem.target_ips = 1.2e9;
     dem.sla_floor_w = dem.busy_nodes * 100.0;  // above the physical floor

@@ -103,9 +103,9 @@ void usage(const char* argv0) {
       "  --parent-count <k>     children of the parent arbiter (default 1)\n"
       "  --depth <n>            declared arbiter levels (validates the path)\n"
       "  --share <s>            static cold-start share of the cluster budget\n"
-      "  --tree-path <a,b,..>   root->self node ids; rides in every grant and\n"
-      "                         report so re-parented subtrees fence grants\n"
-      "                         from a stale parent\n"
+      "  --tree-path <a,b,..>   root->self node ids; rides in every grant so\n"
+      "                         re-parented subtrees fence grants from a\n"
+      "                         stale parent\n"
       "  --sla-floor <w>        tenant SLA power floor (watts)\n"
       "  --priority <p>         tenant priority weight (default 1)\n"
       "  --replicate-to <h:p>   stream decision state to a warm standby\n"

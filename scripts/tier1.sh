@@ -14,6 +14,15 @@
 # its users: HierPolicy's K domain solves, the engine's node advance and
 # DaemonPlant's agent fan-out. The daemons' own pumps are single-threaded.
 #
+# The suite carries a decision-quality gate, Quality.* in
+# tests/integration/quality_test.cpp: 12 h closed loops on three seeds that
+# hold monolithic PERQ, K = 4 domains and a two-level tree to the paper's
+# bounds against FOP and the sharded runs to monolithic jobs. Its three
+# cases run about 9 s of episodes in the plain build. On a 4-core VM with
+# ctest -j 4 they add no measurable wall time to leg 1 (the chaos suite's
+# longest case already sets it), 6-9 s to leg 3 and 30-43 s to leg 2.
+# No case name matches leg 4's -R regex, so TSan does not run them.
+#
 # A perf-smoke leg then runs bench_daemon_throughput at na=64 on the plain
 # build and validates the shape of BENCH_daemon_throughput.json -- its
 # single-pump epoll rows, and that the retired keys (the deleted "sharded"

@@ -247,11 +247,6 @@ MpcDecision MpcController::decide(const std::vector<ControlledJob>& jobs,
   d.status = res.status;
   d.qp_iterations = res.iterations;
   d.objective = res.objective;
-  // The budget rows are indexed by horizon step; step 0 is the interval
-  // actually actuated. Its multiplier is d(objective)/d(bound) in
-  // normalized v units; dividing by TDP converts to per-watt.
-  d.budget_dual_per_w =
-      res.budget_mult.empty() ? 0.0 : res.budget_mult[0] / spec.tdp;
   d.caps_w.resize(nj);
   for (std::size_t i = 0; i < nj; ++i) {
     d.caps_w[i] = std::clamp(res.x[var(i, 0)] * spec.tdp, spec.cap_min, spec.tdp);

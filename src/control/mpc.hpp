@@ -66,11 +66,6 @@ struct MpcDecision {
   qp::SolveStatus status = qp::SolveStatus::kOptimal;
   std::size_t qp_iterations = 0;
   double objective = 0.0;
-  /// Lagrange multiplier of the first horizon step's budget row, converted
-  /// to objective-per-watt units: how much the tracking cost would drop per
-  /// extra watt of budget. Zero when the budget row is slack -- the hook the
-  /// hierarchical arbiter uses as a domain's marginal-watt utility.
-  double budget_dual_per_w = 0.0;
 };
 
 class MpcController {

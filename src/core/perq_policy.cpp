@@ -160,18 +160,16 @@ std::vector<double> PerqPolicy::allocate(const policy::PolicyContext& ctx) {
   std::vector<double> caps =
       policy::enforce_budget(running, decision.caps_w, ctx.budget_for_busy_w);
 
-  // Demand summary for the hierarchical arbiter: what this scope committed,
-  // what one more watt would have bought, and achieved-vs-target IPS.
+  // Outcome summary for a budget domain's demand: what this scope
+  // committed and achieved-vs-target IPS.
   feedback_ = DomainFeedback{};
   feedback_.valid = true;
   for (std::size_t i = 0; i < running.size(); ++i) {
     const double nodes = static_cast<double>(running[i]->spec().nodes);
-    feedback_.busy_nodes += nodes;
     feedback_.committed_w += nodes * caps[i];
     feedback_.achieved_ips += running[i]->last_job_ips();
     feedback_.target_ips += targets.job_target_ips[i];
   }
-  feedback_.utility_per_w = solver_degraded ? 0.0 : decision.budget_dual_per_w;
 
   return caps;
 }

@@ -44,16 +44,14 @@ struct PerqPolicyState {
   std::uint64_t solver_fallbacks = 0;
 };
 
-/// Demand summary of the most recent allocate(), in the shape the
-/// hierarchical BudgetArbiter consumes: how many watts the scope committed,
-/// what one more watt would have been worth (the QP budget dual), and
-/// achieved-vs-target throughput. Derived per-tick -- not part of the
+/// Outcome summary of the most recent allocate(), carried in a budget
+/// domain's demand: how many watts the scope committed and its
+/// achieved-vs-target throughput. The allocation does not read it; it is
+/// the per-domain outcome signal. Derived per-tick -- not part of the
 /// snapshot state; after a restore the first allocate() refills it.
 struct DomainFeedback {
   bool valid = false;          ///< at least one allocate() has run
-  double busy_nodes = 0.0;     ///< nodes under the jobs of the last batch
   double committed_w = 0.0;    ///< watts the returned caps actually commit
-  double utility_per_w = 0.0;  ///< budget-row dual (0 when slack or degraded)
   double achieved_ips = 0.0;   ///< measured aggregate IPS last interval
   double target_ips = 0.0;     ///< summed fairness targets
 };
@@ -88,7 +86,8 @@ class PerqPolicy final : public policy::PowerPolicy {
   /// allocation -- the last rung, always feasible and fair by construction.
   const RobustnessCounters& counters() const { return counters_; }
 
-  /// Demand summary of the most recent allocate() (hier arbiter input).
+  /// Outcome summary of the most recent allocate() (rides in a domain's
+  /// demand).
   const DomainFeedback& last_feedback() const { return feedback_; }
 
   /// Snapshot / restore of the full adaptive state (perqd controller

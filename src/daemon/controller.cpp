@@ -67,7 +67,6 @@ void PerqController::reattach_arbiter(std::unique_ptr<net::Connection> conn,
     leaving.tick = current_tick_;
     leaving.controller_epoch = epoch_;
     leaving.flags = proto::kDomainLeaving;
-    leaving.tree_path = attachment_.tree_path;
     arbiter_conn_->send(leaving);
   }
   if (arbiter_reg_fd_ >= 0) reactor_.remove(arbiter_reg_fd_);
@@ -158,7 +157,6 @@ void PerqController::send_domain_report() {
   const core::DomainFeedback& fb = policy_.last_feedback();
   if (fb.valid) {
     r.committed_w = fb.committed_w + held_w;
-    r.utility_per_w = fb.utility_per_w;
     r.achieved_ips = fb.achieved_ips;
     r.target_ips = fb.target_ips;
   }
@@ -173,15 +171,11 @@ void PerqController::send_domain_report() {
   r.failsafe_activations = c.failsafe_activations;
   r.stale_epoch_frames = c.stale_epoch_frames;
   r.controller_epoch = epoch_;
-  // Power-tree placement and tenant terms (all defaults in a flat
-  // deployment, in which case the encoder emits a byte-identical v1 body).
   r.grants_fenced = c.grants_fenced;
   r.reparent_events = c.reparent_events;
   r.sla_floor_activations = c.sla_floor_activations;
-  r.tree_path = attachment_.tree_path;
   r.sla_floor_w = attachment_.sla_floor_w;
   r.priority_weight = attachment_.priority_weight;
-  r.share_weight = attachment_.static_share;
 
   arbiter_conn_->send(r);
   any_report_ = true;

@@ -19,8 +19,8 @@
 //
 // Hierarchical mode (attach_arbiter): the controller stops assuming the
 // heartbeat's cluster budget is *its* budget. Each control interval it
-// sends the arbiter a DomainReport (floor, capacity, committed watts, QP
-// budget-row dual) and optimizes over the BudgetGrant it gets back; when
+// sends the arbiter a DomainReport (busy nodes, floor, capacity, committed
+// watts) and optimizes over the BudgetGrant it gets back; when
 // the arbiter is unreachable the last grant is held (the arbiter fences
 // the same value on its side, so conservation survives the partition), and
 // before any grant ever arrives the controller assumes the static
@@ -150,19 +150,21 @@ struct ControllerState {
 /// arbiter acting as a child). Everything defaults to the flat two-level
 /// deployment: equal static share, blank tenant, attached at the root.
 /// Kept free of hier/ includes -- the daemon layer is below hier in the
-/// link order -- so the fields mirror hier::TenantSpec by value.
+/// link order -- so the tenant fields mirror hier::TenantSpec by value.
 struct DomainAttachment {
   /// Fraction of the heartbeat's cluster budget this node assumes before
-  /// its first grant (and the share its parent reserves while it has never
-  /// reported). <= 0 means the legacy equal split, budget / domain_count,
-  /// computed with the same division so cold-start behavior stays
-  /// bit-identical. Shares compose multiplicatively down the tree:
-  /// a child of a node with share s and c siblings gets s / c.
+  /// its first grant. <= 0 means the legacy equal split, budget /
+  /// domain_count, computed with the same division so cold-start behavior
+  /// stays bit-identical. Shares compose multiplicatively down the tree:
+  /// a child of a node with share s and c siblings gets s / c. The parent
+  /// does not learn it: it reserves scope / domain_count for a child that
+  /// has never reported, which agrees with the default shares only.
   double static_share = 0.0;
   /// Tenant terms forwarded verbatim in every DomainReport.
   double sla_floor_w = 0.0;
   double priority_weight = 1.0;
-  /// Root -> this node ids for the report's tree_path (empty at depth 1).
+  /// Root -> this node ids. A stacked arbiter stamps it on the grants it
+  /// sends its children (their parent fence); empty at depth 1.
   std::vector<std::uint32_t> tree_path;
   /// Expected tree_path of the *granting* arbiter. Grants whose path
   /// differs are fenced (counted in grants_fenced), which is what keeps a

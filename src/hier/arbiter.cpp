@@ -9,17 +9,13 @@ namespace perq::hier {
 
 namespace {
 
-/// Utilities below this are treated as "budget row slack": the domain does
-/// not benefit from more watts and draws nothing in the utility stage.
-constexpr double kUtilityEps = 1e-12;
-
-/// One clipped proportional-fill stage: spreads `pool` over the domains
-/// where `weight[d] > 0` and `grants[d] < cap[d]`, proportional to weight,
+/// Clipped proportional fill: spreads `pool` over the domains where
+/// `weight[d] > 0` and `grants[d] < cap[d]`, proportional to weight,
 /// clipping at cap and re-flowing freed watts. Terminates because every
-/// round either drains the pool or saturates at least one domain. Returns
-/// the undistributed remainder.
-double fill_stage(double pool, const std::vector<double>& weight,
-                  const std::vector<double>& cap, std::vector<double>& grants) {
+/// round either drains the pool or saturates at least one domain. Watts
+/// beyond every domain's capacity stay unplaced.
+void fill(double pool, const std::vector<double>& weight,
+          const std::vector<double>& cap, std::vector<double>& grants) {
   const std::size_t n = grants.size();
   for (std::size_t round = 0; round < n + 1 && pool > 1e-12; ++round) {
     double total_weight = 0.0;
@@ -38,12 +34,8 @@ double fill_stage(double pool, const std::vector<double>& weight,
       if (take < offer) saturated_any = true;
     }
     pool -= distributed;
-    if (!saturated_any) {
-      pool = std::max(pool, 0.0);
-      break;  // nobody clipped: the pool was fully placed this round
-    }
+    if (!saturated_any) break;  // nobody clipped: the pool was fully placed
   }
-  return std::max(pool, 0.0);
 }
 
 /// The water-filling arithmetic over demands already in canonical order.
@@ -79,28 +71,14 @@ std::vector<double> water_fill_ordered(double budget_w,
     return grants;
   }
 
+  // Head-room above the floors goes proportional to busy_nodes * priority,
+  // clipped at each domain's capacity (priority 1.0 multiplies exactly).
   std::vector<double> grants = floors;
-  double pool = budget_w - floor_sum;
-
-  // Stage 1: constrained domains (binding budget row), weighted by
-  // busy_nodes * utility * priority so a large starved domain outranks a
-  // small one with the same per-watt value, and a high-priority tenant
-  // outranks an equal-demand sibling. priority 1.0 multiplies exactly.
-  std::vector<double> weight(n, 0.0);
-  for (std::size_t d = 0; d < n; ++d) {
-    const double priority = std::max(demands[d]->priority_weight, 0.0);
-    if (demands[d]->utility_per_w > kUtilityEps) {
-      weight[d] = demands[d]->busy_nodes * demands[d]->utility_per_w * priority;
-    }
-  }
-  pool = fill_stage(pool, weight, caps, grants);
-
-  // Stage 2: whatever is left goes node-proportional to anyone with
-  // headroom (cold start lands here: all utilities are still zero).
+  std::vector<double> weight(n);
   for (std::size_t d = 0; d < n; ++d) {
     weight[d] = demands[d]->busy_nodes * std::max(demands[d]->priority_weight, 0.0);
   }
-  pool = fill_stage(pool, weight, caps, grants);
+  fill(budget_w - floor_sum, weight, caps, grants);
 
   // Conservation guard against accumulated rounding: never hand out more
   // than the budget, even by an ulp. The overshoot is taken from grants
@@ -123,6 +101,16 @@ std::vector<double> water_fill_ordered(double budget_w,
 }
 
 }  // namespace
+
+void add_child_demand(DomainDemand& parent, const DomainDemand& child) {
+  parent.jobs += child.jobs;
+  parent.busy_nodes += child.busy_nodes;
+  parent.floor_w += std::max(child.floor_w, child.sla_floor_w);
+  parent.capacity_w += child.capacity_w;
+  parent.committed_w += child.committed_w;
+  parent.achieved_ips += child.achieved_ips;
+  parent.target_ips += child.target_ips;
+}
 
 std::vector<double> water_fill(double budget_w,
                                const std::vector<DomainDemand>& demands,

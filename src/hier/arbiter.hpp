@@ -4,28 +4,24 @@
 // children; stacking arbiters (each child itself an arbiter over its own
 // children) is what PowerTree composes into an arbitrary-depth hierarchy.
 //
-// Every control interval each domain reports its demand (floor, capacity,
-// committed watts, and the marginal value of one more watt -- the dual of
-// its QP budget row). The arbiter re-divides the node's busy-node budget:
+// Every control interval each domain reports its demand (busy nodes,
+// floor, capacity, tenant terms). The arbiter re-divides the node's
+// busy-node budget:
 //
 //   1. Floors first. Every domain is owed max(nj * P_min, SLA floor); if
 //      even the floors do not fit, they are scaled down proportionally
 //      (the plant itself is infeasible at that point, and conservation
 //      still holds).
-//   2. Utility water-filling. The remaining watts flow to domains whose
-//      budget row is *binding* (utility > 0), proportional to
-//      busy_nodes * utility * priority, clipped at each domain's
-//      capacity; freed watts re-flow until the pool is dry or every
-//      constrained domain is saturated. This is what "unspent watts flow
-//      to constrained domains" means operationally: a domain whose QP
-//      left its budget row slack has zero dual and draws nothing in this
-//      stage.
-//   3. Node-proportional remainder. Watts still left (all constrained
-//      domains saturated, or no domain reported a binding row yet -- e.g.
-//      the cold start) are spread over non-saturated domains proportional
-//      to busy_nodes * priority, again clipped at capacity. Watts beyond
-//      every domain's capacity stay unspent: granting them would be
-//      unactuatable anyway.
+//   2. Head-room. The watts above the floors are spread proportional to
+//      busy_nodes * priority, clipped at each domain's capacity; watts
+//      freed by clipping re-flow until the pool is dry or every domain is
+//      saturated. Watts beyond every domain's capacity stay unspent:
+//      granting them would be unactuatable anyway.
+//
+// The head-room deliberately ignores each domain's marginal value (its QP
+// budget dual): a domain whose row went slack would get only its floor,
+// its fair cap re-bases to P_min on that grant, and its row stays slack
+// (DESIGN.md section 5d).
 //
 // Tenant terms are exact no-ops at their defaults: priority 1.0
 // multiplies bit-exactly and a zero SLA floor never lifts nj * P_min, so
@@ -65,6 +61,14 @@
 #include "hier/domain.hpp"
 
 namespace perq::hier {
+
+/// Folds one child's demand into its parent subtree's aggregate: the
+/// extensive quantities sum, and the child's SLA floor lifts its share of
+/// the parent's floor. PowerTree and a stacked ArbiterDaemon both build an
+/// interior node's demand with it, over the present children in ascending
+/// id, so the two sums round identically. Tenant terms of the parent
+/// itself are left for the caller to set.
+void add_child_demand(DomainDemand& parent, const DomainDemand& child);
 
 /// Per-call observability for water_fill. Counters, not behavior: the
 /// allocation is identical whether or not stats are collected.

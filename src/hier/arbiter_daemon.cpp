@@ -13,8 +13,7 @@ namespace {
 constexpr std::uint64_t kMaxTickJump = 1024;
 
 /// The allocator's view of one domain's report. Tenant terms come from the
-/// wire too (defaults are exact no-ops, so a v1 report allocates
-/// bit-identically).
+/// wire too (their defaults are exact no-ops).
 DomainDemand to_demand(const proto::DomainReport& r) {
   DomainDemand d;
   d.domain_id = r.domain_id;
@@ -23,7 +22,6 @@ DomainDemand to_demand(const proto::DomainReport& r) {
   d.floor_w = r.floor_w;
   d.capacity_w = r.capacity_w;
   d.committed_w = r.committed_w;
-  d.utility_per_w = r.utility_per_w;
   d.achieved_ips = r.achieved_ips;
   d.target_ips = r.target_ips;
   d.sla_floor_w = r.sla_floor_w;
@@ -121,25 +119,19 @@ void ArbiterDaemon::send_parent_report(std::uint64_t t,
   r.domain_count = parent_domain_count_;
   r.tick = t;
   r.cluster_budget_w = cluster_budget_w;
-  // Same aggregation as PowerTree: summed extensive quantities, busy-node
-  // weighted mean utility (so the parent's stage-1 weight for this subtree
-  // equals the sum of the children's).
-  double util_mass = 0.0;
-  for (const DomainDemand& d : live) {
-    r.jobs += static_cast<std::uint32_t>(d.jobs);
-    r.busy_nodes += d.busy_nodes;
-    r.floor_w += std::max(d.floor_w, d.sla_floor_w);
-    r.capacity_w += d.capacity_w;
-    r.committed_w += d.committed_w;
-    r.achieved_ips += d.achieved_ips;
-    r.target_ips += d.target_ips;
-    util_mass += d.busy_nodes * d.utility_per_w;
-  }
-  r.utility_per_w = r.busy_nodes > 0.0 ? util_mass / r.busy_nodes : 0.0;
+  // The same aggregation as PowerTree, over the live children in
+  // ascending domain id.
+  DomainDemand agg;
+  for (const DomainDemand& d : live) add_child_demand(agg, d);
+  r.jobs = static_cast<std::uint32_t>(agg.jobs);
+  r.busy_nodes = agg.busy_nodes;
+  r.committed_w = agg.committed_w;
+  r.achieved_ips = agg.achieved_ips;
+  r.target_ips = agg.target_ips;
   // Fenced watts are part of this subtree's floor: silent children keep
   // actuating their held grants, so the parent must keep funding them.
-  r.floor_w += arbiter_.fenced_w();
-  r.capacity_w = std::max(r.capacity_w, r.floor_w);
+  r.floor_w = agg.floor_w + arbiter_.fenced_w();
+  r.capacity_w = std::max(agg.capacity_w, r.floor_w);
   const core::RobustnessCounters c = aggregated_counters();
   r.frames_dropped = c.frames_dropped;
   r.frames_corrupt = c.frames_corrupt;
@@ -153,10 +145,8 @@ void ArbiterDaemon::send_parent_report(std::uint64_t t,
   r.reparent_events = c.reparent_events;
   r.sla_floor_activations = c.sla_floor_activations;
   r.controller_epoch = 1;  // arbiters have no failover epochs (yet)
-  r.tree_path = attachment_.tree_path;
   r.sla_floor_w = attachment_.sla_floor_w;
   r.priority_weight = attachment_.priority_weight;
-  r.share_weight = attachment_.static_share;
   parent_conn_->send(r);
 }
 
@@ -218,11 +208,10 @@ void ArbiterDaemon::ingest(std::size_t session_index, const proto::Message& m) {
       r->domain_count != static_cast<std::uint32_t>(slots_.size()) ||
       !std::isfinite(r->busy_nodes) || !std::isfinite(r->floor_w) ||
       !std::isfinite(r->capacity_w) || !std::isfinite(r->committed_w) ||
-      !std::isfinite(r->utility_per_w) || !std::isfinite(r->achieved_ips) ||
-      !std::isfinite(r->target_ips) || !std::isfinite(r->cluster_budget_w) ||
-      !std::isfinite(r->sla_floor_w) || !std::isfinite(r->priority_weight) ||
-      r->busy_nodes < 0.0 || r->floor_w < 0.0 || r->utility_per_w < 0.0 ||
-      r->sla_floor_w < 0.0 || r->priority_weight < 0.0 ||
+      !std::isfinite(r->achieved_ips) || !std::isfinite(r->target_ips) ||
+      !std::isfinite(r->cluster_budget_w) || !std::isfinite(r->sla_floor_w) ||
+      !std::isfinite(r->priority_weight) || r->busy_nodes < 0.0 ||
+      r->floor_w < 0.0 || r->sla_floor_w < 0.0 || r->priority_weight < 0.0 ||
       r->capacity_w < r->floor_w - 1e-6 || r->cluster_budget_w < 0.0 ||
       r->tick > newest + kMaxTickJump;
   if (insane) {
@@ -324,7 +313,7 @@ bool ArbiterDaemon::try_decide() {
     g.grant_w = grants[d.domain_id];
     g.cluster_budget_w = budget_w;
     // Sender identity for the children's parent fence. The root's empty
-    // path keeps the frame a byte-identical v1 body.
+    // path keeps the grant frame a v1 body.
     g.tree_path = attachment_.tree_path;
     // Grants differ per domain (no common frame to share), but encoding
     // into a pooled buffer keeps the steady-state grant round allocation

@@ -18,7 +18,9 @@
 // fenced -- both sides of the split hold the same number, so conservation
 // survives the lag. A domain that never reported at all (cold-start
 // partition) has the static budget/K split reserved for it, mirroring
-// PerqController::budget_scope_w()'s pre-first-grant fallback.
+// PerqController::budget_scope_w()'s pre-first-grant fallback at default
+// shares (a child's --share is not on the wire, so a non-default one is
+// not reserved).
 //
 // The arbiter also aggregates the robustness counters that ride along in
 // every DomainReport: aggregated_counters() is the cluster-wide accounting
@@ -28,8 +30,8 @@
 // Stacking (attach_parent): an arbiter can itself be a *child* of a higher
 // arbiter, which is how a physical deployment realizes an N-level
 // PowerTree. A stacked arbiter reports the aggregate of its children's
-// demands upward after every decision (same aggregation as
-// hier::PowerTree: summed floors/capacities, busy-weighted mean utility)
+// demands upward after every decision (hier::add_child_demand, the same
+// function PowerTree aggregates with, plus its fenced watts in the floor)
 // and divides its *parent grant* -- not the heartbeat cluster budget --
 // among its children on the next round; before the first parent grant it
 // assumes its configured static share of the cluster budget, mirroring

@@ -43,13 +43,9 @@ struct DomainMap {
 /// floor), which is what keeps an all-default tree bit-identical to the
 /// tenant-blind allocation.
 struct TenantSpec {
-  /// Static budget share assumed before the first grant arrives (and
-  /// reserved by the parent while the node has never reported). <= 0 means
-  /// "equal split across siblings", the pre-tenant behavior.
-  double share_weight = 0.0;
-  /// Multiplies the node's weight in both water-fill stages: a priority-2
-  /// tenant draws oversubscribed watts twice as fast as a priority-1
-  /// sibling with the same demand.
+  /// Multiplies the node's head-room weight (busy nodes): a priority-2
+  /// tenant draws the watts above the floors twice as fast as a priority-1
+  /// sibling with the same busy nodes.
   double priority_weight = 1.0;
   /// SLA power floor in watts for the whole subtree: the allocation never
   /// pins this tenant below the floor while the floor set is feasible,
@@ -58,8 +54,11 @@ struct TenantSpec {
 };
 
 /// One domain's demand as seen by the arbiter at a decision instant.
-/// In-process this is built from core::PerqPolicy::last_feedback(); over
-/// the wire it arrives as a proto::DomainReport.
+/// In-process this is built from the domain's running jobs and
+/// core::PerqPolicy::last_feedback(); over the wire it arrives as a
+/// proto::DomainReport. The allocation reads the busy nodes, floor,
+/// capacity and tenant terms; the committed watts and throughput are the
+/// domain's outcome signal and only travel along.
 struct DomainDemand {
   std::uint32_t domain_id = 0;
   std::size_t jobs = 0;        ///< jobs in the domain's current batch
@@ -67,12 +66,11 @@ struct DomainDemand {
   double floor_w = 0.0;        ///< nj * P_min: the grant never goes below
   double capacity_w = 0.0;     ///< nj * TDP: watts beyond this are unusable
   double committed_w = 0.0;    ///< watts committed under the last grant
-  double utility_per_w = 0.0;  ///< QP budget-row dual (marginal-watt value)
   double achieved_ips = 0.0;   ///< measured throughput last interval
   double target_ips = 0.0;     ///< fairness-target throughput
   /// Tenant terms (defaults are exact no-ops, see TenantSpec).
   double sla_floor_w = 0.0;       ///< SLA floor: lifts floor_w when higher
-  double priority_weight = 1.0;   ///< multiplies both fill-stage weights
+  double priority_weight = 1.0;   ///< multiplies the head-room weight
 };
 
 }  // namespace perq::hier

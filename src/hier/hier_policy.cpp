@@ -88,11 +88,10 @@ std::vector<double> HierarchicalPerqPolicy::allocate(
     domain_jobs[d].push_back(running[i]);
   }
 
-  // Demands for the non-empty domains. Floor/capacity come from *this*
-  // tick's node counts; utility and achieved-vs-target throughput come
-  // from each domain's previous solve (standard one-interval feedback
-  // delay; the cold start has zero utility and is handled by the
-  // arbiter's node-proportional stage).
+  // Demands for the non-empty domains. Busy nodes, floor and capacity
+  // come from *this* tick's node counts, which is all the allocation
+  // reads; committed watts and achieved-vs-target throughput ride along
+  // from each domain's previous solve (one-interval feedback delay).
   last_demands_.clear();
   std::vector<std::size_t> active;  // domain ids with jobs, ascending
   for (std::size_t d = 0; d < k; ++d) {
@@ -109,7 +108,6 @@ std::vector<double> HierarchicalPerqPolicy::allocate(
     const core::DomainFeedback& fb = policies_[d]->last_feedback();
     if (fb.valid) {
       dem.committed_w = fb.committed_w;
-      dem.utility_per_w = fb.utility_per_w;
       dem.achieved_ips = fb.achieved_ips;
       dem.target_ips = fb.target_ips;
     }

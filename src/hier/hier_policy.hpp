@@ -3,9 +3,9 @@
 // The cluster's running jobs are partitioned into K domains (id mod K,
 // see DomainMap); each domain owns an unmodified core::PerqPolicy that
 // solves the domain's small QP against the domain's watt grant. Every
-// decision instant the embedded BudgetArbiter re-divides the cluster's
-// busy-node budget across the non-empty domains from their previous
-// feedback (committed watts, QP budget-row dual, achieved-vs-target IPS),
+// decision instant the embedded PowerTree re-divides the cluster's
+// busy-node budget across the non-empty domains from this tick's busy
+// nodes (floors first, head-room by busy nodes * priority; arbiter.hpp),
 // and the K domain solves then run concurrently as one fork-join on the
 // shared ThreadPool: the calling thread solves domains alongside the
 // workers, and each solve writes only its own output slot, so the fan-out

@@ -174,29 +174,19 @@ const std::vector<double>& PowerTree::allocate(
     eff[node].priority_weight = d.priority_weight * t.priority_weight;
   }
 
-  // Bottom-up aggregation (reverse topo: children before parents). The
-  // aggregate utility is the busy-node-weighted mean of the children's
-  // duals so the parent's stage-1 weight (busy * utility) equals the sum
-  // of the children's -- a subtree pulls exactly as hard as its parts.
+  // Bottom-up aggregation (reverse topo: children before parents). A
+  // subtree's busy nodes are the sum of its parts, so at priority 1 it
+  // pulls head-room as hard as its leaves would side by side.
   for (std::size_t k = topo_.size(); k-- > 0;) {
     const std::uint32_t i = topo_[k];
     if (children_[i].empty()) continue;
     DomainDemand agg;
-    double util_mass = 0.0;
     for (std::uint32_t c : children_[i]) {
       if (!present[c]) continue;
       present[i] = 1;
-      agg.jobs += eff[c].jobs;
-      agg.busy_nodes += eff[c].busy_nodes;
-      agg.floor_w += std::max(eff[c].floor_w, eff[c].sla_floor_w);
-      agg.capacity_w += eff[c].capacity_w;
-      agg.committed_w += eff[c].committed_w;
-      agg.achieved_ips += eff[c].achieved_ips;
-      agg.target_ips += eff[c].target_ips;
-      util_mass += eff[c].busy_nodes * eff[c].utility_per_w;
+      add_child_demand(agg, eff[c]);
     }
     if (!present[i]) continue;
-    agg.utility_per_w = agg.busy_nodes > 0.0 ? util_mass / agg.busy_nodes : 0.0;
     const TenantSpec& t = spec_.nodes[i].tenant;
     agg.sla_floor_w = t.sla_floor_w;
     agg.priority_weight = t.priority_weight;

@@ -5,17 +5,16 @@
 // rack -> node) with oversubscription at every level, so this generalizes
 // the pair into a first-class recursion: every interior node runs the
 // water-filling arbiter over its *child subtrees*, leaves own unmodified
-// MPC shards, and every node carries tenant metadata (share, priority,
-// SLA floor) that composes down the tree.
+// MPC shards, and every node carries tenant metadata (priority, SLA floor)
+// that composes down the tree.
 //
 // Allocation is two sweeps per control interval:
 //
-//   1. Bottom-up demand aggregation. An interior node's demand is the sum
-//      of its present children's floors, capacities, busy nodes and
-//      committed watts; its utility_per_w is the busy-node-weighted mean
-//      of the children's duals, chosen so that the node's stage-1 weight
-//      (busy * utility) equals the *sum* of its children's stage-1
-//      weights -- collapsing a subtree into one demand loses no pull.
+//   1. Bottom-up demand aggregation (add_child_demand, arbiter.hpp). An
+//      interior node's demand is the sum of its present children's
+//      floors (each lifted by its SLA floor), capacities, busy nodes and
+//      committed watts. Its head-room weight is busy nodes * priority, so
+//      at priority 1 collapsing a subtree into one demand loses no pull.
 //   2. Top-down water-filling. The root is granted the cluster budget
 //      bit-exactly; each interior node water-fills its own grant over its
 //      present children (canonical child order, see arbiter.hpp), and the

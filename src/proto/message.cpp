@@ -63,7 +63,6 @@ void write_body(WireWriter& w, const DomainReport& m) {
   w.f64(m.floor_w);
   w.f64(m.capacity_w);
   w.f64(m.committed_w);
-  w.f64(m.utility_per_w);
   w.f64(m.achieved_ips);
   w.f64(m.target_ips);
   w.f64(m.cluster_budget_w);
@@ -76,29 +75,12 @@ void write_body(WireWriter& w, const DomainReport& m) {
   w.u64(m.failsafe_activations);
   w.u64(m.stale_epoch_frames);
   w.u64(m.controller_epoch);
-  // Trailing v2 extension, written only when it would say something: a
-  // tenant-blank depth-1 report stays byte-identical to a v1 encoder.
-  const bool extended = m.flags != 0 || m.grants_fenced != 0 ||
-                        m.reparent_events != 0 || m.sla_floor_activations != 0 ||
-                        !m.tree_path.empty() || m.sla_floor_w != 0.0 ||
-                        m.priority_weight != 1.0 || m.share_weight != 0.0;
-  if (!extended) return;
-  w.u8(2);  // body version
   w.u8(m.flags);
   w.u64(m.grants_fenced);
   w.u64(m.reparent_events);
   w.u64(m.sla_floor_activations);
-  w.u8(static_cast<std::uint8_t>(m.tree_path.size()));
-  for (std::uint32_t node : m.tree_path) w.u32(node);
-  // Tenant TLV: every known id is always written (fixed-width entries), so
-  // a reader that knows fewer ids can still step over the rest.
-  w.u8(3);
-  w.u8(kTenantSlaFloorW);
   w.f64(m.sla_floor_w);
-  w.u8(kTenantPriorityWeight);
   w.f64(m.priority_weight);
-  w.u8(kTenantShareWeight);
-  w.f64(m.share_weight);
 }
 
 void write_body(WireWriter& w, const BudgetGrant& m) {
@@ -177,8 +159,8 @@ Bye read_bye(WireReader& r) {
   return m;
 }
 
-bool read_domain_report(WireReader& r, DomainReport& m) {
-  m.tree_path.clear();  // capacity kept: the reuse contract of parse_frame_into
+DomainReport read_domain_report(WireReader& r) {
+  DomainReport m;
   m.domain_id = r.u32();
   m.domain_count = r.u32();
   m.tick = r.u64();
@@ -187,7 +169,6 @@ bool read_domain_report(WireReader& r, DomainReport& m) {
   m.floor_w = r.f64();
   m.capacity_w = r.f64();
   m.committed_w = r.f64();
-  m.utility_per_w = r.f64();
   m.achieved_ips = r.f64();
   m.target_ips = r.f64();
   m.cluster_budget_w = r.f64();
@@ -200,46 +181,13 @@ bool read_domain_report(WireReader& r, DomainReport& m) {
   m.failsafe_activations = r.u64();
   m.stale_epoch_frames = r.u64();
   m.controller_epoch = r.u64();
-  // Reset the v2 fields before probing the extension: the reused slot may
-  // still hold the previous frame's values, and an absent extension must
-  // decode as the defaults.
-  m.flags = 0;
-  m.grants_fenced = 0;
-  m.reparent_events = 0;
-  m.sla_floor_activations = 0;
-  m.sla_floor_w = 0.0;
-  m.priority_weight = 1.0;
-  m.share_weight = 0.0;
-  if (!r.ok()) return false;
-  if (r.remaining() == 0) return true;  // v1 body: defaults stand
-  const std::uint8_t body_version = r.u8();
-  if (body_version < 2) return false;
   m.flags = r.u8();
   m.grants_fenced = r.u64();
   m.reparent_events = r.u64();
   m.sla_floor_activations = r.u64();
-  const std::uint8_t path_len = r.u8();
-  if (!r.ok() || path_len > kMaxTreePathDepth ||
-      static_cast<std::size_t>(path_len) * 4 > r.remaining()) {
-    return false;  // tree-path truncation or an absurd depth both reject
-  }
-  m.tree_path.reserve(path_len);
-  for (std::uint8_t i = 0; i < path_len; ++i) m.tree_path.push_back(r.u32());
-  const std::uint8_t tlv_count = r.u8();
-  if (!r.ok() || static_cast<std::size_t>(tlv_count) * 9 > r.remaining()) {
-    return false;
-  }
-  for (std::uint8_t i = 0; i < tlv_count; ++i) {
-    const std::uint8_t id = r.u8();
-    const double value = r.f64();
-    switch (id) {
-      case kTenantSlaFloorW: m.sla_floor_w = value; break;
-      case kTenantPriorityWeight: m.priority_weight = value; break;
-      case kTenantShareWeight: m.share_weight = value; break;
-      default: break;  // unknown tenant field: tolerated, stepped over
-    }
-  }
-  return r.ok();
+  m.sla_floor_w = r.f64();
+  m.priority_weight = r.f64();
+  return m;
 }
 
 bool read_budget_grant(WireReader& r, BudgetGrant& m) {
@@ -406,9 +354,7 @@ bool parse_frame_into(const std::uint8_t* data, std::size_t size, Message& out) 
       break;
     case MsgType::kHeartbeat: out = read_heartbeat(r); break;
     case MsgType::kBye: out = read_bye(r); break;
-    case MsgType::kDomainReport:
-      if (!read_domain_report(r, slot_as<DomainReport>(out))) return false;
-      break;
+    case MsgType::kDomainReport: out = read_domain_report(r); break;
     case MsgType::kBudgetGrant:
       if (!read_budget_grant(r, slot_as<BudgetGrant>(out))) return false;
       break;

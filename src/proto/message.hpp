@@ -23,7 +23,7 @@
 //   Heartbeat    agent -> controller    liveness + the plant's budget status
 //   CapPlan      controller -> agents   per-job caps (and IPS targets) to apply
 //   Bye          agent -> controller    graceful leave (no staleness alarm)
-//   DomainReport domain ctl -> arbiter  demand + utility for one budget domain
+//   DomainReport domain ctl -> arbiter  demand for one budget domain
 //   BudgetGrant  arbiter -> domain ctl  the domain's watt allocation this tick
 //   ReplTick     primary -> standby     one decide's canonical inputs (the
 //                                       accepted frames since the previous
@@ -128,37 +128,26 @@ struct Bye {
   std::uint32_t agent_id = 0;
 };
 
-/// DomainReport flags (v2 body extension).
+/// DomainReport flags.
 inline constexpr std::uint8_t kDomainLeaving = 1u << 0;  ///< re-parenting away
 
-/// Deepest tree-path a frame may carry: bounds both the u8 length byte and
-/// any hierarchy this repo targets (8 levels of arbiters is datacenter ->
-/// node with room to spare). A longer declared path rejects the frame.
+/// Deepest tree-path a BudgetGrant may carry: bounds both the u8 length
+/// byte and any hierarchy this repo targets (8 levels of arbiters is
+/// datacenter -> node with room to spare). A longer declared path rejects
+/// the frame.
 inline constexpr std::size_t kMaxTreePathDepth = 8;
 
-/// Tenant TLV ids (v2 body extension). Each entry is a fixed-width
-/// {u8 id, f64 value} pair, so a reader can *skip* an id it does not know
-/// -- that is the forward-compatibility seam for future tenant fields,
-/// deliberately looser than the strict grammar everywhere else.
-inline constexpr std::uint8_t kTenantSlaFloorW = 1;
-inline constexpr std::uint8_t kTenantPriorityWeight = 2;
-inline constexpr std::uint8_t kTenantShareWeight = 3;
-
-/// One budget domain's demand summary, sent by its controller to the
-/// arbiter once per control interval. Everything the water-filling
-/// allocation needs travels in-band: the hard floor and ceiling, the watts
-/// the domain actually committed under its last grant, the marginal value
-/// of one more watt (the QP budget-row dual), and achieved-vs-target
-/// throughput. The robustness counters ride along so the arbiter can
-/// aggregate accounting across domains instead of losing it per-process.
+/// One budget domain's demand summary, sent by its controller (or by a
+/// stacked arbiter for its subtree) to the arbiter once per control
+/// interval. The water-filling allocation reads the busy nodes, the hard
+/// floor and ceiling and the tenant terms; the committed watts and
+/// achieved-vs-target throughput are the domain's outcome signal. The
+/// robustness counters ride along so the arbiter can aggregate accounting
+/// across domains instead of losing it per-process.
 ///
-/// Body versioning: the fields through controller_epoch are the v1 body.
-/// The power-tree fields after them travel in a trailing v2 extension
-/// (u8 body-version >= 2, flags, tree counters, tree path, tenant TLV)
-/// that is written only when some extended field is non-default -- a
-/// tenant-blank depth-1 report encodes byte-identical to a v1 encoder --
-/// and whose absence decodes as the defaults, so v1 and v2 peers
-/// interoperate in both directions.
+/// The body is fixed-size, every field always written in declaration
+/// order. It has no version byte and no optional tail, so a report from a
+/// peer with another layout fails the strict body-length check.
 struct DomainReport {
   std::uint32_t domain_id = 0;
   std::uint32_t domain_count = 1;
@@ -168,7 +157,6 @@ struct DomainReport {
   double floor_w = 0.0;            ///< nj * P_min: never grant below this
   double capacity_w = 0.0;         ///< nj * TDP: watts beyond this are wasted
   double committed_w = 0.0;        ///< watts the last plan actually committed
-  double utility_per_w = 0.0;      ///< QP budget-row dual (objective per watt)
   double achieved_ips = 0.0;       ///< measured throughput last interval
   double target_ips = 0.0;         ///< fairness-target throughput
   double cluster_budget_w = 0.0;   ///< plant busy budget seen via heartbeat
@@ -186,26 +174,23 @@ struct DomainReport {
   /// fences reports whose epoch is lower than the newest it has seen for
   /// the domain -- a deposed domain controller cannot steal grants back.
   std::uint64_t controller_epoch = 0;
-  // ---- v2 body extension (power tree) ----
   std::uint8_t flags = 0;  ///< kDomainLeaving: release my slot, I re-parented
   /// Tree-level robustness counters, aggregated up the hierarchy the same
-  /// way the v1 counters are (order matches core::RobustnessCounters).
+  /// way the ones above are (order matches core::RobustnessCounters).
   std::uint64_t grants_fenced = 0;
   std::uint64_t reparent_events = 0;
   std::uint64_t sla_floor_activations = 0;
-  /// Root -> sender node ids: where in the power tree this report came
-  /// from. Empty for a directly-attached (depth-1) domain controller.
-  std::vector<std::uint32_t> tree_path;
   /// Tenant terms (see hier::TenantSpec; defaults are exact no-ops).
   double sla_floor_w = 0.0;
   double priority_weight = 1.0;
-  double share_weight = 0.0;
 };
 
 /// The arbiter's answer: the watts `domain_id` may spend at `tick`.
-/// Carries the same trailing v2 extension scheme as DomainReport: the
-/// granting arbiter's epoch and tree path are appended only when
-/// non-default, and decode as defaults when absent.
+/// Body versioning: the fields through cluster_budget_w are the v1 body.
+/// The granting arbiter's epoch and tree path travel in a trailing v2
+/// extension (u8 body-version >= 2, epoch, tree path) that is written only
+/// when either is non-default and decodes as the defaults when absent, so
+/// a root arbiter's grants stay v1 bodies.
 struct BudgetGrant {
   std::uint32_t domain_id = 0;
   std::uint64_t tick = 0;

@@ -254,10 +254,8 @@ class ReplayEngine {
         const RunJob& r = running_[i];
         d.busy_nodes += r.nodes;
         d.capacity_w += r.nodes * r.desired_cap_w;
-        d.committed_w += r.nodes * r.cap_w;
       }
       d.floor_w = d.busy_nodes * power_.cap_min;
-      d.utility_per_w = d.committed_w + 1e-9 < d.capacity_w ? 1.0 : 0.0;
       demands.push_back(d);
     }
     const std::vector<double> grants =

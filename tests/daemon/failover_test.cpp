@@ -67,7 +67,10 @@ std::vector<std::uint8_t> payload_of(const proto::Message& m) {
 class ReplicationLogTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "perq_repl_log_test.wal";
+    // One file per case: ctest -j runs the cases as concurrent processes.
+    path_ = ::testing::TempDir() + "perq_repl_log_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".wal";
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }

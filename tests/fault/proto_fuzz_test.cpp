@@ -66,6 +66,34 @@ std::vector<Message> sample_messages() {
   Bye b;
   b.agent_id = 3;
   out.push_back(b);
+  DomainReport r;  // fixed body, every field non-default
+  r.domain_id = 2;
+  r.domain_count = 3;
+  r.tick = 33;
+  r.jobs = 5;
+  r.busy_nodes = 12.0;
+  r.floor_w = 840.0;
+  r.capacity_w = 2580.0;
+  r.committed_w = 1900.0;
+  r.achieved_ips = 2.5e10;
+  r.target_ips = 2.75e10;
+  r.cluster_budget_w = 9280.0;
+  r.frames_dropped = 8;
+  r.frames_corrupt = 7;
+  r.reconnect_attempts = 6;
+  r.stale_transitions = 5;
+  r.solver_fallbacks = 4;
+  r.clamp_activations = 3;
+  r.failsafe_activations = 2;
+  r.stale_epoch_frames = 1;
+  r.controller_epoch = 4;
+  r.flags = kDomainLeaving;
+  r.grants_fenced = 2;
+  r.reparent_events = 1;
+  r.sla_floor_activations = 5;
+  r.sla_floor_w = 500.0;
+  r.priority_weight = 2.0;
+  out.push_back(r);
   ReplTick rt;
   rt.epoch = 2;
   rt.tick = 18;
@@ -282,30 +310,10 @@ TEST(ProtoFuzz, MutatedReplTicksApplyAllOrNothing) {
   EXPECT_GT(unparsed, 0u);
 }
 
-// v2 tree-extended frames get their own samples, deliberately NOT added
-// to sample_messages(): truncating a v2 frame at exactly the v1 boundary
-// parses as a valid v1 frame by design (the downgrade path), which would
-// break TruncatedBodiesAreRejectedNotRead's every-prefix-rejects sweep.
-DomainReport tree_report_sample() {
-  DomainReport r;
-  r.domain_id = 2;
-  r.tick = 33;
-  r.controller_epoch = 4;
-  r.busy_nodes = 12.0;
-  r.floor_w = 840.0;
-  r.capacity_w = 2580.0;
-  r.utility_per_w = 3.5e5;
-  r.flags = kDomainLeaving;
-  r.grants_fenced = 2;
-  r.reparent_events = 1;
-  r.sla_floor_activations = 5;
-  r.tree_path = {0, 1, 6};
-  r.sla_floor_w = 500.0;
-  r.priority_weight = 2.0;
-  r.share_weight = 0.5;
-  return r;
-}
-
+// The v2 tree-extended grant gets its own sample, deliberately NOT added
+// to sample_messages(): truncating it at exactly the v1 boundary parses as
+// a valid v1 grant by design (the downgrade path), which would break
+// TruncatedBodiesAreRejectedNotRead's every-prefix-rejects sweep.
 BudgetGrant tree_grant_sample() {
   BudgetGrant g;
   g.domain_id = 6;
@@ -318,12 +326,10 @@ BudgetGrant tree_grant_sample() {
 }
 
 TEST(ProtoFuzz, MutatedTreeExtendedFramesParseOrRejectWithoutCrashing) {
-  const std::vector<Message> samples = {Message(tree_report_sample()),
-                                        Message(tree_grant_sample())};
+  const Message m(tree_grant_sample());
   Rng rng(777);
   std::size_t parsed = 0, rejected = 0;
   for (int round = 0; round < 400; ++round) {
-    const Message& m = samples[static_cast<std::size_t>(round % 2)];
     std::vector<std::uint8_t> frame = encode(m);
     const int flips = static_cast<int>(rng.uniform_int(1, 8));
     for (int i = 0; i < flips; ++i) {
@@ -335,11 +341,9 @@ TEST(ProtoFuzz, MutatedTreeExtendedFramesParseOrRejectWithoutCrashing) {
     if (parsed_msg.has_value()) {
       ++parsed;
       // Whatever the flips did, a frame that parses must respect the tree
-      // invariants the arbiter relies on: the path never exceeds the depth
+      // invariant the children rely on: the path never exceeds the depth
       // bound (the parser's job, not the caller's).
-      if (const auto* r = std::get_if<DomainReport>(&*parsed_msg)) {
-        EXPECT_LE(r->tree_path.size(), kMaxTreePathDepth);
-      } else if (const auto* g = std::get_if<BudgetGrant>(&*parsed_msg)) {
+      if (const auto* g = std::get_if<BudgetGrant>(&*parsed_msg)) {
         EXPECT_LE(g->tree_path.size(), kMaxTreePathDepth);
       }
     } else {
@@ -356,40 +360,26 @@ TEST(ProtoFuzz, MutatedTreeExtendedFramesParseOrRejectWithoutCrashing) {
 }
 
 TEST(ProtoFuzz, TruncatedTreeFramesRejectExceptTheV1Boundary) {
-  // For each v2 sample, compute the v1 boundary by encoding a twin with
-  // the extension reset to defaults; every strict prefix must reject
-  // EXCEPT that one cut, which parses as the v1 frame.
-  const auto sweep = [](const Message& full, const Message& v1_twin) {
-    const std::vector<std::uint8_t> frame = encode(full);
-    const std::uint8_t* body = frame.data() + 4;
-    const std::size_t body_size = frame.size() - 4;
-    const std::size_t boundary = encode(v1_twin).size() - 4;
-    ASSERT_LT(boundary, body_size);
-    for (std::size_t len = 0; len < body_size; ++len) {
-      const auto m = parse_frame(body, len);
-      if (len == boundary) {
-        EXPECT_TRUE(m.has_value()) << "v1 boundary " << len;
-      } else {
-        EXPECT_FALSE(m.has_value()) << "prefix " << len;
-      }
-    }
-    EXPECT_TRUE(parse_frame(body, body_size).has_value());
-  };
-  DomainReport v1_report = tree_report_sample();
-  v1_report.flags = 0;
-  v1_report.grants_fenced = 0;
-  v1_report.reparent_events = 0;
-  v1_report.sla_floor_activations = 0;
-  v1_report.tree_path.clear();
-  v1_report.sla_floor_w = 0.0;
-  v1_report.priority_weight = 1.0;
-  v1_report.share_weight = 0.0;
-  sweep(Message(tree_report_sample()), Message(v1_report));
-
+  // The v1 boundary comes from encoding a twin with the extension reset to
+  // defaults; every strict prefix must reject EXCEPT that one cut, which
+  // parses as the v1 grant.
   BudgetGrant v1_grant = tree_grant_sample();
   v1_grant.arbiter_epoch = 0;
   v1_grant.tree_path.clear();
-  sweep(Message(tree_grant_sample()), Message(v1_grant));
+  const std::vector<std::uint8_t> frame = encode(Message(tree_grant_sample()));
+  const std::uint8_t* body = frame.data() + 4;
+  const std::size_t body_size = frame.size() - 4;
+  const std::size_t boundary = encode(Message(v1_grant)).size() - 4;
+  ASSERT_LT(boundary, body_size);
+  for (std::size_t len = 0; len < body_size; ++len) {
+    const auto m = parse_frame(body, len);
+    if (len == boundary) {
+      EXPECT_TRUE(m.has_value()) << "v1 boundary " << len;
+    } else {
+      EXPECT_FALSE(m.has_value()) << "prefix " << len;
+    }
+  }
+  EXPECT_TRUE(parse_frame(body, body_size).has_value());
 }
 
 TEST(ProtoFuzz, ValidFramesBeforeACorruptTailStillDeliver) {

@@ -21,9 +21,9 @@ double sum(const std::vector<double>& v) {
   return std::accumulate(v.begin(), v.end(), 0.0);
 }
 
-/// Randomized but reproducible demand set: node counts, utilities (some
-/// zero: slack budget rows), floors/capacities derived the way the policy
-/// derives them (busy * cap_min, busy * tdp).
+/// Randomized but reproducible demand set: node counts, with floors and
+/// capacities derived the way the policy derives them (busy * cap_min,
+/// busy * tdp).
 std::vector<DomainDemand> random_demands(Rng& rng, std::size_t n) {
   std::vector<DomainDemand> demands(n);
   for (std::size_t d = 0; d < n; ++d) {
@@ -33,7 +33,6 @@ std::vector<DomainDemand> random_demands(Rng& rng, std::size_t n) {
     dem.jobs = static_cast<std::size_t>(rng.uniform_int(1, 8));
     dem.floor_w = dem.busy_nodes * 70.0;
     dem.capacity_w = dem.busy_nodes * 215.0;
-    dem.utility_per_w = rng.bernoulli(0.5) ? rng.uniform(0.0, 3.0) : 0.0;
     dem.committed_w = rng.uniform(dem.floor_w, dem.capacity_w);
     dem.achieved_ips = rng.uniform(0.0, 1e12);
     dem.target_ips = rng.uniform(0.0, 1e12);
@@ -148,7 +147,7 @@ TEST(WaterFill, SlaFloorLiftsThePhysicalFloor) {
   const double budget = 2400.0;
   const auto grants = water_fill(budget, {a, b}, &stats);
   // Floors become {1500, 700}; the 200 W head-room spreads node-
-  // proportionally (equal busy, both utilities slack): 100 each.
+  // proportionally (equal busy nodes): 100 each.
   EXPECT_NEAR(grants[0], 1600.0, 1e-9);
   EXPECT_NEAR(grants[1], 800.0, 1e-9);
   EXPECT_EQ(stats.sla_floor_activations, 1u);
@@ -170,7 +169,7 @@ TEST(WaterFill, InfeasibleSlaFloorsScaleWithTheRest) {
   EXPECT_NEAR(sum(grants), budget, 1e-9);
 }
 
-TEST(WaterFill, PriorityWeightTiltsBothStages) {
+TEST(WaterFill, PriorityWeightTiltsTheFill) {
   DomainDemand a, b;
   a.domain_id = 0;
   a.busy_nodes = b.busy_nodes = 10.0;
@@ -179,37 +178,37 @@ TEST(WaterFill, PriorityWeightTiltsBothStages) {
   b.domain_id = 1;
   a.priority_weight = 2.0;
 
-  // Stage 1 (both budget rows binding): equal demand, double priority --
-  // domain 0 draws head-room twice as fast.
-  a.utility_per_w = b.utility_per_w = 1.0;
-  const auto constrained = water_fill(2400.0, {a, b});
-  EXPECT_NEAR(constrained[0] - 700.0, 2.0 * (constrained[1] - 700.0), 1e-6);
-  EXPECT_NEAR(sum(constrained), 2400.0, 1e-6);
-
-  // Stage 2 (cold start, both utilities zero): same 2:1 tilt.
-  a.utility_per_w = b.utility_per_w = 0.0;
-  const auto cold = water_fill(2600.0, {a, b});
-  EXPECT_NEAR(cold[0], 1500.0, 1e-9);  // floor + 2/3 of the 1200 W pool
-  EXPECT_NEAR(cold[1], 1100.0, 1e-9);
+  // Equal busy nodes, double priority: domain 0 draws the head-room above
+  // the floors twice as fast.
+  const auto grants = water_fill(2600.0, {a, b});
+  EXPECT_NEAR(grants[0], 1500.0, 1e-9);  // floor + 2/3 of the 1200 W pool
+  EXPECT_NEAR(grants[1], 1100.0, 1e-9);
 }
 
-TEST(WaterFill, ConstrainedDomainOutranksSlackDomain) {
-  // Two identical domains except domain 0's budget row is binding
-  // (positive dual): the head-room above the floors must flow to it first.
-  DomainDemand starving, content;
-  starving.domain_id = 0;
-  starving.busy_nodes = content.busy_nodes = 10.0;
-  starving.floor_w = content.floor_w = 700.0;
-  starving.capacity_w = content.capacity_w = 2150.0;
-  starving.utility_per_w = 1.5;
-  content.domain_id = 1;
-  content.utility_per_w = 0.0;
+TEST(WaterFill, HeadroomFollowsBusyNodesAndClipsAtCapacity) {
+  // No domain's grant depends on how its last solve went: the watts above
+  // the floors split by busy nodes, and a domain clipped at its capacity
+  // hands the rest on.
+  DomainDemand small, large, tiny;
+  small.domain_id = 0;
+  small.busy_nodes = 10.0;
+  small.floor_w = 700.0;
+  small.capacity_w = 2150.0;
+  large.domain_id = 1;
+  large.busy_nodes = 30.0;
+  large.floor_w = 2100.0;
+  large.capacity_w = 6450.0;
+  const auto split = water_fill(4800.0, {small, large});  // 2000 W head-room
+  EXPECT_NEAR(split[0], 1200.0, 1e-9);
+  EXPECT_NEAR(split[1], 3600.0, 1e-9);
 
-  const double budget = 2400.0;  // floors take 1400, 1000 left to place
-  const auto grants = water_fill(budget, {starving, content});
-  ASSERT_EQ(grants.size(), 2u);
-  EXPECT_NEAR(grants[0], 1700.0, 1e-9);  // floor + entire head-room
-  EXPECT_NEAR(grants[1], 700.0, 1e-9);   // floor only
+  tiny.domain_id = 2;
+  tiny.busy_nodes = 10.0;
+  tiny.floor_w = 700.0;
+  tiny.capacity_w = 800.0;  // saturates after 100 W
+  const auto clipped = water_fill(2900.0, {small, tiny});  // 1500 W head-room
+  EXPECT_NEAR(clipped[1], 800.0, 1e-9);
+  EXPECT_NEAR(clipped[0], 2100.0, 1e-9);  // its 750 W plus tiny's unused 650
 }
 
 TEST(WaterFill, InfeasibleFloorsScaleProportionally) {

@@ -1,12 +1,15 @@
 // HierarchicalPerqPolicy tests: the K=1 configuration is bit-identical to
 // the monolithic PerqPolicy over a full experiment, and K>1 runs respect
 // grant conservation, domain-local budget compliance (asserted inside the
-// engine every tick via set_domain_grants), and counter aggregation.
+// engine every tick via set_domain_grants), counter aggregation, and no
+// domain held at its floor while the budget has head-room.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "core/node_model.hpp"
@@ -132,6 +135,73 @@ TEST(HierPolicy, CountersAggregateAcrossDomains) {
   for (std::size_t d = 0; d < 3; ++d) sum += hier.domain_policy(d).counters();
   EXPECT_EQ(hier.counters().total(), sum.total());
   EXPECT_EQ(hier.counters().solver_fallbacks, sum.solver_fallbacks);
+}
+
+TEST(HierPolicy, NoDomainSitsAtItsFloorWhileHeadroomRemains) {
+  // While the floors leave watts over, every domain that can use more than
+  // its floor gets more than its floor. A fill that hands the head-room to
+  // some domains and pins the rest at nj * P_min re-bases their fair cap
+  // to P_min, and they stay there (the sharded run then loses jobs).
+  core::EngineConfig cfg;
+  cfg.trace.system = trace::SystemModel::kTrinity;
+  cfg.trace.max_job_nodes = 8;
+  cfg.trace.seed = 11;
+  cfg.worst_case_nodes = 32;
+  cfg.over_provision_factor = 2.0;
+  cfg.duration_s = 3600.0;
+  cfg.control_interval_s = 10.0;
+  cfg.trace.job_count = core::recommended_job_count(cfg);
+  HierConfig hcfg;
+  hcfg.domains = 4;
+  HierarchicalPerqPolicy hier(&core::canonical_node_model(),
+                              cfg.worst_case_nodes, total_nodes(cfg), hcfg);
+
+  // run_hier_experiment's loop, checking each tick's grants.
+  core::SimulationEngine engine(cfg);
+  std::size_t checked = 0;
+  std::size_t floored = 0;
+  std::string first;
+  while (!engine.done()) {
+    const core::TickView& view = engine.begin_tick();
+    for (const sched::Job* started : view.started) hier.on_job_started(*started);
+    std::vector<double> caps;
+    std::vector<double> targets;
+    if (!view.running.empty()) {
+      const policy::PolicyContext ctx = engine.context();
+      caps = hier.allocate(ctx);
+      std::vector<std::uint32_t> domain_of_job;
+      for (const sched::Job* job : view.running) {
+        targets.push_back(hier.target_ips(job->spec().id));
+        domain_of_job.push_back(hier.domain_of(job->spec().id));
+      }
+      engine.set_domain_grants(hier.last_grants_w(), std::move(domain_of_job));
+
+      const auto& demands = hier.last_demands();
+      double floor_sum = 0.0;
+      for (const DomainDemand& d : demands) floor_sum += d.floor_w;
+      if (demands.size() >= 2 && floor_sum < ctx.budget_for_busy_w) {
+        for (const DomainDemand& d : demands) {
+          if (d.capacity_w <= d.floor_w) continue;
+          ++checked;
+          if (hier.last_grants_w()[d.domain_id] > d.floor_w) continue;
+          if (floored++ == 0) {
+            first = "domain " + std::to_string(d.domain_id) + " at t=" +
+                    std::to_string(ctx.now_s) + " s, " +
+                    std::to_string(ctx.budget_for_busy_w - floor_sum) +
+                    " W above the floors";
+          }
+        }
+      }
+    }
+    engine.apply_caps(std::move(caps), std::move(targets));
+    engine.advance();
+    for (const auto& finished : engine.last_finished()) {
+      hier.on_job_finished(*finished.first);
+    }
+  }
+  EXPECT_EQ(floored, 0u) << "of " << checked
+                         << " domain-ticks held at the floor; first: " << first;
+  EXPECT_GT(checked, 1000u);  // 360 ticks x 4 domains, nearly all eligible
 }
 
 TEST(HierPolicy, DomainMapIsStableAndTotal) {

@@ -36,7 +36,6 @@ std::vector<DomainDemand> random_demands(Rng& rng, std::size_t n) {
     dem.jobs = static_cast<std::size_t>(rng.uniform_int(1, 8));
     dem.floor_w = dem.busy_nodes * 70.0;
     dem.capacity_w = dem.busy_nodes * 215.0;
-    dem.utility_per_w = rng.bernoulli(0.5) ? rng.uniform(0.0, 3.0) : 0.0;
     dem.committed_w = rng.uniform(dem.floor_w, dem.capacity_w);
     dem.achieved_ips = rng.uniform(0.0, 1e12);
     dem.target_ips = rng.uniform(0.0, 1e12);
@@ -214,11 +213,9 @@ TEST(PowerTree, TenantPriorityTiltsTheFill) {
   spec.nodes[1].tenant.priority_weight = 2.0;  // leaf slot 0
   PowerTree tree(std::move(spec));
 
-  DomainDemand a = simple_demand(0);
-  DomainDemand b = simple_demand(1);
-  a.utility_per_w = b.utility_per_w = 1.0;  // both budget rows binding
   const double budget = 2400.0;  // floors take 1400, 1000 left to place
-  const auto& grants = tree.allocate(budget, {a, b});
+  const auto& grants =
+      tree.allocate(budget, {simple_demand(0), simple_demand(1)});
   // Equal demand, double priority: leaf 0 draws head-room twice as fast.
   EXPECT_NEAR(grants[0] - 700.0, 2.0 * (grants[1] - 700.0), 1e-6);
   EXPECT_NEAR(sum(grants), budget, 1e-6);

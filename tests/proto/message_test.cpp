@@ -176,6 +176,8 @@ TEST(Message, ByeRoundTrip) {
   EXPECT_EQ(std::get<Bye>(*m).agent_id, 9u);
 }
 
+/// A report in which every field is non-default, so a field the encoder
+/// skipped or misplaced cannot round-trip by accident.
 DomainReport sample_report() {
   DomainReport r;
   r.domain_id = 2;
@@ -186,18 +188,28 @@ DomainReport sample_report() {
   r.floor_w = 840.0;
   r.capacity_w = 2580.0;
   r.committed_w = 1901.5;
-  r.utility_per_w = 0.0078125;
   r.achieved_ips = 2.5e10;
   r.target_ips = 2.75e10;
   r.cluster_budget_w = 9280.0;
+  r.frames_dropped = 13;
   r.frames_corrupt = 11;
+  r.reconnect_attempts = 7;
   r.stale_transitions = 2;
   r.solver_fallbacks = 1;
+  r.clamp_activations = 17;
   r.failsafe_activations = 5;
   r.stale_epoch_frames = 3;
   r.controller_epoch = 2;
+  r.flags = kDomainLeaving;
+  r.grants_fenced = 4;
+  r.reparent_events = 1;
+  r.sla_floor_activations = 9;
+  r.sla_floor_w = 450.5;
+  r.priority_weight = 2.5;
   return r;
 }
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 TEST(Message, DomainReportRoundTripIsBitExact) {
   const DomainReport in = sample_report();
@@ -208,41 +220,48 @@ TEST(Message, DomainReportRoundTripIsBitExact) {
   EXPECT_EQ(r.domain_count, in.domain_count);
   EXPECT_EQ(r.tick, in.tick);
   EXPECT_EQ(r.jobs, in.jobs);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.busy_nodes),
-            std::bit_cast<std::uint64_t>(in.busy_nodes));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.floor_w),
-            std::bit_cast<std::uint64_t>(in.floor_w));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.capacity_w),
-            std::bit_cast<std::uint64_t>(in.capacity_w));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.committed_w),
-            std::bit_cast<std::uint64_t>(in.committed_w));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.utility_per_w),
-            std::bit_cast<std::uint64_t>(in.utility_per_w));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.cluster_budget_w),
-            std::bit_cast<std::uint64_t>(in.cluster_budget_w));
+  EXPECT_EQ(bits(r.busy_nodes), bits(in.busy_nodes));
+  EXPECT_EQ(bits(r.floor_w), bits(in.floor_w));
+  EXPECT_EQ(bits(r.capacity_w), bits(in.capacity_w));
+  EXPECT_EQ(bits(r.committed_w), bits(in.committed_w));
+  EXPECT_EQ(bits(r.achieved_ips), bits(in.achieved_ips));
+  EXPECT_EQ(bits(r.target_ips), bits(in.target_ips));
+  EXPECT_EQ(bits(r.cluster_budget_w), bits(in.cluster_budget_w));
+  EXPECT_EQ(r.frames_dropped, 13u);
   EXPECT_EQ(r.frames_corrupt, 11u);
+  EXPECT_EQ(r.reconnect_attempts, 7u);
   EXPECT_EQ(r.stale_transitions, 2u);
   EXPECT_EQ(r.solver_fallbacks, 1u);
-  EXPECT_EQ(r.clamp_activations, 0u);
+  EXPECT_EQ(r.clamp_activations, 17u);
   EXPECT_EQ(r.failsafe_activations, 5u);
   EXPECT_EQ(r.stale_epoch_frames, 3u);
   EXPECT_EQ(r.controller_epoch, 2u);
 }
 
-/// A report exercising every v2 (power tree) extension field. Kept
-/// separate from sample_report(): the extension is written only when some
-/// extended field is non-default, so the two samples cover both encodings.
-DomainReport sample_report_v2() {
-  DomainReport r = sample_report();
-  r.flags = kDomainLeaving;
-  r.grants_fenced = 4;
-  r.reparent_events = 1;
-  r.sla_floor_activations = 9;
-  r.tree_path = {0, 2, 7};
-  r.sla_floor_w = 450.5;
-  r.priority_weight = 2.5;
-  r.share_weight = 0.25;
-  return r;
+/// The fields the power tree added (flags, tree robustness counters,
+/// tenant terms) once rode in a conditional v2 extension; they now sit at
+/// the tail of the fixed body and must survive bit-for-bit both when set
+/// and at their defaults.
+TEST(Message, DomainReportV2RoundTripIsBitExact) {
+  const auto m = round_trip(sample_report());
+  ASSERT_TRUE(m.has_value());
+  const auto& r = std::get<DomainReport>(*m);
+  EXPECT_EQ(r.flags, kDomainLeaving);
+  EXPECT_EQ(r.grants_fenced, 4u);
+  EXPECT_EQ(r.reparent_events, 1u);
+  EXPECT_EQ(r.sla_floor_activations, 9u);
+  EXPECT_EQ(bits(r.sla_floor_w), bits(450.5));
+  EXPECT_EQ(bits(r.priority_weight), bits(2.5));
+
+  const auto d = round_trip(DomainReport{});
+  ASSERT_TRUE(d.has_value());
+  const auto& def = std::get<DomainReport>(*d);
+  EXPECT_EQ(def.flags, 0u);
+  EXPECT_EQ(def.grants_fenced, 0u);
+  EXPECT_EQ(def.reparent_events, 0u);
+  EXPECT_EQ(def.sla_floor_activations, 0u);
+  EXPECT_EQ(bits(def.sla_floor_w), bits(0.0));
+  EXPECT_EQ(bits(def.priority_weight), bits(1.0));
 }
 
 BudgetGrant sample_grant_v2() {
@@ -256,31 +275,6 @@ BudgetGrant sample_grant_v2() {
   return g;
 }
 
-TEST(Message, DomainReportV2RoundTripIsBitExact) {
-  const DomainReport in = sample_report_v2();
-  const auto m = round_trip(in);
-  ASSERT_TRUE(m.has_value());
-  const auto& r = std::get<DomainReport>(*m);
-  // v1 fields still intact...
-  EXPECT_EQ(r.domain_id, in.domain_id);
-  EXPECT_EQ(r.tick, in.tick);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.utility_per_w),
-            std::bit_cast<std::uint64_t>(in.utility_per_w));
-  EXPECT_EQ(r.controller_epoch, in.controller_epoch);
-  // ...and the whole extension survives bit-for-bit.
-  EXPECT_EQ(r.flags, kDomainLeaving);
-  EXPECT_EQ(r.grants_fenced, 4u);
-  EXPECT_EQ(r.reparent_events, 1u);
-  EXPECT_EQ(r.sla_floor_activations, 9u);
-  EXPECT_EQ(r.tree_path, (std::vector<std::uint32_t>{0, 2, 7}));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.sla_floor_w),
-            std::bit_cast<std::uint64_t>(450.5));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.priority_weight),
-            std::bit_cast<std::uint64_t>(2.5));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.share_weight),
-            std::bit_cast<std::uint64_t>(0.25));
-}
-
 TEST(Message, BudgetGrantV2RoundTripIsBitExact) {
   const BudgetGrant in = sample_grant_v2();
   const auto m = round_trip(in);
@@ -292,21 +286,6 @@ TEST(Message, BudgetGrantV2RoundTripIsBitExact) {
             std::bit_cast<std::uint64_t>(in.grant_w));
   EXPECT_EQ(g.arbiter_epoch, 6u);
   EXPECT_EQ(g.tree_path, (std::vector<std::uint32_t>{0, 2}));
-}
-
-TEST(Message, DefaultExtensionFieldsEncodeByteIdenticalToV1) {
-  // The conditional-extension contract: a tenant-blank depth-1 report
-  // (every v2 field at its default) must stay byte-identical to what a v1
-  // encoder produced, so existing captures and old peers see no change.
-  const auto v1_frame = encode(Message(sample_report()));
-  DomainReport touched = sample_report();
-  touched.priority_weight = 1.0;  // explicit default: still no extension
-  touched.tree_path.clear();
-  EXPECT_EQ(encode(Message(touched)), v1_frame);
-  // Any single non-default field grows the frame (the extension appears).
-  DomainReport extended = sample_report();
-  extended.tree_path = {0};
-  EXPECT_GT(encode(Message(extended)).size(), v1_frame.size());
 }
 
 TEST(Message, BudgetGrantRoundTripIsBitExact) {
@@ -443,46 +422,33 @@ TEST(MessageReject, EveryTruncationOfEveryType) {
   }
 }
 
-// The v2-extended frames are deliberately absent from the sweep above:
-// cutting their extension off exactly at the v1 boundary yields a valid
-// v1 frame by design (that is the downgrade path), so their truncation
+// The v2-extended grant is deliberately absent from the sweep above:
+// cutting its extension off exactly at the v1 boundary yields a valid v1
+// grant by design (that is the downgrade path), so its truncation
 // behavior has its own test with the one legal cut carved out.
 TEST(MessageReject, V2TruncationRejectsEverywhereButTheV1Boundary) {
-  const auto check = [](const Message& full, const Message& v1_twin) {
-    const auto body = body_of(full);
-    const std::size_t boundary = body_of(v1_twin).size();
-    ASSERT_LT(boundary, body.size());
-    for (std::size_t n = 0; n < body.size(); ++n) {
-      const auto m = parse_frame(body.data(), n);
-      if (n == boundary) {
-        // The extension dropped whole: parses as the v1 frame, extension
-        // fields at their defaults.
-        ASSERT_TRUE(m.has_value()) << "v1 boundary at " << n;
-        continue;
-      }
-      EXPECT_FALSE(m.has_value())
-          << to_string(type_of(full)) << " truncated to " << n << " bytes";
-    }
-  };
-  check(Message(sample_report_v2()), Message(sample_report()));
   BudgetGrant v1_grant;
   v1_grant.domain_id = 3;
   v1_grant.tick = 77;
   v1_grant.grant_w = 2321.0625;
   v1_grant.cluster_budget_w = 9280.0;
-  check(Message(sample_grant_v2()), Message(v1_grant));
-
-  // And the boundary cut really decodes as defaults, not stale values.
-  const auto body = body_of(Message(sample_report_v2()));
-  const std::size_t boundary = body_of(Message(sample_report())).size();
-  const auto m = parse_frame(body.data(), boundary);
-  ASSERT_TRUE(m.has_value());
-  const auto& r = std::get<DomainReport>(*m);
-  EXPECT_EQ(r.flags, 0u);
-  EXPECT_TRUE(r.tree_path.empty());
-  EXPECT_EQ(r.sla_floor_w, 0.0);
-  EXPECT_EQ(r.priority_weight, 1.0);
-  EXPECT_EQ(r.controller_epoch, sample_report().controller_epoch);
+  const auto body = body_of(Message(sample_grant_v2()));
+  const std::size_t boundary = body_of(Message(v1_grant)).size();
+  ASSERT_LT(boundary, body.size());
+  for (std::size_t n = 0; n < body.size(); ++n) {
+    const auto m = parse_frame(body.data(), n);
+    if (n == boundary) {
+      // The extension dropped whole: parses as the v1 grant, extension
+      // fields at their defaults, not stale values.
+      ASSERT_TRUE(m.has_value()) << "v1 boundary at " << n;
+      const auto& g = std::get<BudgetGrant>(*m);
+      EXPECT_EQ(g.arbiter_epoch, 0u);
+      EXPECT_TRUE(g.tree_path.empty());
+      EXPECT_EQ(bits(g.grant_w), bits(v1_grant.grant_w));
+      continue;
+    }
+    EXPECT_FALSE(m.has_value()) << "BudgetGrant truncated to " << n << " bytes";
+  }
 }
 
 TEST(MessageReject, TreePathLengthLyingAboutBody) {
@@ -499,15 +465,6 @@ TEST(MessageReject, TreePathLengthLyingAboutBody) {
     EXPECT_FALSE(parse_frame(body.data(), body.size()).has_value())
         << "declared path length " << int(lie);
   }
-
-  // Same guard on the report side (its path precedes the tenant TLVs:
-  // 1 count byte + 3 fixed-width {id, f64} entries = 28 tail bytes).
-  const auto report_body = body_of(Message(sample_report_v2()));
-  const std::size_t rep_len_at = report_body.size() - 28 - 1 - 4 * 3;
-  ASSERT_EQ(report_body[rep_len_at], 3u);
-  auto body = report_body;
-  body[rep_len_at] = 9;  // > kMaxTreePathDepth
-  EXPECT_FALSE(parse_frame(body.data(), body.size()).has_value());
 }
 
 TEST(MessageReject, OversizedTreePathNeverEncodesAsParseable) {
@@ -517,53 +474,6 @@ TEST(MessageReject, OversizedTreePathNeverEncodesAsParseable) {
   g.tree_path.assign(kMaxTreePathDepth + 1, 1);
   const auto body = body_of(Message(g));
   EXPECT_FALSE(parse_frame(body.data(), body.size()).has_value());
-
-  DomainReport r = sample_report_v2();
-  r.tree_path.assign(kMaxTreePathDepth + 1, 1);
-  const auto rbody = body_of(Message(r));
-  EXPECT_FALSE(parse_frame(rbody.data(), rbody.size()).has_value());
-}
-
-TEST(Message, UnknownTenantTlvIdIsSkippedNotRejected) {
-  // The tenant TLV is the one deliberately loose seam in the grammar:
-  // fixed-width {u8 id, f64 value} entries, so a reader steps over ids it
-  // does not know instead of dropping the frame -- future tenant fields
-  // must not break old arbiters.
-  const auto clean = body_of(Message(sample_report_v2()));
-  // Tail layout: u8 tlv_count, then 3 * 9 TLV bytes.
-  const std::size_t count_at = clean.size() - 3 * 9 - 1;
-  ASSERT_EQ(clean[count_at], 3u);
-
-  // Append a fourth TLV with an unknown id: still parses, values intact.
-  auto extended = clean;
-  extended[count_at] = 4;
-  extended.push_back(0x4D);  // no such tenant id
-  for (int i = 0; i < 8; ++i) extended.push_back(0xAB);
-  const auto m = parse_frame(extended.data(), extended.size());
-  ASSERT_TRUE(m.has_value());
-  const auto& r = std::get<DomainReport>(*m);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.sla_floor_w),
-            std::bit_cast<std::uint64_t>(450.5));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.priority_weight),
-            std::bit_cast<std::uint64_t>(2.5));
-
-  // Overwrite a known id with an unknown one: the field falls back to its
-  // default while the rest of the frame still parses.
-  auto renamed = clean;
-  ASSERT_EQ(renamed[count_at + 1], kTenantSlaFloorW);
-  renamed[count_at + 1] = 99;
-  const auto m2 = parse_frame(renamed.data(), renamed.size());
-  ASSERT_TRUE(m2.has_value());
-  const auto& r2 = std::get<DomainReport>(*m2);
-  EXPECT_EQ(r2.sla_floor_w, 0.0);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(r2.priority_weight),
-            std::bit_cast<std::uint64_t>(2.5));
-
-  // A TLV count lying about the body still rejects: tolerance covers
-  // unknown ids, never broken framing.
-  auto lying = clean;
-  lying[count_at] = 200;
-  EXPECT_FALSE(parse_frame(lying.data(), lying.size()).has_value());
 }
 
 TEST(MessageReject, TrailingJunk) {
@@ -571,7 +481,7 @@ TEST(MessageReject, TrailingJunk) {
        {Message(sample_hello()), Message(sample_telemetry()),
         Message(sample_heartbeat()), Message(Bye{4}),
         Message(sample_report()), Message(BudgetGrant{}),
-        Message(sample_report_v2()), Message(sample_grant_v2()),
+        Message(sample_grant_v2()),
         Message(sample_repl_tick()), Message(ReplSnapshot{2, {0x01}}),
         Message(PromoteAnnounce{5, 99})}) {
     auto body = body_of(m);
