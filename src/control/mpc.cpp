@@ -83,17 +83,17 @@ MpcDecision MpcController::decide(const std::vector<ControlledJob>& jobs,
   const double u_mean_norm =
       jobs[0].estimator->node_model().u_mean() / u_scale;
 
-  // Per-job affine prediction pieces: y_i(j) = free_i[j] + sum_l g[j-l] u_il.
-  // Only m x model-order multiply-adds per job: a fan-out would cost more
-  // than it spreads.
-  std::vector<Vector> free_resp(nj, Vector(m, 0.0));
+  // Per-job affine prediction pieces: y_i(j) = free_i[j] + sum_l g[j-l] u_il,
+  // with free_i[j] stored flat at free_resp[i * m + j]. Only m x model-order
+  // multiply-adds per job: a fan-out would cost more than it spreads.
+  Vector free_resp(nj * m);
   for (std::size_t i = 0; i < nj; ++i) {
     const Vector& x0 = jobs[i].estimator->state();
     for (std::size_t j = 0; j < m; ++j) {
       double v = 0.0;
       for (std::size_t kk = 0; kk < x0.size(); ++kk) v += ca[j][kk] * x0[kk];
       // Fold in the constant contribution of the input centering.
-      free_resp[i][j] = v - u_mean_norm * g_cum[j];
+      free_resp[i * m + j] = v - u_mean_norm * g_cum[j];
     }
   }
 
@@ -128,8 +128,12 @@ MpcDecision MpcController::decide(const std::vector<ControlledJob>& jobs,
       cfg_.weight_sys *
       std::min(1.0, sys_scale / std::max(targets.system_target_ips, 1.0));
 
+  // Row scratch, reused by every row: the system row at the last step is
+  // the longest, nj * m entries.
   std::vector<std::size_t> idx;
   std::vector<double> coef;
+  idx.reserve(nv);
+  coef.reserve(nv);
   for (std::size_t j = 0; j < m; ++j) {
     // Terminal cost (paper Sec. 2.3.2): the final prediction step carries
     // extra weight so the plan must *converge* to the targets by the end of
@@ -143,7 +147,7 @@ MpcDecision MpcController::decide(const std::vector<ControlledJob>& jobs,
       for (std::size_t i = 0; i < nj; ++i) {
         const double nodes = static_cast<double>(jobs[i].job->spec().nodes);
         const double gain = jobs[i].estimator->gain();
-        sys_const += nodes * (gain * free_resp[i][j] + jobs[i].estimator->offset());
+        sys_const += nodes * (gain * free_resp[i * m + j] + jobs[i].estimator->offset());
         for (std::size_t l = 0; l <= j; ++l) {
           idx.push_back(var(i, l));
           coef.push_back(nodes * gain * g[j - l] * cap_to_u / sys_scale);
@@ -184,7 +188,7 @@ MpcDecision MpcController::decide(const std::vector<ControlledJob>& jobs,
           coef.push_back(nodes * gain * g[j - l] * cap_to_u / t_i);
         }
         const double y_const =
-            nodes * (gain * free_resp[i][j] + jobs[i].estimator->offset());
+            nodes * (gain * free_resp[i * m + j] + jobs[i].estimator->offset());
         const double b = (targets.job_target_ips[i] - y_const) / t_i;
         sp.add_residual(idx, coef, b, weight_job_i * terminal);
       }
@@ -201,6 +205,8 @@ MpcDecision MpcController::decide(const std::vector<ControlledJob>& jobs,
 
     // --- budget constraint for step j ---
     qp::BudgetConstraint bc;
+    bc.index.reserve(nj);
+    bc.weight.reserve(nj);
     for (std::size_t i = 0; i < nj; ++i) {
       bc.index.push_back(var(i, j));
       bc.weight.push_back(static_cast<double>(jobs[i].job->spec().nodes));

@@ -372,15 +372,29 @@ QpResult solve_active_set(const StructuredQp& p, const linalg::Vector& x0,
   for (std::size_t i = 0; i < n; ++i) is_free[i] = ws.bound[i] == BoundState::kFree;
   BlockFactor factor(p, is_free);
 
+  // Budget columns u_k = Q_FF^{-1} a_k. The factor is a function of the free
+  // set alone, so a column stays exact until the free set changes: each is
+  // computed once per free set, the missing ones in one multi-column sweep,
+  // and `set_free` drops them all. Column of row k: cols[col_of[k] * n ..].
+  constexpr std::size_t kNoCol = SIZE_MAX;
+  std::vector<std::size_t> col_of(nb, kNoCol);
+  std::vector<double> cols;
+  std::vector<double> col_rhs;
+  std::vector<std::size_t> missing;
+  const auto set_free = [&](std::size_t i, bool free) {
+    factor.set_free(i, free);
+    std::fill(col_of.begin(), col_of.end(), kNoCol);
+    cols.clear();
+  };
+
   // Equality-constrained subproblem on the free variables via the block
   // factor and a Schur complement over the active budget rows:
-  //   d0 = -Q_FF^{-1} g_F,  u_e = Q_FF^{-1} a_e,
+  //   d0 = -Q_FF^{-1} g_F,
   //   (A Q_FF^{-1} A') nu = A d0,  d = d0 - sum_e nu_e u_e.
   std::vector<std::size_t> rows;
-  std::vector<linalg::Vector> u;
   linalg::Vector rhs(n);
   // a_e' v for a vector that is zero on the fixed variables.
-  const auto row_dot = [](const BudgetConstraint& bc, const linalg::Vector& v) {
+  const auto row_dot = [](const BudgetConstraint& bc, const double* v) {
     double s = 0.0;
     for (std::size_t j = 0; j < bc.index.size(); ++j) s += bc.weight[j] * v[bc.index[j]];
     return s;
@@ -389,37 +403,48 @@ QpResult solve_active_set(const StructuredQp& p, const linalg::Vector& x0,
                              linalg::Vector& nu_out) {
     nu_out.assign(nb, 0.0);
     rows.clear();
+    missing.clear();
     for (std::size_t k = 0; k < nb; ++k) {
       if (!ws.budget[k]) continue;
       const auto& bc = p.budgets[k];
       const bool has_free =
           std::any_of(bc.index.begin(), bc.index.end(),
                       [&](std::size_t i) { return ws.bound[i] == BoundState::kFree; });
-      if (has_free) rows.push_back(k);
+      if (!has_free) continue;
+      rows.push_back(k);
+      if (col_of[k] == kNoCol) missing.push_back(k);
     }
     for (std::size_t i = 0; i < n; ++i) rhs[i] = -g[i];
-    factor.solve(rhs, d);
+    factor.solve(rhs.data(), d.data(), 1);
 
     const std::size_t ne = rows.size();
     if (ne == 0) return;
-    if (u.size() < ne) u.resize(ne);
-    for (std::size_t e = 0; e < ne; ++e) {
-      std::fill(rhs.begin(), rhs.end(), 0.0);
-      const auto& bc = p.budgets[rows[e]];
-      for (std::size_t j = 0; j < bc.index.size(); ++j) rhs[bc.index[j]] = bc.weight[j];
-      factor.solve(rhs, u[e]);
+    if (!missing.empty()) {
+      const std::size_t w = missing.size();
+      col_rhs.assign(w * n, 0.0);
+      for (std::size_t c = 0; c < w; ++c) {
+        const auto& bc = p.budgets[missing[c]];
+        for (std::size_t j = 0; j < bc.index.size(); ++j) {
+          col_rhs[c * n + bc.index[j]] = bc.weight[j];
+        }
+        col_of[missing[c]] = cols.size() / n + c;
+      }
+      cols.resize(cols.size() + w * n);
+      factor.solve(col_rhs.data(), cols.data() + cols.size() - w * n, w);
     }
+    const auto col = [&](std::size_t e) { return cols.data() + col_of[rows[e]] * n; };
     linalg::Matrix schur(ne, ne);
     linalg::Vector srhs(ne);
     for (std::size_t e = 0; e < ne; ++e) {
       const auto& bc = p.budgets[rows[e]];
-      srhs[e] = row_dot(bc, d);
-      for (std::size_t f = 0; f < ne; ++f) schur(e, f) = row_dot(bc, u[f]);
+      srhs[e] = row_dot(bc, d.data());
+      for (std::size_t f = 0; f < ne; ++f) schur(e, f) = row_dot(bc, col(f));
     }
     const linalg::Vector nu_rows = linalg::Lu(schur).solve(srhs);
     for (std::size_t e = 0; e < ne; ++e) {
       nu_out[rows[e]] = nu_rows[e];
-      for (std::size_t i = 0; i < n; ++i) d[i] -= nu_rows[e] * u[e][i];
+      const double* u = col(e);
+      for (std::size_t i = 0; i < n; ++i) d[i] -= nu_rows[e] * u[i];
     }
   };
 
@@ -461,7 +486,7 @@ QpResult solve_active_set(const StructuredQp& p, const linalg::Vector& x0,
       }
       if (drop_kind == DropKind::kBound) {
         ws.bound[drop_idx] = BoundState::kFree;
-        factor.set_free(drop_idx, true);
+        set_free(drop_idx, true);
       } else {
         ws.budget[drop_idx] = false;
       }
@@ -517,12 +542,12 @@ QpResult solve_active_set(const StructuredQp& p, const linalg::Vector& x0,
       case BlockKind::kLower:
         ws.bound[block_idx] = BoundState::kAtLower;
         x[block_idx] = p.lb[block_idx];
-        factor.set_free(block_idx, false);
+        set_free(block_idx, false);
         break;
       case BlockKind::kUpper:
         ws.bound[block_idx] = BoundState::kAtUpper;
         x[block_idx] = p.ub[block_idx];
-        factor.set_free(block_idx, false);
+        set_free(block_idx, false);
         break;
       case BlockKind::kBudget:
         ws.budget[block_idx] = true;

@@ -88,30 +88,30 @@ BlockFactor::BlockFactor(const StructuredQp& p, const std::vector<char>& free)
   group_by(owner, nb_, boff_, members_);
   loc_.resize(n_);
   loff_.assign(nb_ + 1, 0);
-  std::size_t largest = 0;
   for (std::size_t b = 0; b < nb_; ++b) {
     const std::size_t s = boff_[b + 1] - boff_[b];
     for (std::size_t a = 0; a < s; ++a) loc_[members_[boff_[b] + a]] = a;
     loff_[b + 1] = loff_[b] + s * s;
-    largest = std::max(largest, s);
+    largest_ = std::max(largest_, s);
   }
 
   // Classify terms: a row or pair inside one block belongs to that block's
   // Hessian; one that spans blocks becomes a coupling column of U.
   std::vector<std::size_t> coupling_rows;
-  owner.assign(p.rows_.size(), kNone);
-  for (std::size_t r = 0; r < p.rows_.size(); ++r) {
-    const auto& idx = p.rows_[r].idx;
-    const std::size_t b = block_of(idx[0]);
-    const bool local = std::all_of(idx.begin(), idx.end(),
-                                   [&](std::size_t v) { return block_of(v) == b; });
+  owner.assign(p.row_count(), kNone);
+  for (std::size_t r = 0; r < p.row_count(); ++r) {
+    const std::size_t* first = p.row_idx_.data() + p.row_off_[r];
+    const std::size_t* last = p.row_idx_.data() + p.row_off_[r + 1];
+    const std::size_t b = block_of(*first);
+    const bool local =
+        std::all_of(first, last, [&](std::size_t v) { return block_of(v) == b; });
     if (local) {
       owner[r] = b;
     } else {
       coupling_rows.push_back(r);
     }
   }
-  group_by(owner, nb_, row_off_, block_rows_);
+  group_by(owner, nb_, block_row_off_, block_rows_);
   std::vector<std::size_t> coupling_pairs;
   owner.assign(p.pairs_.size(), kNone);
   for (std::size_t q = 0; q < p.pairs_.size(); ++q) {
@@ -122,7 +122,7 @@ BlockFactor::BlockFactor(const StructuredQp& p, const std::vector<char>& free)
       coupling_pairs.push_back(q);
     }
   }
-  group_by(owner, nb_, pair_off_, block_pairs_);
+  group_by(owner, nb_, block_pair_off_, block_pairs_);
 
   k_ = coupling_rows.size() + coupling_pairs.size();
   U_.assign(n_ * k_, 0.0);
@@ -131,9 +131,10 @@ BlockFactor::BlockFactor(const StructuredQp& p, const std::vector<char>& free)
   };
   std::size_t c = 0;
   for (std::size_t r : coupling_rows) {
-    const auto& row = p.rows_[r];
-    const double sw = std::sqrt(row.w);
-    for (std::size_t e = 0; e < row.idx.size(); ++e) u_at(row.idx[e], c) = sw * row.coef[e];
+    const double sw = std::sqrt(p.row_w_[r]);
+    for (std::size_t e = p.row_off_[r]; e < p.row_off_[r + 1]; ++e) {
+      u_at(p.row_idx_[e], c) = sw * p.row_coef_[e];
+    }
     ++c;
   }
   for (std::size_t q : coupling_pairs) {
@@ -148,11 +149,9 @@ BlockFactor::BlockFactor(const StructuredQp& p, const std::vector<char>& free)
   V_.resize(n_ * k_);
   G_.assign(nb_ * k_ * k_, 0.0);
   C_.resize(k_ * k_);
-  fpos_.resize(largest);
-  gpos_.resize(largest);
-  gcoef_.resize(largest);
-  work_.resize(largest);
-  t_.resize(k_);
+  fpos_.resize(largest_);
+  gpos_.resize(largest_);
+  gcoef_.resize(largest_);
 
   free_ = free;
   fidx_.resize(n_);
@@ -185,23 +184,23 @@ void BlockFactor::factor_block(std::size_t b) {
   // Assemble the lower triangle of D_b restricted to the free members.
   std::fill(a, a + f * f, 0.0);
   for (std::size_t i = 0; i < f; ++i) a[i * f + i] = p_.diag_[members_[base + fl[i]]];
-  for (std::size_t t = row_off_[b]; t < row_off_[b + 1]; ++t) {
-    const auto& row = p_.rows_[block_rows_[t]];
+  for (std::size_t t = block_row_off_[b]; t < block_row_off_[b + 1]; ++t) {
+    const std::size_t r = block_rows_[t];
     std::size_t cnt = 0;
-    for (std::size_t e = 0; e < row.idx.size(); ++e) {
-      const std::size_t fp = fpos_[loc_[row.idx[e]]];
+    for (std::size_t e = p_.row_off_[r]; e < p_.row_off_[r + 1]; ++e) {
+      const std::size_t fp = fpos_[loc_[p_.row_idx_[e]]];
       if (fp == kNone) continue;
       gpos_[cnt] = fp;
-      gcoef_[cnt++] = row.coef[e];
+      gcoef_[cnt++] = p_.row_coef_[e];
     }
     for (std::size_t r1 = 0; r1 < cnt; ++r1) {
-      const double wc = row.w * gcoef_[r1];
+      const double wc = p_.row_w_[r] * gcoef_[r1];
       for (std::size_t r2 = 0; r2 < cnt; ++r2) {
         if (gpos_[r2] <= gpos_[r1]) a[gpos_[r1] * f + gpos_[r2]] += wc * gcoef_[r2];
       }
     }
   }
-  for (std::size_t t = pair_off_[b]; t < pair_off_[b + 1]; ++t) {
+  for (std::size_t t = block_pair_off_[b]; t < block_pair_off_[b + 1]; ++t) {
     const auto& pr = p_.pairs_[block_pairs_[t]];
     const std::size_t pa = fpos_[loc_[pr.a]];
     const std::size_t pb = fpos_[loc_[pr.b]];
@@ -240,34 +239,44 @@ void BlockFactor::factor_capacitance() {
   cholesky(C_.data(), k_);
 }
 
-void BlockFactor::solve(const linalg::Vector& rhs, linalg::Vector& out) {
-  PERQ_REQUIRE(rhs.size() == n_, "rhs size mismatch");
-  out.assign(n_, 0.0);
-  std::fill(t_.begin(), t_.end(), 0.0);
-  // y = D^-1 rhs block by block, and t = U~' y.
+void BlockFactor::solve(const double* rhs, double* out, std::size_t w) {
+  std::fill(out, out + n_ * w, 0.0);
+  if (work_.size() < largest_ * w) work_.resize(largest_ * w);
+  t_.assign(k_ * w, 0.0);
+  // Y = D^-1 B block by block, and T = U~' Y.
   for (std::size_t b = 0; b < nb_; ++b) {
     const std::size_t f = nfree_[b];
     if (f == 0) continue;
     const std::size_t base = boff_[b];
     const std::size_t* fl = &fidx_[base];
-    for (std::size_t i = 0; i < f; ++i) work_[i] = rhs[members_[base + fl[i]]];
-    cholesky_solve(L_.data() + loff_[b], f, work_.data(), 1);
     for (std::size_t i = 0; i < f; ++i) {
-      out[members_[base + fl[i]]] = work_[i];
+      const std::size_t v = members_[base + fl[i]];
+      for (std::size_t c = 0; c < w; ++c) work_[i * w + c] = rhs[c * n_ + v];
+    }
+    cholesky_solve(L_.data() + loff_[b], f, work_.data(), w);
+    for (std::size_t i = 0; i < f; ++i) {
+      const std::size_t v = members_[base + fl[i]];
+      const double* y = work_.data() + i * w;
+      for (std::size_t c = 0; c < w; ++c) out[c * n_ + v] = y[c];
       const double* u = U_.data() + (base + fl[i]) * k_;
-      for (std::size_t c = 0; c < k_; ++c) t_[c] += u[c] * work_[i];
+      for (std::size_t e = 0; e < k_; ++e) {
+        for (std::size_t c = 0; c < w; ++c) t_[e * w + c] += u[e] * y[c];
+      }
     }
   }
   if (k_ == 0) return;
-  // out -= V C^-1 t.
-  cholesky_solve(C_.data(), k_, t_.data(), 1);
+  // X = Y - V C^-1 T.
+  cholesky_solve(C_.data(), k_, t_.data(), w);
   for (std::size_t b = 0; b < nb_; ++b) {
     const std::size_t base = boff_[b];
     for (std::size_t i = 0; i < nfree_[b]; ++i) {
+      const std::size_t v = members_[base + fidx_[base + i]];
       const double* vr = V_.data() + (base + i) * k_;
-      double s = 0.0;
-      for (std::size_t c = 0; c < k_; ++c) s += vr[c] * t_[c];
-      out[members_[base + fidx_[base + i]]] -= s;
+      for (std::size_t c = 0; c < w; ++c) {
+        double s = 0.0;
+        for (std::size_t e = 0; e < k_; ++e) s += vr[e] * t_[e * w + c];
+        out[c * n_ + v] -= s;
+      }
     }
   }
 }

@@ -12,15 +12,17 @@
 //   * V_b = D_b,FF^-1 U~_b,F, and
 //   * the k x k capacitance C = I + sum_b U~_b,F' V_b, also Cholesky-factored,
 //
-// so that Q_FF^-1 r = D^-1 r - V C^-1 U~' D^-1 r (Woodbury). A solve costs
-// O(n (s + k)) for blocks of at most s variables. Freeing or fixing one
-// variable refactors its block and C: O(s^3 + s^2 k + nb k^2 + k^3).
+// so that Q_FF^-1 r = D^-1 r - V C^-1 U~' D^-1 r (Woodbury). A solve of w
+// right-hand sides costs O(w n (s + k)) for blocks of at most s variables,
+// in one sweep over the factors. Freeing or fixing one variable refactors
+// its block and C: O(s^3 + s^2 k + nb k^2 + k^3).
 //
 // Every factor is recomputed from the problem's terms, never updated in
 // place, so the factorization is a function of the free set alone: long
 // working-set chains cannot drift. A problem that declares no partition is
 // one block with k = 0, i.e. the plain dense Cholesky of Q_FF. All storage
-// is flat and sized once, at construction.
+// is flat and sized at construction; only the solve scratch grows, to the
+// widest solve.
 #pragma once
 
 #include <cstddef>
@@ -43,9 +45,11 @@ class BlockFactor {
   /// block and the capacitance. Throws like the constructor.
   void set_free(std::size_t v, bool free);
 
-  /// out = Q_FF^-1 rhs_F on the free variables and 0 on the fixed ones
-  /// (out is resized to n; the fixed entries of rhs are ignored).
-  void solve(const linalg::Vector& rhs, linalg::Vector& out);
+  /// Solves Q_FF X = B_F for w right-hand sides in one sweep: column c of B
+  /// is rhs[c*n .. (c+1)*n) and its solution goes to out[c*n .. (c+1)*n),
+  /// 0 on the fixed variables (whose rhs entries are ignored). Each column
+  /// gets exactly the arithmetic of a one-column (w = 1) solve.
+  void solve(const double* rhs, double* out, std::size_t w);
 
   /// Number of coupling terms k (the capacitance is k x k).
   std::size_t coupling_rank() const { return k_; }
@@ -59,18 +63,19 @@ class BlockFactor {
 
   const StructuredQp& p_;
   std::size_t n_;
-  std::size_t nb_ = 1;  // blocks
-  std::size_t k_ = 0;   // coupling terms
+  std::size_t nb_ = 1;       // blocks
+  std::size_t k_ = 0;        // coupling terms
+  std::size_t largest_ = 0;  // variables in the largest block
 
   // Block membership: members_[boff_[b] .. boff_[b+1]) are block b's
   // variables in ascending order; loc_[v] is v's index inside its block.
   std::vector<std::size_t> boff_;
   std::vector<std::size_t> members_;
   std::vector<std::size_t> loc_;
-  // Terms local to block b: the problem's row ids block_rows_[row_off_[b]
-  // .. row_off_[b+1]) and likewise its pair ids.
-  std::vector<std::size_t> row_off_, block_rows_;
-  std::vector<std::size_t> pair_off_, block_pairs_;
+  // Terms local to block b: the problem's row ids block_rows_[block_row_off_[b]
+  // .. block_row_off_[b+1]) and likewise its pair ids.
+  std::vector<std::size_t> block_row_off_, block_rows_;
+  std::vector<std::size_t> block_pair_off_, block_pairs_;
 
   // Free set: free_[v]; block b's free local indices (ascending) sit at
   // fidx_[boff_[b] ..], nfree_[b] of them.
@@ -88,12 +93,13 @@ class BlockFactor {
   std::vector<double> G_;  // per block U~_b,F' V_b (k x k)
   std::vector<double> C_;  // Cholesky factor of the capacitance (k x k)
 
-  // Scratch, sized to the largest block.
+  // Scratch, sized to the largest block (work_ and t_ times the widest
+  // solve so far).
   std::vector<std::size_t> fpos_;  // local index -> free position or npos
   std::vector<std::size_t> gpos_;
   std::vector<double> gcoef_;
-  std::vector<double> work_;
-  std::vector<double> t_;  // k
+  std::vector<double> work_;  // largest block x w
+  std::vector<double> t_;     // k x w
 };
 
 }  // namespace perq::qp

@@ -29,21 +29,22 @@ void StructuredQp::add_residual(const std::vector<std::size_t>& idx,
   PERQ_REQUIRE(idx.size() == coef.size(), "residual index/coef size mismatch");
   PERQ_REQUIRE(!idx.empty(), "empty residual row");
   PERQ_REQUIRE(w >= 0.0, "residual weight must be non-negative");
+  for (std::size_t v : idx) PERQ_REQUIRE(v < n_, "residual index out of range");
+  // Duplicate indices would double-count when the block factor scatters a
+  // row's outer product (it assumes each variable appears once per row).
+  seen_.resize(n_, 0);
+  ++stamp_;
+  for (std::size_t v : idx) {
+    PERQ_REQUIRE(seen_[v] != stamp_, "duplicate index in residual row");
+    seen_[v] = stamp_;
+  }
   if (w == 0.0) return;
-  {
-    // Duplicate indices would double-count when the block factor scatters
-    // a row's outer product (it assumes each variable appears once per row).
-    std::vector<std::size_t> sorted(idx);
-    std::sort(sorted.begin(), sorted.end());
-    PERQ_REQUIRE(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
-                 "duplicate index in residual row");
-  }
   const double w2 = 2.0 * w;
-  for (std::size_t k = 0; k < idx.size(); ++k) {
-    PERQ_REQUIRE(idx[k] < n_, "residual index out of range");
-    c_[idx[k]] -= w2 * b * coef[k];
-  }
-  rows_.push_back(Residual{idx, coef, w2});
+  for (std::size_t k = 0; k < idx.size(); ++k) c_[idx[k]] -= w2 * b * coef[k];
+  row_idx_.insert(row_idx_.end(), idx.begin(), idx.end());
+  row_coef_.insert(row_coef_.end(), coef.begin(), coef.end());
+  row_off_.push_back(row_idx_.size());
+  row_w_.push_back(w2);
 }
 
 void StructuredQp::add_anchor(std::size_t i, double target, double w) {
@@ -79,11 +80,13 @@ void StructuredQp::qx(const linalg::Vector& x, linalg::Vector& out) const {
   PERQ_REQUIRE(x.size() == n_, "x size mismatch");
   out.assign(n_, 0.0);
   for (std::size_t i = 0; i < n_; ++i) out[i] = diag_[i] * x[i];
-  for (const auto& row : rows_) {
+  for (std::size_t r = 0; r < row_count(); ++r) {
+    const std::size_t e0 = row_off_[r];
+    const std::size_t e1 = row_off_[r + 1];
     double s = 0.0;
-    for (std::size_t k = 0; k < row.idx.size(); ++k) s += row.coef[k] * x[row.idx[k]];
-    s *= row.w;
-    for (std::size_t k = 0; k < row.idx.size(); ++k) out[row.idx[k]] += row.coef[k] * s;
+    for (std::size_t e = e0; e < e1; ++e) s += row_coef_[e] * x[row_idx_[e]];
+    s *= row_w_[r];
+    for (std::size_t e = e0; e < e1; ++e) out[row_idx_[e]] += row_coef_[e] * s;
   }
   for (const auto& pr : pairs_) {
     const double d = pr.w * (x[pr.a] - x[pr.b]);
@@ -128,11 +131,13 @@ double StructuredQp::gershgorin_bound() const {
   // Row sums of |Q|: each residual row contributes w*|a_r|*sum_k |a_k| to
   // row idx[r]; pairs contribute 2w to each endpoint's row sum.
   linalg::Vector row_sum = diag_;  // diagonal is non-negative by construction
-  for (const auto& row : rows_) {
+  for (std::size_t r = 0; r < row_count(); ++r) {
+    const std::size_t e0 = row_off_[r];
+    const std::size_t e1 = row_off_[r + 1];
     double abs_sum = 0.0;
-    for (double cc : row.coef) abs_sum += std::abs(cc);
-    for (std::size_t k = 0; k < row.idx.size(); ++k) {
-      row_sum[row.idx[k]] += row.w * std::abs(row.coef[k]) * abs_sum;
+    for (std::size_t e = e0; e < e1; ++e) abs_sum += std::abs(row_coef_[e]);
+    for (std::size_t e = e0; e < e1; ++e) {
+      row_sum[row_idx_[e]] += row_w_[r] * std::abs(row_coef_[e]) * abs_sum;
     }
   }
   for (const auto& pr : pairs_) {
@@ -146,9 +151,9 @@ double StructuredQp::gershgorin_bound() const {
 
 linalg::Vector StructuredQp::hessian_diagonal() const {
   linalg::Vector d = diag_;
-  for (const auto& row : rows_) {
-    for (std::size_t k = 0; k < row.idx.size(); ++k) {
-      d[row.idx[k]] += row.w * row.coef[k] * row.coef[k];
+  for (std::size_t r = 0; r < row_count(); ++r) {
+    for (std::size_t e = row_off_[r]; e < row_off_[r + 1]; ++e) {
+      d[row_idx_[e]] += row_w_[r] * row_coef_[e] * row_coef_[e];
     }
   }
   for (const auto& pr : pairs_) {
@@ -171,21 +176,19 @@ StructuredQp StructuredQp::jacobi_scaled(const linalg::Vector& s) const {
   // Terms are copied with their stored (already doubled) weights and the
   // coefficients rescaled in place, bypassing the builder methods: those
   // would re-accumulate c_, which is already fully scaled above.
-  out.rows_.reserve(rows_.size() + pairs_.size());
-  for (const auto& row : rows_) {
-    Residual r = row;
-    for (std::size_t k = 0; k < r.idx.size(); ++k) r.coef[k] /= s[r.idx[k]];
-    out.rows_.push_back(std::move(r));
-  }
+  out.row_off_ = row_off_;
+  out.row_idx_ = row_idx_;
+  out.row_coef_ = row_coef_;
+  out.row_w_ = row_w_;
+  for (std::size_t e = 0; e < row_idx_.size(); ++e) out.row_coef_[e] /= s[row_idx_[e]];
   // A pair couples its endpoints with unit coefficients; scaling makes the
   // coefficients unequal, so each pair becomes a two-entry residual row
   // (same Q contribution, zero linear term).
   for (const auto& pr : pairs_) {
-    Residual r;
-    r.idx = {pr.a, pr.b};
-    r.coef = {1.0 / s[pr.a], -1.0 / s[pr.b]};
-    r.w = pr.w;
-    out.rows_.push_back(std::move(r));
+    out.row_idx_.insert(out.row_idx_.end(), {pr.a, pr.b});
+    out.row_coef_.insert(out.row_coef_.end(), {1.0 / s[pr.a], -1.0 / s[pr.b]});
+    out.row_off_.push_back(out.row_idx_.size());
+    out.row_w_.push_back(pr.w);
   }
   out.block_ = block_;
   out.largest_block_ = largest_block_;
@@ -212,14 +215,14 @@ void StructuredQp::set_blocks(std::vector<std::uint32_t> block) {
 double StructuredQp::q_entry(std::size_t i, std::size_t j) const {
   PERQ_REQUIRE(i < n_ && j < n_, "entry index out of range");
   double v = i == j ? diag_[i] : 0.0;
-  for (const auto& row : rows_) {
+  for (std::size_t r = 0; r < row_count(); ++r) {
     double ci = 0.0;
     double cj = 0.0;
-    for (std::size_t k = 0; k < row.idx.size(); ++k) {
-      if (row.idx[k] == i) ci = row.coef[k];
-      if (row.idx[k] == j) cj = row.coef[k];
+    for (std::size_t e = row_off_[r]; e < row_off_[r + 1]; ++e) {
+      if (row_idx_[e] == i) ci = row_coef_[e];
+      if (row_idx_[e] == j) cj = row_coef_[e];
     }
-    v += row.w * ci * cj;
+    v += row_w_[r] * ci * cj;
   }
   for (const auto& pr : pairs_) {
     const bool has_i = pr.a == i || pr.b == i;
@@ -236,11 +239,13 @@ QpProblem StructuredQp::to_dense() const {
   QpProblem p;
   p.Q = linalg::Matrix(n_, n_);
   for (std::size_t i = 0; i < n_; ++i) p.Q(i, i) = diag_[i];
-  for (const auto& row : rows_) {
-    for (std::size_t r = 0; r < row.idx.size(); ++r) {
-      const double wc = row.w * row.coef[r];
-      for (std::size_t s = 0; s < row.idx.size(); ++s) {
-        p.Q(row.idx[r], row.idx[s]) += wc * row.coef[s];
+  for (std::size_t r = 0; r < row_count(); ++r) {
+    const std::size_t e0 = row_off_[r];
+    const std::size_t e1 = row_off_[r + 1];
+    for (std::size_t e = e0; e < e1; ++e) {
+      const double wc = row_w_[r] * row_coef_[e];
+      for (std::size_t f = e0; f < e1; ++f) {
+        p.Q(row_idx_[e], row_idx_[f]) += wc * row_coef_[f];
       }
     }
   }

@@ -13,7 +13,9 @@
 // Materializing the dense Hessian from these terms costs O((nj*m)^2) memory
 // and O(nnz^2) scatter per residual row; every downstream dense operation
 // (gradients, KKT factorizations) then pays O(n^2)..O(n^3). StructuredQp
-// keeps the terms themselves and provides
+// keeps the terms themselves, in flat arrays (the residual rows in CSR form,
+// so adding a row allocates nothing once the arrays have grown), and
+// provides
 //
 //   * matrix-free products `qx` / `gradient` in O(total nnz),
 //   * a declared variable partition (one block per MPC job) that the
@@ -49,7 +51,9 @@ class StructuredQp {
   void add_ridge(double r);
 
   /// Adds w * (b - sum_k coef[k] * x[idx[k]])^2. Indices must be in range
-  /// and unique within the row; w >= 0 (w == 0 rows are dropped).
+  /// and unique within the row; w >= 0 (w == 0 rows are dropped). The whole
+  /// row is checked before anything is added, so a rejected row leaves the
+  /// problem unchanged.
   void add_residual(const std::vector<std::size_t>& idx,
                     const std::vector<double>& coef, double b, double w);
 
@@ -128,11 +132,6 @@ class StructuredQp {
   QpProblem to_dense() const;
 
  private:
-  struct Residual {
-    std::vector<std::size_t> idx;
-    std::vector<double> coef;
-    double w = 0.0;  // stored as 2*w (the Q-convention factor)
-  };
   struct Pair {
     std::size_t a = 0;
     std::size_t b = 0;
@@ -141,13 +140,24 @@ class StructuredQp {
 
   friend class BlockFactor;  // reads the terms to factor them by block
 
+  std::size_t row_count() const { return row_w_.size(); }
+
   std::size_t n_;
   std::size_t largest_block_;
   linalg::Vector diag_;  // accumulated diagonal (ridge + anchors), Q units
   linalg::Vector c_;     // linear term
-  std::vector<Residual> rows_;
+  // Residual rows in CSR form: row r's entries are row_idx_/row_coef_
+  // [row_off_[r] .. row_off_[r+1]), its weight row_w_[r] (stored as 2*w).
+  std::vector<std::size_t> row_off_{0};
+  std::vector<std::size_t> row_idx_;
+  std::vector<double> row_coef_;
+  std::vector<double> row_w_;
   std::vector<Pair> pairs_;
   std::vector<std::uint32_t> block_;  // declared partition, empty = one block
+  // add_residual's duplicate check: seen_[v] == stamp_ marks v as already
+  // in the row being added. Sized n on the first row.
+  std::vector<std::size_t> seen_;
+  std::size_t stamp_ = 0;
 };
 
 /// KKT residual diagnostics against the structured form (same definition as

@@ -11,49 +11,16 @@
 #include <sys/socket.h>
 #include <sys/uio.h>
 
-#include <atomic>
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <vector>
 
 #include "net/frame_pool.hpp"
 #include "net/tcp_connection.hpp"
 #include "proto/message.hpp"
+#include "support/alloc_counter.hpp"
 #include "util/thread_pool.hpp"
-
-// ---------------------------------------------------------------------------
-// Global allocation counter. Replacing operator new is per-binary; this file
-// is the only one in test_net that defines it, and the other test files in
-// the binary never read the counter, so they are unaffected.
-// ---------------------------------------------------------------------------
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n ? n : 1);
-}
-void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
-  return ::operator new(n, t);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace perq::net {
 namespace {
@@ -282,9 +249,9 @@ TEST(ZeroAlloc, SteadyStateSendReceiveAndBroadcastDoNotAllocate) {
   for (int i = 0; i < 64; ++i) tick();
   ASSERT_EQ(inbox.size(), 2u);
 
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::allocation_count();
   for (int i = 0; i < 64; ++i) tick();
-  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t after = test::allocation_count();
   EXPECT_EQ(after - before, 0u)
       << "steady-state frame I/O allocated " << (after - before) << " times";
 
@@ -313,9 +280,9 @@ TEST(ZeroAlloc, ParallelForDoesNotAllocate) {
   static_assert(sizeof(body) > 16);
 
   for (int i = 0; i < 8; ++i) pool.parallel_for(0, out.size(), body, 4);
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::allocation_count();
   for (int i = 0; i < 64; ++i) pool.parallel_for(0, out.size(), body, 4);
-  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t after = test::allocation_count();
   EXPECT_EQ(after - before, 0u)
       << "parallel_for allocated " << (after - before) << " times";
   EXPECT_EQ(out[255], 2.0 * 258.0);

@@ -2,44 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 
 #include "proto/wire.hpp"
+#include "support/alloc_counter.hpp"
 #include "util/rng.hpp"
-
-// ---------------------------------------------------------------------------
-// Global allocation counter for the zero-steady-state-allocation contract of
-// encode_into() and FrameDecoder. Replacing operator new is per-binary and
-// message_test.cpp is the only translation unit in test_proto.
-// ---------------------------------------------------------------------------
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n ? n : 1);
-}
-void* operator new[](std::size_t n, const std::nothrow_t& t) noexcept {
-  return ::operator new(n, t);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
 
 namespace perq::proto {
 namespace {
@@ -668,12 +635,12 @@ TEST(Allocation, EncodeIntoReusedBufferDoesNotAllocate) {
   std::vector<std::uint8_t> buf;
   encode_into(plan, buf);  // warm-up: grow to the largest frame's capacity
 
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::allocation_count();
   for (int i = 0; i < 256; ++i) {
     encode_into(telemetry, buf);
     encode_into(plan, buf);
   }
-  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t after = test::allocation_count();
   EXPECT_EQ(after - before, 0u)
       << "encode_into allocated " << (after - before)
       << " times on a warm buffer";
@@ -703,9 +670,9 @@ TEST(Allocation, DecoderSteadyStateDrainDoesNotAllocate) {
   for (int i = 0; i < 64; ++i) tick();
   ASSERT_EQ(inbox.size(), 2u);
 
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::allocation_count();
   for (int i = 0; i < 256; ++i) tick();
-  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t after = test::allocation_count();
   EXPECT_EQ(after - before, 0u)
       << "decoder steady state allocated " << (after - before) << " times";
   EXPECT_FALSE(dec.corrupt());
@@ -726,9 +693,9 @@ TEST(Allocation, ParseFrameIntoReusesDynamicBodyCapacity) {
 
   // Re-decoding the same alternative reuses its heap state: no allocation,
   // same backing array, values fully overwritten.
-  std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  std::uint64_t before = test::allocation_count();
   ASSERT_TRUE(parse_frame_into(frame_p.data() + 4, frame_p.size() - 4, slot));
-  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(test::allocation_count() - before, 0u);
   const auto& p = std::get<CapPlan>(slot);
   EXPECT_EQ(p.entries.data(), entries);
   ASSERT_EQ(p.entries.size(), 3u);
@@ -739,9 +706,9 @@ TEST(Allocation, ParseFrameIntoReusesDynamicBodyCapacity) {
   // the slot has carried a ReplTick, re-decoding ReplTicks is free too.
   ASSERT_TRUE(parse_frame_into(frame_r.data() + 4, frame_r.size() - 4, slot));
   const std::uint8_t* batch = std::get<ReplTick>(slot).batch.data();
-  before = g_allocs.load(std::memory_order_relaxed);
+  before = test::allocation_count();
   ASSERT_TRUE(parse_frame_into(frame_r.data() + 4, frame_r.size() - 4, slot));
-  EXPECT_EQ(g_allocs.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(test::allocation_count() - before, 0u);
   const auto& rt = std::get<ReplTick>(slot);
   EXPECT_EQ(rt.batch.data(), batch);
   EXPECT_EQ(rt.batch, sample_repl_tick().batch);

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 
@@ -183,9 +184,25 @@ TEST(StructuredQp, LargeProblemSolvesMatrixFree) {
 TEST(StructuredQp, BuilderValidation) {
   StructuredQp sp(4);
   EXPECT_THROW(sp.add_ridge(0.0), precondition_error);
-  EXPECT_THROW(sp.add_residual({0, 0}, {1.0, 1.0}, 0.0, 1.0), precondition_error);
-  EXPECT_THROW(sp.add_residual({5}, {1.0}, 0.0, 1.0), precondition_error);
-  EXPECT_THROW(sp.add_residual({0}, {1.0, 2.0}, 0.0, 1.0), precondition_error);
+  sp.add_residual({0, 1}, {1.0, 2.0}, 0.5, 1.0);
+  // A rejected row leaves no trace: not in c, not in Q.
+  const linalg::Vector c = sp.linear_term();
+  const double q00 = sp.q_entry(0, 0);
+  const auto expect_rejected = [&](const std::vector<std::size_t>& idx,
+                                   const std::vector<double>& coef, double b, double w) {
+    EXPECT_THROW(sp.add_residual(idx, coef, b, w), precondition_error);
+    EXPECT_EQ(sp.linear_term(), c);
+    EXPECT_EQ(sp.q_entry(0, 0), q00);
+  };
+  expect_rejected({0, 0}, {1.0, 1.0}, 0.0, 1.0);
+  expect_rejected({5}, {1.0}, 0.0, 1.0);
+  expect_rejected({0}, {1.0, 2.0}, 0.0, 1.0);
+  expect_rejected({0, 5}, {1.0, 1.0}, 2.0, 1.0);  // range fails after a valid entry
+  expect_rejected({0, 2, 0}, {1.0, 1.0, 1.0}, 2.0, 1.0);
+  expect_rejected({0, 7}, {1.0, 1.0}, 2.0, 0.0);  // checked even when dropped
+  // Indices seen in a rejected row do not count as duplicates later.
+  sp.add_residual({0, 2}, {1.0, -1.0}, 1.0, 1.0);
+  EXPECT_EQ(sp.q_entry(0, 2), -2.0);
   EXPECT_THROW(sp.add_anchor(9, 0.5, 1.0), precondition_error);
   EXPECT_THROW(sp.add_smooth(1, 1, 1.0), precondition_error);
   EXPECT_THROW(sp.add_smooth(0, 1, -1.0), precondition_error);
@@ -216,8 +233,8 @@ void expect_matches_dense(BlockFactor& factor, const QpProblem& dense,
                           const std::vector<char>& free, Rng& rng) {
   linalg::Vector rhs(free.size());
   for (auto& v : rhs) v = rng.uniform(-1.0, 1.0);
-  linalg::Vector got;
-  factor.solve(rhs, got);
+  linalg::Vector got(free.size());
+  factor.solve(rhs.data(), got.data(), 1);
   const linalg::Vector want = dense_free_solve(dense, free, rhs);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t v = 0; v < want.size(); ++v) {
@@ -225,28 +242,76 @@ void expect_matches_dense(BlockFactor& factor, const QpProblem& dense,
   }
 }
 
-TEST(BlockFactor, MatchesDenseFactorizationThroughRandomFixFreeSequences) {
+/// Runs `check(sp, factor, free, rng)` through random fix/free sequences:
+/// six random MPC-shaped problems with per-job blocks and per-step budgets,
+/// each from a random free set through 40 single-variable flips, checked
+/// after the factorization and after every flip.
+template <class Check>
+void for_random_fix_free_sequences(Check check) {
   Rng rng(31);
   for (int trial = 0; trial < 6; ++trial) {
     const std::size_t nj = static_cast<std::size_t>(rng.uniform_int(2, 6));
     const std::size_t m = static_cast<std::size_t>(rng.uniform_int(1, 5));
     const auto sp = random_mpc_problem(rng, nj, m, BudgetShape::kPerStep,
                                        /*per_job_blocks=*/true);
-    const QpProblem dense = sp.to_dense();
     std::vector<char> free(sp.size());
     for (auto& f : free) f = rng.uniform(0.0, 1.0) < 0.7 ? 1 : 0;
 
     BlockFactor factor(sp, free);
     EXPECT_EQ(factor.coupling_rank(), m) << "one system row per step spans the jobs";
-    expect_matches_dense(factor, dense, free, rng);
+    check(sp, factor, free, rng);
     for (int step = 0; step < 40; ++step) {
       const auto v = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(sp.size()) - 1));
       free[v] = free[v] ? 0 : 1;
       factor.set_free(v, free[v] != 0);
-      expect_matches_dense(factor, dense, free, rng);
+      check(sp, factor, free, rng);
     }
   }
+}
+
+TEST(BlockFactor, MatchesDenseFactorizationThroughRandomFixFreeSequences) {
+  for_random_fix_free_sequences([](const StructuredQp& sp, BlockFactor& factor,
+                                   const std::vector<char>& free, Rng& rng) {
+    expect_matches_dense(factor, sp.to_dense(), free, rng);
+  });
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(BlockFactor, MultiColumnSolveAndBudgetColumnsAreBitExact) {
+  // The active set solves every budget row's column u_k = Q_FF^-1 a_k in one
+  // w-column sweep and reuses it until the free set changes. Each column of
+  // the sweep must be the one-column solve bit for bit, and the factor after
+  // any flip sequence the same, bit for bit, as one built fresh.
+  for_random_fix_free_sequences([](const StructuredQp& sp, BlockFactor& factor,
+                                   const std::vector<char>& free, Rng& rng) {
+    const std::size_t n = sp.size();
+    const std::size_t nb = sp.budgets.size();
+    const std::size_t w = nb + 1;  // the budget columns and a gradient-like one
+    std::vector<double> rhs(w * n, 0.0);
+    for (std::size_t c = 0; c < nb; ++c) {
+      const auto& bc = sp.budgets[c];
+      for (std::size_t j = 0; j < bc.index.size(); ++j) rhs[c * n + bc.index[j]] = bc.weight[j];
+    }
+    for (std::size_t v = 0; v < n; ++v) rhs[nb * n + v] = rng.uniform(-1.0, 1.0);
+    std::vector<double> cols(w * n);
+    factor.solve(rhs.data(), cols.data(), w);
+
+    for (std::size_t c = 0; c < w; ++c) {
+      linalg::Vector one(n);
+      factor.solve(rhs.data() + c * n, one.data(), 1);
+      for (std::size_t v = 0; v < n; ++v) {
+        EXPECT_EQ(bits(cols[c * n + v]), bits(one[v])) << "column " << c << " var " << v;
+      }
+    }
+    BlockFactor fresh(sp, free);
+    std::vector<double> fresh_cols(w * n);
+    fresh.solve(rhs.data(), fresh_cols.data(), w);
+    for (std::size_t e = 0; e < w * n; ++e) {
+      EXPECT_EQ(bits(cols[e]), bits(fresh_cols[e])) << "column " << e / n << " var " << e % n;
+    }
+  });
 }
 
 TEST(BlockFactor, BlockWithEveryCapFixedDropsOutOfTheCoupling) {
