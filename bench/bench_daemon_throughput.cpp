@@ -206,8 +206,8 @@ class Harness {
   net::TcpTransport transport_;
   std::vector<std::unique_ptr<net::Connection>> ctrl_;
   std::vector<std::unique_ptr<net::Connection>> agents_;
-  net::Reactor ctrl_reactor_{net::Reactor::Backend::kEpoll};
-  net::Reactor agent_reactor_{net::Reactor::Backend::kEpoll};
+  net::Reactor ctrl_reactor_;
+  net::Reactor agent_reactor_;
   net::FramePool pool_;
   std::vector<proto::Message> inbox_;
   proto::CapPlan plan_;

@@ -1,16 +1,12 @@
-// MPC solver scaling: decide() latency for the structure-exploiting QP path
-// versus the dense debug/baseline path, swept over job count and horizon.
+// MPC solver scaling: decide() latency of the structured QP path, swept over
+// job count and horizon.
 //
 // Each configuration measures warm-started decide() calls (the steady-state
 // regime of a control loop; the first, cold decide is excluded as warm-up)
-// and reports median and p90 latency per path. The dense path materializes
-// the (nj*m)^2 Hessian and LU-factors the free-variable KKT system every
-// active-set iteration, so it is skipped above nv = 1024 variables where it
-// stops being a meaningful baseline (memory and time blow up cubically).
+// and reports median and p90 latency.
 //
 // Output: a stdout table plus BENCH_mpc_scaling.json in the working
-// directory with per-config latencies and the headline structured-vs-dense
-// speedup at nj = 128, m = 8.
+// directory with per-config latencies.
 //
 // The hierarchical sharding / tree-depth sweeps live in bench_hier_scaling
 // (BENCH_hier_scaling.json) since the budget hierarchy became recursive.
@@ -100,11 +96,9 @@ Latency summarize(std::vector<double> ms) {
 
 /// Runs `reps` warm-started decides (plus one excluded cold warm-up) and
 /// returns per-call latencies.
-Latency measure(const Fleet& fleet, std::size_t m,
-                control::MpcConfig::SolverPath path, std::size_t reps) {
+Latency measure(const Fleet& fleet, std::size_t m, std::size_t reps) {
   control::MpcConfig cfg;
   cfg.horizon = m;
-  cfg.solver = path;
   control::MpcController mpc(cfg);
 
   const auto cj = fleet.controlled();
@@ -130,73 +124,40 @@ Latency measure(const Fleet& fleet, std::size_t m,
 }  // namespace
 
 int main() {
-  bench::banner("MPC scaling",
-                "decide() latency: structured solver path vs dense baseline");
+  bench::banner("MPC scaling", "decide() latency of the structured solver path");
 
-  constexpr std::size_t kDenseLimit = 1024;  // max nv for the dense baseline
   constexpr std::size_t kReps = 9;
   const std::size_t job_counts[] = {8, 32, 128, 512};
   const std::size_t horizons[] = {4, 8, 16};
 
-  std::printf("%6s %4s %6s %15s %15s %9s\n", "nj", "m", "nv",
-              "structured(ms)", "dense(ms)", "speedup");
+  std::printf("%6s %4s %6s %15s\n", "nj", "m", "nv", "structured(ms)");
 
   FILE* json = std::fopen("BENCH_mpc_scaling.json", "w");
   PERQ_REQUIRE(json != nullptr, "cannot open BENCH_mpc_scaling.json");
   std::fprintf(json, "{\n  \"bench\": \"mpc_scaling\",\n  \"reps\": %zu,\n"
                      "  \"configs\": [\n", kReps);
 
-  double headline_speedup = 0.0;
   bool first = true;
   for (std::size_t nj : job_counts) {
     const Fleet fleet(nj);
     for (std::size_t m : horizons) {
       const std::size_t nv = nj * m;
-      const auto structured =
-          measure(fleet, m, control::MpcConfig::SolverPath::kStructured, kReps);
-      const bool run_dense = nv <= kDenseLimit;
-      Latency dense;
-      if (run_dense) {
-        dense = measure(fleet, m, control::MpcConfig::SolverPath::kDense, kReps);
-      }
-
-      const double speedup =
-          run_dense ? dense.median_ms / std::max(structured.median_ms, 1e-6) : 0.0;
-      if (nj == 128 && m == 8) headline_speedup = speedup;
-      if (run_dense) {
-        std::printf("%6zu %4zu %6zu %7.3f / %6.3f %7.3f / %6.3f %8.1fx\n", nj, m,
-                    nv, structured.median_ms, structured.p90_ms, dense.median_ms,
-                    dense.p90_ms, speedup);
-      } else {
-        std::printf("%6zu %4zu %6zu %7.3f / %6.3f %15s %9s\n", nj, m, nv,
-                    structured.median_ms, structured.p90_ms, "(skipped)", "-");
-      }
+      const auto structured = measure(fleet, m, kReps);
+      std::printf("%6zu %4zu %6zu %7.3f / %6.3f\n", nj, m, nv, structured.median_ms,
+                  structured.p90_ms);
 
       if (!first) std::fprintf(json, ",\n");
       first = false;
       std::fprintf(json,
                    "    {\"nj\": %zu, \"m\": %zu, \"nv\": %zu,"
-                   " \"structured_median_ms\": %.6f, \"structured_p90_ms\": %.6f,",
+                   " \"structured_median_ms\": %.6f, \"structured_p90_ms\": %.6f}",
                    nj, m, nv, structured.median_ms, structured.p90_ms);
-      if (run_dense) {
-        std::fprintf(json,
-                     " \"dense_median_ms\": %.6f, \"dense_p90_ms\": %.6f,"
-                     " \"speedup\": %.3f}",
-                     dense.median_ms, dense.p90_ms, speedup);
-      } else {
-        std::fprintf(json, " \"dense_median_ms\": null, \"dense_p90_ms\": null,"
-                           " \"speedup\": null}");
-      }
     }
   }
-  std::fprintf(json, "\n  ],\n  \"speedup_nj128_m8\": %.3f\n}\n", headline_speedup);
+  std::fprintf(json, "\n  ]\n}\n");
   std::fclose(json);
 
-  std::printf("\n(latencies are median / p90 over %zu warm-started decides; the\n"
-              " dense baseline is skipped above nv = %zu variables)\n",
-              kReps, kDenseLimit);
-  std::printf("headline: structured is %.1fx faster than dense at nj=128, m=8\n",
-              headline_speedup);
+  std::printf("\n(latencies are median / p90 over %zu warm-started decides)\n", kReps);
   std::printf("JSON written to BENCH_mpc_scaling.json\n");
   return 0;
 }

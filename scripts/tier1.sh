@@ -28,7 +28,10 @@
 # single-pump epoll rows, and that the retired keys (the deleted "sharded"
 # list among them) stay gone -- so a regression that breaks the bench
 # binary or its schema fails the gate before anyone burns a full sweep on
-# it. A replay-smoke leg does the same for perq_replay: 10k jobs through the
+# it. The same leg runs the full bench_mpc_scaling sweep (about 12-14 s on a
+# 4-core VM) and checks BENCH_mpc_scaling.json: 12 configs with finite
+# structured latencies and none of the retired dense-leg keys. A replay-smoke
+# leg does the same for perq_replay: 10k jobs through the
 # SchedCtl/accounting stack, audit JSON schema-checked, all jobs complete,
 # fairness >= 0.5. A perfbench leg builds the control-interval benchmark
 # from src/ and runs its own tests (perfbench/tests/test_run.py).
@@ -125,6 +128,23 @@ for row in rows:
         assert gone not in row, (gone, row)
 assert {r["agents"] for r in rows} == {64}, rows
 print("BENCH_daemon_throughput.json schema OK (epoll rows)")
+EOF
+  ./bench/bench_mpc_scaling > /dev/null
+  python3 - <<'EOF'
+import json
+import math
+with open("BENCH_mpc_scaling.json") as f:
+    doc = json.load(f)
+assert doc["bench"] == "mpc_scaling", doc
+assert "speedup_nj128_m8" not in doc, doc
+configs = doc["configs"]
+assert isinstance(configs, list) and len(configs) == 12, configs
+for c in configs:
+    for key in ("structured_median_ms", "structured_p90_ms"):
+        assert math.isfinite(c[key]) and c[key] >= 0.0, (key, c)
+    for gone in ("dense_median_ms", "dense_p90_ms", "speedup"):
+        assert gone not in c, (gone, c)
+print("BENCH_mpc_scaling.json schema OK (%d structured configs)" % len(configs))
 EOF
 )
 

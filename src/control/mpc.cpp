@@ -98,8 +98,7 @@ MpcDecision MpcController::decide(const std::vector<ControlledJob>& jobs,
   }
 
   // Assemble the QP in normalized cap units v = p / TDP, in the structured
-  // term form (ridge + residual rows + banded Delta-P). The dense Hessian
-  // is only materialized on the kDense debug/baseline path.
+  // term form (ridge + residual rows + banded Delta-P).
   qp::StructuredQp sp(nv);
   sp.lb.assign(nv, spec.cap_min / spec.tdp);
   sp.ub.assign(nv, 1.0);
@@ -241,13 +240,7 @@ MpcDecision MpcController::decide(const std::vector<ControlledJob>& jobs,
 
   qp::SolveOptions solve_opts;
   solve_opts.max_iterations = cfg_.max_qp_iterations;
-  qp::QpResult res;
-  if (cfg_.solver == MpcConfig::SolverPath::kDense) {
-    const qp::QpProblem dense = sp.to_dense();
-    res = qp::solve(dense, warm, solve_opts);
-  } else {
-    res = qp::solve(sp, warm, solve_opts);
-  }
+  const qp::QpResult res = qp::solve(sp, warm, solve_opts);
 
   MpcDecision d;
   d.status = res.status;

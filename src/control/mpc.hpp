@@ -17,8 +17,13 @@
 // The predictions Y_ij are affine in v through each job's estimator: the
 // shared LTI model contributes the impulse response h_m = C A^{m-1} B and
 // the free response C A^j x_i; the job's adapted (gain, offset) maps model
-// output to IPS. The resulting QP is strictly convex (tracking + ridge) and
-// is solved by perq::qp with a warm start from the previous interval.
+// output to IPS. The resulting QP is strictly convex (tracking + ridge). It
+// is assembled in the structured term form (ridge + sparse residual rows +
+// banded Delta-P terms, one block per job) and solved by perq::qp -- an
+// active set that factors one block per job plus a rank-m coupling for the
+// system rows, with matrix-free FISTA as its fallback -- with a warm start
+// from the previous interval. The dense (nj*m)^2 Hessian is never
+// materialized.
 #pragma once
 
 #include <vector>
@@ -38,20 +43,6 @@ struct MpcConfig {
   /// (paper Sec. 2.3.2: a large terminal cost enforces convergence by the
   /// end of the prediction horizon). 1 = uniform weighting.
   double terminal_weight = 2.0;
-
-  /// Which QP pipeline solves the condensed problem.
-  ///   kStructured (default): the assembly emits the structured Hessian form
-  ///     (ridge + sparse residual rows + banded Delta-P terms) and solves it
-  ///     with the structure-exploiting solvers -- an active set that
-  ///     factors one block per job plus a rank-m coupling for the system
-  ///     rows, with matrix-free FISTA as its fallback. The dense (nj*m)^2
-  ///     Hessian is never materialized.
-  ///   kDense: materializes the dense QpProblem from the same structured
-  ///     assembly and runs the legacy dense active-set/FISTA facade. Debug
-  ///     and baseline adapter: tests use it to prove exact equivalence and
-  ///     bench_mpc_scaling uses it as the comparison point.
-  enum class SolverPath { kStructured, kDense };
-  SolverPath solver = SolverPath::kStructured;
 
   /// Iteration cap forwarded to the QP solve facade (0 = solver defaults).
   /// A tiny cap starves both the active set and the projected-gradient

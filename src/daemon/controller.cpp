@@ -27,8 +27,7 @@ PerqController::PerqController(std::unique_ptr<net::Listener> listener,
                                core::PerqPolicy& policy, ControllerConfig cfg)
     : listener_(std::move(listener)),
       policy_(policy),
-      cfg_(std::move(cfg)),
-      reactor_(cfg_.reactor_backend) {
+      cfg_(std::move(cfg)) {
   PERQ_REQUIRE(listener_ != nullptr, "controller needs a listener");
   PERQ_REQUIRE(cfg_.stale_after_ticks >= 1, "stale_after_ticks must be >= 1");
   standby_ = cfg_.standby;

@@ -82,9 +82,6 @@ struct ControllerConfig {
   /// (0 disables periodic snapshots). Empty path disables entirely.
   std::string snapshot_path;
   std::uint64_t snapshot_every_ticks = 0;
-  /// Readiness backend for wait(): epoll on Linux, poll(2) as the portable
-  /// fallback. The two are proven interchangeable by the bit-identity test.
-  net::Reactor::Backend reactor_backend = net::Reactor::default_backend();
   /// Warm-standby mode: the controller applies the primary's replication
   /// stream (ReplSnapshot restore + ReplTick replay) and drops agent
   /// telemetry/heartbeats until promote() flips it into a serving primary.

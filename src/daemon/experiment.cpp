@@ -52,8 +52,7 @@ DaemonPlant::DaemonPlant(const core::EngineConfig& cfg,
                          const PlantConfig& pcfg)
     : engine_(cfg),
       pcfg_(pcfg),
-      groups_(addresses.size()),
-      reactor_(pcfg.reactor_backend) {
+      groups_(addresses.size()) {
   PERQ_REQUIRE(groups_ >= 1, "plant needs at least one controller address");
   PERQ_REQUIRE(pcfg_.agents >= groups_,
                "need at least one agent per controller");
@@ -399,20 +398,16 @@ std::size_t DaemonPlant::reconnect_failover(net::Transport& transport) {
 core::RunResult run_tcp_daemon_experiment(const core::EngineConfig& cfg,
                                           core::PerqPolicy& policy,
                                           std::size_t agents,
-                                          const ControllerConfig& ccfg,
-                                          net::Reactor::Backend backend) {
+                                          const ControllerConfig& ccfg) {
   net::TcpTransport transport;
   auto listener = transport.listen("127.0.0.1:0");
   const std::string address =
       "127.0.0.1:" + std::to_string(net::listener_port(*listener));
 
-  ControllerConfig controller_cfg = ccfg;
-  controller_cfg.reactor_backend = backend;
-  PerqController controller(std::move(listener), policy, controller_cfg);
+  PerqController controller(std::move(listener), policy, ccfg);
 
   PlantConfig pcfg;
   pcfg.agents = agents;
-  pcfg.reactor_backend = backend;
   // Lockstep over the kernel loopback device: frames are never dropped,
   // only briefly in flight. A generous timeout keeps a slow CI machine
   // from turning an in-flight plan into a held tick (which would fork the

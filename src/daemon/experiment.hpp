@@ -36,8 +36,6 @@ namespace perq::daemon {
 struct PlantConfig {
   std::size_t agents = 1;      ///< node-agent count; nodes split evenly
   int plan_timeout_ms = 2000;  ///< wait for a cap plan before holding caps
-  /// Readiness backend for the plan-wait loop (see ControllerConfig).
-  net::Reactor::Backend reactor_backend = net::Reactor::default_backend();
   /// How long the constructor keeps retrying the initial connect before
   /// giving up (covers the plant-before-controller start order). <= 0
   /// preserves the strict behavior: one attempt, fail loudly.
@@ -168,14 +166,13 @@ class DaemonPlant {
 
 /// Runs a full experiment through controller + agents over real
 /// loopback-TCP sockets, single-threaded and lockstep (the controller is
-/// serviced from the plant's wait loop). `backend` selects the readiness
-/// backend on both sides. Decisions depend only on complete tick batches --
-/// never on readiness or arrival order -- so this run is bit-identical to
-/// the in-process run and to fault::run_deployment's lone-root loopback
-/// run, which is exactly what the epoll-vs-poll determinism test asserts.
-core::RunResult run_tcp_daemon_experiment(
-    const core::EngineConfig& cfg, core::PerqPolicy& policy,
-    std::size_t agents = 1, const ControllerConfig& ccfg = {},
-    net::Reactor::Backend backend = net::Reactor::default_backend());
+/// serviced from the plant's wait loop). Decisions depend only on complete
+/// tick batches -- never on readiness or arrival order -- so this run is
+/// bit-identical to the in-process run and to fault::run_deployment's
+/// lone-root loopback run, which is what the ReactorIdentity tests assert.
+core::RunResult run_tcp_daemon_experiment(const core::EngineConfig& cfg,
+                                          core::PerqPolicy& policy,
+                                          std::size_t agents = 1,
+                                          const ControllerConfig& ccfg = {});
 
 }  // namespace perq::daemon

@@ -34,7 +34,6 @@ ArbiterDaemon::ArbiterDaemon(std::unique_ptr<net::Listener> listener,
                              std::size_t domains, ArbiterDaemonConfig cfg)
     : listener_(std::move(listener)),
       cfg_(cfg),
-      reactor_(cfg.reactor_backend),
       arbiter_(domains),
       slots_(domains) {
   PERQ_REQUIRE(listener_ != nullptr, "arbiter daemon needs a listener");

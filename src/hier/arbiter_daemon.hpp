@@ -58,8 +58,6 @@ struct ArbiterDaemonConfig {
   /// Ticks a domain controller may lag the newest report before the
   /// arbiter stops waiting for it (its grant is then fenced).
   std::uint64_t stale_after_ticks = 3;
-  /// Readiness backend for wait() (see ControllerConfig::reactor_backend).
-  net::Reactor::Backend reactor_backend = net::Reactor::default_backend();
 };
 
 class ArbiterDaemon {

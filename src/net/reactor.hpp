@@ -5,15 +5,10 @@
 // loop iteration even when nothing changed. The reactor keeps the interest
 // set registered across waits: callers add() an fd once when a connection
 // arrives and remove() it when the connection dies, and each wait() is a
-// single epoll_wait(2) (or, on the portable fallback, a poll(2) over an
-// incrementally-maintained pollfd array).
-//
-// Backends:
-//   kEpoll  Linux epoll, level-triggered. Registration is O(1) per fd and
-//           the kernel hands back only the ready subset, so wait cost
-//           scales with readiness, not registration count.
-//   kPoll   Portable poll(2) over a persistent pollfd vector. Same
-//           interface and semantics; wait cost is O(registered).
+// single epoll_wait(2). The epoll instance is level-triggered: registration
+// is O(1) per fd and the kernel hands back only the ready subset, so wait
+// cost scales with readiness, not registration count. (The project builds on
+// Linux only; see the top-level CMakeLists.txt.)
 //
 // Determinism: readiness *order* from epoll is unspecified, so ready() is
 // always sorted ascending by fd. Callers that need canonical processing
@@ -32,8 +27,6 @@
 // for the timeout, so loopback-driven loops keep their pacing.
 #pragma once
 
-#include <poll.h>
-
 #include <cstddef>
 #include <vector>
 
@@ -41,12 +34,7 @@ namespace perq::net {
 
 class Reactor {
  public:
-  enum class Backend { kEpoll, kPoll };
-
-  /// kEpoll on Linux, kPoll elsewhere.
-  static Backend default_backend();
-
-  explicit Reactor(Backend backend = default_backend());
+  Reactor();
   ~Reactor();
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
@@ -56,9 +44,8 @@ class Reactor {
   void add(int fd);
 
   /// Deregisters `fd`. Ignored when fd < 0 or not registered. Callers must
-  /// remove an fd *before* (or promptly after) closing it: the poll
-  /// backend would otherwise spin on POLLNVAL, and a closed-then-reused fd
-  /// number would alias a stranger's socket.
+  /// remove an fd *before* (or promptly after) closing it: a closed-then-
+  /// reused fd number would otherwise alias a stranger's socket.
   void remove(int fd);
 
   /// Blocks up to `timeout_ms` for readability; returns the number of
@@ -68,18 +55,15 @@ class Reactor {
   int wait(int timeout_ms);
 
   /// Fds readable at the last wait(), sorted ascending (deterministic
-  /// iteration order regardless of backend).
+  /// iteration order whatever order the kernel reported).
   const std::vector<int>& ready() const { return ready_; }
 
-  Backend backend() const { return backend_; }
   std::size_t size() const { return fds_.size(); }
 
  private:
-  Backend backend_;
-  int epfd_ = -1;              ///< epoll instance (kEpoll only)
+  int epfd_ = -1;              ///< epoll instance
   std::vector<int> fds_;       ///< registered fds, sorted ascending
   std::vector<int> ready_;     ///< result of the last wait()
-  std::vector<pollfd> pfds_;   ///< kPoll: persistent array, mirrors fds_
 };
 
 }  // namespace perq::net

@@ -11,10 +11,6 @@
 
 namespace perq::qp {
 
-using linalg::operator+;
-using linalg::operator-;
-using linalg::operator*;
-
 namespace {
 
 enum class BoundState { kFree, kAtLower, kAtUpper };
@@ -24,249 +20,7 @@ struct WorkingSet {
   std::vector<bool> budget;       // per budget row
 };
 
-/// Solves the equality-constrained subproblem on the free variables:
-///   [Q_FF  W'] [d_F]   [-g_F]
-///   [W     0 ] [nu ] = [  0 ]
-/// Budget rows with no free support are skipped (their nu stays 0).
-/// Returns the full-length direction d (zeros on fixed variables) and the
-/// multipliers of the *included* active rows via `nu_out` (indexed by budget
-/// row; excluded rows get 0).
-linalg::Vector solve_eqp(const QpProblem& p, const WorkingSet& ws,
-                         const linalg::Vector& g, linalg::Vector& nu_out) {
-  const std::size_t n = p.size();
-  std::vector<std::size_t> free_idx;
-  free_idx.reserve(n);
-  std::vector<std::size_t> pos(n, SIZE_MAX);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (ws.bound[i] == BoundState::kFree) {
-      pos[i] = free_idx.size();
-      free_idx.push_back(i);
-    }
-  }
-  nu_out.assign(p.budgets.size(), 0.0);
-  linalg::Vector d(n, 0.0);
-  if (free_idx.empty()) return d;
-
-  std::vector<std::size_t> rows;  // active budget rows with free support
-  for (std::size_t k = 0; k < p.budgets.size(); ++k) {
-    if (!ws.budget[k]) continue;
-    const auto& bc = p.budgets[k];
-    bool has_free = false;
-    for (std::size_t idx : bc.index) {
-      if (pos[idx] != SIZE_MAX) {
-        has_free = true;
-        break;
-      }
-    }
-    if (has_free) rows.push_back(k);
-  }
-
-  const std::size_t nf = free_idx.size();
-  const std::size_t ne = rows.size();
-  linalg::Matrix kkt(nf + ne, nf + ne);
-  linalg::Vector rhs(nf + ne, 0.0);
-  for (std::size_t a = 0; a < nf; ++a) {
-    for (std::size_t b = 0; b < nf; ++b) {
-      kkt(a, b) = p.Q(free_idx[a], free_idx[b]);
-    }
-    rhs[a] = -g[free_idx[a]];
-  }
-  for (std::size_t e = 0; e < ne; ++e) {
-    const auto& bc = p.budgets[rows[e]];
-    for (std::size_t j = 0; j < bc.index.size(); ++j) {
-      const std::size_t fp = pos[bc.index[j]];
-      if (fp == SIZE_MAX) continue;
-      kkt(nf + e, fp) = bc.weight[j];
-      kkt(fp, nf + e) = bc.weight[j];
-    }
-  }
-
-  const linalg::Vector sol = linalg::Lu(kkt).solve(rhs);
-  for (std::size_t a = 0; a < nf; ++a) d[free_idx[a]] = sol[a];
-  for (std::size_t e = 0; e < ne; ++e) nu_out[rows[e]] = sol[nf + e];
-  return d;
-}
-
 }  // namespace
-
-QpResult solve_active_set(const QpProblem& p, const linalg::Vector& x0,
-                          const AsOptions& opts) {
-  p.validate();
-  const std::size_t n = p.size();
-  const std::size_t nb = p.budgets.size();
-  QpResult r;
-  if (!is_feasible_problem(p)) {
-    r.status = SolveStatus::kInfeasible;
-    r.x.assign(n, 0.0);
-    r.bound_mult.assign(n, 0.0);
-    r.budget_mult.assign(nb, 0.0);
-    return r;
-  }
-
-  const double tol = opts.tolerance;
-  const std::size_t max_it = opts.max_iterations > 0 ? opts.max_iterations
-                                                     : 50 * (n + nb) + 100;
-
-  linalg::Vector x = x0.size() == n ? x0 : linalg::Vector(n, 0.0);
-  project_feasible(p, x);
-
-  // Initialize the working set from the geometry of the starting point.
-  WorkingSet ws{std::vector<BoundState>(n, BoundState::kFree),
-                std::vector<bool>(nb, false)};
-  for (std::size_t i = 0; i < n; ++i) {
-    if (p.ub[i] - p.lb[i] < tol) {
-      ws.bound[i] = BoundState::kAtLower;  // fixed variable
-    } else if (x[i] <= p.lb[i] + tol) {
-      ws.bound[i] = BoundState::kAtLower;
-      x[i] = p.lb[i];
-    } else if (x[i] >= p.ub[i] - tol) {
-      ws.bound[i] = BoundState::kAtUpper;
-      x[i] = p.ub[i];
-    }
-  }
-  for (std::size_t k = 0; k < nb; ++k) {
-    const auto& bc = p.budgets[k];
-    double s = 0.0;
-    for (std::size_t j = 0; j < bc.index.size(); ++j) s += bc.weight[j] * x[bc.index[j]];
-    if (s >= bc.bound - tol * (1.0 + std::abs(bc.bound))) ws.budget[k] = true;
-  }
-
-  linalg::Vector nu(nb, 0.0);
-  r.status = SolveStatus::kMaxIterations;
-  for (std::size_t it = 0; it < max_it; ++it) {
-    r.iterations = it + 1;
-    const linalg::Vector g = p.gradient(x);
-    const linalg::Vector d = solve_eqp(p, ws, g, nu);
-
-    if (linalg::norm_inf(d) <= tol) {
-      // Candidate optimum for the current working set: check multipliers.
-      // Lagrangian stationarity: g_i + sum_k nu_k w_ki + mu_hi - mu_lo = 0.
-      double worst = -tol;
-      enum class DropKind { kNone, kBound, kBudget } drop_kind = DropKind::kNone;
-      std::size_t drop_idx = 0;
-
-      for (std::size_t k = 0; k < nb; ++k) {
-        if (ws.budget[k] && nu[k] < worst) {
-          worst = nu[k];
-          drop_kind = DropKind::kBudget;
-          drop_idx = k;
-        }
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        if (ws.bound[i] == BoundState::kFree) continue;
-        if (p.ub[i] - p.lb[i] < tol) continue;  // genuinely fixed: never drop
-        double gi = g[i];
-        for (std::size_t k = 0; k < nb; ++k) {
-          if (!ws.budget[k] || nu[k] == 0.0) continue;
-          const auto& bc = p.budgets[k];
-          for (std::size_t j = 0; j < bc.index.size(); ++j) {
-            if (bc.index[j] == i) gi += nu[k] * bc.weight[j];
-          }
-        }
-        const double mu = ws.bound[i] == BoundState::kAtLower ? gi : -gi;
-        if (mu < worst) {
-          worst = mu;
-          drop_kind = DropKind::kBound;
-          drop_idx = i;
-        }
-      }
-
-      if (drop_kind == DropKind::kNone) {
-        r.status = SolveStatus::kOptimal;
-        break;
-      }
-      if (drop_kind == DropKind::kBound) {
-        ws.bound[drop_idx] = BoundState::kFree;
-      } else {
-        ws.budget[drop_idx] = false;
-      }
-      continue;
-    }
-
-    // Line search to the nearest blocking constraint.
-    double alpha = 1.0;
-    enum class BlockKind { kNone, kLower, kUpper, kBudget } block = BlockKind::kNone;
-    std::size_t block_idx = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (ws.bound[i] != BoundState::kFree || d[i] == 0.0) continue;
-      if (d[i] > 0.0) {
-        const double a = (p.ub[i] - x[i]) / d[i];
-        if (a < alpha) {
-          alpha = a;
-          block = BlockKind::kUpper;
-          block_idx = i;
-        }
-      } else {
-        const double a = (p.lb[i] - x[i]) / d[i];
-        if (a < alpha) {
-          alpha = a;
-          block = BlockKind::kLower;
-          block_idx = i;
-        }
-      }
-    }
-    for (std::size_t k = 0; k < nb; ++k) {
-      if (ws.budget[k]) continue;
-      const auto& bc = p.budgets[k];
-      double wd = 0.0;
-      double wx = 0.0;
-      for (std::size_t j = 0; j < bc.index.size(); ++j) {
-        wd += bc.weight[j] * d[bc.index[j]];
-        wx += bc.weight[j] * x[bc.index[j]];
-      }
-      if (wd > tol) {
-        const double a = (bc.bound - wx) / wd;
-        if (a < alpha) {
-          alpha = a;
-          block = BlockKind::kBudget;
-          block_idx = k;
-        }
-      }
-    }
-
-    alpha = std::max(alpha, 0.0);
-    for (std::size_t i = 0; i < n; ++i) x[i] += alpha * d[i];
-    switch (block) {
-      case BlockKind::kLower:
-        ws.bound[block_idx] = BoundState::kAtLower;
-        x[block_idx] = p.lb[block_idx];
-        break;
-      case BlockKind::kUpper:
-        ws.bound[block_idx] = BoundState::kAtUpper;
-        x[block_idx] = p.ub[block_idx];
-        break;
-      case BlockKind::kBudget:
-        ws.budget[block_idx] = true;
-        break;
-      case BlockKind::kNone:
-        break;
-    }
-  }
-
-  r.x = x;
-  r.objective = p.objective(x);
-  // Export multipliers in the result's convention (non-negative).
-  r.budget_mult.assign(nb, 0.0);
-  for (std::size_t k = 0; k < nb; ++k) {
-    if (ws.budget[k]) r.budget_mult[k] = std::max(0.0, nu[k]);
-  }
-  r.bound_mult.assign(n, 0.0);
-  const linalg::Vector g = p.gradient(x);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (ws.bound[i] == BoundState::kFree) continue;
-    double gi = g[i];
-    for (std::size_t k = 0; k < nb; ++k) {
-      if (r.budget_mult[k] == 0.0) continue;
-      const auto& bc = p.budgets[k];
-      for (std::size_t j = 0; j < bc.index.size(); ++j) {
-        if (bc.index[j] == i) gi += r.budget_mult[k] * bc.weight[j];
-      }
-    }
-    const double mu = ws.bound[i] == BoundState::kAtLower ? gi : -gi;
-    if (mu > 0.0) r.bound_mult[i] = mu;
-  }
-  return r;
-}
 
 QpResult solve_active_set(const StructuredQp& p, const linalg::Vector& x0,
                           const AsOptions& opts) {
@@ -580,29 +334,6 @@ QpResult solve_active_set(const StructuredQp& p, const linalg::Vector& x0,
     if (mu > 0.0) r.bound_mult[i] = mu;
   }
   return r;
-}
-
-QpResult solve(const QpProblem& p, const linalg::Vector& warm_start,
-               const SolveOptions& opts) {
-  constexpr double kAcceptTol = 1e-5;
-  AsOptions as_opts;
-  PgOptions pg_opts;
-  if (opts.max_iterations > 0) {
-    as_opts.max_iterations = opts.max_iterations;
-    pg_opts.max_iterations = opts.max_iterations;
-  }
-  try {
-    QpResult r = solve_active_set(p, warm_start, as_opts);
-    if (r.status == SolveStatus::kInfeasible) return r;
-    if (r.status == SolveStatus::kOptimal &&
-        kkt_residual(p, r).max() <= kAcceptTol * (1.0 + linalg::norm_inf(p.c))) {
-      return r;
-    }
-  } catch (const invariant_error&) {
-    // Singular working-set system: fall through to the always-convergent
-    // projected-gradient solver.
-  }
-  return solve_projected_gradient(p, warm_start, pg_opts);
 }
 
 QpResult solve(const StructuredQp& p, const linalg::Vector& warm_start,

@@ -1,4 +1,4 @@
-// Convex quadratic-program definition for PERQ's MPC step.
+// Constraint and result types of PERQ's MPC quadratic program.
 //
 // Every control interval, PERQ solves (paper Eq. 4)
 //
@@ -9,6 +9,9 @@
 //
 // Q is symmetric positive definite by construction (tracking weights plus a
 // ridge from the Delta-P penalty), so the problem has a unique minimizer.
+// The problem itself is a StructuredQp (qp/structured.hpp), which keeps Q
+// as its terms; this header holds the budget row and the solver's output
+// and diagnostics.
 #pragma once
 
 #include <cstddef>
@@ -26,34 +29,6 @@ struct BudgetConstraint {
   std::vector<std::size_t> index;  ///< variable indices with nonzero weight
   linalg::Vector weight;           ///< strictly positive weights, same length
   double bound = 0.0;              ///< right-hand side
-};
-
-/// The full QP. See file comment for the mathematical form.
-struct QpProblem {
-  linalg::Matrix Q;    ///< symmetric positive definite Hessian (n x n)
-  linalg::Vector c;    ///< linear term (n)
-  linalg::Vector lb;   ///< elementwise lower bounds (n)
-  linalg::Vector ub;   ///< elementwise upper bounds (n)
-  std::vector<BudgetConstraint> budgets;  ///< linear inequality rows
-
-  std::size_t size() const { return c.size(); }
-
-  /// Validates shapes, bound ordering, weight positivity, and (cheaply)
-  /// Hessian symmetry. Throws perq::precondition_error on violation.
-  void validate() const;
-
-  /// Objective value at x.
-  double objective(const linalg::Vector& x) const;
-
-  /// Gradient Qx + c.
-  linalg::Vector gradient(const linalg::Vector& x) const;
-
-  /// Max constraint violation at x (0 when feasible).
-  double infeasibility(const linalg::Vector& x) const;
-
-  /// True when all budget rows touch pairwise-disjoint variable sets, in
-  /// which case projection onto the feasible set is exact and cheap.
-  bool budgets_disjoint() const;
 };
 
 /// Why a solver returned.
@@ -85,9 +60,5 @@ struct KktResidual {
 
   double max() const;
 };
-
-/// Evaluates KKT residuals for a candidate solution. Used by tests and by
-/// the solve() facade to decide whether the active-set result is trustworthy.
-KktResidual kkt_residual(const QpProblem& p, const QpResult& r);
 
 }  // namespace perq::qp

@@ -12,30 +12,13 @@ using linalg::operator+;
 using linalg::operator-;
 using linalg::operator*;
 
-double estimate_spectral_norm(const linalg::Matrix& q, std::size_t iterations) {
-  PERQ_REQUIRE(q.is_square(), "spectral norm needs a square matrix");
-  const std::size_t n = q.rows();
-  if (n == 0) return 0.0;
-  linalg::Vector v(n, 1.0 / std::sqrt(static_cast<double>(n)));
-  double lambda = 0.0;
-  for (std::size_t it = 0; it < iterations; ++it) {
-    linalg::Vector w = q * v;
-    const double nw = linalg::norm2(w);
-    if (nw == 0.0) return 0.0;
-    lambda = nw;
-    v = w * (1.0 / nw);
-  }
-  return lambda;
-}
-
 namespace {
 
 /// Reconstructs budget/bound multiplier estimates from the gradient at the
 /// (near-)optimal x. For each budget row active to tolerance, nu is the
 /// median of -g_i / w_i over its strictly-interior variables; bound
 /// multipliers absorb the remaining per-coordinate gradient.
-template <class Problem>
-void reconstruct_multipliers(const Problem& p, QpResult& r) {
+void reconstruct_multipliers(const StructuredQp& p, QpResult& r) {
   const std::size_t n = p.size();
   linalg::Vector g = p.gradient(r.x);
   r.budget_mult.assign(p.budgets.size(), 0.0);
@@ -73,10 +56,9 @@ void reconstruct_multipliers(const Problem& p, QpResult& r) {
   }
 }
 
-/// FISTA with restart on non-monotone objective, shared by the dense and
-/// structured problem forms. `lipschitz` is an upper bound on ||Q||_2.
-template <class Problem>
-QpResult fista(const Problem& p, const linalg::Vector& x0, double lipschitz,
+/// FISTA with restart on non-monotone objective. `lipschitz` is an upper
+/// bound on ||Q||_2.
+QpResult fista(const StructuredQp& p, const linalg::Vector& x0, double lipschitz,
                const PgOptions& opts) {
   QpResult r;
   const std::size_t n = p.size();
@@ -134,12 +116,6 @@ QpResult fista(const Problem& p, const linalg::Vector& x0, double lipschitz,
 }
 
 }  // namespace
-
-QpResult solve_projected_gradient(const QpProblem& p, const linalg::Vector& x0,
-                                  const PgOptions& opts) {
-  p.validate();
-  return fista(p, x0, estimate_spectral_norm(p.Q), opts);
-}
 
 QpResult solve_projected_gradient(const StructuredQp& p, const linalg::Vector& x0,
                                   const PgOptions& opts) {

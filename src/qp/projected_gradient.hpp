@@ -1,11 +1,11 @@
 // FISTA (accelerated projected gradient) solver for PERQ's QP.
 //
 // This is the robust fallback behind the active-set solver: it converges for
-// any feasible convex instance, at the cost of more iterations. The step size
-// uses 1/L with L estimated by power iteration on Q.
+// any feasible convex instance, at the cost of more iterations. Every
+// gradient is a matrix-free O(nnz) product, and the step size is 1/L with L
+// a Gershgorin bound on the Jacobi-scaled Q, so Q is never materialized.
 #pragma once
 
-#include "qp/problem.hpp"
 #include "qp/structured.hpp"
 
 namespace perq::qp {
@@ -18,17 +18,7 @@ struct PgOptions {
 /// Solves `p` by FISTA from `x0` (projected to feasibility first).
 /// Multiplier estimates in the result are reconstructed from the gradient at
 /// the solution (used for KKT diagnostics, not for the optimization itself).
-QpResult solve_projected_gradient(const QpProblem& p, const linalg::Vector& x0,
-                                  const PgOptions& opts = {});
-
-/// Structured overload: identical algorithm, but every gradient is a
-/// matrix-free O(nnz) product and the step size comes from a Gershgorin
-/// bound, so the dense Hessian is never materialized. This is the production
-/// path for large MPC instances (nj * m in the thousands).
 QpResult solve_projected_gradient(const StructuredQp& p, const linalg::Vector& x0,
                                   const PgOptions& opts = {});
-
-/// Estimates the largest eigenvalue of symmetric Q by power iteration.
-double estimate_spectral_norm(const linalg::Matrix& q, std::size_t iterations = 50);
 
 }  // namespace perq::qp

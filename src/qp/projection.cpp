@@ -102,12 +102,7 @@ void project_budget(linalg::Vector& x, const BudgetConstraint& bc,
   }
 }
 
-namespace {
-
-// Shared across the dense and structured problem forms: both expose the same
-// lb/ub/budgets interface subset.
-template <class Problem>
-bool is_feasible_impl(const Problem& p) {
+bool is_feasible_problem(const StructuredQp& p) {
   for (const auto& bc : p.budgets) {
     double lo_sum = 0.0;
     for (std::size_t k = 0; k < bc.index.size(); ++k) {
@@ -118,35 +113,27 @@ bool is_feasible_impl(const Problem& p) {
   return true;
 }
 
-template <class Problem>
-void project_feasible_impl(const Problem& p, linalg::Vector& x, double tol) {
-  PERQ_REQUIRE(is_feasible_impl(p), "QP feasible set is empty");
-  project_box(x, p.lb, p.ub);
-  if (p.budgets.empty()) return;
+void project_feasible(const StructuredQp& p, linalg::Vector& x, double tol) {
+  PERQ_REQUIRE(is_feasible_problem(p), "QP feasible set is empty");
+  PERQ_REQUIRE(x.size() == p.size(), "size mismatch");
 
   if (p.budgets_disjoint()) {
+    // Each row projects its own variables from the unclipped point:
+    // clipping first would strip a binding row's coordinate above its bound
+    // of the excess the row's projection must see. project_budget leaves
+    // its variables inside the box, so the clip afterwards moves only the
+    // variables no row touches.
     for (const auto& bc : p.budgets) project_budget(x, bc, p.lb, p.ub);
+    project_box(x, p.lb, p.ub);
     return;
   }
   // Cyclic projections for overlapping rows: converges to a feasible point.
+  project_box(x, p.lb, p.ub);
   for (int round = 0; round < 500; ++round) {
     for (const auto& bc : p.budgets) project_budget(x, bc, p.lb, p.ub);
     if (p.infeasibility(x) <= tol) return;
   }
   PERQ_ASSERT(p.infeasibility(x) <= 1e-6, "cyclic projection failed to converge");
-}
-
-}  // namespace
-
-bool is_feasible_problem(const QpProblem& p) { return is_feasible_impl(p); }
-bool is_feasible_problem(const StructuredQp& p) { return is_feasible_impl(p); }
-
-void project_feasible(const QpProblem& p, linalg::Vector& x, double tol) {
-  project_feasible_impl(p, x, tol);
-}
-
-void project_feasible(const StructuredQp& p, linalg::Vector& x, double tol) {
-  project_feasible_impl(p, x, tol);
 }
 
 }  // namespace perq::qp

@@ -2,11 +2,12 @@
 //
 // When budget rows touch disjoint variable sets -- which is always the case
 // for the MPC condensed form, where each horizon step has its own budget row
-// over that step's caps -- the projection is exact: clip to the box, then for
-// each violated budget row solve a one-dimensional dual problem by bisection.
+// over that step's caps -- the projection is exact: each row projects its own
+// variables, from the unclipped point, onto (box intersect row) by a
+// one-dimensional dual problem solved by bisection, and the variables no row
+// touches are clipped to the box.
 #pragma once
 
-#include "qp/problem.hpp"
 #include "qp/structured.hpp"
 
 namespace perq::qp {
@@ -23,17 +24,14 @@ void project_budget(linalg::Vector& x, const BudgetConstraint& bc,
                     const linalg::Vector& lb, const linalg::Vector& ub);
 
 /// Projects x onto the feasible set of `p`. Exact when p.budgets_disjoint();
-/// otherwise performs cyclic projections (POCS) until feasible to `tol`,
-/// which yields a feasible point though not necessarily the nearest one.
-/// Throws perq::precondition_error when the feasible set is empty.
-void project_feasible(const QpProblem& p, linalg::Vector& x, double tol = 1e-10);
-
-/// Structured overload: identical semantics, no dense Hessian required.
+/// otherwise clips to the box and performs cyclic projections (POCS) until
+/// feasible to `tol`, which yields a feasible point though not necessarily
+/// the nearest one. Throws perq::precondition_error when the feasible set is
+/// empty.
 void project_feasible(const StructuredQp& p, linalg::Vector& x, double tol = 1e-10);
 
 /// True when the feasible set is non-empty (checks each budget row against
 /// the box minimum).
-bool is_feasible_problem(const QpProblem& p);
 bool is_feasible_problem(const StructuredQp& p);
 
 }  // namespace perq::qp

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "qp/kkt_impl.hpp"
 #include "util/require.hpp"
 
 namespace perq::qp {
@@ -124,7 +123,14 @@ double StructuredQp::infeasibility(const linalg::Vector& x) const {
 }
 
 bool StructuredQp::budgets_disjoint() const {
-  return detail::rows_disjoint(budgets, n_);
+  std::vector<char> seen(n_, 0);
+  for (const auto& bc : budgets) {
+    for (std::size_t idx : bc.index) {
+      if (seen[idx]) return false;
+      seen[idx] = 1;
+    }
+  }
+  return true;
 }
 
 double StructuredQp::gershgorin_bound() const {
@@ -235,35 +241,49 @@ double StructuredQp::q_entry(std::size_t i, std::size_t j) const {
   return v;
 }
 
-QpProblem StructuredQp::to_dense() const {
-  QpProblem p;
-  p.Q = linalg::Matrix(n_, n_);
-  for (std::size_t i = 0; i < n_; ++i) p.Q(i, i) = diag_[i];
-  for (std::size_t r = 0; r < row_count(); ++r) {
-    const std::size_t e0 = row_off_[r];
-    const std::size_t e1 = row_off_[r + 1];
-    for (std::size_t e = e0; e < e1; ++e) {
-      const double wc = row_w_[r] * row_coef_[e];
-      for (std::size_t f = e0; f < e1; ++f) {
-        p.Q(row_idx_[e], row_idx_[f]) += wc * row_coef_[f];
+KktResidual kkt_residual(const StructuredQp& p, const QpResult& r) {
+  const std::size_t n = p.size();
+  PERQ_REQUIRE(r.x.size() == n, "solution size mismatch");
+  PERQ_REQUIRE(r.bound_mult.size() == n, "bound multiplier size mismatch");
+  PERQ_REQUIRE(r.budget_mult.size() == p.budgets.size(),
+               "budget multiplier size mismatch");
+
+  KktResidual res;
+  res.primal = p.infeasibility(r.x);
+
+  // Stationarity: Qx + c + sum_k nu_k w_k + mu_upper - mu_lower = 0.
+  // bound_mult[i] stores the multiplier of whichever bound is active; its
+  // sign contribution depends on which side x sits at. We reconstruct:
+  linalg::Vector g = p.gradient(r.x);
+  for (std::size_t k = 0; k < p.budgets.size(); ++k) {
+    const auto& bc = p.budgets[k];
+    const double nu = r.budget_mult[k];
+    res.dual = std::max(res.dual, -nu);
+    double s = 0.0;
+    for (std::size_t j = 0; j < bc.index.size(); ++j) {
+      g[bc.index[j]] += nu * bc.weight[j];
+      s += bc.weight[j] * r.x[bc.index[j]];
+    }
+    res.complementarity = std::max(res.complementarity, std::abs(nu * (bc.bound - s)));
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const double mu = r.bound_mult[i];
+    res.dual = std::max(res.dual, -mu);
+    const double slack_lo = r.x[i] - p.lb[i];
+    const double slack_hi = p.ub[i] - r.x[i];
+    if (mu > 0.0) {
+      // Attribute the multiplier to the nearer bound.
+      if (slack_lo <= slack_hi) {
+        g[i] -= mu;  // lower bound active: gradient balanced by -mu
+        res.complementarity = std::max(res.complementarity, std::abs(mu * slack_lo));
+      } else {
+        g[i] += mu;  // upper bound active
+        res.complementarity = std::max(res.complementarity, std::abs(mu * slack_hi));
       }
     }
   }
-  for (const auto& pr : pairs_) {
-    p.Q(pr.a, pr.a) += pr.w;
-    p.Q(pr.b, pr.b) += pr.w;
-    p.Q(pr.a, pr.b) -= pr.w;
-    p.Q(pr.b, pr.a) -= pr.w;
-  }
-  p.c = c_;
-  p.lb = lb;
-  p.ub = ub;
-  p.budgets = budgets;
-  return p;
-}
-
-KktResidual kkt_residual(const StructuredQp& p, const QpResult& r) {
-  return detail::kkt_residual_impl(p, r);
+  res.stationarity = linalg::norm_inf(g);
+  return res;
 }
 
 }  // namespace perq::qp

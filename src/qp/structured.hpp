@@ -17,15 +17,13 @@
 // so adding a row allocates nothing once the arrays have grown), and
 // provides
 //
-//   * matrix-free products `qx` / `gradient` in O(total nnz),
+//   * matrix-free products `qx` / `gradient` in O(total nnz), and
 //   * a declared variable partition (one block per MPC job) that the
-//     active set's BlockFactor factors by, and
-//   * a dense adapter `to_dense()` used by tests and the debug/baseline
-//     solver path to prove exact equivalence with the legacy pipeline.
+//     active set's BlockFactor factors by.
 //
-// Conventions match QpProblem: the objective is 1/2 x'Qx + c'x where a
-// residual contributes 2w*aa' to Q and -2wb*a to c (constant terms dropped),
-// so structured and dense solves agree exactly on objective values.
+// The objective is 1/2 x'Qx + c'x where a residual contributes 2w*aa' to Q
+// and -2wb*a to c (constant terms dropped); `q_entry` and `linear_term`
+// expose single entries of that Q and the whole of c.
 #pragma once
 
 #include <cstddef>
@@ -63,13 +61,14 @@ class StructuredQp {
   /// Adds w * (x_a - x_b)^2 (Delta-P coupling between adjacent steps).
   void add_smooth(std::size_t a, std::size_t b, double w);
 
-  // ---- constraints (same shapes as QpProblem) -----------------------------
+  // ---- constraints ----------------------------------------------------------
 
   linalg::Vector lb;
   linalg::Vector ub;
   std::vector<BudgetConstraint> budgets;
 
-  /// Validates shapes and budget rows (mirrors QpProblem::validate).
+  /// Validates shapes, bound ordering and budget rows (index range, weight
+  /// positivity). Throws perq::precondition_error on violation.
   void validate() const;
 
   // ---- matrix-free operations ---------------------------------------------
@@ -80,8 +79,7 @@ class StructuredQp {
   /// Gradient Qx + c.
   linalg::Vector gradient(const linalg::Vector& x) const;
 
-  /// Objective 1/2 x'Qx + c'x (same constant-dropping convention as the
-  /// dense QpProblem, so values are directly comparable).
+  /// Objective 1/2 x'Qx + c'x (constant terms of the residuals dropped).
   double objective(const linalg::Vector& x) const;
 
   /// Max constraint violation at x (0 when feasible).
@@ -126,11 +124,6 @@ class StructuredQp {
   /// and diagnostics, not hot loops.
   double q_entry(std::size_t i, std::size_t j) const;
 
-  // ---- dense adapter ------------------------------------------------------
-
-  /// Materializes the equivalent dense QpProblem (debug/baseline path).
-  QpProblem to_dense() const;
-
  private:
   struct Pair {
     std::size_t a = 0;
@@ -160,8 +153,8 @@ class StructuredQp {
   std::size_t stamp_ = 0;
 };
 
-/// KKT residual diagnostics against the structured form (same definition as
-/// the dense overload in problem.hpp).
+/// Evaluates KKT residuals for a candidate solution. Used by tests and by
+/// the solve() facade to decide whether the active-set result is trustworthy.
 KktResidual kkt_residual(const StructuredQp& p, const QpResult& r);
 
 }  // namespace perq::qp

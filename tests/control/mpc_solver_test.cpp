@@ -1,8 +1,7 @@
-// Solver-path invariance of MpcController::decide: the structured solver
-// path must agree with the dense debug/baseline adapter on the resulting
-// caps to well below a watt. Also frozen golden decisions (the structured
-// path's caps, bit for bit, over runs of warm-started decides) and the
-// steady-state allocation count of decide as the job count grows.
+// MpcController::decide's solver contracts: frozen golden decisions (the
+// caps, bit for bit, over runs of warm-started decides) and the steady-state
+// allocation count of decide as the job count grows. The QP solve itself is
+// checked against a dense reference in tests/qp/structured_test.cpp.
 #include "control/mpc.hpp"
 
 #include <gtest/gtest.h>
@@ -118,37 +117,8 @@ class MpcSolverTest : public ::testing::Test {
   std::size_t total_nodes_ = 0;
 };
 
-TEST_F(MpcSolverTest, StructuredPathMatchesDenseAdapter) {
-  build_fleet(12);
-  MpcConfig structured_cfg;
-  structured_cfg.solver = MpcConfig::SolverPath::kStructured;
-  MpcConfig dense_cfg;
-  dense_cfg.solver = MpcConfig::SolverPath::kDense;
-  MpcController structured(structured_cfg);
-  MpcController dense(dense_cfg);
-
-  const auto cj = controlled();
-  const auto t = targets();
-  const double budget = static_cast<double>(total_nodes_) * 150.0;
-  std::vector<double> prev_s(cj.size(), 145.0);
-  std::vector<double> prev_d(cj.size(), 145.0);
-  for (int step = 0; step < 6; ++step) {
-    const auto ds = structured.decide(cj, t, prev_s, budget);
-    const auto dd = dense.decide(cj, t, prev_d, budget);
-    EXPECT_EQ(ds.status, qp::SolveStatus::kOptimal);
-    EXPECT_EQ(dd.status, qp::SolveStatus::kOptimal);
-    EXPECT_NEAR(ds.objective, dd.objective, 1e-6 * (1.0 + std::abs(dd.objective)));
-    for (std::size_t i = 0; i < ds.caps_w.size(); ++i) {
-      EXPECT_NEAR(ds.caps_w[i], dd.caps_w[i], 1e-3) << "step " << step
-                                                    << " job " << i;
-    }
-    prev_s = ds.caps_w;
-    prev_d = dd.caps_w;
-  }
-}
-
 TEST_F(MpcSolverTest, FrozenGoldenDecisions) {
-  // Frozen hashes of the structured path's caps. A solver change that keeps
+  // Frozen hashes of the decided caps. A solver change that keeps
   // every floating-point operation in order must reproduce every cap bit for
   // bit; a new hash means the decisions changed numerically.
   struct Case {

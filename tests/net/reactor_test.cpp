@@ -1,6 +1,6 @@
 // Reactor wait-loop contracts: EINTR never shortens a wait (the regression
 // where a signal landing during the empty-interest pacing sleep returned
-// early, indistinguishable from a timeout), on either backend.
+// early, indistinguishable from a timeout).
 #include <gtest/gtest.h>
 #include <pthread.h>
 #include <signal.h>
@@ -60,15 +60,13 @@ double elapsed_ms(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-class ReactorEintr : public ::testing::TestWithParam<Reactor::Backend> {};
-
 // The regression: with nothing registered, wait() is a pacing sleep. A
 // signal mid-sleep used to surface as an early return with an empty ready
 // set -- the caller cannot tell it from a real timeout, so its pacing
 // interval silently collapsed under signal load.
-TEST_P(ReactorEintr, EmptyInterestPacingSleepSurvivesSignals) {
+TEST(ReactorEintr, EmptyInterestPacingSleepSurvivesSignals) {
   SigusrScope scope;
-  Reactor r(GetParam());
+  Reactor r;
   SignalStorm storm(pthread_self());
   const auto t0 = std::chrono::steady_clock::now();
   const int n = r.wait(200);
@@ -77,11 +75,11 @@ TEST_P(ReactorEintr, EmptyInterestPacingSleepSurvivesSignals) {
       << "EINTR mid-sleep shortened the pacing wait";
 }
 
-// The registered paths already retried EINTR against the deadline; pin
+// The registered path already retried EINTR against the deadline; pin
 // that behavior too so it cannot regress the other way.
-TEST_P(ReactorEintr, RegisteredWaitSurvivesSignalsUntilTimeout) {
+TEST(ReactorEintr, RegisteredWaitSurvivesSignalsUntilTimeout) {
   SigusrScope scope;
-  Reactor r(GetParam());
+  Reactor r;
   int pipe_fds[2];
   ASSERT_EQ(::pipe(pipe_fds), 0);
   r.add(pipe_fds[0]);
@@ -93,10 +91,6 @@ TEST_P(ReactorEintr, RegisteredWaitSurvivesSignalsUntilTimeout) {
   ::close(pipe_fds[0]);
   ::close(pipe_fds[1]);
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, ReactorEintr,
-                         ::testing::Values(Reactor::Backend::kEpoll,
-                                           Reactor::Backend::kPoll));
 
 }  // namespace
 }  // namespace perq::net

@@ -4,13 +4,14 @@
 
 #include "qp/active_set.hpp"
 #include "qp/projected_gradient.hpp"
+#include "support/dense_qp.hpp"
 #include "util/require.hpp"
 
 namespace perq::qp {
 namespace {
 
-using linalg::Matrix;
 using linalg::Vector;
+using test::identity_qp;
 
 TEST(SolveStatus, ToStringCoversAllValues) {
   EXPECT_EQ(to_string(SolveStatus::kOptimal), "optimal");
@@ -19,11 +20,7 @@ TEST(SolveStatus, ToStringCoversAllValues) {
 }
 
 TEST(Facade, InfeasibleProblemReported) {
-  QpProblem p;
-  p.Q = Matrix::identity(2);
-  p.c = {0, 0};
-  p.lb = {1, 1};
-  p.ub = {2, 2};
+  auto p = identity_qp({0, 0}, 1.0, 2.0);
   BudgetConstraint bc;
   bc.index = {0, 1};
   bc.weight = {1, 1};
@@ -34,21 +31,13 @@ TEST(Facade, InfeasibleProblemReported) {
 
 TEST(Facade, SingleVariableDegenerateBox) {
   // lb == ub pins the variable; the solution is forced.
-  QpProblem p;
-  p.Q = Matrix::identity(1);
-  p.c = {-3.0};
-  p.lb = {0.7};
-  p.ub = {0.7};
+  auto p = identity_qp({-3.0}, 0.7, 0.7);
   auto r = solve(p);
   EXPECT_NEAR(r.x[0], 0.7, 1e-9);
 }
 
 TEST(Facade, WarmStartOutsideFeasibleSetIsProjected) {
-  QpProblem p;
-  p.Q = Matrix::identity(2);
-  p.c = {-1, -1};
-  p.lb = {0, 0};
-  p.ub = {1, 1};
+  auto p = identity_qp({-1, -1}, 0.0, 1.0);
   auto r = solve(p, Vector{50.0, -50.0});
   EXPECT_EQ(r.status, SolveStatus::kOptimal);
   EXPECT_NEAR(r.x[0], 1.0, 1e-8);
@@ -58,11 +47,7 @@ TEST(Facade, WarmStartOutsideFeasibleSetIsProjected) {
 TEST(Facade, BudgetExactlyAtUnconstrainedOptimum) {
   // The budget passes exactly through the unconstrained minimizer (1, 1):
   // a degenerate active set (constraint active with zero multiplier).
-  QpProblem p;
-  p.Q = Matrix::identity(2);
-  p.c = {-1, -1};
-  p.lb = {0, 0};
-  p.ub = {5, 5};
+  auto p = identity_qp({-1, -1}, 0.0, 5.0);
   BudgetConstraint bc;
   bc.index = {0, 1};
   bc.weight = {1, 1};
@@ -74,11 +59,7 @@ TEST(Facade, BudgetExactlyAtUnconstrainedOptimum) {
 }
 
 TEST(ProjectedGradient, HonorsIterationBudget) {
-  QpProblem p;
-  p.Q = Matrix::identity(4);
-  p.c = {-1, -2, -3, -4};
-  p.lb.assign(4, 0.0);
-  p.ub.assign(4, 10.0);
+  auto p = identity_qp({-1, -2, -3, -4}, 0.0, 10.0);
   PgOptions opts;
   opts.max_iterations = 3;
   opts.tolerance = 1e-16;  // unreachable in 3 iterations
@@ -89,11 +70,7 @@ TEST(ProjectedGradient, HonorsIterationBudget) {
 }
 
 TEST(KktResidual, DetectsWrongMultipliers) {
-  QpProblem p;
-  p.Q = Matrix::identity(1);
-  p.c = {-2.0};
-  p.lb = {0.0};
-  p.ub = {1.0};
+  auto p = identity_qp({-2.0}, 0.0, 1.0);
   auto r = solve(p);
   ASSERT_EQ(r.status, SolveStatus::kOptimal);
   EXPECT_LT(kkt_residual(p, r).max(), 1e-6);
@@ -104,11 +81,7 @@ TEST(KktResidual, DetectsWrongMultipliers) {
 }
 
 TEST(KktResidual, ValidatesShapes) {
-  QpProblem p;
-  p.Q = Matrix::identity(2);
-  p.c = {0, 0};
-  p.lb = {0, 0};
-  p.ub = {1, 1};
+  auto p = identity_qp({0, 0}, 0.0, 1.0);
   QpResult r;
   r.x = {0.5, 0.5};
   r.bound_mult = {0.0};  // wrong size

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "qp/active_set.hpp"
 #include "qp/projected_gradient.hpp"
 #include "qp/projection.hpp"
+#include "support/dense_qp.hpp"
 #include "util/rng.hpp"
 
 namespace perq::qp {
@@ -11,28 +14,21 @@ namespace {
 using linalg::Matrix;
 using linalg::Vector;
 using linalg::approx_equal;
+using test::identity_qp;
 
-QpProblem unconstrained_like(std::size_t n) {
-  QpProblem p;
-  p.Q = Matrix::identity(n);
-  p.c.assign(n, 0.0);
-  p.lb.assign(n, -100.0);
-  p.ub.assign(n, 100.0);
-  return p;
-}
+/// min 1/2 x'x + c'x over the wide box [-100, 100]^n.
+StructuredQp unconstrained_like(const Vector& c) { return identity_qp(c, -100.0, 100.0); }
 
 TEST(ActiveSet, UnconstrainedMinimum) {
   // min 1/2 x'Ix + c'x  => x = -c.
-  auto p = unconstrained_like(3);
-  p.c = {1.0, -2.0, 0.5};
+  auto p = unconstrained_like({1.0, -2.0, 0.5});
   auto r = solve_active_set(p, {});
   EXPECT_EQ(r.status, SolveStatus::kOptimal);
   EXPECT_TRUE(approx_equal(r.x, Vector{-1.0, 2.0, -0.5}, 1e-8));
 }
 
 TEST(ActiveSet, BoxClampsSolution) {
-  auto p = unconstrained_like(2);
-  p.c = {-10.0, 0.0};  // unconstrained min at (10, 0)
+  auto p = unconstrained_like({-10.0, 0.0});  // unconstrained min at (10, 0)
   p.ub = {1.0, 1.0};
   p.lb = {-1.0, -1.0};
   auto r = solve_active_set(p, {});
@@ -44,8 +40,7 @@ TEST(ActiveSet, BoxClampsSolution) {
 
 TEST(ActiveSet, BudgetBindsAndSplitsEvenly) {
   // Symmetric pull toward (2,2) with budget x0+x1 <= 2 => (1,1).
-  auto p = unconstrained_like(2);
-  p.c = {-2.0, -2.0};
+  auto p = unconstrained_like({-2.0, -2.0});
   p.lb = {0.0, 0.0};
   p.ub = {5.0, 5.0};
   BudgetConstraint bc;
@@ -61,8 +56,7 @@ TEST(ActiveSet, BudgetBindsAndSplitsEvenly) {
 }
 
 TEST(ActiveSet, InactiveBudgetHasZeroMultiplier) {
-  auto p = unconstrained_like(2);
-  p.c = {1.0, 1.0};  // min at (-1,-1)
+  auto p = unconstrained_like({1.0, 1.0});  // min at (-1,-1)
   p.lb = {-2.0, -2.0};
   p.ub = {2.0, 2.0};
   BudgetConstraint bc;
@@ -77,7 +71,7 @@ TEST(ActiveSet, InactiveBudgetHasZeroMultiplier) {
 }
 
 TEST(ActiveSet, InfeasibleDetected) {
-  auto p = unconstrained_like(2);
+  auto p = unconstrained_like({0.0, 0.0});
   p.lb = {1.0, 1.0};
   p.ub = {2.0, 2.0};
   BudgetConstraint bc;
@@ -90,8 +84,7 @@ TEST(ActiveSet, InfeasibleDetected) {
 }
 
 TEST(ActiveSet, FixedVariablesHandled) {
-  auto p = unconstrained_like(3);
-  p.c = {-5, -5, -5};
+  auto p = unconstrained_like({-5, -5, -5});
   p.lb[1] = p.ub[1] = 0.25;  // variable 1 pinned
   auto r = solve_active_set(p, {});
   EXPECT_EQ(r.status, SolveStatus::kOptimal);
@@ -100,8 +93,7 @@ TEST(ActiveSet, FixedVariablesHandled) {
 }
 
 TEST(ActiveSet, WarmStartReducesIterations) {
-  auto p = unconstrained_like(6);
-  for (std::size_t i = 0; i < 6; ++i) p.c[i] = -static_cast<double>(i + 1);
+  auto p = unconstrained_like({-1, -2, -3, -4, -5, -6});
   p.lb.assign(6, 0.0);
   p.ub.assign(6, 1.5);
   BudgetConstraint bc;
@@ -120,22 +112,12 @@ TEST(ActiveSet, WarmStartReducesIterations) {
 }
 
 TEST(ProjectedGradient, MatchesActiveSetOnSmallProblem) {
-  auto p = unconstrained_like(2);
-  p.c = {-3.0, 1.0};
+  auto p = unconstrained_like({-3.0, 1.0});
   p.lb = {0.0, 0.0};
   p.ub = {2.0, 2.0};
   auto a = solve_active_set(p, {});
   auto g = solve_projected_gradient(p, {});
   EXPECT_TRUE(approx_equal(a.x, g.x, 1e-6));
-}
-
-TEST(SpectralNorm, DiagonalMatrix) {
-  Matrix q = Matrix::diagonal({1.0, 7.0, 3.0});
-  EXPECT_NEAR(estimate_spectral_norm(q), 7.0, 1e-6);
-}
-
-TEST(SpectralNorm, EmptyMatrixIsZero) {
-  EXPECT_DOUBLE_EQ(estimate_spectral_norm(Matrix()), 0.0);
 }
 
 // ---- Randomized cross-validation: active set vs FISTA vs KKT --------------
@@ -152,18 +134,26 @@ struct RandomCase {
 
 class RandomQp : public ::testing::TestWithParam<RandomCase> {
  protected:
-  QpProblem make(const RandomCase& rc) {
+  StructuredQp make(const RandomCase& rc) {
     Rng rng(rc.seed);
-    QpProblem p;
-    // SPD Hessian: A'A + n*I.
+    // SPD Hessian Q = A'A + I: one residual row w (b_r - a_r'x)^2 per row
+    // of A with w = 1/2, so each adds a_r a_r' to Q and -b_r a_r to c, plus
+    // a ridge of 1/2 for the identity. So c = -A'b.
     Matrix a(rc.n, rc.n);
     for (std::size_t r = 0; r < rc.n; ++r) {
       for (std::size_t c = 0; c < rc.n; ++c) a(r, c) = rng.uniform(-1, 1);
     }
-    p.Q = a.transposed() * a;
-    for (std::size_t i = 0; i < rc.n; ++i) p.Q(i, i) += 1.0;
-    p.c.resize(rc.n);
-    for (auto& v : p.c) v = rng.uniform(-5, 5);
+    Vector b(rc.n);
+    for (auto& v : b) v = rng.uniform(-5, 5);
+    StructuredQp p(rc.n);
+    p.add_ridge(0.5);
+    std::vector<std::size_t> idx(rc.n);
+    std::iota(idx.begin(), idx.end(), std::size_t{0});
+    for (std::size_t r = 0; r < rc.n; ++r) {
+      Vector row(rc.n);
+      for (std::size_t c = 0; c < rc.n; ++c) row[c] = a(r, c);
+      p.add_residual(idx, row, b[r], 0.5);
+    }
     p.lb.assign(rc.n, 0.0);
     p.ub.assign(rc.n, 3.0);
     // Disjoint budgets over contiguous chunks (mirrors MPC structure).
@@ -212,7 +202,7 @@ TEST_P(RandomQp, FacadeReturnsVerifiedSolution) {
   auto r = solve(p);
   EXPECT_LE(p.infeasibility(r.x), 1e-7);
   auto kkt = kkt_residual(p, r);
-  EXPECT_LT(kkt.max(), 1e-4 * (1.0 + linalg::norm_inf(p.c)));
+  EXPECT_LT(kkt.max(), 1e-4 * (1.0 + linalg::norm_inf(p.linear_term())));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -226,11 +216,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Facade, TightBudgetForcesLowerBounds) {
   // Budget exactly equals sum of lower bounds: unique feasible point.
-  QpProblem p;
-  p.Q = Matrix::identity(3);
-  p.c = {-1, -1, -1};
-  p.lb = {0.5, 0.5, 0.5};
-  p.ub = {2, 2, 2};
+  auto p = identity_qp({-1, -1, -1}, 0.5, 2.0);
   BudgetConstraint bc;
   bc.index = {0, 1, 2};
   bc.weight = {1, 1, 1};
@@ -243,11 +229,7 @@ TEST(Facade, TightBudgetForcesLowerBounds) {
 TEST(Facade, AsymmetricWeightsFavorCheaperVariable) {
   // Same pull on both vars, but var 1 consumes 4x budget per unit:
   // optimum allocates more to var 0.
-  QpProblem p;
-  p.Q = Matrix::identity(2);
-  p.c = {-10, -10};
-  p.lb = {0, 0};
-  p.ub = {10, 10};
+  auto p = identity_qp({-10, -10}, 0.0, 10.0);
   BudgetConstraint bc;
   bc.index = {0, 1};
   bc.weight = {1.0, 4.0};

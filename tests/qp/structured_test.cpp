@@ -1,11 +1,12 @@
-// Structured-vs-dense equivalence: StructuredQp must agree with its
-// materialized QpProblem on every operation (products, objectives,
-// Gershgorin domination) and both solver pipelines must land on the same
-// minimizer to tight tolerance across the constraint shapes the MPC emits
-// (box-only, a single budget row, per-step budget rows), with and without a
-// per-job partition. Also checks the block factor the structured active set
-// relies on against a dense factorization of Q_FF, and the closed-form
-// certificate of floor-pinned budget rows.
+// Structured-vs-dense equivalence: StructuredQp's matrix-free operations
+// must agree with its Q materialized entry by entry (products, objectives,
+// Gershgorin domination), and the production solvers must land on the dense
+// reference active set's minimizer (tests/support/dense_qp) to tight
+// tolerance across the constraint shapes the MPC emits (box-only, a single
+// budget row, per-step budget rows), with and without a per-job partition.
+// Also checks the block factor the structured active set relies on against a
+// dense factorization of Q_FF, and the closed-form certificate of
+// floor-pinned budget rows.
 #include "qp/structured.hpp"
 
 #include <gtest/gtest.h>
@@ -19,11 +20,15 @@
 #include "qp/active_set.hpp"
 #include "qp/block_factor.hpp"
 #include "qp/projected_gradient.hpp"
+#include "support/dense_qp.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
 
 namespace perq::qp {
 namespace {
+
+using test::dense_active_set;
+using test::dense_hessian;
 
 enum class BudgetShape { kNone, kSingle, kPerStep };
 
@@ -95,37 +100,33 @@ StructuredQp random_mpc_problem(Rng& rng, std::size_t nj, std::size_t m,
 TEST(StructuredQp, MatrixFreeOpsMatchDense) {
   Rng rng(7);
   const auto sp = random_mpc_problem(rng, 3, 4, BudgetShape::kPerStep);
-  const QpProblem dense = sp.to_dense();
-  dense.validate();
   sp.validate();
+  const linalg::Matrix q = dense_hessian(sp);
+  const linalg::Vector& c = sp.linear_term();
 
   const std::size_t n = sp.size();
+  // The entry probes describe a symmetric Q.
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < i; ++j) EXPECT_NEAR(q(i, j), q(j, i), 1e-12);
+  }
   for (int trial = 0; trial < 5; ++trial) {
     linalg::Vector x(n);
     for (auto& v : x) v = rng.uniform(-1.0, 2.0);
     linalg::Vector qx_s;
     sp.qx(x, qx_s);
     using linalg::operator*;
-    const linalg::Vector qx_d = dense.Q * x;
+    const linalg::Vector qx_d = q * x;
     for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(qx_s[i], qx_d[i], 1e-10);
-    EXPECT_NEAR(sp.objective(x), dense.objective(x), 1e-9);
+    EXPECT_NEAR(sp.objective(x), 0.5 * linalg::dot(x, qx_d) + linalg::dot(c, x), 1e-9);
     const auto gs = sp.gradient(x);
-    const auto gd = dense.gradient(x);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(gs[i], gd[i], 1e-10);
-  }
-
-  // Entry probes and the dense adapter agree.
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      EXPECT_NEAR(sp.q_entry(i, j), dense.Q(i, j), 1e-12);
-    }
+    for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(gs[i], qx_d[i] + c[i], 1e-10);
   }
 
   // Gershgorin dominates every dense row sum (true Lipschitz upper bound).
   double max_row = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     double s = 0.0;
-    for (std::size_t j = 0; j < n; ++j) s += std::abs(dense.Q(i, j));
+    for (std::size_t j = 0; j < n; ++j) s += std::abs(q(i, j));
     max_row = std::max(max_row, s);
   }
   EXPECT_GE(sp.gershgorin_bound(), max_row - 1e-9);
@@ -133,28 +134,33 @@ TEST(StructuredQp, MatrixFreeOpsMatchDense) {
 
 class StructuredEquivalence : public ::testing::TestWithParam<BudgetShape> {};
 
+/// The facade's solution of `sp` from `warm` matches the dense reference's
+/// to 1e-8 in objective and on every coordinate, feasibly and KKT-certified.
+void expect_matches_reference(const StructuredQp& sp, const linalg::Vector& warm,
+                              int trial) {
+  const QpResult rs = solve(sp, warm);
+  const QpResult rd = dense_active_set(sp, warm);
+  ASSERT_EQ(rs.status, SolveStatus::kOptimal) << "trial " << trial;
+  ASSERT_EQ(rd.status, SolveStatus::kOptimal) << "trial " << trial;
+
+  EXPECT_NEAR(rs.objective, rd.objective, 1e-8) << "trial " << trial;
+  for (std::size_t i = 0; i < sp.size(); ++i) {
+    EXPECT_NEAR(rs.x[i], rd.x[i], 1e-8) << "trial " << trial << " var " << i;
+  }
+  EXPECT_LE(sp.infeasibility(rs.x), 1e-9);
+  EXPECT_LE(kkt_residual(sp, rs).max(), 1e-6);
+}
+
 void expect_solvers_agree(BudgetShape shape, bool per_job_blocks) {
   Rng rng(11);
   for (int trial = 0; trial < 8; ++trial) {
     const std::size_t nj = static_cast<std::size_t>(rng.uniform_int(2, 5));
     const std::size_t m = static_cast<std::size_t>(rng.uniform_int(1, 4));
     const auto sp = random_mpc_problem(rng, nj, m, shape, per_job_blocks);
-    const QpProblem dense = sp.to_dense();
 
     linalg::Vector warm(sp.size());
     for (auto& v : warm) v = rng.uniform(0.3, 1.0);
-
-    const QpResult rs = solve(sp, warm);
-    const QpResult rd = solve(dense, warm);
-    ASSERT_EQ(rs.status, SolveStatus::kOptimal) << "trial " << trial;
-    ASSERT_EQ(rd.status, SolveStatus::kOptimal) << "trial " << trial;
-
-    EXPECT_NEAR(rs.objective, rd.objective, 1e-8) << "trial " << trial;
-    for (std::size_t i = 0; i < sp.size(); ++i) {
-      EXPECT_NEAR(rs.x[i], rd.x[i], 1e-8) << "trial " << trial << " var " << i;
-    }
-    EXPECT_LE(sp.infeasibility(rs.x), 1e-9);
-    EXPECT_LE(kkt_residual(sp, rs).max(), 1e-6);
+    expect_matches_reference(sp, warm, trial);
   }
 }
 
@@ -170,6 +176,39 @@ INSTANTIATE_TEST_SUITE_P(BudgetShapes, StructuredEquivalence,
                          ::testing::Values(BudgetShape::kNone,
                                            BudgetShape::kSingle,
                                            BudgetShape::kPerStep));
+
+TEST(StructuredEquivalence, MpcSizedPerJobBlocksAgreeToTightTolerance) {
+  // The size of the MPC fleet MpcSolverTest decides over: 12 jobs, a 4-step
+  // horizon, one block per job and one budget row per step.
+  Rng rng(13);
+  for (int trial = 0; trial < 6; ++trial) {
+    const auto sp = random_mpc_problem(rng, 12, 4, BudgetShape::kPerStep,
+                                       /*per_job_blocks=*/true);
+    linalg::Vector warm(sp.size());
+    for (auto& v : warm) v = rng.uniform(0.3, 1.0);
+    expect_matches_reference(sp, warm, trial);
+  }
+}
+
+TEST(ProjectedGradient, MatchesReferenceAtMpcSize) {
+  // The facade's last rung: when the active set cannot certify, qp::solve
+  // returns the Jacobi-scaled FISTA iterate, so that iterate must be the
+  // minimizer too, not just a feasible point.
+  Rng rng(23);
+  for (int trial = 0; trial < 8; ++trial) {
+    const auto sp = random_mpc_problem(rng, 12, 4, BudgetShape::kPerStep,
+                                       /*per_job_blocks=*/true);
+    linalg::Vector warm(sp.size());
+    for (auto& v : warm) v = rng.uniform(0.3, 1.0);
+    const QpResult rf = solve_projected_gradient(sp, warm);
+    const QpResult rd = dense_active_set(sp, warm);
+    ASSERT_EQ(rd.status, SolveStatus::kOptimal) << "trial " << trial;
+    ASSERT_EQ(rf.status, SolveStatus::kOptimal) << "trial " << trial;
+    for (std::size_t i = 0; i < sp.size(); ++i) {
+      EXPECT_NEAR(rf.x[i], rd.x[i], 1e-6) << "trial " << trial << " var " << i;
+    }
+  }
+}
 
 TEST(StructuredQp, LargeProblemSolvesMatrixFree) {
   // Above the direct-factorization limit the facade must still certify a
@@ -210,7 +249,7 @@ TEST(StructuredQp, BuilderValidation) {
 
 /// Q_FF^{-1} rhs_F from an LU of the materialized free block, scattered to
 /// full length (zeros on fixed variables): the oracle for BlockFactor.
-linalg::Vector dense_free_solve(const QpProblem& dense, const std::vector<char>& free,
+linalg::Vector dense_free_solve(const linalg::Matrix& q, const std::vector<char>& free,
                                 const linalg::Vector& rhs) {
   std::vector<std::size_t> idx;
   for (std::size_t v = 0; v < free.size(); ++v) {
@@ -221,7 +260,7 @@ linalg::Vector dense_free_solve(const QpProblem& dense, const std::vector<char>&
   linalg::Matrix qff(idx.size(), idx.size());
   linalg::Vector rf(idx.size());
   for (std::size_t a = 0; a < idx.size(); ++a) {
-    for (std::size_t b = 0; b < idx.size(); ++b) qff(a, b) = dense.Q(idx[a], idx[b]);
+    for (std::size_t b = 0; b < idx.size(); ++b) qff(a, b) = q(idx[a], idx[b]);
     rf[a] = rhs[idx[a]];
   }
   const linalg::Vector xf = linalg::Lu(qff).solve(rf);
@@ -229,13 +268,13 @@ linalg::Vector dense_free_solve(const QpProblem& dense, const std::vector<char>&
   return out;
 }
 
-void expect_matches_dense(BlockFactor& factor, const QpProblem& dense,
+void expect_matches_dense(BlockFactor& factor, const linalg::Matrix& q,
                           const std::vector<char>& free, Rng& rng) {
   linalg::Vector rhs(free.size());
   for (auto& v : rhs) v = rng.uniform(-1.0, 1.0);
   linalg::Vector got(free.size());
   factor.solve(rhs.data(), got.data(), 1);
-  const linalg::Vector want = dense_free_solve(dense, free, rhs);
+  const linalg::Vector want = dense_free_solve(q, free, rhs);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t v = 0; v < want.size(); ++v) {
     EXPECT_NEAR(got[v], want[v], 1e-9 * (1.0 + std::abs(want[v]))) << "var " << v;
@@ -273,7 +312,7 @@ void for_random_fix_free_sequences(Check check) {
 TEST(BlockFactor, MatchesDenseFactorizationThroughRandomFixFreeSequences) {
   for_random_fix_free_sequences([](const StructuredQp& sp, BlockFactor& factor,
                                    const std::vector<char>& free, Rng& rng) {
-    expect_matches_dense(factor, sp.to_dense(), free, rng);
+    expect_matches_dense(factor, dense_hessian(sp), free, rng);
   });
 }
 
@@ -320,7 +359,7 @@ TEST(BlockFactor, BlockWithEveryCapFixedDropsOutOfTheCoupling) {
   const std::size_t m = 3;
   const auto sp = random_mpc_problem(rng, nj, m, BudgetShape::kPerStep,
                                      /*per_job_blocks=*/true);
-  const QpProblem dense = sp.to_dense();
+  const linalg::Matrix dense = dense_hessian(sp);
   std::vector<char> free(sp.size(), 1);
   BlockFactor factor(sp, free);
   // Fix all of job 2's caps one by one; its block becomes empty.
@@ -345,7 +384,7 @@ TEST(BlockFactor, WithoutCouplingRowsTheFactorIsBlockDiagonal) {
   Rng rng(41);
   const auto sp = random_mpc_problem(rng, 5, 4, BudgetShape::kPerStep,
                                      /*per_job_blocks=*/true, /*system_rows=*/false);
-  const QpProblem dense = sp.to_dense();
+  const linalg::Matrix dense = dense_hessian(sp);
   std::vector<char> free(sp.size(), 1);
   BlockFactor factor(sp, free);
   EXPECT_EQ(factor.coupling_rank(), 0u);
@@ -367,7 +406,7 @@ TEST(BlockFactor, AnyPartitionMatchesDense) {
   std::vector<std::uint32_t> block(nj * m);
   for (std::size_t v = 0; v < block.size(); ++v) block[v] = static_cast<std::uint32_t>(v / nj);
   sp.set_blocks(std::move(block));
-  const QpProblem dense = sp.to_dense();
+  const linalg::Matrix dense = dense_hessian(sp);
   std::vector<char> free(sp.size(), 1);
   BlockFactor factor(sp, free);
   EXPECT_GT(factor.coupling_rank(), m);
@@ -383,7 +422,7 @@ TEST(BlockFactor, UndeclaredPartitionIsOneDenseBlock) {
   Rng rng(43);
   const auto sp = random_mpc_problem(rng, 4, 3, BudgetShape::kPerStep);
   EXPECT_EQ(sp.largest_block(), sp.size());
-  const QpProblem dense = sp.to_dense();
+  const linalg::Matrix dense = dense_hessian(sp);
   std::vector<char> free(sp.size(), 1);
   free[1] = 0;
   BlockFactor factor(sp, free);
