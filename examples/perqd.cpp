@@ -2,13 +2,14 @@
 //
 //   ./examples/perqd --listen 127.0.0.1:7421 --wc-nodes 32 --f 2.0
 //                    [--ratio 8] [--stale-ticks 3] [--grace-ms 250]
-//                    [--snapshot perqd.snap --snapshot-every 10]
+//                    [--replication-log run.wal]
 //
 // Identifies the node model, then serves cap plans to perq_agent plants
 // until every agent has left. --wc-nodes and --f size the policy's target
-// generator and must match the plant's. With --snapshot the controller
-// periodically persists its full decision state; restarting perqd with the
-// same snapshot path resumes mid-experiment with bit-identical plans.
+// generator and must match the plant's. With --replication-log the
+// controller appends every decide to a WAL and flushes it before decide()
+// returns; restarting perqd with the same log path (after a crash, even
+// kill -9) replays it and resumes mid-experiment with bit-identical plans.
 //
 // Hierarchical deployment (K budget domains, one arbiter):
 //
@@ -60,7 +61,9 @@
 // arbiter) fence anything the deposed primary might still send -- and
 // serves agents that fail over to its address. --replication-log gives
 // either role a crash-durable WAL of the same stream: on restart perqd
-// replays it and resumes with bit-identical decision state.
+// replays it and resumes with bit-identical decision state. The WAL
+// survives a process crash, not a power loss (it is flushed, never
+// fsync'd).
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -74,7 +77,6 @@
 #include "core/perq_policy.hpp"
 #include "core/robustness.hpp"
 #include "daemon/controller.hpp"
-#include "daemon/snapshot.hpp"
 #include "proto/message.hpp"
 #include "hier/arbiter_daemon.hpp"
 #include "net/tcp.hpp"
@@ -92,8 +94,6 @@ void usage(const char* argv0) {
       "  --ratio <r>            PERQ improvement ratio (default 8)\n"
       "  --stale-ticks <n>      heartbeat timeout in intervals (default 3)\n"
       "  --grace-ms <ms>        decide grace for lagging agents (default 250)\n"
-      "  --snapshot <path>      controller state snapshot file\n"
-      "  --snapshot-every <n>   snapshot every n decisions (default 10)\n"
       "  --domains <k>          budget domain count (default 1: monolithic)\n"
       "  --domain <d>           run domain d's controller (needs --arbiter)\n"
       "  --arbiter <host:port>  arbiter address for a domain controller\n"
@@ -113,8 +113,9 @@ void usage(const char* argv0) {
       "                         primary dials this perqd's --listen address)\n"
       "  --takeover-ms <ms>     standby: promote after this much replication\n"
       "                         silence (default 2000)\n"
-      "  --replication-log <p>  crash-durable WAL of the replication stream;\n"
-      "                         replayed on startup\n",
+      "  --replication-log <p>  crash-durable WAL of every decide; replayed\n"
+      "                         on startup to resume where the last run\n"
+      "                         stopped\n",
       argv0);
 }
 
@@ -137,7 +138,6 @@ int main(int argc, char** argv) {
   double share = 0.0, sla_floor = 0.0, priority = 1.0;
   std::vector<std::uint32_t> tree_path;
   daemon::ControllerConfig ccfg;
-  ccfg.snapshot_every_ticks = 10;
 
   try {
     for (int i = 1; i < argc; ++i) {
@@ -152,8 +152,6 @@ int main(int argc, char** argv) {
       else if (arg == "--ratio") ratio = parse_double_in(arg, next(), 1.0, 1e6);
       else if (arg == "--stale-ticks") ccfg.stale_after_ticks = parse_u64_in(arg, next(), 1, 1000000);
       else if (arg == "--grace-ms") ccfg.decide_grace_ms = static_cast<int>(parse_u64_in(arg, next(), 0, 600000));
-      else if (arg == "--snapshot") ccfg.snapshot_path = next();
-      else if (arg == "--snapshot-every") ccfg.snapshot_every_ticks = cli::parse_u64(arg, next());
       else if (arg == "--domains") domains = parse_u64_in(arg, next(), 1, 4096);
       else if (arg == "--domain") domain = static_cast<long>(parse_u64_in(arg, next(), 0, 4095));
       else if (arg == "--arbiter") arbiter_addr = next();
@@ -301,20 +299,13 @@ int main(int argc, char** argv) {
                 domain, domains, arbiter_addr.c_str(), sla_floor, priority);
   }
 
-  if (!ccfg.snapshot_path.empty()) {
-    try {
-      controller.restore(daemon::load_snapshot(ccfg.snapshot_path));
-      std::printf("perqd: resumed from %s at tick %llu\n",
-                  ccfg.snapshot_path.c_str(),
-                  static_cast<unsigned long long>(controller.current_tick()));
-    } catch (const std::exception&) {
-      std::printf("perqd: no usable snapshot at %s, starting fresh\n",
-                  ccfg.snapshot_path.c_str());
-    }
-  }
-
   if (!repl_log.empty()) {
-    controller.open_replication_log(repl_log);
+    try {
+      controller.open_replication_log(repl_log);
+    } catch (const precondition_error& e) {
+      std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+      return 1;
+    }
     if (controller.replicated_decides() > 0) {
       std::printf("perqd: replayed %llu replicated decides from %s "
                   "(tick %llu, epoch %llu)\n",

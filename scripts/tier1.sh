@@ -23,6 +23,15 @@
 # longest case already sets it), 6-9 s to leg 3 and 30-43 s to leg 2.
 # No case name matches leg 4's -R regex, so TSan does not run them.
 #
+# Two smoke legs drive perqd over real TCP. The failover smoke kills a
+# primary and checks that its warm standby promotes and finishes the run.
+# The restart smoke is the README walkthrough: perqd --replication-log is
+# killed with kill -9 mid-run and restarted on the same address and log;
+# it must replay the WAL (`replayed N replicated decides`, N > 0) and
+# finish the run, and the agent must exit 0. The smoke guards the
+# walkthrough; Replication.PrimaryRestartedFromItsWalIsBitIdentical is
+# what proves the WAL holds every decide.
+#
 # A perf-smoke leg then runs bench_daemon_throughput at na=64 on the plain
 # build and validates the shape of BENCH_daemon_throughput.json -- its
 # single-pump epoll rows, and that the retired keys (the deleted "sharded"
@@ -98,6 +107,44 @@ done
     exit 1
   }
   echo "failover smoke OK: standby promoted and finished the run"
+)
+
+# Restart smoke: one perqd with a WAL serves two paced agents, dies by
+# kill -9 after about 3 s, and is restarted on the same address and log.
+# The agents hold caps and redial while it is away.
+(
+  cd "$BUILD_DIR"
+  PA=127.0.0.1:7473
+  rm -f RESTART_run.wal RESTART_first.log RESTART_second.log RESTART_agent.log
+  trap 'kill -9 $(jobs -p) 2>/dev/null || true' EXIT
+  ./examples/perqd --listen "$PA" --replication-log RESTART_run.wal \
+    --wc-nodes 16 > RESTART_first.log 2>&1 &
+  FIRST=$!
+  ./examples/perq_agent --connect "$PA" --agents 2 --wc-nodes 16 \
+    --hours 0.25 --pace-ms 100 > RESTART_agent.log 2>&1 &
+  AGENT=$!
+  sleep 3
+  kill -9 "$FIRST" 2>/dev/null || true
+  wait "$FIRST" 2>/dev/null || true
+  ./examples/perqd --listen "$PA" --replication-log RESTART_run.wal \
+    --wc-nodes 16 > RESTART_second.log 2>&1 &
+  SECOND=$!
+  if ! wait "$AGENT"; then
+    echo "restart smoke: agent failed"; cat RESTART_agent.log; exit 1
+  fi
+  if ! wait "$SECOND"; then
+    echo "restart smoke: restarted perqd failed"; cat RESTART_second.log
+    exit 1
+  fi
+  N=$(sed -n 's/^perqd: replayed \([0-9]*\) replicated decides.*/\1/p' \
+    RESTART_second.log)
+  if [[ -z "$N" || "$N" -eq 0 ]]; then
+    echo "restart smoke: the restarted perqd replayed no decides"
+    cat RESTART_second.log
+    exit 1
+  fi
+  echo "restart smoke OK: perqd replayed $N decides after kill -9 and" \
+    "finished the run"
 )
 
 # Perf smoke: the data-plane bench must run and emit a well-formed JSON

@@ -3,16 +3,15 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <array>
 #include <cerrno>
 #include <cstring>
+#include <vector>
 
 #include "util/require.hpp"
 
 namespace perq::acct {
 namespace {
 
-constexpr char kMagic[8] = {'P', 'Q', 'A', 'C', 'C', 'T', '0', '1'};
 constexpr std::size_t kHeaderBytes = 8;  // u32 len + u32 crc
 
 std::array<std::uint32_t, 256> make_crc_table() {
@@ -41,6 +40,16 @@ void write_le32(std::uint8_t* p, std::uint32_t v) {
   p[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
+void write_record(std::FILE* f, const std::uint8_t* payload, std::size_t n,
+                  const std::string& path) {
+  std::uint8_t header[kHeaderBytes];
+  write_le32(header, static_cast<std::uint32_t>(n));
+  write_le32(header + 4, crc32(payload, n));
+  PERQ_REQUIRE(std::fwrite(header, 1, sizeof(header), f) == sizeof(header) &&
+                   std::fwrite(payload, 1, n, f) == n,
+               "event log write failed: " + path);
+}
+
 }  // namespace
 
 std::uint32_t crc32(const std::uint8_t* data, std::size_t n) {
@@ -52,43 +61,46 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t n) {
   return c ^ 0xFFFFFFFFu;
 }
 
-EventLog::~EventLog() {
+EventLog::~EventLog() { close_file(); }
+
+void EventLog::close_file() {
   if (file_ != nullptr) {
     std::fflush(file_);
     std::fclose(file_);
+    file_ = nullptr;
   }
 }
 
-void EventLog::open(const std::string& path, const ReplayFn& replay) {
+void EventLog::open(const std::string& path, const Magic& magic,
+                    const ReplayFn& replay) {
   PERQ_REQUIRE(!opened_, "event log already open");
   opened_ = true;
   path_ = path;
+  magic_ = magic;
   if (path_.empty()) return;  // in-memory mode
 
   // "a+b" creates the file when absent and never clobbers existing bytes.
   file_ = std::fopen(path_.c_str(), "a+b");
-  PERQ_REQUIRE(file_ != nullptr,
-               "cannot open accounting log " + path_ + ": " +
-                   std::strerror(errno));
+  PERQ_REQUIRE(file_ != nullptr, "cannot open event log " + path_ + ": " +
+                                     std::strerror(errno));
 
   // Scan phase: validate the magic, then replay records until the first
   // torn or corrupt one.
   std::rewind(file_);
-  char magic[sizeof(kMagic)];
-  const std::size_t got = std::fread(magic, 1, sizeof(magic), file_);
-  long valid_end = 0;
+  Magic found{};
+  const std::size_t got = std::fread(found.data(), 1, found.size(), file_);
   if (got == 0) {
     // Fresh log: stamp the magic.
-    PERQ_REQUIRE(std::fwrite(kMagic, 1, sizeof(kMagic), file_) ==
-                     sizeof(kMagic),
-                 "cannot initialize accounting log " + path_);
+    PERQ_REQUIRE(std::fwrite(magic_.data(), 1, magic_.size(), file_) ==
+                     magic_.size(),
+                 "cannot initialize event log " + path_);
     std::fflush(file_);
     return;
   }
-  PERQ_REQUIRE(got == sizeof(magic) &&
-                   std::memcmp(magic, kMagic, sizeof(kMagic)) == 0,
-               path_ + " is not a perq accounting log");
-  valid_end = static_cast<long>(sizeof(kMagic));
+  PERQ_REQUIRE(got == found.size() && found == magic_,
+               path_ + " is not a " +
+                   std::string(magic_.data(), magic_.size()) + " log");
+  long valid_end = static_cast<long>(magic_.size());
 
   std::vector<std::uint8_t> payload;
   for (;;) {
@@ -112,7 +124,7 @@ void EventLog::open(const std::string& path, const ReplayFn& replay) {
   std::fflush(file_);
   struct stat st{};
   PERQ_REQUIRE(::fstat(::fileno(file_), &st) == 0,
-               "cannot stat accounting log " + path_);
+               "cannot stat event log " + path_);
   if (st.st_size != valid_end) {
     truncated_tail_ = true;
     PERQ_REQUIRE(::ftruncate(::fileno(file_), valid_end) == 0,
@@ -120,29 +132,45 @@ void EventLog::open(const std::string& path, const ReplayFn& replay) {
   }
   std::clearerr(file_);
   PERQ_REQUIRE(std::fseek(file_, 0, SEEK_END) == 0,
-               "cannot seek accounting log " + path_);
+               "cannot seek event log " + path_);
 }
 
-void EventLog::append(const std::vector<std::uint8_t>& payload) {
+void EventLog::append(const std::uint8_t* payload, std::size_t n) {
   PERQ_REQUIRE(opened_, "event log not open");
-  PERQ_REQUIRE(!payload.empty() && payload.size() <= kMaxPayload,
-               "accounting record size out of range");
+  PERQ_REQUIRE(n > 0 && n <= kMaxPayload, "event log record size out of range");
   ++record_count_;
   if (file_ == nullptr) return;  // in-memory mode
-  std::uint8_t header[kHeaderBytes];
-  write_le32(header, static_cast<std::uint32_t>(payload.size()));
-  write_le32(header + 4, crc32(payload.data(), payload.size()));
-  PERQ_REQUIRE(std::fwrite(header, 1, sizeof(header), file_) ==
-                       sizeof(header) &&
-                   std::fwrite(payload.data(), 1, payload.size(), file_) ==
-                       payload.size(),
-               "accounting log write failed: " + path_);
+  write_record(file_, payload, n, path_);
+}
+
+void EventLog::rewrite(const std::uint8_t* payload, std::size_t n) {
+  PERQ_REQUIRE(opened_, "event log not open");
+  PERQ_REQUIRE(n > 0 && n <= kMaxPayload, "event log record size out of range");
+  record_count_ = 1;
+  if (file_ == nullptr) return;  // in-memory mode
+
+  const std::string tmp = path_ + ".tmp";
+  std::FILE* out = std::fopen(tmp.c_str(), "wb");
+  PERQ_REQUIRE(out != nullptr,
+               "cannot open event log " + tmp + ": " + std::strerror(errno));
+  PERQ_REQUIRE(std::fwrite(magic_.data(), 1, magic_.size(), out) ==
+                   magic_.size(),
+               "cannot initialize event log " + tmp);
+  write_record(out, payload, n, tmp);
+  PERQ_REQUIRE(std::fflush(out) == 0, "event log flush failed: " + tmp);
+  std::fclose(out);
+
+  close_file();
+  PERQ_REQUIRE(std::rename(tmp.c_str(), path_.c_str()) == 0,
+               "event log rename failed: " + path_);
+  file_ = std::fopen(path_.c_str(), "a+b");
+  PERQ_REQUIRE(file_ != nullptr, "cannot reopen event log " + path_ + ": " +
+                                     std::strerror(errno));
 }
 
 void EventLog::flush() {
   if (file_ != nullptr) {
-    PERQ_REQUIRE(std::fflush(file_) == 0,
-                 "accounting log flush failed: " + path_);
+    PERQ_REQUIRE(std::fflush(file_) == 0, "event log flush failed: " + path_);
   }
 }
 

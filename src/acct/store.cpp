@@ -6,6 +6,10 @@
 namespace perq::acct {
 namespace {
 
+// The log's file magic: tells an accounting log from a replication WAL.
+constexpr EventLog::Magic kAccountingMagic = {'P', 'Q', 'A', 'C',
+                                              'C', 'T', '0', '1'};
+
 // Event type tags (wire format; do not renumber).
 constexpr std::uint16_t kSubmit = 1;
 constexpr std::uint16_t kStart = 2;
@@ -25,9 +29,10 @@ std::string to_string(JobPhase p) {
 }
 
 Store::Store(const std::string& path) {
-  log_.open(path, [this](const std::uint8_t* payload, std::size_t size) {
-    apply(payload, size);
-  });
+  log_.open(path, kAccountingMagic,
+            [this](const std::uint8_t* payload, std::size_t size) {
+              apply(payload, size);
+            });
 }
 
 // Every record_* serializes the event, applies it to the indexes through

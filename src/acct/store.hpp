@@ -121,7 +121,7 @@ class Store {
  private:
   void apply(const std::uint8_t* payload, std::size_t size);
   void persist(const std::vector<std::uint8_t>& payload) {
-    log_.append(payload);
+    log_.append(payload.data(), payload.size());
   }
 
   EventLog log_;

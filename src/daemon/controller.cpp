@@ -4,10 +4,9 @@
 #include <cmath>
 #include <limits>
 
-#include "acct/event_log.hpp"  // acct::crc32
+#include "acct/event_log.hpp"
 #include "apps/app_model.hpp"
 #include "apps/catalog.hpp"
-#include "daemon/replication.hpp"
 #include "daemon/snapshot.hpp"
 #include "util/require.hpp"
 
@@ -21,6 +20,10 @@ constexpr std::uint64_t kMaxTickJump = 1024;
 /// one frame. A batch that outgrows this falls back to a full ReplSnapshot
 /// for that decide (correct, just heavier).
 constexpr std::size_t kMaxReplBatchBytes = proto::kMaxFrameBytes - 64;
+/// A primary re-sends a full ReplSnapshot every this many replicated
+/// decides, resyncing the standby and rewriting the WAL to that one
+/// record, which bounds what a restart replays.
+constexpr std::uint64_t kReplSnapshotEvery = 64;
 }  // namespace
 
 PerqController::PerqController(std::unique_ptr<net::Listener> listener,
@@ -612,11 +615,6 @@ const proto::CapPlan& PerqController::decide() {
   // happen: the batch plus the plan crc is everything a standby needs to
   // reproduce (and verify) the decision just made.
   if (replicating() && !replaying_) emit_repl_tick(tick);
-
-  if (!cfg_.snapshot_path.empty() && cfg_.snapshot_every_ticks > 0 &&
-      tick % cfg_.snapshot_every_ticks == 0 && !replaying_) {
-    write_snapshot();
-  }
   return plan_;
 }
 
@@ -750,10 +748,6 @@ void PerqController::clamp_plan() {
   }
 }
 
-void PerqController::write_snapshot() const {
-  save_snapshot(cfg_.snapshot_path, state());
-}
-
 void PerqController::attach_standby(std::unique_ptr<net::Connection> conn) {
   PERQ_REQUIRE(!standby_, "a standby cannot replicate onward");
   PERQ_REQUIRE(conn != nullptr, "attach_standby needs a connection");
@@ -765,12 +759,11 @@ void PerqController::attach_standby(std::unique_ptr<net::Connection> conn) {
 
 void PerqController::open_replication_log(const std::string& path) {
   PERQ_REQUIRE(repl_log_ == nullptr, "replication log already open");
-  repl_log_ = std::make_unique<ReplicationLog>();
+  repl_log_ = std::make_unique<acct::EventLog>();
   // Replay the longest valid prefix into this controller through the same
   // apply path a streaming standby uses; `replaying_` suppresses
-  // re-emission (the records are already in the log) and snapshot writes.
-  replaying_ = true;
-  repl_log_->open(path, [this](const std::uint8_t* data, std::size_t n) {
+  // re-emission (the records are already in the log).
+  const auto replay = [this](const std::uint8_t* data, std::size_t n) {
     proto::Message m;
     if (!proto::parse_frame_into(data, n, m)) {
       ++repl_rejected_;
@@ -783,7 +776,17 @@ void PerqController::open_replication_log(const std::string& path) {
     } else {
       ++repl_rejected_;
     }
-  });
+  };
+  replaying_ = true;
+  try {
+    repl_log_->open(path, kWalMagic, replay);
+  } catch (...) {
+    // A file that is not a WAL throws at the magic check, before any
+    // record is applied: the controller stays as it was, with no log.
+    repl_log_.reset();
+    replaying_ = false;
+    throw;
+  }
   replaying_ = false;
 }
 
@@ -828,17 +831,19 @@ void PerqController::emit_repl_tick(std::uint64_t tick) {
     standby_conn_->send(m);
   }
   if (repl_log_ != nullptr) {
+    // Flushed per decide: a primary killed right after decide() returns
+    // restarts from this decide, not from the last one stdio happened to
+    // write out.
     proto::encode_into(m, repl_scratch_);
     repl_log_->append(repl_scratch_.data() + 4, repl_scratch_.size() - 4);
+    repl_log_->flush();
   }
   // Reclaim the batch buffer's capacity for the next decide.
   repl_batch_ = std::move(std::get<proto::ReplTick>(m).batch);
   repl_batch_.clear();
   ++replicated_decides_;
   repl_last_tick_ = tick;
-  ++decides_since_repl_snapshot_;
-  if (cfg_.replicate_snapshot_every > 0 &&
-      decides_since_repl_snapshot_ >= cfg_.replicate_snapshot_every) {
+  if (++decides_since_repl_snapshot_ >= kReplSnapshotEvery) {
     emit_repl_snapshot();
   }
 }
@@ -850,8 +855,7 @@ void PerqController::emit_repl_snapshot() {
   }
   if (repl_log_ != nullptr) {
     proto::encode_into(m, repl_scratch_);
-    repl_log_->rewrite_with_snapshot(std::vector<std::uint8_t>(
-        repl_scratch_.begin() + 4, repl_scratch_.end()));
+    repl_log_->rewrite(repl_scratch_.data() + 4, repl_scratch_.size() - 4);
   }
   decides_since_repl_snapshot_ = 0;
   repl_batch_.clear();
@@ -897,10 +901,11 @@ void PerqController::apply_repl_tick(const proto::ReplTick& rt) {
     proto::Message m{rt};
     proto::encode_into(m, repl_scratch_);
     repl_log_->append(repl_scratch_.data() + 4, repl_scratch_.size() - 4);
+    repl_log_->flush();
   }
   if (tick_pending()) {
     const bool was_replaying = replaying_;
-    replaying_ = true;  // the replayed decide must not re-emit or snapshot
+    replaying_ = true;  // the replayed decide must not re-emit
     decide();
     replaying_ = was_replaying;
     if (last_plan_crc_ != rt.plan_crc) ++repl_divergence_;
@@ -923,8 +928,7 @@ void PerqController::apply_repl_snapshot(const proto::ReplSnapshot& rs) {
   if (standby_ && repl_log_ != nullptr && !replaying_) {
     proto::Message m{rs};
     proto::encode_into(m, repl_scratch_);
-    repl_log_->rewrite_with_snapshot(std::vector<std::uint8_t>(
-        repl_scratch_.begin() + 4, repl_scratch_.end()));
+    repl_log_->rewrite(repl_scratch_.data() + 4, repl_scratch_.size() - 4);
   }
 }
 

@@ -32,10 +32,12 @@
 //     agent just reconnects and says Hello; because every Telemetry frame
 //     carries the full job descriptor and absolute progress, the
 //     controller resynchronizes its shadow state from the first frame.
-//   * Restart. snapshot()/restore round-trip the complete decision state
+//   * Restart. state()/restore() round-trip the complete decision state
 //     (shadow jobs, per-job estimators, MPC warm start, tick counters), so
 //     a controller restarted mid-experiment continues with bit-identical
-//     cap plans.
+//     cap plans. The one durable restart path is the replication WAL
+//     (open_replication_log): it is flushed after every decide, so a
+//     primary killed at any point restarts from its exact last decision.
 //
 // High availability (warm standby): decide() depends only on the decision
 // state (shadows, heartbeat, policy, grant) -- never on session
@@ -43,14 +45,16 @@
 // frames in the same canonical order reproduces every cap plan bit-exactly.
 // The primary records each accepted frame (post-sanity-screen, canonical
 // ingest order) and streams one ReplTick per decide to an attached standby
-// (attach_standby) and/or an on-disk ReplicationLog; a ReplSnapshot (the
-// snapshot codec's bytes) bootstraps the stream and bounds replay. The
+// (attach_standby) and/or the on-disk WAL, an acct::EventLog with its own
+// magic; a ReplSnapshot (the snapshot codec's bytes) bootstraps the stream
+// and, every 64 decides, bounds replay. The
 // standby (cfg.standby) ignores agent telemetry and lives purely off the
 // stream until promote(), which bumps the controller epoch past everything
 // replicated and announces it; agents fence any frame from a lower epoch,
 // so a deposed primary that resumes broadcasting is Bye'd, never applied.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -67,9 +71,16 @@
 #include "sched/job.hpp"
 #include "trace/trace.hpp"
 
+namespace perq::acct {
+class EventLog;
+}
+
 namespace perq::daemon {
 
-class ReplicationLog;
+/// File magic of the replication WAL. The accounting store's log carries
+/// "PQACCT01", so neither opens the other's file.
+inline constexpr std::array<char, 8> kWalMagic = {'P', 'Q', 'R', 'E',
+                                                  'P', 'L', '0', '1'};
 
 struct ControllerConfig {
   /// Ticks an agent may go silent before it is declared stale (the
@@ -78,18 +89,10 @@ struct ControllerConfig {
   /// Wall-clock grace service() allows a lagging (not yet stale) agent
   /// before deciding with incomplete data.
   int decide_grace_ms = 250;
-  /// Snapshot file written after every `snapshot_every_ticks` decisions
-  /// (0 disables periodic snapshots). Empty path disables entirely.
-  std::string snapshot_path;
-  std::uint64_t snapshot_every_ticks = 0;
   /// Warm-standby mode: the controller applies the primary's replication
   /// stream (ReplSnapshot restore + ReplTick replay) and drops agent
   /// telemetry/heartbeats until promote() flips it into a serving primary.
   bool standby = false;
-  /// Primary side: re-send a full ReplSnapshot every N replicated decides,
-  /// resyncing the standby and truncating the replication log. 0 sends only
-  /// the initial snapshot (the log then grows one record per decide).
-  std::uint64_t replicate_snapshot_every = 64;
 };
 
 /// Saturates a cap plan into the plant's feasible set: every cap is forced
@@ -289,9 +292,12 @@ class PerqController {
 
   /// Opens the replication WAL (crash recovery for a primary, or disk
   /// warm-up for a standby): replays every intact record into this
-  /// controller through the standby apply path, then -- on a primary --
-  /// appends one record per decide and truncates at the snapshot cadence.
-  /// Call before serving traffic.
+  /// controller through the standby apply path, then appends and flushes
+  /// one record per decide (a standby: per applied ReplTick), so the file
+  /// holds every decide the moment decide() returns, and rewrites it to one
+  /// snapshot record every 64 decides. A file that is not a WAL throws
+  /// perq::precondition_error and is left untouched. Call before serving
+  /// traffic.
   void open_replication_log(const std::string& path);
 
   /// Standby -> primary takeover: bumps the controller epoch past
@@ -354,7 +360,6 @@ class PerqController {
   bool accept_grant(const proto::BudgetGrant& g);
   bool session_stale(const Session& s) const;
   void clamp_plan();
-  void write_snapshot() const;
   void pump_arbiter();
   void send_domain_report();
   void build_ingest_order();
@@ -413,7 +418,7 @@ class PerqController {
   std::uint64_t epoch_ = 1;
   std::uint64_t repl_epoch_ = 0;  ///< newest epoch seen on the stream
   std::unique_ptr<net::Connection> standby_conn_;  ///< primary -> standby
-  std::unique_ptr<ReplicationLog> repl_log_;
+  std::unique_ptr<acct::EventLog> repl_log_;
   /// Batch under construction: the encoded frames (length prefix included)
   /// accepted since the previous decide, in canonical ingest order.
   std::vector<std::uint8_t> repl_batch_;

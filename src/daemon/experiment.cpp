@@ -16,6 +16,17 @@ namespace perq::daemon {
 
 namespace {
 
+/// Reconnect pacing for reconnect_lost(), measured in control ticks (the
+/// plant's natural clock). Exponential with seeded jitter so a thundering
+/// herd of agents does not hammer a restarting controller, yet every run
+/// retries at exactly the same ticks: agent i draws its jitter from seed
+/// kBackoffSeed + i.
+constexpr BackoffConfig kReconnectBackoff{/*initial_delay=*/1.0,
+                                          /*multiplier=*/2.0,
+                                          /*max_delay=*/8.0,
+                                          /*jitter=*/0.25};
+constexpr std::uint64_t kBackoffSeed = 42;
+
 /// One connect attempt, with a retry window for the plant-before-controller
 /// start order. With wait_ms <= 0 the single attempt's failure propagates
 /// unchanged (loopback throws, TCP returns null); otherwise failures are
@@ -75,8 +86,8 @@ DaemonPlant::DaemonPlant(const core::EngineConfig& cfg,
                                                   &engine_.cluster(), begin,
                                                   begin + len));
     agents_.back()->hello();
-    backoff_.emplace_back(pcfg_.reconnect_backoff,
-                          pcfg_.backoff_seed + static_cast<std::uint64_t>(i));
+    backoff_.emplace_back(kReconnectBackoff,
+                          kBackoffSeed + static_cast<std::uint64_t>(i));
     begin += len;
   }
   reg_fds_.assign(agents_.size(), -1);
@@ -255,11 +266,7 @@ bool DaemonPlant::step(const std::function<void()>& service) {
     // have actuated a real plan either) is skipped: the fail-safe is local
     // to each live agent, not a plant-level override.
     if (pcfg_.failsafe_after_ticks > 0 && have < groups_) {
-      const auto& spec = apps::node_power_spec();
-      const double floor =
-          std::clamp(pcfg_.failsafe_floor_w > 0.0 ? pcfg_.failsafe_floor_w
-                                                  : spec.cap_min,
-                     spec.cap_min, spec.tdp);
+      const double floor = apps::node_power_spec().cap_min;
       proto::CapPlan decayed;
       decayed.tick = view.tick;
       for (std::size_t i = 0; i < view.running.size(); ++i) {
@@ -268,7 +275,7 @@ bool DaemonPlant::step(const std::function<void()>& service) {
         if (group_held_ticks_[g] < pcfg_.failsafe_after_ticks) continue;
         const double cur = caps[i];
         if (cur <= floor + 1e-9) continue;  // already at the safe floor
-        const double next = floor + (cur - floor) * pcfg_.failsafe_decay;
+        const double next = floor + (cur - floor) * kFailsafeDecay;
         caps[i] = next;
         decayed.entries.push_back(
             {view.running[i]->spec().id, next, 0.0, 1});

@@ -33,6 +33,12 @@
 
 namespace perq::daemon {
 
+/// Agent-local fail-safe law: once a group is past
+/// PlantConfig::failsafe_after_ticks without a plan, each further held
+/// tick moves a job's cap to floor + (cap - floor) * kFailsafeDecay, the
+/// floor being the node power spec's cap_min.
+inline constexpr double kFailsafeDecay = 0.5;
+
 struct PlantConfig {
   std::size_t agents = 1;      ///< node-agent count; nodes split evenly
   int plan_timeout_ms = 2000;  ///< wait for a cap plan before holding caps
@@ -40,16 +46,6 @@ struct PlantConfig {
   /// giving up (covers the plant-before-controller start order). <= 0
   /// preserves the strict behavior: one attempt, fail loudly.
   int connect_wait_ms = 0;
-  /// Reconnect pacing for reconnect_lost(), measured in control ticks (the
-  /// plant's natural clock). Exponential with seeded jitter so a thundering
-  /// herd of agents does not hammer a restarting controller, yet every run
-  /// with the same seed retries at exactly the same ticks.
-  BackoffConfig reconnect_backoff{/*initial_delay=*/1.0,
-                                  /*multiplier=*/2.0,
-                                  /*max_delay=*/8.0,
-                                  /*jitter=*/0.25,
-                                  /*max_attempts=*/0};
-  std::uint64_t backoff_seed = 42;  ///< per-agent jitter streams derive from it
 
   /// Warm-standby failover: candidate controller addresses per group
   /// (outer index = group). Used by reconnect_failover(): each group dials
@@ -62,16 +58,12 @@ struct PlantConfig {
   std::size_t failover_after_held_ticks = 0;  ///< 0 disables failover
 
   /// Agent-local fail-safe: once a group has delivered no plan for this
-  /// many consecutive ticks, its jobs' held caps decay geometrically toward
-  /// failsafe_floor_w each further tick (cap = floor + (cap-floor)*decay)
-  /// instead of holding stale high caps forever -- the controller may be
-  /// gone for good, and the cluster must drift to a safe power state.
-  /// 0 disables the decay (bit-identical to the pre-failsafe behavior).
+  /// many consecutive ticks, its jobs' held caps decay toward cap_min each
+  /// further tick (see kFailsafeDecay) instead of holding stale high caps
+  /// forever -- the controller may be gone for good, and the cluster must
+  /// drift to a safe power state. 0 disables the decay (bit-identical to
+  /// the pre-failsafe behavior).
   std::size_t failsafe_after_ticks = 0;
-  /// Safe floor in watts per node; <= 0 means the plant uses the node
-  /// power spec's cap_min. Clamped into [cap_min, tdp] at use.
-  double failsafe_floor_w = 0.0;
-  double failsafe_decay = 0.5;  ///< per-tick geometric decay factor in [0,1)
 };
 
 /// The plant side of a daemon run: engine + node agents.
@@ -107,8 +99,9 @@ class DaemonPlant {
   bool step(const std::function<void()>& service = {});
 
   /// Re-establishes lost agent connections (controller restarted). Safe to
-  /// call every held tick: attempts are paced by the per-agent exponential
-  /// backoff (PlantConfig::reconnect_backoff, tick clock), and a failed
+  /// call every held tick: attempts are paced by a per-agent exponential
+  /// backoff on the tick clock (1 tick, x2 per failure, at most 8 ticks,
+  /// +/-25 % jitter seeded by the agent index), and a failed
   /// attempt backs off every disconnected agent dialing the same address --
   /// one refusal proves that listener is still away; other controllers'
   /// agents keep dialing. Returns the number of agents reconnected.

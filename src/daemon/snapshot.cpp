@@ -1,11 +1,7 @@
 #include "daemon/snapshot.hpp"
 
-#include <cstdio>
-#include <fstream>
-
 #include "acct/event_log.hpp"
 #include "proto/wire.hpp"
-#include "util/require.hpp"
 
 namespace perq::daemon {
 
@@ -249,32 +245,6 @@ std::optional<ControllerState> decode_snapshot(const std::uint8_t* data,
   }
   if (!r.exhausted()) return fail("truncated or oversized snapshot tail");
   return s;
-}
-
-void save_snapshot(const std::string& path, const ControllerState& s) {
-  const auto bytes = encode_snapshot(s);
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    PERQ_REQUIRE(out.is_open(), "cannot open snapshot file: " + tmp);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    out.flush();
-    PERQ_REQUIRE(out.good(), "snapshot write failed: " + tmp);
-  }
-  PERQ_REQUIRE(std::rename(tmp.c_str(), path.c_str()) == 0,
-               "snapshot rename failed: " + path);
-}
-
-ControllerState load_snapshot(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  PERQ_REQUIRE(in.is_open(), "cannot open snapshot file: " + path);
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
-  std::string why;
-  auto s = decode_snapshot(bytes.data(), bytes.size(), &why);
-  PERQ_REQUIRE(s.has_value(), "corrupt snapshot file: " + path + " (" + why + ")");
-  return std::move(*s);
 }
 
 }  // namespace perq::daemon

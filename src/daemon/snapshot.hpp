@@ -1,10 +1,12 @@
-// Controller snapshot persistence.
+// Controller snapshot codec.
 //
 // Serializes a ControllerState with the same little-endian wire primitives
 // as the protocol (doubles as raw IEEE bits), so a state round-trips
-// bit-for-bit -- the restart-determinism guarantee rests on this. The file
-// format carries its own magic + version, independent of the network
-// protocol version.
+// bit-for-bit -- the restart-determinism guarantee rests on this. The bytes
+// travel in ReplSnapshot frames: to a warm standby, and into the
+// replication WAL, where one snapshot record bounds replay. The encoding
+// carries its own magic + version, independent of the network protocol
+// version.
 #pragma once
 
 #include <cstdint>
@@ -26,13 +28,5 @@ std::vector<std::uint8_t> encode_snapshot(const ControllerState& s);
 std::optional<ControllerState> decode_snapshot(const std::uint8_t* data,
                                                std::size_t size,
                                                std::string* why = nullptr);
-
-/// Atomically-ish writes the snapshot (temp file + rename). Throws
-/// perq::precondition_error on I/O failure.
-void save_snapshot(const std::string& path, const ControllerState& s);
-
-/// Loads and parses a snapshot file; throws perq::precondition_error when
-/// the file is unreadable or corrupt.
-ControllerState load_snapshot(const std::string& path);
 
 }  // namespace perq::daemon

@@ -192,10 +192,7 @@ DeploymentReport run_deployment(const Deployment& dep,
 
   const auto& spec = apps::node_power_spec();
   const double budget_w = plant.engine().cluster().power_budget_w();
-  const double floor_w =
-      pcfg.failsafe_floor_w > 0.0
-          ? std::clamp(pcfg.failsafe_floor_w, spec.cap_min, spec.tdp)
-          : spec.cap_min;
+  const double floor_w = spec.cap_min;  // the fail-safe floor
   bool promoted = false;
   std::uint64_t silent = 0;
   std::uint64_t last_repl = has_standby ? standby->replicated_decides() : 0;
@@ -342,7 +339,7 @@ DeploymentReport run_deployment(const Deployment& dep,
         continue;
       }
       const double want =
-          floor_w + (prev->second - floor_w) * pcfg.failsafe_decay;
+          floor_w + (prev->second - floor_w) * daemon::kFailsafeDecay;
       if (cap > std::max(want, floor_w) + 1e-6) {
         violation("held cap failed to decay toward fail-safe floor", cap, want);
       }

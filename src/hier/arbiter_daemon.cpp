@@ -303,8 +303,7 @@ bool ArbiterDaemon::try_decide() {
       arbiter_.allocate(std::max(scope_w - reserved_w_, 0.0), live);
 
   for (const DomainDemand& d : live) {
-    DomainSlot& slot = slots_[d.domain_id];
-    slot.ever_sent_grant = true;
+    const DomainSlot& slot = slots_[d.domain_id];
     if (slot.session == SIZE_MAX) continue;  // controller died after report
     proto::BudgetGrant g;
     g.domain_id = d.domain_id;

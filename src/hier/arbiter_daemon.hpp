@@ -141,7 +141,6 @@ class ArbiterDaemon {
     bool any_report = false;
     proto::DomainReport latest;       ///< newest report (by tick)
     std::size_t session = SIZE_MAX;   ///< session that sent it
-    bool ever_sent_grant = false;
     /// Newest controller epoch seen for this domain. Reports from a lower
     /// epoch come from a deposed domain controller (its standby has taken
     /// over) and are fenced: counted, never applied.

@@ -88,10 +88,8 @@ void write_body(WireWriter& w, const BudgetGrant& m) {
   w.u64(m.tick);
   w.f64(m.grant_w);
   w.f64(m.cluster_budget_w);
-  const bool extended = m.arbiter_epoch != 0 || !m.tree_path.empty();
-  if (!extended) return;
+  if (m.tree_path.empty()) return;  // v1 body
   w.u8(2);  // body version
-  w.u64(m.arbiter_epoch);
   w.u8(static_cast<std::uint8_t>(m.tree_path.size()));
   for (std::uint32_t node : m.tree_path) w.u32(node);
 }
@@ -196,12 +194,10 @@ bool read_budget_grant(WireReader& r, BudgetGrant& m) {
   m.tick = r.u64();
   m.grant_w = r.f64();
   m.cluster_budget_w = r.f64();
-  m.arbiter_epoch = 0;
   if (!r.ok()) return false;
-  if (r.remaining() == 0) return true;  // v1 body: defaults stand
+  if (r.remaining() == 0) return true;  // v1 body: empty path
   const std::uint8_t body_version = r.u8();
   if (body_version < 2) return false;
-  m.arbiter_epoch = r.u64();
   const std::uint8_t path_len = r.u8();
   if (!r.ok() || path_len > kMaxTreePathDepth ||
       static_cast<std::size_t>(path_len) * 4 > r.remaining()) {

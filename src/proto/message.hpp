@@ -187,20 +187,18 @@ struct DomainReport {
 
 /// The arbiter's answer: the watts `domain_id` may spend at `tick`.
 /// Body versioning: the fields through cluster_budget_w are the v1 body.
-/// The granting arbiter's epoch and tree path travel in a trailing v2
-/// extension (u8 body-version >= 2, epoch, tree path) that is written only
-/// when either is non-default and decodes as the defaults when absent, so
-/// a root arbiter's grants stay v1 bodies.
+/// The granting arbiter's tree path travels in a trailing v2 extension
+/// (u8 body-version >= 2, u8 path length, path) that is written only when
+/// the path is non-empty and decodes as empty when absent, so a root
+/// arbiter's grants stay v1 bodies.
 struct BudgetGrant {
   std::uint32_t domain_id = 0;
   std::uint64_t tick = 0;
   double grant_w = 0.0;            ///< budget row for the domain's QP
   double cluster_budget_w = 0.0;   ///< total the grants were carved from
   // ---- v2 body extension (power tree) ----
-  /// The granting arbiter's own epoch: a child that re-parented fences
-  /// grants still arriving from its old parent's epoch.
-  std::uint64_t arbiter_epoch = 0;
-  /// Root -> granting arbiter node ids (empty at the root itself).
+  /// Root -> granting arbiter node ids (empty at the root itself). A child
+  /// that re-parented fences grants whose path is not its new parent's.
   std::vector<std::uint32_t> tree_path;
 };
 

@@ -16,14 +16,7 @@ Backoff::Backoff(const BackoffConfig& cfg, std::uint64_t seed)
                "backoff jitter must be in [0, 1)");
 }
 
-bool Backoff::exhausted() const {
-  return cfg_.max_attempts > 0 && attempts_ >= cfg_.max_attempts;
-}
-
-bool Backoff::ready(double now) const {
-  if (exhausted()) return false;
-  return !armed_ || now >= next_try_;
-}
+bool Backoff::ready(double now) const { return !armed_ || now >= next_try_; }
 
 void Backoff::record_failure(double now) {
   double delay = cfg_.initial_delay;

@@ -1,11 +1,12 @@
-// Exponential backoff with seeded jitter and an attempt cap.
+// Exponential backoff with seeded jitter.
 //
-// Used wherever PERQ retries an operation against a peer that may be down
-// for a while: the plant's agent reconnect loop (time unit = control ticks)
-// and perq_agent's initial controller connect (time unit = wall seconds).
-// The time axis is caller-supplied, so the same policy works for both, and
-// the jitter stream comes from perq::Rng so a seeded run retries at exactly
-// the same instants every time -- chaos runs stay bit-reproducible.
+// Paces the plant's agent reconnect loop (DaemonPlant::reconnect_lost, time
+// unit = control ticks) against a controller that may be down for a while.
+// perq_agent's initial connect does not use it: that is
+// connect_with_retry's fixed 10 ms poll inside the DaemonPlant constructor.
+// The time axis is caller-supplied, and the jitter stream comes from
+// perq::Rng so a seeded run retries at exactly the same instants every
+// time -- chaos runs stay bit-reproducible.
 #pragma once
 
 #include <cstddef>
@@ -20,16 +21,12 @@ struct BackoffConfig {
   double multiplier = 2.0;       ///< growth per consecutive failure
   double max_delay = 30.0;       ///< delay ceiling before jitter
   double jitter = 0.25;          ///< uniform +/- fraction applied to each delay
-  std::size_t max_attempts = 0;  ///< consecutive failures allowed; 0 = unlimited
 };
 
 class Backoff {
  public:
   Backoff() : Backoff(BackoffConfig{}, 0) {}
   Backoff(const BackoffConfig& cfg, std::uint64_t seed);
-
-  /// True when the attempt cap is spent; ready() stays false until reset().
-  bool exhausted() const;
 
   /// True when the caller should try now: before any failure, or once the
   /// scheduled retry instant has passed.

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cstdio>
 #include <memory>
 
 #include "core/engine.hpp"
@@ -15,7 +14,6 @@
 #include "fault/chaos.hpp"
 #include "daemon/snapshot.hpp"
 #include "net/loopback.hpp"
-#include "util/require.hpp"
 
 namespace perq::daemon {
 namespace {
@@ -161,29 +159,6 @@ TEST(DaemonSnapshot, CodecRoundTripsByteForByte) {
   bad = bytes;
   bad[4] ^= 0xFF;  // version
   EXPECT_FALSE(decode_snapshot(bad.data(), bad.size()).has_value());
-}
-
-TEST(DaemonSnapshot, FileSaveLoadRoundTrip) {
-  const auto cfg = small_cfg();
-  LoopbackRig rig(cfg, {}, 1);
-  for (int i = 0; i < 20 && !rig.plant->done(); ++i) rig.step();
-
-  const ControllerState state = rig.controller->state();
-  const std::string path = "daemon_snapshot_test.perqsnap";
-  save_snapshot(path, state);
-  const ControllerState loaded = load_snapshot(path);
-  EXPECT_EQ(encode_snapshot(loaded), encode_snapshot(state));
-
-  // A corrupt file must throw, not yield a half-parsed state.
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("not a snapshot", f);
-    std::fclose(f);
-  }
-  EXPECT_THROW(load_snapshot(path), precondition_error);
-  std::remove(path.c_str());
-  EXPECT_THROW(load_snapshot(path), precondition_error);
 }
 
 TEST(DaemonSnapshot, ControllerRestartMidRunIsBitIdentical) {

@@ -1,23 +1,24 @@
-// Controller HA (ISSUE tentpole): replication WAL recovery, warm-standby
-// bit-exact tracking, epoch-fenced takeover, mid-run reconnect resync, and
-// the agent-local fail-safe decay.
+// Controller HA: the replication WAL (an acct::EventLog) and restarts from
+// it, warm-standby bit-exact tracking, epoch-fenced takeover, mid-run
+// reconnect resync, and the agent-local fail-safe decay.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <algorithm>
+#include <bit>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "acct/event_log.hpp"
+#include "acct/store.hpp"
 #include "apps/app_model.hpp"
 #include "core/engine.hpp"
 #include "core/node_model.hpp"
 #include "core/perq_policy.hpp"
 #include "daemon/experiment.hpp"
-#include "daemon/replication.hpp"
 #include "net/loopback.hpp"
 #include "proto/message.hpp"
 #include "util/require.hpp"
@@ -83,17 +84,18 @@ TEST_F(ReplicationLogTest, AppendsReplayInOrder) {
     records.push_back(payload_of(proto::PromoteAnnounce{e, 10 * e}));
   }
   {
-    ReplicationLog log;
-    log.open(path_);
+    acct::EventLog log;
+    log.open(path_, kWalMagic);
     ASSERT_TRUE(log.persistent());
     for (const auto& r : records) log.append(r.data(), r.size());
     EXPECT_EQ(log.record_count(), 3u);
   }
-  ReplicationLog reopened;
+  acct::EventLog reopened;
   std::vector<std::vector<std::uint8_t>> seen;
-  reopened.open(path_, [&seen](const std::uint8_t* p, std::size_t n) {
-    seen.emplace_back(p, p + n);
-  });
+  reopened.open(path_, kWalMagic,
+                [&seen](const std::uint8_t* p, std::size_t n) {
+                  seen.emplace_back(p, p + n);
+                });
   EXPECT_EQ(reopened.replayed_count(), 3u);
   EXPECT_FALSE(reopened.truncated_tail());
   EXPECT_EQ(seen, records);
@@ -102,8 +104,8 @@ TEST_F(ReplicationLogTest, AppendsReplayInOrder) {
 TEST_F(ReplicationLogTest, TornTailIsTruncatedAndAppendsResume) {
   const auto rec = payload_of(proto::PromoteAnnounce{7, 70});
   {
-    ReplicationLog log;
-    log.open(path_);
+    acct::EventLog log;
+    log.open(path_, kWalMagic);
     log.append(rec.data(), rec.size());
     log.append(rec.data(), rec.size());
   }
@@ -117,16 +119,16 @@ TEST_F(ReplicationLogTest, TornTailIsTruncatedAndAppendsResume) {
   }
   std::size_t replayed = 0;
   {
-    ReplicationLog log;
-    log.open(path_, [&replayed](const std::uint8_t*, std::size_t) {
+    acct::EventLog log;
+    log.open(path_, kWalMagic, [&replayed](const std::uint8_t*, std::size_t) {
       ++replayed;
     });
     EXPECT_EQ(replayed, 2u);
     EXPECT_TRUE(log.truncated_tail());
     log.append(rec.data(), rec.size());  // the tail is gone; writes resume
   }
-  ReplicationLog clean;
-  clean.open(path_, nullptr);
+  acct::EventLog clean;
+  clean.open(path_, kWalMagic);
   EXPECT_EQ(clean.replayed_count(), 3u);
   EXPECT_FALSE(clean.truncated_tail());
 }
@@ -135,8 +137,8 @@ TEST_F(ReplicationLogTest, CorruptCrcStopsReplayAtLastValidRecord) {
   const auto rec = payload_of(proto::PromoteAnnounce{9, 90});
   long third_offset = 0;
   {
-    ReplicationLog log;
-    log.open(path_);
+    acct::EventLog log;
+    log.open(path_, kWalMagic);
     log.append(rec.data(), rec.size());
     log.append(rec.data(), rec.size());
     log.flush();
@@ -157,8 +159,8 @@ TEST_F(ReplicationLogTest, CorruptCrcStopsReplayAtLastValidRecord) {
     std::fputc(c ^ 0xFF, f);
     std::fclose(f);
   }
-  ReplicationLog log;
-  log.open(path_, nullptr);
+  acct::EventLog log;
+  log.open(path_, kWalMagic);
   EXPECT_EQ(log.replayed_count(), 2u);
   EXPECT_TRUE(log.truncated_tail());
 }
@@ -167,16 +169,16 @@ TEST_F(ReplicationLogTest, SnapshotRewriteBoundsReplay) {
   const auto tick = payload_of(proto::PromoteAnnounce{1, 1});
   const auto snap = payload_of(proto::ReplSnapshot{2, {0xDE, 0xAD}});
   {
-    ReplicationLog log;
-    log.open(path_);
+    acct::EventLog log;
+    log.open(path_, kWalMagic);
     for (int i = 0; i < 10; ++i) log.append(tick.data(), tick.size());
-    log.rewrite_with_snapshot(snap);
+    log.rewrite(snap.data(), snap.size());
     EXPECT_EQ(log.record_count(), 1u);
     log.append(tick.data(), tick.size());
   }
   std::vector<std::vector<std::uint8_t>> seen;
-  ReplicationLog log;
-  log.open(path_, [&seen](const std::uint8_t* p, std::size_t n) {
+  acct::EventLog log;
+  log.open(path_, kWalMagic, [&seen](const std::uint8_t* p, std::size_t n) {
     seen.emplace_back(p, p + n);
   });
   ASSERT_EQ(seen.size(), 2u);  // snapshot + one tick, the 10 olds are gone
@@ -266,6 +268,118 @@ TEST(Replication, WalWarmsAColdStandbyToThePrimarysState) {
   EXPECT_EQ(standby.last_plan_crc(), primary_crc);
   EXPECT_EQ(standby.repl_divergence(), 0u);
   std::remove(path.c_str());
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(Replication, PrimaryRestartedFromItsWalIsBitIdentical) {
+  auto cfg = small_cfg();
+  cfg.traced_jobs = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  const std::uint64_t kCrash = 50;
+  const std::string wal = ::testing::TempDir() + "perq_repl_restart.wal";
+  const std::string crashed = wal + ".crashed";
+  std::remove(wal.c_str());
+  std::remove(crashed.c_str());
+
+  core::RunResult uninterrupted;
+  {
+    Rig rig(cfg, fast_cfg(), 2);
+    while (!rig.plant->done()) {
+      rig.plant->step([&rig] { rig.controller->service(); });
+    }
+    uninterrupted = rig.plant->finish("perq");
+  }
+
+  // Same run with the primary's WAL open. At tick kCrash its WAL is
+  // byte-copied while the primary still lives -- no destructor flush, which
+  // is what kill -9 leaves on disk -- and a fresh controller with a fresh
+  // policy opens the copy on a new address. The agents redial it.
+  core::RunResult restarted;
+  std::uint64_t decided = 0, replayed = 0;
+  {
+    Rig rig(cfg, fast_cfg(), 2);
+    rig.controller->open_replication_log(wal);
+    core::PerqPolicy policy = make_policy(cfg);
+    std::unique_ptr<PerqController> successor;
+    while (!rig.plant->done()) {
+      PerqController& serving = successor ? *successor : *rig.controller;
+      rig.plant->step([&serving] { serving.service(); });
+      if (successor || rig.plant->engine().tick() < kCrash) continue;
+      decided = rig.controller->replicated_decides();
+      std::filesystem::copy_file(wal, crashed);
+      successor = std::make_unique<PerqController>(
+          rig.transport.listen("perqd-restarted"), policy, fast_cfg());
+      successor->open_replication_log(crashed);
+      replayed = successor->replicated_decides();
+      EXPECT_EQ(successor->last_plan_crc(), rig.controller->last_plan_crc());
+      for (std::size_t i = 0; i < rig.plant->agent_count(); ++i) {
+        rig.plant->agent(i).reconnect(rig.transport.connect("perqd-restarted"));
+      }
+      successor->pump();
+    }
+    ASSERT_NE(successor, nullptr);
+    EXPECT_EQ(successor->repl_divergence(), 0u);
+    restarted = rig.plant->finish("perq");
+  }
+  std::remove(wal.c_str());
+  std::remove(crashed.c_str());
+
+  EXPECT_EQ(decided, kCrash);
+  EXPECT_EQ(replayed, decided) << "the WAL lost decides the primary made";
+  ASSERT_EQ(uninterrupted.finished.size(), restarted.finished.size());
+  for (std::size_t i = 0; i < uninterrupted.finished.size(); ++i) {
+    EXPECT_EQ(uninterrupted.finished[i].id, restarted.finished[i].id);
+    EXPECT_EQ(bits(uninterrupted.finished[i].finish_s),
+              bits(restarted.finished[i].finish_s))
+        << "job " << uninterrupted.finished[i].id;
+  }
+  ASSERT_EQ(uninterrupted.traces.size(), restarted.traces.size());
+  ASSERT_FALSE(uninterrupted.traces.empty());
+  for (std::size_t i = 0; i < uninterrupted.traces.size(); ++i) {
+    EXPECT_EQ(bits(uninterrupted.traces[i].cap_w),
+              bits(restarted.traces[i].cap_w))
+        << "cap diverged at t=" << uninterrupted.traces[i].t_s << " job "
+        << uninterrupted.traces[i].job_id;
+  }
+  EXPECT_EQ(bits(uninterrupted.mean_power_draw_w),
+            bits(restarted.mean_power_draw_w));
+}
+
+TEST(DurableLog, EachLogRefusesTheOthersFile) {
+  const std::string acct_path = ::testing::TempDir() + "perq_cross.acct";
+  const std::string wal_path = ::testing::TempDir() + "perq_cross.wal";
+  std::remove(acct_path.c_str());
+  std::remove(wal_path.c_str());
+  {
+    acct::Store store(acct_path);
+    store.record_submit(/*job=*/1, /*user=*/7, /*app=*/2, /*nodes=*/4,
+                        /*submit=*/0.0, /*est=*/600.0);
+    store.flush();
+  }
+  const auto cfg = small_cfg();
+  {
+    Rig rig(cfg, fast_cfg(), 2);
+    rig.controller->open_replication_log(wal_path);
+    for (int i = 0; i < 3; ++i) {
+      rig.plant->step([&rig] { rig.controller->service(); });
+    }
+  }
+  const auto acct_size = std::filesystem::file_size(acct_path);
+  const auto wal_size = std::filesystem::file_size(wal_path);
+
+  net::LoopbackTransport transport;
+  core::PerqPolicy policy = make_policy(cfg);
+  PerqController controller(transport.listen("perqd-b"), policy, fast_cfg());
+  EXPECT_THROW(controller.open_replication_log(acct_path), precondition_error);
+  EXPECT_THROW(acct::Store{wal_path}, precondition_error);
+  EXPECT_EQ(std::filesystem::file_size(acct_path), acct_size);
+  EXPECT_EQ(std::filesystem::file_size(wal_path), wal_size);
+
+  // The refusal left the controller without a log: it can open its own.
+  controller.open_replication_log(wal_path);
+  EXPECT_EQ(controller.replicated_decides(), 3u);
+  std::remove(acct_path.c_str());
+  std::remove(wal_path.c_str());
 }
 
 TEST(EpochFence, AgentsRejectADeposedPrimary) {
@@ -359,7 +473,6 @@ TEST(FailSafe, HeldCapsDecayTowardTheFloorWhenTheControllerIsGone) {
   daemon::PlantConfig pcfg;
   pcfg.plan_timeout_ms = 5;
   pcfg.failsafe_after_ticks = 2;
-  pcfg.failsafe_decay = 0.5;  // floor defaults to the spec's cap_min
   Rig rig(cfg, fast_cfg(), 2, pcfg);
 
   for (int i = 0; i < 12 && !rig.plant->done(); ++i) {
@@ -376,7 +489,8 @@ TEST(FailSafe, HeldCapsDecayTowardTheFloorWhenTheControllerIsGone) {
 
   // The controller goes silent for good. The first failsafe_after_ticks
   // held ticks hold caps verbatim; every tick past that must follow the
-  // decay law cap' = floor + (cap - floor) * decay, monotonically down.
+  // decay law cap' = floor + (cap - floor) * kFailsafeDecay, with the floor
+  // at the spec's cap_min, monotonically down.
   const auto& spec = apps::node_power_spec();
   const double floor_w = spec.cap_min;
   std::map<int, double> prev = caps_now();
@@ -389,7 +503,7 @@ TEST(FailSafe, HeldCapsDecayTowardTheFloorWhenTheControllerIsGone) {
         const auto it = prev.find(id);
         if (it == prev.end() || it->second <= 0.0 || cap <= 0.0) continue;
         const double want =
-            std::max(floor_w + (it->second - floor_w) * pcfg.failsafe_decay,
+            std::max(floor_w + (it->second - floor_w) * kFailsafeDecay,
                      floor_w);
         EXPECT_NEAR(cap, want, 1e-6) << "job " << id << " at held tick " << i;
         EXPECT_LE(cap, it->second + 1e-9);

@@ -320,7 +320,6 @@ BudgetGrant tree_grant_sample() {
   g.tick = 33;
   g.grant_w = 1912.5;
   g.cluster_budget_w = 9280.0;
-  g.arbiter_epoch = 4;
   g.tree_path = {0, 1};
   return g;
 }
@@ -364,7 +363,6 @@ TEST(ProtoFuzz, TruncatedTreeFramesRejectExceptTheV1Boundary) {
   // defaults; every strict prefix must reject EXCEPT that one cut, which
   // parses as the v1 grant.
   BudgetGrant v1_grant = tree_grant_sample();
-  v1_grant.arbiter_epoch = 0;
   v1_grant.tree_path.clear();
   const std::vector<std::uint8_t> frame = encode(Message(tree_grant_sample()));
   const std::uint8_t* body = frame.data() + 4;

@@ -237,7 +237,6 @@ BudgetGrant sample_grant_v2() {
   g.tick = 77;
   g.grant_w = 2321.0625;
   g.cluster_budget_w = 9280.0;
-  g.arbiter_epoch = 6;
   g.tree_path = {0, 2};
   return g;
 }
@@ -251,7 +250,6 @@ TEST(Message, BudgetGrantV2RoundTripIsBitExact) {
   EXPECT_EQ(g.tick, 77u);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(g.grant_w),
             std::bit_cast<std::uint64_t>(in.grant_w));
-  EXPECT_EQ(g.arbiter_epoch, 6u);
   EXPECT_EQ(g.tree_path, (std::vector<std::uint32_t>{0, 2}));
 }
 
@@ -376,7 +374,7 @@ TEST(MessageReject, EveryTruncationOfEveryType) {
   const Message msgs[] = {Message(sample_hello()), Message(sample_telemetry()),
                           Message(sample_plan()), Message(sample_heartbeat()),
                           Message(Bye{4}), Message(sample_report()),
-                          Message(BudgetGrant{1, 2, 3.0, 4.0, 0, {}}),
+                          Message(BudgetGrant{1, 2, 3.0, 4.0, {}}),
                           Message(sample_repl_tick()),
                           Message(ReplSnapshot{2, {0x01, 0x02}}),
                           Message(PromoteAnnounce{5, 99})};
@@ -409,7 +407,6 @@ TEST(MessageReject, V2TruncationRejectsEverywhereButTheV1Boundary) {
       // fields at their defaults, not stale values.
       ASSERT_TRUE(m.has_value()) << "v1 boundary at " << n;
       const auto& g = std::get<BudgetGrant>(*m);
-      EXPECT_EQ(g.arbiter_epoch, 0u);
       EXPECT_TRUE(g.tree_path.empty());
       EXPECT_EQ(bits(g.grant_w), bits(v1_grant.grant_w));
       continue;
