@@ -52,6 +52,8 @@ void usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Line-buffered even when redirected, so a kill -9 loses no log line.
+  std::setvbuf(stdout, nullptr, _IOLBF, 0);
   using namespace perq;
   using cli::parse_double_in;
   using cli::parse_u64_in;

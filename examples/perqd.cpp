@@ -28,22 +28,20 @@
 //
 // Multi-level trees (see DESIGN.md section 5i): an arbiter can itself be
 // stacked under a higher arbiter with --parent, realizing a PowerTree of
-// arbitrary --depth -- it reports its subtree's aggregate demand upward
-// and divides its parent grant among its children:
+// any depth -- it reports its subtree's aggregate demand upward and
+// divides its parent grant among its children:
 //
-//   ./examples/perqd --domains 2 --listen :7420 --tree-path 0    # root
-//   ./examples/perqd --domains 2 --listen :7430 --depth 2
+//   ./examples/perqd --domains 2 --listen 127.0.0.1:7420          # root
+//   ./examples/perqd --domains 2 --listen 127.0.0.1:7430
 //                    --parent 127.0.0.1:7420 --parent-domain 0
-//                    --parent-count 2 --share 0.5 --tree-path 0,1  # mid 0
-//   ./examples/perqd --domain 0 --domains 3 --arbiter 127.0.0.1:7430
-//                    --share 0.1667 --tree-path 0,1,3
-//                    --sla-floor 150 --priority 2 --listen :7431  # leaf
+//                    --parent-count 2 --share 0.5                 # mid 0
+//   ./examples/perqd --domain 0 --domains 2 --arbiter 127.0.0.1:7430
+//                    --share 0.25 --sla-floor 150 --priority 2
+//                    --listen 127.0.0.1:7431                      # leaf
 //
-// --tree-path names the root->self node ids; the parent's path is derived
-// by dropping the last element, and every grant carries its sender's path
-// so a re-parented subtree fences grants still in flight from its old
-// parent. --share is the static cold-start fraction of the cluster budget
-// assumed before the first parent grant (shares compose down the tree);
+// Every node takes its grants on the one link it dialed to its parent.
+// --share is the static cold-start fraction of the cluster budget assumed
+// before the first parent grant (shares compose down the tree);
 // --sla-floor and --priority are the tenant terms the water-fill honors.
 //
 // High availability (warm standby, see DESIGN.md section 5h):
@@ -71,13 +69,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "core/node_model.hpp"
 #include "core/perq_policy.hpp"
 #include "core/robustness.hpp"
 #include "daemon/controller.hpp"
-#include "proto/message.hpp"
 #include "hier/arbiter_daemon.hpp"
 #include "net/tcp.hpp"
 #include "util/cli.hpp"
@@ -101,11 +97,7 @@ void usage(const char* argv0) {
       "  --parent <host:port>   stack this arbiter under a higher arbiter\n"
       "  --parent-domain <d>    child id toward --parent (default 0)\n"
       "  --parent-count <k>     children of the parent arbiter (default 1)\n"
-      "  --depth <n>            declared arbiter levels (validates the path)\n"
       "  --share <s>            static cold-start share of the cluster budget\n"
-      "  --tree-path <a,b,..>   root->self node ids; rides in every grant so\n"
-      "                         re-parented subtrees fence grants from a\n"
-      "                         stale parent\n"
       "  --sla-floor <w>        tenant SLA power floor (watts)\n"
       "  --priority <p>         tenant priority weight (default 1)\n"
       "  --replicate-to <h:p>   stream decision state to a warm standby\n"
@@ -122,6 +114,8 @@ void usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Line-buffered even when redirected, so a kill -9 loses no log line.
+  std::setvbuf(stdout, nullptr, _IOLBF, 0);
   using namespace perq;
   using cli::parse_double_in;
   using cli::parse_u64_in;
@@ -134,9 +128,8 @@ int main(int argc, char** argv) {
   std::size_t domains = 1;
   long domain = -1;
   double f = 2.0, ratio = 8.0;
-  std::size_t parent_domain = 0, parent_count = 1, depth = 0;
+  std::size_t parent_domain = 0, parent_count = 1;
   double share = 0.0, sla_floor = 0.0, priority = 1.0;
-  std::vector<std::uint32_t> tree_path;
   daemon::ControllerConfig ccfg;
 
   try {
@@ -158,25 +151,9 @@ int main(int argc, char** argv) {
       else if (arg == "--parent") parent_addr = next();
       else if (arg == "--parent-domain") parent_domain = parse_u64_in(arg, next(), 0, 4095);
       else if (arg == "--parent-count") parent_count = parse_u64_in(arg, next(), 1, 4096);
-      else if (arg == "--depth") depth = parse_u64_in(arg, next(), 1, 8);
       else if (arg == "--share") share = parse_double_in(arg, next(), 0.0, 1.0);
       else if (arg == "--sla-floor") sla_floor = parse_double_in(arg, next(), 0.0, 1e9);
       else if (arg == "--priority") priority = parse_double_in(arg, next(), 0.0, 1e6);
-      else if (arg == "--tree-path") {
-        const std::string v = next();
-        std::size_t pos = 0;
-        while (pos <= v.size()) {
-          const std::size_t comma = v.find(',', pos);
-          const std::string tok =
-              comma == std::string::npos ? v.substr(pos)
-                                         : v.substr(pos, comma - pos);
-          PERQ_REQUIRE(!tok.empty(), "--tree-path: empty element");
-          tree_path.push_back(
-              static_cast<std::uint32_t>(cli::parse_u64(arg, tok)));
-          if (comma == std::string::npos) break;
-          pos = comma + 1;
-        }
-      }
       else if (arg == "--replicate-to") replicate_to = next();
       else if (arg == "--standby-of") { standby_of = next(); ccfg.standby = true; }
       else if (arg == "--takeover-ms") takeover_ms = static_cast<int>(parse_u64_in(arg, next(), 1, 3600000));
@@ -196,11 +173,6 @@ int main(int argc, char** argv) {
                  "--parent: only the arbiter role can stack under a parent");
     PERQ_REQUIRE(parent_domain < parent_count,
                  "--parent-domain: out of range for --parent-count");
-    PERQ_REQUIRE(tree_path.size() <= proto::kMaxTreePathDepth,
-                 "--tree-path: longer than the wire limit");
-    PERQ_REQUIRE(depth == 0 || tree_path.empty() ||
-                     tree_path.size() <= depth + 1,
-                 "--tree-path: deeper than the declared --depth");
     PERQ_REQUIRE(standby_of.empty() || replicate_to.empty(),
                  "--standby-of: a standby cannot replicate onward");
     PERQ_REQUIRE((standby_of.empty() && replicate_to.empty()) ||
@@ -211,6 +183,12 @@ int main(int argc, char** argv) {
     usage(argv[0]);
     return 2;
   }
+
+  // Placement toward the parent arbiter (an arbiter's --parent, a domain
+  // controller's --arbiter).
+  const daemon::DomainAttachment att{.static_share = share,
+                                     .sla_floor_w = sla_floor,
+                                     .priority_weight = priority};
 
   // Arbiter role: no policy, no node model -- just the water-filling
   // allocator behind a listener. Runs until every domain controller leaves.
@@ -226,24 +204,16 @@ int main(int argc, char** argv) {
                      argv[0], parent_addr.c_str());
         return 1;
       }
-      daemon::DomainAttachment att;
-      att.static_share = share;
-      att.sla_floor_w = sla_floor;
-      att.priority_weight = priority;
-      att.tree_path = tree_path;
-      if (!tree_path.empty()) {
-        att.parent_path.assign(tree_path.begin(), tree_path.end() - 1);
-      }
       arbiter.attach_parent(std::move(up),
                             static_cast<std::uint32_t>(parent_domain),
                             static_cast<std::uint32_t>(parent_count),
-                            std::move(att));
+                            att);
       std::printf("perq-arbiter: stacked under %s as child %zu of %zu "
                   "(share %.4f)\n",
                   parent_addr.c_str(), parent_domain, parent_count, share);
     }
-    std::printf("perq-arbiter: serving %zu domains on %s%s\n", domains,
-                listen.c_str(), depth > 0 ? " (multi-level)" : "");
+    std::printf("perq-arbiter: serving %zu domains on %s\n", domains,
+                listen.c_str());
     bool saw_domain = false;
     for (;;) {
       arbiter.wait(50);
@@ -283,17 +253,9 @@ int main(int argc, char** argv) {
                    arbiter_addr.c_str());
       return 1;
     }
-    daemon::DomainAttachment att;
-    att.static_share = share;
-    att.sla_floor_w = sla_floor;
-    att.priority_weight = priority;
-    att.tree_path = tree_path;
-    if (!tree_path.empty()) {
-      att.parent_path.assign(tree_path.begin(), tree_path.end() - 1);
-    }
     controller.attach_arbiter(std::move(up), static_cast<std::uint32_t>(domain),
                               static_cast<std::uint32_t>(domains),
-                              std::move(att));
+                              att);
     std::printf("perqd: domain %ld of %zu, arbiter %s (sla floor %.0f W, "
                 "priority %.2f)\n",
                 domain, domains, arbiter_addr.c_str(), sla_floor, priority);

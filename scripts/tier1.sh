@@ -28,7 +28,9 @@
 # The restart smoke is the README walkthrough: perqd --replication-log is
 # killed with kill -9 mid-run and restarted on the same address and log;
 # it must replay the WAL (`replayed N replicated decides`, N > 0) and
-# finish the run, and the agent must exit 0. The smoke guards the
+# finish the run, and the agent must exit 0. The killed perqd's log must
+# still hold its `perqd: serving on` line: perqd and perq_agent keep
+# stdout line-buffered, so kill -9 loses no printed line. The smoke guards the
 # walkthrough; Replication.PrimaryRestartedFromItsWalIsBitIdentical is
 # what proves the WAL holds every decide.
 #
@@ -126,6 +128,11 @@ done
   sleep 3
   kill -9 "$FIRST" 2>/dev/null || true
   wait "$FIRST" 2>/dev/null || true
+  grep -q "perqd: serving on" RESTART_first.log || {
+    echo "restart smoke: the killed perqd's log lost its lines"
+    cat RESTART_first.log
+    exit 1
+  }
   ./examples/perqd --listen "$PA" --replication-log RESTART_run.wal \
     --wc-nodes 16 > RESTART_second.log 2>&1 &
   SECOND=$!

@@ -89,21 +89,9 @@ void PerqController::reattach_arbiter(std::unique_ptr<net::Connection> conn,
 
 double PerqController::budget_scope_w() const {
   if (!domain_mode()) return have_hb_ ? hb_.budget_for_busy_w : 0.0;
-  // Held grant while the arbiter is silent: the arbiter fences the same
-  // value on its side, so both halves of the split agree on who owns what.
-  if (any_grant_) return granted_w_;
-  // Before the first grant: the static split. The default is the equal
-  // split -- K controllers assuming budget/K each sums to exactly the
-  // cluster budget, conservative and conservation-safe for the cold start.
-  // Deeper placements override it with their composed share (a subtree of
-  // share s split c ways assumes s/c each), which restores the same
-  // sums-to-budget property across an arbitrary tree; the division is kept
-  // for the default so flat deployments stay bit-identical.
-  if (!have_hb_) return 0.0;
-  if (attachment_.static_share > 0.0) {
-    return hb_.budget_for_busy_w * attachment_.static_share;
-  }
-  return hb_.budget_for_busy_w / static_cast<double>(domain_count_);
+  if (!any_grant_ && !have_hb_) return 0.0;
+  return child_scope_w(any_grant_, granted_w_, hb_.budget_for_busy_w,
+                       attachment_, domain_count_);
 }
 
 void PerqController::pump_arbiter() {
@@ -163,19 +151,8 @@ void PerqController::send_domain_report() {
     r.target_ips = fb.target_ips;
   }
 
-  const core::RobustnessCounters c = counters();
-  r.frames_dropped = c.frames_dropped;
-  r.frames_corrupt = c.frames_corrupt;
-  r.reconnect_attempts = c.reconnect_attempts;
-  r.stale_transitions = c.stale_transitions;
-  r.solver_fallbacks = c.solver_fallbacks;
-  r.clamp_activations = c.clamp_activations;
-  r.failsafe_activations = c.failsafe_activations;
-  r.stale_epoch_frames = c.stale_epoch_frames;
+  put_counters(counters(), r);
   r.controller_epoch = epoch_;
-  r.grants_fenced = c.grants_fenced;
-  r.reparent_events = c.reparent_events;
-  r.sla_floor_activations = c.sla_floor_activations;
   r.sla_floor_w = attachment_.sla_floor_w;
   r.priority_weight = attachment_.priority_weight;
 
@@ -437,15 +414,6 @@ bool PerqController::on_telemetry(const proto::Telemetry& t) {
 }
 
 bool PerqController::accept_grant(const proto::BudgetGrant& g) {
-  // Parent fence: a grant must come from the arbiter this controller is
-  // attached under *now*. After a re-parent, frames still in flight from
-  // the old parent (whose tree_path differs) are fenced, not applied --
-  // drawing them would double-spend watts the old subtree already
-  // reclaimed. Flat deployments compare empty against empty.
-  if (g.tree_path != attachment_.parent_path) {
-    ++counters_.grants_fenced;
-    return false;
-  }
   // Sanity screen, same spirit as the heartbeat screen: the grant becomes
   // the budget row, so a bit-flipped one must not starve or over-provision
   // the domain. The cluster budget in the grant cross-checks the value.
@@ -894,6 +862,9 @@ void PerqController::apply_repl_tick(const proto::ReplTick& rt) {
   repl_epoch_ = std::max(repl_epoch_, rt.epoch);
   epoch_ = std::max(epoch_, rt.epoch);  // mirror the primary's epoch
   ++replicated_decides_;
+  // The WAL holds this tick past its last snapshot: counting it here keeps
+  // a primary that restarts from its WAL on the every-64 rewrite schedule.
+  ++decides_since_repl_snapshot_;
   repl_last_tick_ = rt.tick;
   // A live standby with its own WAL persists the record it just applied,
   // making a promoted-then-crashed standby recoverable from disk too.
@@ -924,6 +895,7 @@ void PerqController::apply_repl_snapshot(const proto::ReplSnapshot& rs) {
   repl_epoch_ = std::max(repl_epoch_, rs.epoch);
   epoch_ = std::max(epoch_, rs.epoch);
   ++replicated_decides_;
+  decides_since_repl_snapshot_ = 0;
   repl_last_tick_ = s->last_decided_tick;
   if (standby_ && repl_log_ != nullptr && !replaying_) {
     proto::Message m{rs};

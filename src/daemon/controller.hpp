@@ -20,13 +20,14 @@
 // Hierarchical mode (attach_arbiter): the controller stops assuming the
 // heartbeat's cluster budget is *its* budget. Each control interval it
 // sends the arbiter a DomainReport (busy nodes, floor, capacity, committed
-// watts) and optimizes over the BudgetGrant it gets back; when
-// the arbiter is unreachable the last grant is held (the arbiter fences
-// the same value on its side, so conservation survives the partition), and
-// before any grant ever arrives the controller assumes the static
-// budget / domain_count split. A single-domain controller with an arbiter
-// attached receives the whole budget as its grant and behaves
-// bit-identically to the monolithic configuration.
+// watts) and optimizes over the BudgetGrant it gets back. While the
+// arbiter is silent it holds its last grant, which the arbiter fences on
+// its side, so conservation survives the partition; before the first grant
+// it assumes its static share, by default budget / domain_count. That rule
+// is child_scope_w (tree_child.hpp), shared with stacked arbiters. A
+// single-domain controller with an arbiter attached receives the whole
+// budget as its grant and behaves bit-identically to the monolithic
+// configuration.
 //   * Heartbeat timeouts. An agent that misses `stale_after_ticks`
 //     heartbeats is stale: decide() no longer waits for it. A rejoining
 //     agent just reconnects and says Hello; because every Telemetry frame
@@ -64,6 +65,7 @@
 
 #include "core/perq_policy.hpp"
 #include "core/robustness.hpp"
+#include "daemon/tree_child.hpp"
 #include "net/frame_pool.hpp"
 #include "net/reactor.hpp"
 #include "net/transport.hpp"
@@ -144,33 +146,6 @@ struct ControllerState {
   /// keeps the pre-crash epoch, so a deposed primary that restarts is
   /// still fenced by agents that saw its successor.
   std::uint64_t epoch = 1;
-};
-
-/// Power-tree placement of a domain controller (or of an intermediate
-/// arbiter acting as a child). Everything defaults to the flat two-level
-/// deployment: equal static share, blank tenant, attached at the root.
-/// Kept free of hier/ includes -- the daemon layer is below hier in the
-/// link order -- so the tenant fields mirror hier::TenantSpec by value.
-struct DomainAttachment {
-  /// Fraction of the heartbeat's cluster budget this node assumes before
-  /// its first grant. <= 0 means the legacy equal split, budget /
-  /// domain_count, computed with the same division so cold-start behavior
-  /// stays bit-identical. Shares compose multiplicatively down the tree:
-  /// a child of a node with share s and c siblings gets s / c. The parent
-  /// does not learn it: it reserves scope / domain_count for a child that
-  /// has never reported, which agrees with the default shares only.
-  double static_share = 0.0;
-  /// Tenant terms forwarded verbatim in every DomainReport.
-  double sla_floor_w = 0.0;
-  double priority_weight = 1.0;
-  /// Root -> this node ids. A stacked arbiter stamps it on the grants it
-  /// sends its children (their parent fence); empty at depth 1.
-  std::vector<std::uint32_t> tree_path;
-  /// Expected tree_path of the *granting* arbiter. Grants whose path
-  /// differs are fenced (counted in grants_fenced), which is what keeps a
-  /// re-parented child from drawing watts its old parent still believes
-  /// it granted. Empty matches the root arbiter's (v1) grants.
-  std::vector<std::uint32_t> parent_path;
 };
 
 class PerqController {
@@ -295,7 +270,9 @@ class PerqController {
   /// controller through the standby apply path, then appends and flushes
   /// one record per decide (a standby: per applied ReplTick), so the file
   /// holds every decide the moment decide() returns, and rewrites it to one
-  /// snapshot record every 64 decides. A file that is not a WAL throws
+  /// snapshot record every 64 decides, counting the replayed ones, so the
+  /// file stays bounded however often the primary restarts. A file that is
+  /// not a WAL throws
   /// perq::precondition_error and is left untouched. Call before serving
   /// traffic.
   void open_replication_log(const std::string& path);

@@ -8,20 +8,13 @@ namespace perq::daemon {
 namespace {
 
 constexpr std::uint32_t kSnapshotMagic = 0x50455251;  // "PERQ"
-// Version 2 appends the robustness counters (policy solver_fallbacks after
-// the MPC warm state, controller counters after the shadows). Version 3
-// appends the hierarchical grant state (any_grant/granted_w/grant_tick) so
-// a restarted domain controller resumes against its last grant. Version 4
-// inserts a crc32 of everything after the header (a torn or bit-flipped
-// file is detected up front, mirroring acct::EventLog) and appends the
-// controller epoch plus the failsafe/stale-epoch counters. Older files
-// still decode: the appended fields simply start from zero and the crc
-// check only applies from version 4 on. Version 5 appends the power-tree
-// counters (grants_fenced, reparent_events, sla_floor_activations) so a
-// restarted node of the hierarchy keeps its topology-change accounting.
+// The one version this build writes and reads. A snapshot is never kept
+// across builds: it travels to a standby and into the replication WAL,
+// both written and read by the same build, so an older layout is refused
+// with a reason rather than decoded.
 constexpr std::uint16_t kSnapshotVersion = 5;
-// Header: u32 magic + u16 version + u32 crc (v4+). The crc covers every
-// byte after itself.
+// Header: u32 magic + u16 version + u32 crc. The crc covers every byte
+// after itself, so a torn or bit-flipped file is detected up front.
 constexpr std::size_t kCrcOffset = 6;
 
 void write_estimator(proto::WireWriter& w, const control::EstimatorState& e) {
@@ -156,16 +149,11 @@ std::optional<ControllerState> decode_snapshot(const std::uint8_t* data,
   };
   proto::WireReader r(data, size);
   if (r.u32() != kSnapshotMagic) return fail("not a perq snapshot (bad magic)");
-  const std::uint16_t version = r.u16();
-  if (version < 1 || version > kSnapshotVersion) {
-    return fail("unsupported snapshot version");
-  }
-  if (version >= 4) {
-    const std::uint32_t crc = r.u32();
-    if (!r.ok()) return fail("truncated snapshot header");
-    if (acct::crc32(data + kCrcOffset + 4, size - kCrcOffset - 4) != crc) {
-      return fail("snapshot crc mismatch (torn or corrupt file)");
-    }
+  if (r.u16() != kSnapshotVersion) return fail("unsupported snapshot version");
+  const std::uint32_t crc = r.u32();
+  if (!r.ok()) return fail("truncated snapshot header");
+  if (acct::crc32(data + kCrcOffset + 4, size - kCrcOffset - 4) != crc) {
+    return fail("snapshot crc mismatch (torn or corrupt file)");
   }
 
   ControllerState s;
@@ -208,7 +196,7 @@ std::optional<ControllerState> decode_snapshot(const std::uint8_t* data,
   }
   s.policy.mpc.warm_ids.resize(n_warm_ids);
   for (std::uint32_t i = 0; i < n_warm_ids; ++i) s.policy.mpc.warm_ids[i] = r.i32();
-  if (version >= 2) s.policy.solver_fallbacks = r.u64();
+  s.policy.solver_fallbacks = r.u64();
 
   const std::uint32_t n_shadows = r.u32();
   if (!r.ok() || static_cast<std::size_t>(n_shadows) * 100 > r.remaining()) {
@@ -220,29 +208,24 @@ std::optional<ControllerState> decode_snapshot(const std::uint8_t* data,
       return fail("truncated snapshot: shadow section");
     }
   }
-  if (version >= 2) {
-    s.counters.frames_dropped = r.u64();
-    s.counters.frames_corrupt = r.u64();
-    s.counters.reconnect_attempts = r.u64();
-    s.counters.stale_transitions = r.u64();
-    s.counters.solver_fallbacks = r.u64();
-    s.counters.clamp_activations = r.u64();
-  }
-  if (version >= 3) {
-    s.any_grant = r.u8();
-    s.granted_w = r.f64();
-    s.grant_tick = r.u64();
-  }
-  if (version >= 4) {
-    s.epoch = r.u64();
-    s.counters.failsafe_activations = r.u64();
-    s.counters.stale_epoch_frames = r.u64();
-  }
-  if (version >= 5) {
-    s.counters.grants_fenced = r.u64();
-    s.counters.reparent_events = r.u64();
-    s.counters.sla_floor_activations = r.u64();
-  }
+  s.counters.frames_dropped = r.u64();
+  s.counters.frames_corrupt = r.u64();
+  s.counters.reconnect_attempts = r.u64();
+  s.counters.stale_transitions = r.u64();
+  s.counters.solver_fallbacks = r.u64();
+  s.counters.clamp_activations = r.u64();
+
+  s.any_grant = r.u8();
+  s.granted_w = r.f64();
+  s.grant_tick = r.u64();
+
+  s.epoch = r.u64();
+  s.counters.failsafe_activations = r.u64();
+  s.counters.stale_epoch_frames = r.u64();
+
+  s.counters.grants_fenced = r.u64();
+  s.counters.reparent_events = r.u64();
+  s.counters.sla_floor_activations = r.u64();
   if (!r.exhausted()) return fail("truncated or oversized snapshot tail");
   return s;
 }

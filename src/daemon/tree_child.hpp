@@ -1,0 +1,52 @@
+// What every child of a power-tree arbiter does toward its parent, whether
+// it is a domain controller (PerqController::attach_arbiter) or a stacked
+// arbiter (hier::ArbiterDaemon::attach_parent): it is placed by a
+// DomainAttachment, it falls back to the same cold-start scope until its
+// first grant, and it flattens its robustness counters into the
+// DomainReport it sends up. Each rule is written once here, so the two
+// kinds of child cannot drift apart.
+//
+// Kept free of hier/ includes -- the daemon layer is below hier in the
+// link order -- so the tenant fields mirror hier::TenantSpec by value.
+#pragma once
+
+#include <cstdint>
+
+#include "core/robustness.hpp"
+#include "proto/message.hpp"
+
+namespace perq::daemon {
+
+/// Power-tree placement of a child. Everything defaults to the flat
+/// two-level deployment: equal static share, blank tenant.
+struct DomainAttachment {
+  /// Fraction of the heartbeat's cluster budget this node assumes before
+  /// its first grant. <= 0 means the equal split, budget / domain_count,
+  /// computed with the same division so cold-start behavior stays
+  /// bit-identical. Shares compose multiplicatively down the tree: a child
+  /// of a node with share s and c siblings gets s / c. The parent does not
+  /// learn it: it reserves scope / domain_count for a child that has never
+  /// reported, which agrees with the default shares only.
+  double static_share = 0.0;
+  /// Tenant terms forwarded verbatim in every DomainReport.
+  double sla_floor_w = 0.0;
+  double priority_weight = 1.0;
+};
+
+/// The budget a child spends (a controller's budget row) or divides (a
+/// stacked arbiter's scope). Once a grant arrived it is the newest grant,
+/// held while the parent is silent: the parent fences the same value, so
+/// both sides agree on who owns those watts. Before that it is the static
+/// share of `cluster_budget_w`, or by default the equal split among the
+/// parent's `domain_count` children, which sums to exactly the cluster
+/// budget over the children and so keeps the cold start conserved.
+double child_scope_w(bool any_grant, double grant_w, double cluster_budget_w,
+                     const DomainAttachment& att, std::uint32_t domain_count);
+
+/// Writes every robustness counter into its DomainReport field.
+void put_counters(const core::RobustnessCounters& c, proto::DomainReport& r);
+
+/// The robustness counters a DomainReport carries.
+core::RobustnessCounters reported_counters(const proto::DomainReport& r);
+
+}  // namespace perq::daemon

@@ -91,22 +91,17 @@ DeploymentReport run_deployment(const Deployment& dep,
   }
   // Placement of `node` under arbiter `to`: its tenant terms and, below
   // depth 1, the cold-start share composed down the tree (one division by
-  // the product of the slot counts above, so shares stay bit-exact) and the
-  // root paths that fence grants across re-parents. A depth-1 tree keeps
-  // the flat deployment's equal split and path-free (v1) frames.
+  // the product of the slot counts above, so shares stay bit-exact). A
+  // depth-1 tree keeps the flat deployment's equal split.
   const bool flat = tree.depth() <= 1;
   const auto attachment = [&](std::uint32_t node, std::uint32_t to) {
     daemon::DomainAttachment att;
     att.sla_floor_w = tree.tenant(node).sla_floor_w;
     att.priority_weight = tree.tenant(node).priority_weight;
     if (flat) return att;
-    const std::vector<std::uint32_t> above = tree.path_to(to);
     std::size_t den = 1;
-    for (const std::uint32_t a : above) den *= slots[a];
+    for (const std::uint32_t a : tree.path_to(to)) den *= slots[a];
     att.static_share = 1.0 / static_cast<double>(den);
-    if (to != 0) att.parent_path = above;
-    att.tree_path = above;
-    att.tree_path.push_back(node);
     return att;
   };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "util/require.hpp"
 
 namespace perq::hier {
 
@@ -147,63 +146,6 @@ std::vector<double> water_fill(double budget_w,
   std::vector<double> grants(n, 0.0);
   for (std::size_t k = 0; k < n; ++k) grants[order[k]] = sorted_grants[k];
   return grants;
-}
-
-BudgetArbiter::BudgetArbiter(std::size_t domains)
-    : grants_w_(domains, 0.0),
-      ever_granted_(domains, 0),
-      fenced_now_(domains, 0) {
-  PERQ_REQUIRE(domains >= 1, "arbiter needs at least one domain");
-}
-
-bool BudgetArbiter::fenced(std::uint32_t domain) const {
-  return domain < fenced_now_.size() && fenced_now_[domain] != 0;
-}
-
-void BudgetArbiter::release(std::uint32_t domain) {
-  PERQ_REQUIRE(domain < grants_w_.size(), "release of unknown domain");
-  if (fenced_now_[domain]) fenced_w_ -= grants_w_[domain];
-  grants_w_[domain] = 0.0;
-  ever_granted_[domain] = 0;
-  fenced_now_[domain] = 0;
-}
-
-const std::vector<double>& BudgetArbiter::allocate(
-    double cluster_budget_w, const std::vector<DomainDemand>& live) {
-  const std::size_t n = grants_w_.size();
-  std::vector<std::uint8_t> reported(n, 0);
-  for (const DomainDemand& d : live) {
-    PERQ_REQUIRE(d.domain_id < n, "demand for unknown domain");
-    PERQ_REQUIRE(!reported[d.domain_id], "duplicate demand for a domain");
-    reported[d.domain_id] = 1;
-  }
-
-  // Fence silent domains at their held grant: their agents keep actuating
-  // the last broadcast caps, so those watts are physically committed and
-  // must not be re-granted (the arbiter-level mirror of PR 3's held-watts
-  // budget-row shrink).
-  fenced_w_ = 0.0;
-  for (std::size_t d = 0; d < n; ++d) {
-    const bool was_fenced = fenced_now_[d] != 0;
-    fenced_now_[d] = !reported[d] && ever_granted_[d];
-    if (fenced_now_[d]) {
-      fenced_w_ += grants_w_[d];
-      if (!was_fenced) ++grants_fenced_;  // live -> fenced transition
-    }
-  }
-
-  const double available = std::max(cluster_budget_w - fenced_w_, 0.0);
-  WaterFillStats stats;
-  const std::vector<double> filled = water_fill(available, live, &stats);
-  sla_floor_activations_ += stats.sla_floor_activations;
-  for (std::size_t k = 0; k < live.size(); ++k) {
-    grants_w_[live[k].domain_id] = filled[k];
-    ever_granted_[live[k].domain_id] = 1;
-  }
-  // Silent domains that never held a grant stay at zero; fenced ones keep
-  // their frozen grant untouched.
-  ++decisions_;
-  return grants_w_;
 }
 
 }  // namespace perq::hier

@@ -1,8 +1,9 @@
-// BudgetArbiter: demand-based water-filling of a power budget across
-// budget domains, plus the fencing bookkeeping for domains that went
-// silent. One arbiter divides one node's budget among that node's
-// children; stacking arbiters (each child itself an arbiter over its own
-// children) is what PowerTree composes into an arbitrary-depth hierarchy.
+// water_fill: demand-based water-filling of a power budget across budget
+// domains, the one allocator of the power tree. One call divides one
+// node's budget among that node's children: PowerTree recurses it down an
+// arbitrary-depth hierarchy in-process, and each ArbiterDaemon calls it
+// once per grant round over the children that reported (the daemon keeps
+// the fencing state for the ones that went silent).
 //
 // Every control interval each domain reports its demand (busy nodes,
 // floor, capacity, tenant terms). The arbiter re-divides the node's
@@ -45,14 +46,6 @@
 //     the K=1 hierarchical configuration bit-identical to the monolithic
 //     controller -- and, transitively, a chain of 1-fanout arbiters
 //     bit-identical to a single one.
-//
-// The stateful wrapper adds PR 3-style fencing: a domain that stopped
-// reporting (crashed or partitioned controller) keeps its last grant
-// *reserved* -- its agents keep actuating the last broadcast plan, so the
-// watts are physically spoken for -- and live domains share only what is
-// left. A rejoining domain just reports again and is re-included; a
-// domain that announces it is *leaving* (re-parented elsewhere in the
-// tree) is released outright so its watts return to the pool.
 #pragma once
 
 #include <cstdint>
@@ -85,57 +78,5 @@ struct WaterFillStats {
 std::vector<double> water_fill(double budget_w,
                                const std::vector<DomainDemand>& demands,
                                WaterFillStats* stats = nullptr);
-
-/// Stateful arbiter: water-filling plus held-grant fencing for silent
-/// domains. One instance per interior tree node, indexed by domain id.
-class BudgetArbiter {
- public:
-  explicit BudgetArbiter(std::size_t domains);
-
-  std::size_t domains() const { return grants_w_.size(); }
-
-  /// Re-divides `cluster_budget_w` for one control interval. `live` holds
-  /// the demands of every domain that reported this tick (any order;
-  /// domain_id < domains()). Domains absent from `live` that hold a
-  /// previous grant are fenced: their grant is frozen and subtracted from
-  /// the pool before the live domains are water-filled. Returns the grant
-  /// vector indexed by domain id.
-  const std::vector<double>& allocate(double cluster_budget_w,
-                                      const std::vector<DomainDemand>& live);
-
-  /// Forgets everything about `domain`: grant zeroed, fencing state
-  /// cleared. Called when the child announced it is leaving (re-parented
-  /// under another arbiter) -- unlike a silent crash its watts are not
-  /// physically committed here any more, so they must NOT stay fenced, or
-  /// the subtree would double-draw from old and new parents.
-  void release(std::uint32_t domain);
-
-  /// Grants as of the last allocate(), indexed by domain id.
-  const std::vector<double>& grants_w() const { return grants_w_; }
-
-  /// Watts frozen for silent domains in the last allocate().
-  double fenced_w() const { return fenced_w_; }
-
-  /// True when `domain` was fenced (not reported) in the last allocate().
-  bool fenced(std::uint32_t domain) const;
-
-  std::uint64_t decisions() const { return decisions_; }
-
-  /// Cumulative count of live->fenced transitions across allocate() calls
-  /// (a domain fenced for five consecutive ticks counts once).
-  std::uint64_t grants_fenced() const { return grants_fenced_; }
-
-  /// Cumulative count of demands whose SLA floor shaped the allocation.
-  std::uint64_t sla_floor_activations() const { return sla_floor_activations_; }
-
- private:
-  std::vector<double> grants_w_;
-  std::vector<std::uint8_t> ever_granted_;
-  std::vector<std::uint8_t> fenced_now_;
-  double fenced_w_ = 0.0;
-  std::uint64_t decisions_ = 0;
-  std::uint64_t grants_fenced_ = 0;
-  std::uint64_t sla_floor_activations_ = 0;
-};
 
 }  // namespace perq::hier

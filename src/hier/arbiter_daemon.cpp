@@ -32,11 +32,9 @@ DomainDemand to_demand(const proto::DomainReport& r) {
 
 ArbiterDaemon::ArbiterDaemon(std::unique_ptr<net::Listener> listener,
                              std::size_t domains, ArbiterDaemonConfig cfg)
-    : listener_(std::move(listener)),
-      cfg_(cfg),
-      arbiter_(domains),
-      slots_(domains) {
+    : listener_(std::move(listener)), cfg_(cfg), slots_(domains) {
   PERQ_REQUIRE(listener_ != nullptr, "arbiter daemon needs a listener");
+  PERQ_REQUIRE(domains >= 1, "arbiter needs at least one domain");
   PERQ_REQUIRE(cfg_.stale_after_ticks >= 1, "stale_after_ticks must be >= 1");
   reactor_.add(listener_->fd());
 }
@@ -58,17 +56,9 @@ void ArbiterDaemon::attach_parent(std::unique_ptr<net::Connection> conn,
 
 double ArbiterDaemon::budget_in_use(double cluster_budget_w) const {
   if (parent_conn_ == nullptr) return cluster_budget_w;  // root arbiter
-  // Held parent grant while the parent is silent: the parent fences the
-  // same value (this arbiter looks like any other silent domain to it).
-  if (any_parent_grant_) return parent_grant_w_;
-  // Before the first parent grant: the static share, same cold-start
-  // contract as PerqController::budget_scope_w(). Shares compose down the
-  // tree, so the leaves' equal-split assumptions and every intermediate
-  // arbiter's sum to (at most) the cluster budget.
-  if (attachment_.static_share > 0.0) {
-    return cluster_budget_w * attachment_.static_share;
-  }
-  return cluster_budget_w / static_cast<double>(parent_domain_count_);
+  return daemon::child_scope_w(any_parent_grant_, parent_grant_w_,
+                               cluster_budget_w, attachment_,
+                               parent_domain_count_);
 }
 
 void ArbiterDaemon::pump_parent() {
@@ -79,13 +69,6 @@ void ArbiterDaemon::pump_parent() {
     const auto* g = std::get_if<proto::BudgetGrant>(&m);
     if (g == nullptr) {
       ++counters_.frames_corrupt;  // only grants flow down this link
-      continue;
-    }
-    // Parent fence, mirroring PerqController::accept_grant: a grant whose
-    // sender path is not the parent this arbiter sits under now was issued
-    // by a stale parent (pre-re-parent frames still in flight).
-    if (g->tree_path != attachment_.parent_path) {
-      ++counters_.grants_fenced;
       continue;
     }
     const bool insane = !std::isfinite(g->grant_w) || g->grant_w < 0.0 ||
@@ -129,20 +112,9 @@ void ArbiterDaemon::send_parent_report(std::uint64_t t,
   r.target_ips = agg.target_ips;
   // Fenced watts are part of this subtree's floor: silent children keep
   // actuating their held grants, so the parent must keep funding them.
-  r.floor_w = agg.floor_w + arbiter_.fenced_w();
+  r.floor_w = agg.floor_w + fenced_w_;
   r.capacity_w = std::max(agg.capacity_w, r.floor_w);
-  const core::RobustnessCounters c = aggregated_counters();
-  r.frames_dropped = c.frames_dropped;
-  r.frames_corrupt = c.frames_corrupt;
-  r.reconnect_attempts = c.reconnect_attempts;
-  r.stale_transitions = c.stale_transitions;
-  r.solver_fallbacks = c.solver_fallbacks;
-  r.clamp_activations = c.clamp_activations;
-  r.failsafe_activations = c.failsafe_activations;
-  r.stale_epoch_frames = c.stale_epoch_frames;
-  r.grants_fenced = c.grants_fenced;
-  r.reparent_events = c.reparent_events;
-  r.sla_floor_activations = c.sla_floor_activations;
+  daemon::put_counters(aggregated_counters(), r);
   r.controller_epoch = 1;  // arbiters have no failover epochs (yet)
   r.sla_floor_w = attachment_.sla_floor_w;
   r.priority_weight = attachment_.priority_weight;
@@ -234,10 +206,11 @@ void ArbiterDaemon::ingest(std::size_t session_index, const proto::Message& m) {
   // fenced: its watts are no longer actuated under this arbiter's grants,
   // so freezing them would strand budget while the new parent grants the
   // same subtree -- the double-draw this flag exists to prevent. The slot
-  // reverts to never-reported (cold-start reserve) in case a future child
-  // reuses the id; the epoch fence above survives the reset.
+  // reverts to never-reported and never-granted (cold-start reserve) in
+  // case a future child reuses the id; the epoch fence above survives the
+  // reset.
   if ((r->flags & proto::kDomainLeaving) != 0) {
-    arbiter_.release(r->domain_id);
+    if (slot.fenced) fenced_w_ -= slot.grant_w;
     const std::uint64_t epoch = slot.max_epoch;
     slot = DomainSlot{};
     slot.max_epoch = epoch;
@@ -266,10 +239,11 @@ bool ArbiterDaemon::try_decide() {
     t = std::max(t, s.latest.tick);
   }
   if (!any) return false;
-  if (any_decision_ && t <= decided_tick_) return false;
+  if (decisions_ > 0 && t <= decided_tick_) return false;
 
   std::vector<DomainDemand> live;
   double budget_w = 0.0;
+  double fenced_w = 0.0;
   std::size_t never_reported = 0;
   for (const DomainSlot& s : slots_) {
     if (!s.any_report) {
@@ -281,8 +255,13 @@ bool ArbiterDaemon::try_decide() {
       budget_w = std::max(budget_w, s.latest.cluster_budget_w);
     } else if (s.latest.tick + cfg_.stale_after_ticks >= t) {
       return false;  // lagging but not yet stale: wait for it
+    } else if (s.granted) {
+      // Stale: fenced at its held grant. Its agents keep actuating the last
+      // broadcast caps, so those watts are physically committed and must
+      // not be re-granted (the arbiter-level mirror of a controller's
+      // held-watts budget-row shrink).
+      fenced_w += s.grant_w;
     }
-    // Stale domains fall through: BudgetArbiter fences their held grant.
   }
   if (live.empty()) return false;
 
@@ -299,20 +278,30 @@ bool ArbiterDaemon::try_decide() {
                 static_cast<double>(slots_.size());
   cluster_budget_w_ = budget_w;
 
-  const std::vector<double>& grants =
-      arbiter_.allocate(std::max(scope_w - reserved_w_, 0.0), live);
+  // The live domains share what is left after the reserve and the fenced
+  // grants.
+  const double available =
+      std::max(std::max(scope_w - reserved_w_, 0.0) - fenced_w, 0.0);
+  WaterFillStats stats;
+  const std::vector<double> grants = water_fill(available, live, &stats);
+  counters_.sla_floor_activations += stats.sla_floor_activations;
+  fenced_w_ = fenced_w;
+  for (DomainSlot& s : slots_) {
+    const bool fenced = s.granted && s.latest.tick != t;
+    if (fenced && !s.fenced) ++counters_.grants_fenced;  // live -> fenced
+    s.fenced = fenced;
+  }
 
-  for (const DomainDemand& d : live) {
-    const DomainSlot& slot = slots_[d.domain_id];
+  for (std::size_t k = 0; k < live.size(); ++k) {
+    DomainSlot& slot = slots_[live[k].domain_id];
+    slot.grant_w = grants[k];
+    slot.granted = true;
     if (slot.session == SIZE_MAX) continue;  // controller died after report
     proto::BudgetGrant g;
-    g.domain_id = d.domain_id;
+    g.domain_id = live[k].domain_id;
     g.tick = t;
-    g.grant_w = grants[d.domain_id];
+    g.grant_w = grants[k];
     g.cluster_budget_w = budget_w;
-    // Sender identity for the children's parent fence. The root's empty
-    // path keeps the grant frame a v1 body.
-    g.tree_path = attachment_.tree_path;
     // Grants differ per domain (no common frame to share), but encoding
     // into a pooled buffer keeps the steady-state grant round allocation
     // free: the pool recycles a slot as soon as the connection's outbound
@@ -323,7 +312,7 @@ bool ArbiterDaemon::try_decide() {
   }
 
   decided_tick_ = t;
-  any_decision_ = true;
+  ++decisions_;
   // Stacked mode: push the subtree's aggregate demand upward so the parent
   // can re-divide *its* budget next round. Reporting after deciding keeps
   // the levels pipelined -- each level runs on the grant its parent issued
@@ -339,6 +328,17 @@ bool ArbiterDaemon::service() {
   return try_decide();
 }
 
+std::vector<double> ArbiterDaemon::grants_w() const {
+  std::vector<double> grants;
+  grants.reserve(slots_.size());
+  for (const DomainSlot& s : slots_) grants.push_back(s.grant_w);
+  return grants;
+}
+
+bool ArbiterDaemon::fenced(std::uint32_t domain) const {
+  return domain < slots_.size() && slots_[domain].fenced;
+}
+
 DomainDemand ArbiterDaemon::demand(std::uint32_t domain) const {
   PERQ_REQUIRE(domain < slots_.size(), "domain id out of range");
   const DomainSlot& s = slots_[domain];
@@ -346,26 +346,13 @@ DomainDemand ArbiterDaemon::demand(std::uint32_t domain) const {
 }
 
 core::RobustnessCounters ArbiterDaemon::aggregated_counters() const {
+  // This level's own accounting (frame screening, fencing transitions and
+  // SLA floors that shaped a grant round here) plus every child's newest
+  // figures. Stacked arbiters flatten this aggregate into their upward
+  // report, so the root's view covers every level.
   core::RobustnessCounters sum = counters_;
-  // This level's own allocation accounting: fencing transitions and SLA
-  // floors that shaped a grant round here, as opposed to the per-child
-  // figures summed below. Stacked arbiters flatten this aggregate into
-  // their upward report, so the root's view covers every level.
-  sum.grants_fenced += arbiter_.grants_fenced();
-  sum.sla_floor_activations += arbiter_.sla_floor_activations();
   for (const DomainSlot& s : slots_) {
-    if (!s.any_report) continue;
-    sum.frames_dropped += s.latest.frames_dropped;
-    sum.frames_corrupt += s.latest.frames_corrupt;
-    sum.reconnect_attempts += s.latest.reconnect_attempts;
-    sum.stale_transitions += s.latest.stale_transitions;
-    sum.solver_fallbacks += s.latest.solver_fallbacks;
-    sum.clamp_activations += s.latest.clamp_activations;
-    sum.failsafe_activations += s.latest.failsafe_activations;
-    sum.stale_epoch_frames += s.latest.stale_epoch_frames;
-    sum.grants_fenced += s.latest.grants_fenced;
-    sum.reparent_events += s.latest.reparent_events;
-    sum.sla_floor_activations += s.latest.sla_floor_activations;
+    if (s.any_report) sum += daemon::reported_counters(s.latest);
   }
   return sum;
 }

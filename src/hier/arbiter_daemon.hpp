@@ -1,11 +1,11 @@
-// ArbiterDaemon: the BudgetArbiter as a long-running service.
+// ArbiterDaemon: one arbiter of the power tree as a long-running service.
 //
-// K domain controllers dial the arbiter, send one DomainReport per control
-// interval, and receive one BudgetGrant back. The daemon is the thin
-// session layer around hier::BudgetArbiter, the same split perqd uses for
-// core::PerqPolicy: all allocation math lives in arbiter.cpp, and this
-// class does bookkeeping -- which session speaks for which domain, which
-// report is newest, when a decision tick is complete. Its data plane is
+// K children -- domain controllers, or arbiters stacked below this one --
+// dial the arbiter, send one DomainReport per control interval, and receive
+// one BudgetGrant back. The allocation itself is hier::water_fill
+// (arbiter.hpp), the one function PowerTree also calls in-process; this
+// class keeps one slot per child (its newest report, its grant, whether the
+// grant is fenced) and decides when a round is complete. Its data plane is
 // one pump on the service thread: one reactor, each session drained and
 // ingested in turn, one serialize-once frame per grant.
 //
@@ -17,15 +17,32 @@
 // on their held grants (their own decide_grace), which the arbiter keeps
 // fenced -- both sides of the split hold the same number, so conservation
 // survives the lag. A domain that never reported at all (cold-start
-// partition) has the static budget/K split reserved for it, mirroring
-// PerqController::budget_scope_w()'s pre-first-grant fallback at default
-// shares (a child's --share is not on the wire, so a non-default one is
-// not reserved).
+// partition) has the static budget/K split reserved for it, the equal split
+// of daemon::child_scope_w that its own side assumes before its first grant
+// (a child's --share is not on the wire, so a non-default one is not
+// reserved).
+//
+// Fencing: a domain that fell stale (crashed or partitioned controller)
+// keeps its last grant *reserved* -- its agents keep actuating the last
+// broadcast plan, so the watts are physically spoken for -- and the live
+// domains share only what is left after the cold-start reserve. A domain
+// that never held a grant is not fenced, and one that reports again is
+// simply re-included. PowerTree has no such state: its in-process caller
+// never loses a leaf, so an absent leaf there is an empty domain that must
+// get zero.
+//
+// A domain that announces kDomainLeaving (re-parented under another
+// arbiter) is released: its slot resets, so its grant returns to the pool
+// instead of staying fenced and the moved subtree never draws from old and
+// new parents at once. No grant from the old parent can reach it
+// afterwards: a grant travels only on the link to the parent that sent
+// it, and the leaving child drops that link without reading it again.
 //
 // The arbiter also aggregates the robustness counters that ride along in
 // every DomainReport: aggregated_counters() is the cluster-wide accounting
 // view (sum over the newest report of every domain, plus the arbiter's own
-// frame screening), so sharding the controller does not shard the books.
+// frame screening, fencing transitions and SLA floor activations), so
+// sharding the controller does not shard the books.
 //
 // Stacking (attach_parent): an arbiter can itself be a *child* of a higher
 // arbiter, which is how a physical deployment realizes an N-level
@@ -34,11 +51,8 @@
 // function PowerTree aggregates with, plus its fenced watts in the floor)
 // and divides its *parent grant* -- not the heartbeat cluster budget --
 // among its children on the next round; before the first parent grant it
-// assumes its configured static share of the cluster budget, mirroring
-// PerqController::budget_scope_w(). A child that announces kDomainLeaving
-// (re-parented elsewhere) is released outright: its grant returns to the
-// pool instead of being fenced, so the moved subtree never draws from old
-// and new parents at once.
+// divides the same cold-start scope a domain controller would assume
+// (daemon::child_scope_w).
 #pragma once
 
 #include <cstdint>
@@ -46,7 +60,7 @@
 #include <vector>
 
 #include "core/robustness.hpp"
-#include "daemon/controller.hpp"
+#include "daemon/tree_child.hpp"
 #include "hier/arbiter.hpp"
 #include "net/frame_pool.hpp"
 #include "net/reactor.hpp"
@@ -68,17 +82,12 @@ class ArbiterDaemon {
   /// Stacks this arbiter under a higher one: it now behaves as domain
   /// `domain_id` of `domain_count` toward its parent -- reporting its
   /// children's aggregate demand upward and dividing the parent's grant
-  /// (static share of the cluster budget before the first grant) among
-  /// them. `att.tree_path` names this arbiter's root -> self path, which
-  /// rides in every child grant so children can fence grants from a
-  /// stale parent after re-parenting. Call before the first service().
+  /// (its cold-start scope before the first grant) among them. `att`
+  /// carries its tenant terms and static share. Call before the first
+  /// service().
   void attach_parent(std::unique_ptr<net::Connection> conn,
                      std::uint32_t domain_id, std::uint32_t domain_count,
                      daemon::DomainAttachment att = {});
-
-  bool parent_attached() const { return parent_conn_ != nullptr; }
-  bool any_parent_grant() const { return any_parent_grant_; }
-  double parent_grant_w() const { return parent_grant_w_; }
 
   /// Drains the network: accepts domain controllers, then drains and
   /// ingests each session in turn (session-index order, one reused scratch
@@ -89,15 +98,19 @@ class ArbiterDaemon {
   /// header note). Returns true when grants were issued this call.
   bool service();
 
-  std::size_t domains() const { return arbiter_.domains(); }
+  std::size_t domains() const { return slots_.size(); }
   std::size_t session_count() const { return sessions_.size(); }
 
   /// Grants as of the last allocation, indexed by domain id (fenced
-  /// domains keep their frozen grant; never-granted domains read zero).
-  const std::vector<double>& grants_w() const { return arbiter_.grants_w(); }
-  double fenced_w() const { return arbiter_.fenced_w(); }
-  bool fenced(std::uint32_t domain) const { return arbiter_.fenced(domain); }
-  std::uint64_t decisions() const { return arbiter_.decisions(); }
+  /// domains keep their frozen grant; never-granted and released domains
+  /// read zero).
+  std::vector<double> grants_w() const;
+  /// Watts frozen for stale domains in the last allocation, less the
+  /// grants of any released since.
+  double fenced_w() const { return fenced_w_; }
+  /// True when `domain` was fenced in the last allocation.
+  bool fenced(std::uint32_t domain) const;
+  std::uint64_t decisions() const { return decisions_; }
 
   /// Watts reserved for domains that never reported (static budget/K
   /// split, matching their controllers' cold-start fallback).
@@ -119,8 +132,8 @@ class ArbiterDaemon {
   DomainDemand demand(std::uint32_t domain) const;
 
   /// Cluster-wide robustness accounting: the sum of every domain's newest
-  /// reported counters plus the arbiter's own frame screening (counted as
-  /// frames_corrupt).
+  /// reported counters plus the arbiter's own (frame screening, fencing
+  /// transitions, SLA floor activations).
   core::RobustnessCounters aggregated_counters() const;
 
   /// Blocks until a registered descriptor is readable, at most timeout_ms.
@@ -136,7 +149,7 @@ class ArbiterDaemon {
     int reg_fd = -1;          ///< fd registered with the reactor
   };
 
-  /// Per-domain view assembled from the wire.
+  /// Per-domain view assembled from the wire, and the domain's grant.
   struct DomainSlot {
     bool any_report = false;
     proto::DomainReport latest;       ///< newest report (by tick)
@@ -145,32 +158,35 @@ class ArbiterDaemon {
     /// epoch come from a deposed domain controller (its standby has taken
     /// over) and are fenced: counted, never applied.
     std::uint64_t max_epoch = 0;
+    double grant_w = 0.0;  ///< last grant; frozen while fenced
+    bool granted = false;  ///< holds a grant (cleared by a release)
+    bool fenced = false;   ///< stale at the last allocation
   };
 
   void ingest(std::size_t session_index, const proto::Message& m);
   bool try_decide();
-  /// Drains parent grants (stacked mode): newest-wins, path-fenced.
+  /// Drains parent grants (stacked mode): newest wins.
   void pump_parent();
   /// Reports the children's aggregate demand upward for tick `t`.
   void send_parent_report(std::uint64_t t, const std::vector<DomainDemand>& live,
                           double cluster_budget_w);
   /// Budget this arbiter divides this round, given the cluster figure the
-  /// children reported: parent grant when stacked and granted, static
-  /// share before that, the full cluster budget at the root.
+  /// children reported: the full cluster budget at the root, the cold-start
+  /// scope of a tree child (daemon::child_scope_w) when stacked.
   double budget_in_use(double cluster_budget_w) const;
 
   std::unique_ptr<net::Listener> listener_;
   ArbiterDaemonConfig cfg_;
   net::Reactor reactor_;
   net::FramePool frame_pool_;  ///< serialize-once grant buffers
-  BudgetArbiter arbiter_;
   std::vector<Session> sessions_;
   std::vector<DomainSlot> slots_;
   /// Drain scratch, reused for every session and the parent link.
   std::vector<proto::Message> inbox_;
-  core::RobustnessCounters counters_;  ///< arbiter-side screening only
-  bool any_decision_ = false;
+  core::RobustnessCounters counters_;  ///< this arbiter's own accounting
+  std::uint64_t decisions_ = 0;
   std::uint64_t decided_tick_ = 0;
+  double fenced_w_ = 0.0;
   double cluster_budget_w_ = 0.0;
   double reserved_w_ = 0.0;
 

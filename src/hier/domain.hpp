@@ -9,9 +9,9 @@
 // failure: losing one domain controller fences one grant, not the cluster.
 //
 // The split is two-level: K domain controllers each run the unmodified
-// PERQ pipeline (targets + MPC) over their own jobs, and one BudgetArbiter
+// PERQ pipeline (targets + MPC) over their own jobs, and one arbiter
 // re-divides the cluster budget across domains every control interval from
-// the domains' reported demand (see arbiter.hpp). Job -> domain assignment
+// the domains' reported demand (water_fill, see arbiter.hpp). Job -> domain assignment
 // is static and content-free (id mod K) so both sides of a wire agree on
 // it without coordination.
 #pragma once

@@ -1,12 +1,12 @@
 // PowerTree: the recursive budget hierarchy.
 //
-// PR 4 hard-coded a two-level topology -- one BudgetArbiter over K domain
+// The first budget hierarchy was two-level -- one arbiter over K domain
 // controllers. Real facilities cap power as a tree (datacenter -> row ->
 // rack -> node) with oversubscription at every level, so this generalizes
-// the pair into a first-class recursion: every interior node runs the
-// water-filling arbiter over its *child subtrees*, leaves own unmodified
-// MPC shards, and every node carries tenant metadata (priority, SLA floor)
-// that composes down the tree.
+// the pair into a first-class recursion: every interior node runs
+// water_fill over its *child subtrees*, leaves own unmodified MPC shards,
+// and every node carries tenant metadata (priority, SLA floor) that
+// composes down the tree.
 //
 // Allocation is two sweeps per control interval:
 //
@@ -31,9 +31,12 @@
 //
 // Topology is dynamic: reparent() moves a whole subtree under a new
 // interior parent at runtime (acyclicity checked), modelling a tenant
-// migrating between racks/rows. The daemon layer mirrors this with
-// leave/rejoin fencing (see arbiter_daemon.hpp); in-process the tree just
-// re-aggregates along the new edges on the next allocate().
+// migrating between racks/rows. In-process the tree just re-aggregates
+// along the new edges on the next allocate(). The tree holds no fencing
+// state: its in-process caller never loses a leaf, so an absent leaf is an
+// empty domain and is granted zero. Fencing a silent child at its held
+// grant, and releasing one that re-parents, belong to the daemon that can
+// lose a child (ArbiterDaemon, arbiter_daemon.hpp).
 #pragma once
 
 #include <cstdint>
@@ -89,7 +92,7 @@ class PowerTree {
 
   /// Node id owning leaf slot `leaf` (slots in ascending node-id order).
   std::uint32_t leaf_node(std::size_t leaf) const;
-  /// Root -> node path by node id (the wire tree-path of that node).
+  /// Root -> node path by node id.
   std::vector<std::uint32_t> path_to(std::uint32_t node) const;
   const TenantSpec& tenant(std::uint32_t node) const;
 

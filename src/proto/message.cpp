@@ -88,10 +88,6 @@ void write_body(WireWriter& w, const BudgetGrant& m) {
   w.u64(m.tick);
   w.f64(m.grant_w);
   w.f64(m.cluster_budget_w);
-  if (m.tree_path.empty()) return;  // v1 body
-  w.u8(2);  // body version
-  w.u8(static_cast<std::uint8_t>(m.tree_path.size()));
-  for (std::uint32_t node : m.tree_path) w.u32(node);
 }
 
 Hello read_hello(WireReader& r) {
@@ -188,24 +184,13 @@ DomainReport read_domain_report(WireReader& r) {
   return m;
 }
 
-bool read_budget_grant(WireReader& r, BudgetGrant& m) {
-  m.tree_path.clear();  // capacity kept: the reuse contract of parse_frame_into
+BudgetGrant read_budget_grant(WireReader& r) {
+  BudgetGrant m;
   m.domain_id = r.u32();
   m.tick = r.u64();
   m.grant_w = r.f64();
   m.cluster_budget_w = r.f64();
-  if (!r.ok()) return false;
-  if (r.remaining() == 0) return true;  // v1 body: empty path
-  const std::uint8_t body_version = r.u8();
-  if (body_version < 2) return false;
-  const std::uint8_t path_len = r.u8();
-  if (!r.ok() || path_len > kMaxTreePathDepth ||
-      static_cast<std::size_t>(path_len) * 4 > r.remaining()) {
-    return false;
-  }
-  m.tree_path.reserve(path_len);
-  for (std::uint8_t i = 0; i < path_len; ++i) m.tree_path.push_back(r.u32());
-  return r.ok();
+  return m;
 }
 
 void write_body(WireWriter& w, const ReplTick& m) {
@@ -351,9 +336,7 @@ bool parse_frame_into(const std::uint8_t* data, std::size_t size, Message& out) 
     case MsgType::kHeartbeat: out = read_heartbeat(r); break;
     case MsgType::kBye: out = read_bye(r); break;
     case MsgType::kDomainReport: out = read_domain_report(r); break;
-    case MsgType::kBudgetGrant:
-      if (!read_budget_grant(r, slot_as<BudgetGrant>(out))) return false;
-      break;
+    case MsgType::kBudgetGrant: out = read_budget_grant(r); break;
     case MsgType::kReplTick:
       if (!read_repl_tick(r, slot_as<ReplTick>(out))) return false;
       break;

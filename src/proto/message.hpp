@@ -131,12 +131,6 @@ struct Bye {
 /// DomainReport flags.
 inline constexpr std::uint8_t kDomainLeaving = 1u << 0;  ///< re-parenting away
 
-/// Deepest tree-path a BudgetGrant may carry: bounds both the u8 length
-/// byte and any hierarchy this repo targets (8 levels of arbiters is
-/// datacenter -> node with room to spare). A longer declared path rejects
-/// the frame.
-inline constexpr std::size_t kMaxTreePathDepth = 8;
-
 /// One budget domain's demand summary, sent by its controller (or by a
 /// stacked arbiter for its subtree) to the arbiter once per control
 /// interval. The water-filling allocation reads the busy nodes, the hard
@@ -185,21 +179,15 @@ struct DomainReport {
   double priority_weight = 1.0;
 };
 
-/// The arbiter's answer: the watts `domain_id` may spend at `tick`.
-/// Body versioning: the fields through cluster_budget_w are the v1 body.
-/// The granting arbiter's tree path travels in a trailing v2 extension
-/// (u8 body-version >= 2, u8 path length, path) that is written only when
-/// the path is non-empty and decodes as empty when absent, so a root
-/// arbiter's grants stay v1 bodies.
+/// The arbiter's answer: the watts `domain_id` may spend at `tick`. One
+/// fixed 28-byte body at every level of the tree. A grant names no sender:
+/// it arrives only on the link to the parent that sent it, and a child
+/// that re-parents drops that link without reading it again.
 struct BudgetGrant {
   std::uint32_t domain_id = 0;
   std::uint64_t tick = 0;
   double grant_w = 0.0;            ///< budget row for the domain's QP
   double cluster_budget_w = 0.0;   ///< total the grants were carved from
-  // ---- v2 body extension (power tree) ----
-  /// Root -> granting arbiter node ids (empty at the root itself). A child
-  /// that re-parented fences grants whose path is not its new parent's.
-  std::vector<std::uint32_t> tree_path;
 };
 
 /// One replicated decide: every frame the primary accepted into decision

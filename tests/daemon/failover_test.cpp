@@ -10,6 +10,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "acct/event_log.hpp"
@@ -343,6 +344,67 @@ TEST(Replication, PrimaryRestartedFromItsWalIsBitIdentical) {
   }
   EXPECT_EQ(bits(uninterrupted.mean_power_draw_w),
             bits(restarted.mean_power_draw_w));
+}
+
+// A primary restarted from its WAL counts the replayed decides toward the
+// every-64 snapshot rewrite, so the file stays bounded however often the
+// primary restarts: five restarts of 20 decides each leave one snapshot
+// and the ticks after it, not all 100 ticks.
+TEST(Replication, RestartsKeepTheWalBounded) {
+  auto cfg = small_cfg();
+  cfg.duration_s = 3000.0;
+  const std::string wal = ::testing::TempDir() + "perq_repl_bounded.wal";
+  std::remove(wal.c_str());
+  const auto total = static_cast<std::size_t>(
+      cfg.over_provision_factor * double(cfg.worst_case_nodes) + 0.5);
+
+  Rig rig(cfg, fast_cfg(), 2);
+  std::vector<std::unique_ptr<core::PerqPolicy>> policies;
+  std::unique_ptr<PerqController> controller = std::move(rig.controller);
+  for (int run = 0; run < 5; ++run) {
+    if (run > 0) {
+      // The WAL is flushed per decide, so dropping the controller is what
+      // kill -9 leaves behind. A fresh controller and policy open the same
+      // WAL on a new address, and the agents redial it.
+      controller.reset();
+      policies.push_back(std::make_unique<core::PerqPolicy>(
+          &core::canonical_node_model(), cfg.worst_case_nodes, total));
+      const std::string address = "perqd-run-" + std::to_string(run);
+      controller = std::make_unique<PerqController>(
+          rig.transport.listen(address), *policies.back(), fast_cfg());
+    }
+    controller->open_replication_log(wal);
+    if (run > 0) {
+      for (std::size_t i = 0; i < rig.plant->agent_count(); ++i) {
+        rig.plant->agent(i).reconnect(
+            rig.transport.connect("perqd-run-" + std::to_string(run)));
+      }
+      controller->pump();
+    }
+    const std::uint64_t replayed = controller->replicated_decides();
+    while (controller->replicated_decides() < replayed + 20) {
+      ASSERT_FALSE(rig.plant->done()) << "run " << run;
+      rig.plant->step([&controller] { controller->service(); });
+    }
+  }
+  controller.reset();
+
+  std::size_t ticks = 0, snapshots = 0, other = 0;
+  acct::EventLog log;
+  log.open(wal, kWalMagic, [&](const std::uint8_t* p, std::size_t n) {
+    const auto m = proto::parse_frame(p, n);
+    if (m && std::holds_alternative<proto::ReplTick>(*m)) {
+      ++ticks;
+    } else if (m && std::holds_alternative<proto::ReplSnapshot>(*m)) {
+      ++snapshots;
+    } else {
+      ++other;
+    }
+  });
+  std::remove(wal.c_str());
+  EXPECT_EQ(snapshots, 1u);
+  EXPECT_LE(ticks, 64u);
+  EXPECT_EQ(other, 0u);
 }
 
 TEST(DurableLog, EachLogRefusesTheOthersFile) {

@@ -207,6 +207,16 @@ TEST(SnapshotUnderFault, CorruptSnapshotsAreRejectedWithAReason) {
     EXPECT_FALSE(daemon::decode_snapshot(bad.data(), bad.size(), &why));
     EXPECT_NE(why.find("version"), std::string::npos) << why;
   }
+  // So is every older one: the codec reads only the version it writes.
+  for (std::uint8_t version = 1; version <= 4; ++version) {
+    auto bad = bytes;
+    bad[4] = version;  // u16 little-endian after the 4-byte magic
+    bad[5] = 0;
+    EXPECT_FALSE(daemon::decode_snapshot(bad.data(), bad.size(), &why))
+        << "version " << int(version);
+    EXPECT_NE(why.find("version"), std::string::npos)
+        << "version " << int(version) << ": " << why;
+  }
   {  // Every single-byte payload corruption is caught by the crc.
     for (std::size_t at = 10; at < bytes.size();
          at += std::max<std::size_t>(1, bytes.size() / 64)) {

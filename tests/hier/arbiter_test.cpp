@@ -1,15 +1,19 @@
-// BudgetArbiter / water_fill property tests: conservation, floors, the
-// K=1 exactness guarantee, determinism under randomized demands, and the
-// held-grant fencing for silent domains.
+// water_fill property tests: conservation, floors, the K=1 exactness
+// guarantee and determinism under randomized demands. ArbiterDaemon: the
+// held-grant fencing of silent domains, the release of leaving ones and the
+// arbiter's own accounting, driven over loopback with hand-built reports.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <utility>
 #include <vector>
 
 #include "hier/arbiter.hpp"
+#include "hier/arbiter_daemon.hpp"
+#include "net/loopback.hpp"
 #include "util/rng.hpp"
 
 namespace perq::hier {
@@ -230,74 +234,135 @@ TEST(WaterFill, InfeasibleFloorsScaleProportionally) {
   EXPECT_NEAR(sum(grants), budget, 1e-9);
 }
 
-TEST(BudgetArbiter, FencesSilentDomainAtHeldGrant) {
-  BudgetArbiter arbiter(3);
+/// An ArbiterDaemon over loopback with one hand-driven link per domain.
+/// Every round reports at a tick two past the last one, so with
+/// stale_after_ticks = 1 a domain left out of a round is stale at once:
+/// fenced at its held grant if it has one.
+struct ArbiterRig {
+  net::LoopbackTransport transport;
+  ArbiterDaemon arbiter;
+  std::vector<std::unique_ptr<net::Connection>> links;
+  std::uint64_t tick = 0;
+
+  explicit ArbiterRig(std::size_t domains)
+      : arbiter(transport.listen("arbiter"), domains, ArbiterDaemonConfig{1}) {
+    for (std::size_t d = 0; d < domains; ++d) {
+      links.push_back(transport.connect("arbiter"));
+    }
+  }
+
+  proto::DomainReport report(std::uint32_t domain, double budget_w) const {
+    proto::DomainReport r;
+    r.domain_id = domain;
+    r.domain_count = static_cast<std::uint32_t>(links.size());
+    r.tick = tick;
+    r.cluster_budget_w = budget_w;
+    return r;
+  }
+
+  /// Each domain in `live` reports its demand; then one grant round.
+  /// Returns the grants by domain id.
+  std::vector<double> round(double budget_w,
+                            const std::vector<DomainDemand>& live) {
+    tick += 2;
+    for (const DomainDemand& d : live) {
+      proto::DomainReport r = report(d.domain_id, budget_w);
+      r.jobs = static_cast<std::uint32_t>(d.jobs);
+      r.busy_nodes = d.busy_nodes;
+      r.floor_w = d.floor_w;
+      r.capacity_w = d.capacity_w;
+      r.committed_w = d.committed_w;
+      r.achieved_ips = d.achieved_ips;
+      r.target_ips = d.target_ips;
+      r.sla_floor_w = d.sla_floor_w;
+      r.priority_weight = d.priority_weight;
+      links[d.domain_id]->send(r);
+    }
+    EXPECT_TRUE(arbiter.service()) << "no grant round at tick " << tick;
+    return arbiter.grants_w();
+  }
+
+  /// `domain` announces it re-parented away (kDomainLeaving).
+  void leave(std::uint32_t domain) {
+    proto::DomainReport r = report(domain, 0.0);
+    r.flags = proto::kDomainLeaving;
+    links[domain]->send(r);
+    arbiter.pump();
+  }
+};
+
+TEST(ArbiterDaemon, FencesSilentDomainAtHeldGrant) {
+  ArbiterRig rig(3);
   Rng rng(11);
   auto demands = random_demands(rng, 3);
 
   const double budget = 20000.0;
-  arbiter.allocate(budget, demands);
-  const double held = arbiter.grants_w()[1];
+  const double held = rig.round(budget, demands)[1];
   EXPECT_GT(held, 0.0);
-  EXPECT_EQ(arbiter.fenced_w(), 0.0);
+  EXPECT_EQ(rig.arbiter.fenced_w(), 0.0);
 
   // Domain 1 goes silent: its grant freezes and the others share the rest.
-  std::vector<DomainDemand> live = {demands[0], demands[2]};
-  const auto& grants = arbiter.allocate(budget, live);
-  EXPECT_TRUE(arbiter.fenced(1));
-  EXPECT_FALSE(arbiter.fenced(0));
+  const auto grants = rig.round(budget, {demands[0], demands[2]});
+  EXPECT_TRUE(rig.arbiter.fenced(1));
+  EXPECT_FALSE(rig.arbiter.fenced(0));
   EXPECT_EQ(bits(grants[1]), bits(held));
-  EXPECT_EQ(bits(arbiter.fenced_w()), bits(held));
+  EXPECT_EQ(bits(rig.arbiter.fenced_w()), bits(held));
   EXPECT_LE(grants[0] + grants[2], budget - held + 1e-6);
+  EXPECT_EQ(rig.arbiter.aggregated_counters().grants_fenced, 1u);
 
   // It reports again: re-included, nothing fenced.
-  arbiter.allocate(budget, demands);
-  EXPECT_FALSE(arbiter.fenced(1));
-  EXPECT_EQ(arbiter.fenced_w(), 0.0);
-  EXPECT_EQ(arbiter.decisions(), 3u);
+  rig.round(budget, demands);
+  EXPECT_FALSE(rig.arbiter.fenced(1));
+  EXPECT_EQ(rig.arbiter.fenced_w(), 0.0);
+  EXPECT_EQ(rig.arbiter.decisions(), 3u);
 }
 
-TEST(BudgetArbiter, NeverGrantedSilentDomainIsNotFenced) {
-  BudgetArbiter arbiter(2);
+TEST(ArbiterDaemon, NeverGrantedSilentDomainIsNotFenced) {
+  ArbiterRig rig(2);
   DomainDemand d;
   d.domain_id = 0;
   d.busy_nodes = 4.0;
   d.floor_w = 280.0;
   d.capacity_w = 860.0;
-  arbiter.allocate(1000.0, {d});
-  EXPECT_FALSE(arbiter.fenced(1));  // domain 1 never reported, never granted
-  EXPECT_EQ(arbiter.fenced_w(), 0.0);
-  EXPECT_EQ(arbiter.grants_w()[1], 0.0);
+  rig.round(1000.0, {d});
+  EXPECT_FALSE(rig.arbiter.fenced(1));  // domain 1 never reported
+  EXPECT_EQ(rig.arbiter.fenced_w(), 0.0);
+  EXPECT_EQ(rig.arbiter.grants_w()[1], 0.0);
+  // Its cold-start share is reserved instead of fenced.
+  EXPECT_EQ(rig.arbiter.reserved_w(), 500.0);
 }
 
-TEST(BudgetArbiter, ReleaseReturnsWattsToThePool) {
+TEST(ArbiterDaemon, ReleaseReturnsWattsToThePool) {
   // A domain that *announces* it is leaving (re-parented under another
   // arbiter) is released, not fenced: unlike a silent crash its watts are
   // no longer physically committed here, so they must return to the pool
   // or the subtree would double-draw from old and new parents.
-  BudgetArbiter arbiter(2);
+  ArbiterRig rig(2);
   Rng rng(17);
   const auto demands = random_demands(rng, 2);
   const double budget = 20000.0;
-  arbiter.allocate(budget, demands);
-  EXPECT_GT(arbiter.grants_w()[1], 0.0);
+  EXPECT_GT(rig.round(budget, demands)[1], 0.0);
+  rig.round(budget, {demands[0]});  // silent first: fenced at its grant
+  ASSERT_TRUE(rig.arbiter.fenced(1));
 
-  arbiter.release(1);
-  EXPECT_EQ(arbiter.grants_w()[1], 0.0);
-  EXPECT_FALSE(arbiter.fenced(1));
-  EXPECT_EQ(arbiter.fenced_w(), 0.0);
+  rig.leave(1);
+  EXPECT_EQ(rig.arbiter.grants_w()[1], 0.0);
+  EXPECT_FALSE(rig.arbiter.fenced(1));
+  EXPECT_EQ(rig.arbiter.fenced_w(), 0.0);
 
-  // Next decision: domain 1 stays silent but is NOT fenced (released state
-  // equals never-granted), so the lone live domain gets the whole budget.
-  const auto& grants = arbiter.allocate(budget, {demands[0]});
-  EXPECT_EQ(bits(grants[0]), bits(budget));
+  // Next decision: domain 1 stays silent but is NOT fenced (a released
+  // slot is a never-reported one), so the lone live domain gets the whole
+  // pool: the budget less the cold-start reserve of the released slot.
+  const auto grants = rig.round(budget, {demands[0]});
+  EXPECT_EQ(rig.arbiter.reserved_w(), budget / 2.0);
+  EXPECT_EQ(bits(grants[0]), bits(budget - rig.arbiter.reserved_w()));
   EXPECT_EQ(grants[1], 0.0);
-  EXPECT_FALSE(arbiter.fenced(1));
-  EXPECT_EQ(arbiter.fenced_w(), 0.0);
+  EXPECT_FALSE(rig.arbiter.fenced(1));
+  EXPECT_EQ(rig.arbiter.fenced_w(), 0.0);
 }
 
-TEST(BudgetArbiter, SlaActivationsAccumulateAcrossDecisions) {
-  BudgetArbiter arbiter(2);
+TEST(ArbiterDaemon, SlaActivationsAccumulateAcrossDecisions) {
+  ArbiterRig rig(2);
   DomainDemand a, b;
   a.domain_id = 0;
   a.busy_nodes = b.busy_nodes = 10.0;
@@ -306,14 +371,14 @@ TEST(BudgetArbiter, SlaActivationsAccumulateAcrossDecisions) {
   b.domain_id = 1;
   a.sla_floor_w = 1500.0;
 
-  arbiter.allocate(2400.0, {a, b});
-  arbiter.allocate(2400.0, {a, b});
-  EXPECT_EQ(arbiter.sla_floor_activations(), 2u);
-  EXPECT_GE(arbiter.grants_w()[0], 1500.0 - 1e-9);
+  rig.round(2400.0, {a, b});
+  rig.round(2400.0, {a, b});
+  EXPECT_EQ(rig.arbiter.aggregated_counters().sla_floor_activations, 2u);
+  EXPECT_GE(rig.arbiter.grants_w()[0], 1500.0 - 1e-9);
 }
 
-TEST(BudgetArbiter, ConservationHoldsAcrossFencingChurn) {
-  BudgetArbiter arbiter(4);
+TEST(ArbiterDaemon, ConservationHoldsAcrossFencingChurn) {
+  ArbiterRig rig(4);
   Rng rng(99);
   const double budget = 30000.0;
   for (int round = 0; round < 200; ++round) {
@@ -324,8 +389,11 @@ TEST(BudgetArbiter, ConservationHoldsAcrossFencingChurn) {
       if (rng.bernoulli(0.7)) live.push_back(d);
     }
     if (live.empty()) continue;
-    const auto& grants = arbiter.allocate(budget, live);
-    EXPECT_LE(sum(grants), budget * (1.0 + 1e-9) + 1e-6) << "round " << round;
+    // Live, fenced and cold-start reserved watts together fit the budget.
+    const auto grants = rig.round(budget, live);
+    EXPECT_LE(sum(grants) + rig.arbiter.reserved_w(),
+              budget * (1.0 + 1e-9) + 1e-6)
+        << "round " << round;
   }
 }
 

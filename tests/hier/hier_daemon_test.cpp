@@ -2,11 +2,12 @@
 // deployment is bit-identical to both the in-process engine and the
 // monolithic daemon, K>1 deployments conserve grants and aggregate counters
 // at the arbiter, the arbiter screens out reports whose tenant terms are
-// non-finite or negative, and the controller<->arbiter wire exchange
-// survives restarts (snapshot v3 carries the grant state). TreeDaemon: a depth-2
-// tree -- root arbiter over mid arbiters over domain controllers -- runs to
-// completion deterministically while conserving grants at every level
-// (max_level_overdraw_w stays at FP noise).
+// non-finite or negative, the controller<->arbiter wire exchange survives
+// restarts (the snapshot carries the grant state), and two faulted
+// deployments reproduce frozen hashes of every grant and cap. TreeDaemon:
+// a depth-2 tree -- root arbiter over mid arbiters over domain controllers
+// -- runs to completion deterministically while conserving grants at every
+// level (max_level_overdraw_w stays at FP noise).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -49,26 +50,67 @@ std::size_t total_nodes(const core::EngineConfig& cfg) {
                                   0.5);
 }
 
-/// The loopback deployment of `tree` with `agents` node agents and one
-/// identically built policy per leaf controller.
+/// Runs `d` with one identically built policy per leaf controller.
+fault::DeploymentReport run(const fault::Deployment& d) {
+  std::vector<std::unique_ptr<core::PerqPolicy>> owned;
+  std::vector<core::PerqPolicy*> policies;
+  for (std::size_t i = 0; i < PowerTree(d.tree).leaves(); ++i) {
+    owned.push_back(std::make_unique<core::PerqPolicy>(
+        &core::canonical_node_model(), d.engine.worst_case_nodes,
+        total_nodes(d.engine)));
+    policies.push_back(owned.back().get());
+  }
+  return fault::run_deployment(d, policies);
+}
+
+/// The fault-free loopback deployment of `tree` with `agents` node agents.
 fault::DeploymentReport run(const core::EngineConfig& cfg, TreeSpec tree,
                             std::size_t agents) {
   fault::Deployment d;
   d.engine = cfg;
   d.tree = std::move(tree);
   d.plant.agents = agents;
-  std::vector<std::unique_ptr<core::PerqPolicy>> owned;
-  std::vector<core::PerqPolicy*> policies;
-  for (std::size_t i = 0; i < PowerTree(d.tree).leaves(); ++i) {
-    owned.push_back(std::make_unique<core::PerqPolicy>(
-        &core::canonical_node_model(), cfg.worst_case_nodes,
-        total_nodes(cfg)));
-    policies.push_back(owned.back().get());
-  }
-  return fault::run_deployment(d, policies);
+  return run(d);
 }
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// FNV-1a over the little-endian bytes of 64-bit words.
+struct Fnv1a {
+  std::uint64_t h = 14695981039346656037ull;
+  void word(std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  void real(double v) { word(bits(v)); }
+};
+
+/// Hash of everything a deployment decided: per tick the root's grants,
+/// the committed watts and every applied cap; at the end every arbiter's
+/// decision count, grants and fenced watts.
+std::uint64_t trajectory_hash(const fault::DeploymentReport& r) {
+  Fnv1a f;
+  for (const fault::TickRecord& t : r.history) {
+    f.word(t.tick);
+    f.real(t.committed_w);
+    f.word(t.caps_by_job.size());
+    for (const auto& [job, cap] : t.caps_by_job) {
+      f.word(static_cast<std::uint64_t>(job));
+      f.real(cap);
+    }
+    f.word(t.grants_w.size());
+    for (const double g : t.grants_w) f.real(g);
+  }
+  for (const fault::ArbiterOutcome& a : r.arbiters) {
+    f.word(a.decisions);
+    f.word(a.grants_w.size());
+    for (const double g : a.grants_w) f.real(g);
+    f.real(a.fenced_w);
+  }
+  return f.h;
+}
 
 void expect_bit_identical(const core::RunResult& a, const core::RunResult& b) {
   ASSERT_EQ(a.finished.size(), b.finished.size());
@@ -284,6 +326,50 @@ TEST(HierDaemon, SnapshotV3RoundTripsGrantState) {
   EXPECT_EQ(back->any_grant, 1);
   EXPECT_EQ(bits(back->granted_w), bits(4321.5));
   EXPECT_EQ(back->grant_tick, 41u);
+}
+
+// Frozen hashes of two faulted loopback deployments. A change to the
+// arbiter daemon, the water-fill or the controllers that keeps every
+// floating-point operation in order reproduces them bit for bit; a new hash
+// means some grant or cap changed.
+TEST(HierDaemon, FrozenGoldenDeploymentTrajectories) {
+  const auto faulted = [](TreeSpec tree, std::size_t agents) {
+    fault::Deployment d;
+    d.engine = small_cfg();
+    d.tree = std::move(tree);
+    d.plant.agents = agents;
+    d.plant.plan_timeout_ms = 50;
+    d.controller.decide_grace_ms = 5;
+    d.controller.stale_after_ticks = 2;
+    d.arbiter.stale_after_ticks = 2;
+    d.uplink_partitions.push_back({2, {12, 30}});  // node 2's uplink dark
+    return d;
+  };
+  // flat(2): domain 1 is node 2, fenced at its held grant while dark.
+  const fault::DeploymentReport flat = run(faulted(TreeSpec::flat(2), 2));
+  // two_level(2, 4) as in perq_chaos's tree-partition scenario: mid 1 is
+  // node 2, domain 0 (node 3) moves under mid 1 at tick 36, and every leaf
+  // carries tenant terms.
+  fault::Deployment tree = faulted(TreeSpec::two_level(2, 4), 4);
+  tree.reparents.push_back({36, 3, 2});
+  for (std::size_t leaf = 0; leaf < 4; ++leaf) {
+    TenantSpec& tenant = tree.tree.nodes[3 + leaf].tenant;
+    tenant.sla_floor_w = leaf == 2 ? 400.0 : 150.0;
+    tenant.priority_weight = leaf == 0 ? 2.0 : 1.0;
+  }
+  const fault::DeploymentReport deep = run(tree);
+
+  expect_no_violations(flat);
+  expect_no_violations(deep);
+  EXPECT_GT(flat.aggregated_counters.grants_fenced, 0u);
+  EXPECT_GT(deep.aggregated_counters.grants_fenced, 0u);
+  EXPECT_EQ(deep.reparents_executed, 1u);
+  const std::uint64_t flat_hash = trajectory_hash(flat);
+  const std::uint64_t deep_hash = trajectory_hash(deep);
+  EXPECT_EQ(flat_hash, 0xbc69b46f4590c358ull)
+      << "flat(2) hash 0x" << std::hex << flat_hash;
+  EXPECT_EQ(deep_hash, 0x20dd8c558fb72494ull)
+      << "two_level(2, 4) hash 0x" << std::hex << deep_hash;
 }
 
 TEST(TreeDaemon, DepthTwoTreeRunsCleanAndConservesEveryLevel) {

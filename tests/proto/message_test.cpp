@@ -231,28 +231,6 @@ TEST(Message, DomainReportV2RoundTripIsBitExact) {
   EXPECT_EQ(bits(def.priority_weight), bits(1.0));
 }
 
-BudgetGrant sample_grant_v2() {
-  BudgetGrant g;
-  g.domain_id = 3;
-  g.tick = 77;
-  g.grant_w = 2321.0625;
-  g.cluster_budget_w = 9280.0;
-  g.tree_path = {0, 2};
-  return g;
-}
-
-TEST(Message, BudgetGrantV2RoundTripIsBitExact) {
-  const BudgetGrant in = sample_grant_v2();
-  const auto m = round_trip(in);
-  ASSERT_TRUE(m.has_value());
-  const auto& g = std::get<BudgetGrant>(*m);
-  EXPECT_EQ(g.domain_id, 3u);
-  EXPECT_EQ(g.tick, 77u);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(g.grant_w),
-            std::bit_cast<std::uint64_t>(in.grant_w));
-  EXPECT_EQ(g.tree_path, (std::vector<std::uint32_t>{0, 2}));
-}
-
 TEST(Message, BudgetGrantRoundTripIsBitExact) {
   BudgetGrant g;
   g.domain_id = 3;
@@ -268,6 +246,8 @@ TEST(Message, BudgetGrantRoundTripIsBitExact) {
             std::bit_cast<std::uint64_t>(g.grant_w));
   EXPECT_EQ(std::bit_cast<std::uint64_t>(out.cluster_budget_w),
             std::bit_cast<std::uint64_t>(g.cluster_budget_w));
+  // Length prefix, 4-byte header and the one fixed 28-byte body.
+  EXPECT_EQ(encode(g).size(), 4u + 4u + 28u);
 }
 
 ReplTick sample_repl_tick() {
@@ -374,7 +354,7 @@ TEST(MessageReject, EveryTruncationOfEveryType) {
   const Message msgs[] = {Message(sample_hello()), Message(sample_telemetry()),
                           Message(sample_plan()), Message(sample_heartbeat()),
                           Message(Bye{4}), Message(sample_report()),
-                          Message(BudgetGrant{1, 2, 3.0, 4.0, {}}),
+                          Message(BudgetGrant{1, 2, 3.0, 4.0}),
                           Message(sample_repl_tick()),
                           Message(ReplSnapshot{2, {0x01, 0x02}}),
                           Message(PromoteAnnounce{5, 99})};
@@ -387,65 +367,11 @@ TEST(MessageReject, EveryTruncationOfEveryType) {
   }
 }
 
-// The v2-extended grant is deliberately absent from the sweep above:
-// cutting its extension off exactly at the v1 boundary yields a valid v1
-// grant by design (that is the downgrade path), so its truncation
-// behavior has its own test with the one legal cut carved out.
-TEST(MessageReject, V2TruncationRejectsEverywhereButTheV1Boundary) {
-  BudgetGrant v1_grant;
-  v1_grant.domain_id = 3;
-  v1_grant.tick = 77;
-  v1_grant.grant_w = 2321.0625;
-  v1_grant.cluster_budget_w = 9280.0;
-  const auto body = body_of(Message(sample_grant_v2()));
-  const std::size_t boundary = body_of(Message(v1_grant)).size();
-  ASSERT_LT(boundary, body.size());
-  for (std::size_t n = 0; n < body.size(); ++n) {
-    const auto m = parse_frame(body.data(), n);
-    if (n == boundary) {
-      // The extension dropped whole: parses as the v1 grant, extension
-      // fields at their defaults, not stale values.
-      ASSERT_TRUE(m.has_value()) << "v1 boundary at " << n;
-      const auto& g = std::get<BudgetGrant>(*m);
-      EXPECT_TRUE(g.tree_path.empty());
-      EXPECT_EQ(bits(g.grant_w), bits(v1_grant.grant_w));
-      continue;
-    }
-    EXPECT_FALSE(m.has_value()) << "BudgetGrant truncated to " << n << " bytes";
-  }
-}
-
-TEST(MessageReject, TreePathLengthLyingAboutBody) {
-  // The declared path length must fit the remaining bytes: a length byte
-  // claiming more nodes than travel (tree-path truncation) rejects, as
-  // does a depth beyond kMaxTreePathDepth even when the bytes would fit.
-  const auto grant_body = body_of(Message(sample_grant_v2()));
-  // The path-length byte sits right before the path words at the tail.
-  const std::size_t len_at = grant_body.size() - 1 - 4 * 2;
-  ASSERT_EQ(grant_body[len_at], 2u);
-  for (const std::uint8_t lie : {std::uint8_t{3}, std::uint8_t{200}}) {
-    auto body = grant_body;
-    body[len_at] = lie;
-    EXPECT_FALSE(parse_frame(body.data(), body.size()).has_value())
-        << "declared path length " << int(lie);
-  }
-}
-
-TEST(MessageReject, OversizedTreePathNeverEncodesAsParseable) {
-  // A path deeper than kMaxTreePathDepth is a config error; if one is
-  // ever encoded anyway, every receiver must reject the frame.
-  BudgetGrant g = sample_grant_v2();
-  g.tree_path.assign(kMaxTreePathDepth + 1, 1);
-  const auto body = body_of(Message(g));
-  EXPECT_FALSE(parse_frame(body.data(), body.size()).has_value());
-}
-
 TEST(MessageReject, TrailingJunk) {
   for (const Message& m :
        {Message(sample_hello()), Message(sample_telemetry()),
         Message(sample_heartbeat()), Message(Bye{4}),
         Message(sample_report()), Message(BudgetGrant{}),
-        Message(sample_grant_v2()),
         Message(sample_repl_tick()), Message(ReplSnapshot{2, {0x01}}),
         Message(PromoteAnnounce{5, 99})}) {
     auto body = body_of(m);
