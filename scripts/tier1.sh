@@ -10,9 +10,10 @@
 # (PERQ_TSAN=ON) over the threaded subset: the epoll/poll reactor and
 # frame I/O (Reactor/Tcp/Daemon tests run a controller thread against the
 # main thread), the fork-join ThreadPool's own tests (the caller and the
-# woken workers claim chunks of one job; two callers share one pool), and
-# its users: HierPolicy's K domain solves, the engine's node advance and
-# DaemonPlant's agent fan-out. The daemons' own pumps are single-threaded.
+# woken workers claim indices of one job; two callers share one pool), and
+# its one user inside a control interval, HierPolicy's K domain solves. The
+# engine's node advance, DaemonPlant's agent sweeps and the daemons' pumps
+# run on the calling thread.
 #
 # The suite carries a decision-quality gate, Quality.* in
 # tests/integration/quality_test.cpp: 12 h closed loops on three seeds that
@@ -252,9 +253,9 @@ if [[ "${PERQ_SKIP_SANITIZE:-0}" != "1" ]]; then
   ctest --test-dir "$UBSAN_BUILD_DIR" --output-on-failure -j "$(nproc)" "$@"
 
   # TSan leg: the threaded subset (reactor + frame I/O with a controller
-  # thread against the main thread, the fork-join ThreadPool and its
-  # users, including HierPolicy's K domain QPs solving concurrently on the
-  # shared pool, each with its own BlockFactor).
+  # thread against the main thread, the fork-join ThreadPool and its one
+  # per-interval user, HierPolicy's K domain QPs solving concurrently on
+  # the shared pool, each with its own BlockFactor).
   cmake -B "$TSAN_BUILD_DIR" -S . -DPERQ_TSAN=ON
   cmake --build "$TSAN_BUILD_DIR" -j
   ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j "$(nproc)" \

@@ -9,7 +9,6 @@
 #include "sim/cluster.hpp"
 #include "util/require.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace perq::core {
 
@@ -196,44 +195,26 @@ void SimulationEngine::advance() {
 
   double draw_w = cluster_.step_idle_nodes(dt);
 
-  // Phase A, parallel: step each running job's node physics. Jobs own
-  // disjoint node sets and every node carries its own noise stream, so
-  // job i's task touches only its nodes and advance_scratch_[i] -- the
-  // decomposition is index-addressed and bit-deterministic regardless of
-  // scheduling (and collapses to the plain loop on a one-thread pool). The
-  // in-node accumulation order (node_ids() order) matches the old loop.
-  advance_scratch_.resize(running_.size());
-  ThreadPool::shared().parallel_for(
-      0, running_.size(),
-      [this, dt](std::size_t i) {
-        sched::Job& job = *running_[i];
-        const std::size_t phase = job.current_phase();
-        double job_draw_w = 0.0;
-        double min_ips = std::numeric_limits<double>::infinity();
-        double min_perf = std::numeric_limits<double>::infinity();
-        for (std::size_t id : job.node_ids()) {
-          sim::Node& node = cluster_.node(id);
-          const auto sample = node.step_busy(dt, job.app(), phase);
-          job_draw_w += sample.power_w;
-          min_ips = std::min(min_ips, sample.ips);
-          min_perf = std::min(min_perf, node.perf_fraction(job.app(), phase));
-        }
-        advance_scratch_[i] = {job_draw_w, min_ips, min_perf};
-      },
-      /*grain=*/4);
-
-  // Phase B, serial in job order: commit the results. Power sums
-  // accumulate in the same order as the old loop (floating-point addition
-  // is order-sensitive), traces append in job order, and job state updates
-  // stay single-threaded.
+  // Job order, and node_ids() order within a job: floating-point addition
+  // is order-sensitive, so the power sums depend on it.
   for (std::size_t i = 0; i < running_.size(); ++i) {
     sched::Job& job = *running_[i];
-    const JobAdvance& adv = advance_scratch_[i];
-    draw_w += adv.draw_w;
-    last_power_[i] = adv.draw_w;
-    const double job_ips = adv.min_ips * static_cast<double>(job.spec().nodes);
+    const std::size_t phase = job.current_phase();
+    double job_draw_w = 0.0;
+    double min_ips = std::numeric_limits<double>::infinity();
+    double min_perf = std::numeric_limits<double>::infinity();
+    for (std::size_t id : job.node_ids()) {
+      sim::Node& node = cluster_.node(id);
+      const auto sample = node.step_busy(dt, job.app(), phase);
+      job_draw_w += sample.power_w;
+      min_ips = std::min(min_ips, sample.ips);
+      min_perf = std::min(min_perf, node.perf_fraction(job.app(), phase));
+    }
+    draw_w += job_draw_w;
+    last_power_[i] = job_draw_w;
+    const double job_ips = min_ips * static_cast<double>(job.spec().nodes);
     const double cap_w = pending_caps_.empty() ? 0.0 : pending_caps_[i];
-    job.record_interval(dt, adv.min_perf, job_ips, cap_w);
+    job.record_interval(dt, min_perf, job_ips, cap_w);
 
     if (!traced_sorted_.empty() &&
         std::binary_search(traced_sorted_.begin(), traced_sorted_.end(),
@@ -241,7 +222,7 @@ void SimulationEngine::advance() {
       const double target =
           pending_targets_.empty() ? 0.0 : pending_targets_[i];
       result_.traces.push_back(
-          {now_s_, job.spec().id, cap_w, job_ips, target, adv.min_perf});
+          {now_s_, job.spec().id, cap_w, job_ips, target, min_perf});
     }
   }
   energy_j_ += draw_w * dt;

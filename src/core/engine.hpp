@@ -144,7 +144,9 @@ class SimulationEngine {
                          std::vector<std::uint32_t> domain_of_job);
 
   /// Phase 3: advances the physical system one interval and retires
-  /// completed jobs.
+  /// completed jobs. The node physics runs on the calling thread, one job
+  /// after another: at the sizes the benchmark runs, a fork-join over the
+  /// jobs costs more per tick than it saves (DESIGN.md, "Fan-out").
   void advance();
 
   /// Jobs retired by the last advance() (pointers stay valid).
@@ -178,16 +180,6 @@ class SimulationEngine {
   double energy_j_ = 0.0;
   std::vector<double> pending_caps_;
   std::vector<double> pending_targets_;
-  /// Parallel-advance scratch: per-job physics results computed in phase A
-  /// (one slot per running job, disjoint writes) and committed serially in
-  /// job order in phase B, so the parallel decomposition is bit-identical
-  /// to the old single loop.
-  struct JobAdvance {
-    double draw_w = 0.0;
-    double min_ips = 0.0;
-    double min_perf = 0.0;
-  };
-  std::vector<JobAdvance> advance_scratch_;
   std::vector<double> domain_grants_w_;       ///< this tick's grants (hier)
   std::vector<std::uint32_t> domain_of_job_;  ///< running_[i] -> domain id
   std::vector<std::pair<const sched::Job*, std::size_t>> finished_last_;

@@ -262,14 +262,15 @@ void PerqController::ingest(Session& session, const proto::Message& m) {
   if (const auto* hb = std::get_if<proto::Heartbeat>(&m)) {
     if (standby_) return;  // pre-promotion: the replication stream owns state
     if (!ingest_state(m)) return;  // screened out (accounted inside)
+    // An agent sends its heartbeat after its tick's telemetry, so only the
+    // heartbeat proves the agent's whole tick arrived (ready()).
     session.last_tick = std::max(session.last_tick, hb->tick);
     record_repl(m);
     return;
   }
-  if (const auto* t = std::get_if<proto::Telemetry>(&m)) {
+  if (std::holds_alternative<proto::Telemetry>(m)) {
     if (standby_) return;
     if (!ingest_state(m)) return;
-    session.last_tick = std::max(session.last_tick, t->tick);
     record_repl(m);
     return;
   }

@@ -207,7 +207,9 @@ class PerqController {
   /// True when a tick newer than the last decision has telemetry pending.
   bool tick_pending() const;
 
-  /// True when every live, non-stale agent has reported the newest tick.
+  /// True when every live, non-stale agent's heartbeat for the newest tick
+  /// has arrived. The agent sends it after that tick's telemetry, so its
+  /// whole tick is in.
   bool ready() const;
 
   /// Runs one decision over the newest tick's batch and broadcasts the cap

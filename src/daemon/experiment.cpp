@@ -10,7 +10,6 @@
 #include "net/tcp.hpp"
 #include "util/require.hpp"
 #include "util/stopwatch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace perq::daemon {
 
@@ -126,13 +125,7 @@ void DaemonPlant::sync_reactor() {
 
 bool DaemonPlant::step(const std::function<void()>& service) {
   const core::TickView& view = engine_.begin_tick();
-  // Publish in parallel: each agent writes only its own connection (TCP
-  // sockets and loopback queue pairs are per-connection state), and the
-  // controller's canonical ingest order is arrival-order-blind, so the
-  // sweep decomposes per agent with no effect on the decision state.
-  ThreadPool::shared().parallel_for(
-      0, agents_.size(), [this, &view](std::size_t i) { agents_[i]->publish(view); },
-      /*grain=*/8);
+  for (const auto& agent : agents_) agent->publish(view);
 
   Stopwatch wait_timer;
   // One plan slot per controller; agent i % K feeds slot i % K. The slots
@@ -140,26 +133,17 @@ bool DaemonPlant::step(const std::function<void()>& service) {
   // lead, so the entry sets are disjoint and concatenation in group order
   // is deterministic.
   std::vector<std::optional<proto::CapPlan>> plans(groups_);
-  std::vector<std::optional<proto::CapPlan>> polled(agents_.size());
   std::size_t have = 0;
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(pcfg_.plan_timeout_ms);
   for (;;) {
     if (service) service();
-    // Parallel drain (each agent's connection is private to its slot),
-    // serial commit in agent-id order so the slot bookkeeping is
-    // deterministic however the polls were scheduled.
-    ThreadPool::shared().parallel_for(
-        0, agents_.size(),
-        [this, &polled](std::size_t i) { polled[i] = agents_[i]->poll_plan(); },
-        /*grain=*/8);
     for (std::size_t i = 0; i < agents_.size(); ++i) {
-      if (auto& p = polled[i]; p.has_value() && p->tick == view.tick) {
-        auto& slot = plans[i % groups_];
-        if (!slot.has_value()) ++have;
-        slot = std::move(p);
-      }
-      polled[i].reset();
+      auto p = agents_[i]->poll_plan();
+      if (!p.has_value() || p->tick != view.tick) continue;
+      auto& slot = plans[i % groups_];
+      if (!slot.has_value()) ++have;
+      slot = std::move(p);
     }
     if (have == groups_) break;
     if (std::chrono::steady_clock::now() >= deadline) break;
@@ -247,12 +231,7 @@ bool DaemonPlant::step(const std::function<void()>& service) {
             }
           }
         }
-        // Parallel actuation: agent i caps only nodes inside its own
-        // [node_begin, node_end) slice, so the writes are disjoint.
-        ThreadPool::shared().parallel_for(
-            0, agents_.size(),
-            [this, &plan](std::size_t i) { agents_[i]->apply_plan(*plan); },
-            /*grain=*/8);
+        for (const auto& agent : agents_) agent->apply_plan(*plan);
       } else {
         ++counters_.frames_dropped;
         plan.reset();  // hold previous caps, as if no plan had arrived
@@ -282,10 +261,7 @@ bool DaemonPlant::step(const std::function<void()>& service) {
       }
       if (!decayed.entries.empty()) {
         ++counters_.failsafe_activations;
-        ThreadPool::shared().parallel_for(
-            0, agents_.size(),
-            [this, &decayed](std::size_t i) { agents_[i]->apply_plan(decayed); },
-            /*grain=*/8);
+        for (const auto& agent : agents_) agent->apply_plan(decayed);
       }
     }
     engine_.note_decision_time(wait_timer.seconds());

@@ -123,8 +123,9 @@ std::vector<double> HierarchicalPerqPolicy::allocate(
   last_grants_w_ = filled;
 
   // Domain solves, fanned out on the shared pool with the calling thread
-  // solving alongside the workers. Each solve writes only its own slot, so
-  // results stay bit-deterministic.
+  // solving alongside the workers (DESIGN.md, "Fan-out": on hier_k4 this
+  // fan-out pays). Each solve writes only its own slot, so results stay
+  // bit-deterministic.
   std::vector<std::vector<double>> domain_caps(active.size());
   const auto solve_domain = [&](std::size_t a) {
     const std::size_t d = active[a];
@@ -149,11 +150,7 @@ std::vector<double> HierarchicalPerqPolicy::allocate(
     dctx.domain_count = static_cast<std::uint32_t>(k);
     domain_caps[a] = policies_[d]->allocate(dctx);
   };
-  if (cfg_.parallel) {
-    ThreadPool::shared().parallel_for(0, active.size(), solve_domain);
-  } else {
-    for (std::size_t a = 0; a < active.size(); ++a) solve_domain(a);
-  }
+  ThreadPool::shared().parallel_for(0, active.size(), solve_domain);
 
   // Merge back into engine order.
   std::vector<std::size_t> pos_of_domain(k, 0);

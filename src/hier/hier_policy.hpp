@@ -9,8 +9,11 @@
 // and the K domain solves then run concurrently as one fork-join on the
 // shared ThreadPool: the calling thread solves domains alongside the
 // workers, and each solve writes only its own output slot, so the fan-out
-// is deterministic. A domain solve makes no nested fan-out (the MPC's
-// per-job work is a plain loop), and a nested one would run inline.
+// is deterministic. It is the only fan-out inside a control interval: a
+// whole QP per index is worth the wake-ups, which one job's node physics
+// or one agent's sweep is not. A domain solve makes no nested fan-out (the
+// MPC's per-job work is a plain loop), and a nested one would run inline,
+// which is how the tests get a serial reference.
 //
 // K = 1 is special-cased into a straight delegation to the single domain
 // policy with the caller's unmodified context: the monolithic
@@ -33,7 +36,6 @@ namespace perq::hier {
 struct HierConfig {
   std::size_t domains = 1;   ///< K; 1 = monolithic (bit-identical to PERQ)
   core::PerqConfig domain;   ///< configuration of every per-domain policy
-  bool parallel = true;      ///< fan the K domain solves out on the pool
   /// Budget tree over the K domains. Empty (the default) means
   /// TreeSpec::flat(domains) -- one arbiter over K leaves, which allocates
   /// bit-identically to the pre-tree water_fill call. A deeper spec must

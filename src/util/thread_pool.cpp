@@ -1,9 +1,11 @@
 #include "util/thread_pool.hpp"
 
+#include <algorithm>
+
 namespace perq {
 
 namespace {
-// Set while a thread runs chunks of a job (the caller and the workers).
+// Set while a thread runs indices of a job (the caller and the workers).
 // parallel_for runs nested calls inline: the outer level already owns the
 // participants, and a body blocking on a second job could deadlock.
 thread_local bool t_in_job = false;
@@ -48,11 +50,9 @@ void ThreadPool::work(Job& job) {
   t_in_job = true;
   for (;;) {
     const std::size_t c = job.next.fetch_add(1, std::memory_order_relaxed);
-    if (c >= job.chunks) break;
-    const std::size_t lo = job.begin + c * job.grain;
-    const std::size_t hi = lo + std::min(job.grain, job.end - lo);
+    if (c >= job.count) break;
     try {
-      for (std::size_t i = lo; i < hi; ++i) job.call(job.body, i);
+      job.call(job.body, job.begin + c);
     } catch (...) {
       std::lock_guard<std::mutex> lock(mu_);
       if (!job.error) job.error = std::current_exception();
@@ -63,24 +63,24 @@ void ThreadPool::work(Job& job) {
 
 void ThreadPool::run(Job& job) {
   std::size_t wake = 0;
-  if (job.chunks > 1 && !workers_.empty() && !t_in_job) {
+  if (job.count > 1 && !workers_.empty() && !t_in_job) {
     std::lock_guard<std::mutex> lock(mu_);
     // Another thread's job in flight holds the workers: run inline rather
     // than wait for it.
     if (job_ == nullptr) {
       job_ = &job;
-      wake = wanted_ = std::min(workers_.size(), job.chunks - 1);
+      wake = wanted_ = std::min(workers_.size(), job.count - 1);
     }
   }
   for (std::size_t w = 0; w < wake; ++w) work_cv_.notify_one();
   work(job);
   if (wake > 0) {
     std::unique_lock<std::mutex> lock(mu_);
-    wanted_ = 0;  // the chunks are all claimed: a late riser never joins
+    wanted_ = 0;  // the indices are all claimed: a late riser never joins
     done_cv_.wait(lock, [this] { return active_ == 0; });
     job_ = nullptr;
   }
-  // Rethrow only after the join: every chunk borrows the caller's frame.
+  // Rethrow only after the join: every index borrows the caller's frame.
   if (job.error) std::rethrow_exception(job.error);
 }
 

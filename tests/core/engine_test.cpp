@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 
 #include "core/node_model.hpp"
@@ -24,6 +26,29 @@ EngineConfig tiny_config(double f = 1.0, double hours = 1.0) {
   cfg.duration_s = hours * 3600.0;
   cfg.control_interval_s = 10.0;
   return cfg;
+}
+
+// FNV-1a over the bits of every finished job's id, start, finish and
+// runtime, then the run's mean draw and peak committed watts (perfbench's
+// outcome_hash).
+std::uint64_t outcome_hash(const RunResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](const void* p, std::size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (const JobOutcome& j : r.finished) {
+    mix(&j.id, sizeof j.id);
+    mix(&j.start_s, sizeof j.start_s);
+    mix(&j.finish_s, sizeof j.finish_s);
+    mix(&j.runtime_s, sizeof j.runtime_s);
+  }
+  mix(&r.mean_power_draw_w, sizeof r.mean_power_draw_w);
+  mix(&r.peak_committed_w, sizeof r.peak_committed_w);
+  return h;
 }
 
 TEST(Engine, CompletesJobsUnderFop) {
@@ -207,6 +232,41 @@ TEST(Engine, ControlIntervalSweepRuns) {
     auto fop = policy::make_fop();
     const auto r = run_experiment(cfg, *fop);
     EXPECT_GT(r.jobs_completed, 0u) << "dt=" << dt;
+  }
+}
+
+// Frozen hashes of 2 h in-process episodes (perfbench's Trinity trace at
+// f = 2, jobs of at most 8 nodes). A change to the engine, the node physics
+// or the policies that keeps every floating-point operation in order
+// reproduces them bit for bit; a new hash means some outcome changed.
+TEST(Engine, FrozenGoldenOutcomes) {
+  struct Case {
+    bool perq;
+    std::size_t nodes;
+    std::uint64_t hash;
+  };
+  for (const Case c : {Case{false, 32, 0xf4c6b5948e9c7419ull},
+                       Case{false, 128, 0xcb5db74ac51b99ecull},
+                       Case{true, 32, 0x99d953118aea30d0ull},
+                       Case{true, 128, 0x4a0f583eb23ddf40ull}}) {
+    EngineConfig cfg;
+    cfg.trace.system = trace::SystemModel::kTrinity;
+    cfg.trace.max_job_nodes = 8;
+    cfg.trace.seed = 1;
+    cfg.worst_case_nodes = c.nodes;
+    cfg.over_provision_factor = 2.0;
+    cfg.duration_s = 2.0 * 3600.0;
+    cfg.control_interval_s = 10.0;
+    cfg.trace.job_count = recommended_job_count(cfg);
+    std::unique_ptr<policy::PowerPolicy> policy =
+        c.perq ? std::make_unique<PerqPolicy>(&canonical_node_model(), c.nodes,
+                                              2 * c.nodes)
+               : policy::make_fop();
+    const RunResult r = run_experiment(cfg, *policy);
+    EXPECT_GT(r.jobs_completed, 0u);
+    const std::uint64_t h = outcome_hash(r);
+    EXPECT_EQ(h, c.hash) << r.policy_name << " at N_WP " << c.nodes
+                         << " hash 0x" << std::hex << h;
   }
 }
 

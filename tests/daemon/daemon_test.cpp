@@ -1,6 +1,7 @@
 // Daemon subsystem tests: the loopback-equivalence proof (a daemon-mediated
 // experiment is bit-identical to the in-process engine), snapshot codec and
-// restart determinism, the heartbeat-timeout / rejoin path, and the
+// restart determinism, the heartbeat-timeout / rejoin path, readiness
+// (an agent's tick is in once its heartbeat is), and the
 // one-full-plan-per-decide broadcast.
 #include <gtest/gtest.h>
 
@@ -294,6 +295,66 @@ TEST(DaemonBroadcast, EveryDecideQueuesOneFullPlanOnEverySession) {
   for (std::size_t i = 0; i < sent.size(); ++i) {
     EXPECT_EQ(proto::encode(got[i]), proto::encode(sent[i])) << "decide " << i;
   }
+}
+
+TEST(DaemonReadiness, AgentIsReadyOnlyAfterItsHeartbeat) {
+  // One raw agent leading two jobs. Over TCP its frames of a tick can
+  // arrive across several pumps; the controller must not decide on the
+  // first of them, or the jobs whose frames were still in flight are held.
+  const auto cfg = small_cfg();
+  core::PerqPolicy policy = make_policy(cfg);
+  net::LoopbackTransport transport;
+  PerqController controller(transport.listen("perqd"), policy, ControllerConfig{});
+  auto agent = transport.connect("perqd");
+  agent->send(proto::Hello{0, 0, 32});
+
+  const auto telemetry = [](std::int32_t job, std::uint64_t tick) {
+    proto::Telemetry t;
+    t.tick = tick;
+    t.seq = static_cast<std::uint32_t>(job);
+    t.job_id = job;
+    t.nodes = 4;
+    t.app_index = static_cast<std::uint32_t>(job);
+    t.runtime_ref_s = 3600.0;
+    t.progress_s = 10.0 * static_cast<double>(tick);
+    t.min_perf = 1.0;
+    t.cap_w = 290.0;
+    t.ips = 1e9;
+    t.power_w = 4.0 * 250.0;
+    return t;
+  };
+  const auto heartbeat = [](std::uint64_t tick) {
+    proto::Heartbeat hb;
+    hb.tick = tick;
+    hb.now_s = 10.0 * static_cast<double>(tick);
+    hb.dt_s = 10.0;
+    hb.budget_total_w = 16.0 * 290.0;
+    hb.budget_for_busy_w = 8.0 * 250.0;
+    hb.total_nodes = 32.0;
+    return hb;
+  };
+
+  agent->send(telemetry(0, 1));
+  agent->send(telemetry(1, 1));
+  agent->send(heartbeat(1));
+  controller.pump();
+  ASSERT_TRUE(controller.ready());
+  controller.decide();
+  ASSERT_EQ(controller.last_stats().fresh_jobs, 2u);
+
+  agent->send(telemetry(0, 2));  // job 1's frame and the heartbeat lag
+  controller.pump();
+  EXPECT_FALSE(controller.ready())
+      << "ready before the agent's tick-2 heartbeat arrived";
+
+  agent->send(telemetry(1, 2));
+  agent->send(heartbeat(2));
+  controller.pump();
+  ASSERT_TRUE(controller.ready());
+  controller.decide();
+  EXPECT_EQ(controller.last_stats().tick, 2u);
+  EXPECT_EQ(controller.last_stats().held_jobs, 0u);
+  EXPECT_EQ(controller.last_stats().fresh_jobs, 2u);
 }
 
 }  // namespace

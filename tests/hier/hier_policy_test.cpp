@@ -16,6 +16,7 @@
 #include "core/perq_policy.hpp"
 #include "hier/experiment.hpp"
 #include "hier/hier_policy.hpp"
+#include "util/thread_pool.hpp"
 
 namespace perq::hier {
 namespace {
@@ -106,22 +107,24 @@ TEST(HierPolicy, FourDomainRunCompletesWithConservedGrants) {
 
 TEST(HierPolicy, ParallelAndSerialDomainSolvesMatchBitForBit) {
   const auto cfg = small_cfg();
+  HierConfig hcfg;
+  hcfg.domains = 4;
 
-  HierConfig serial;
-  serial.domains = 4;
-  serial.parallel = false;
-  HierarchicalPerqPolicy a(&core::canonical_node_model(), cfg.worst_case_nodes,
-                           total_nodes(cfg), serial);
-  const auto ra = run_hier_experiment(cfg, a);
+  // Serial reference: inside a parallel_for body every nested parallel_for
+  // runs inline (the pool's contract), so the K domain solves of this run
+  // go one after another on this thread.
+  core::RunResult serial;
+  ThreadPool::shared().parallel_for(0, 1, [&](std::size_t) {
+    HierarchicalPerqPolicy a(&core::canonical_node_model(),
+                             cfg.worst_case_nodes, total_nodes(cfg), hcfg);
+    serial = run_hier_experiment(cfg, a);
+  });
 
-  HierConfig parallel;
-  parallel.domains = 4;
-  parallel.parallel = true;
   HierarchicalPerqPolicy b(&core::canonical_node_model(), cfg.worst_case_nodes,
-                           total_nodes(cfg), parallel);
-  const auto rb = run_hier_experiment(cfg, b);
+                           total_nodes(cfg), hcfg);
+  const auto parallel = run_hier_experiment(cfg, b);
 
-  expect_bit_identical(ra, rb);
+  expect_bit_identical(serial, parallel);
 }
 
 TEST(HierPolicy, CountersAggregateAcrossDomains) {

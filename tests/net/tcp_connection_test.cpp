@@ -279,9 +279,9 @@ TEST(ZeroAlloc, ParallelForDoesNotAllocate) {
   };
   static_assert(sizeof(body) > 16);
 
-  for (int i = 0; i < 8; ++i) pool.parallel_for(0, out.size(), body, 4);
+  for (int i = 0; i < 8; ++i) pool.parallel_for(0, out.size(), body);
   const std::uint64_t before = test::allocation_count();
-  for (int i = 0; i < 64; ++i) pool.parallel_for(0, out.size(), body, 4);
+  for (int i = 0; i < 64; ++i) pool.parallel_for(0, out.size(), body);
   const std::uint64_t after = test::allocation_count();
   EXPECT_EQ(after - before, 0u)
       << "parallel_for allocated " << (after - before) << " times";

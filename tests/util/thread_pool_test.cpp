@@ -15,37 +15,30 @@ namespace {
 /// Runs parallel_for over [begin, begin + count) and returns how often each
 /// index ran; an index outside the range lands in the extra last slot.
 std::vector<int> hit_counts(ThreadPool& pool, std::size_t begin,
-                            std::size_t count, std::size_t grain) {
+                            std::size_t count) {
   std::vector<std::atomic<int>> hits(count + 1);
-  pool.parallel_for(
-      begin, begin + count,
-      [&hits, begin, count](std::size_t i) {
-        const std::size_t slot =
-            i >= begin && i < begin + count ? i - begin : count;
-        hits[slot].fetch_add(1, std::memory_order_relaxed);
-      },
-      grain);
+  pool.parallel_for(begin, begin + count, [&hits, begin, count](std::size_t i) {
+    const std::size_t slot = i >= begin && i < begin + count ? i - begin : count;
+    hits[slot].fetch_add(1, std::memory_order_relaxed);
+  });
   std::vector<int> out;
   for (const auto& h : hits) out.push_back(h.load());
   return out;
 }
 
-TEST(ThreadPool, EveryIndexRunsExactlyOnceAcrossCountsGrainsAndPoolSizes) {
+TEST(ThreadPool, EveryIndexRunsExactlyOnceAcrossCountsAndPoolSizes) {
   for (const std::size_t participants : {1u, 2u, 4u}) {
     ThreadPool pool(participants);
     ASSERT_EQ(pool.size(), participants);
     for (const std::size_t count : {1u, 3u, 4u, 1000u}) {
-      for (const std::size_t grain : {0u, 1u, 4u, 8u}) {
-        // Repeat so the workers are caught both asleep and just woken.
-        for (int round = 0; round < 20; ++round) {
-          const auto hits = hit_counts(pool, 5, count, grain);
-          for (std::size_t i = 0; i < count; ++i) {
-            ASSERT_EQ(hits[i], 1) << "pool " << participants << " count "
-                                  << count << " grain " << grain
-                                  << " index " << i;
-          }
-          ASSERT_EQ(hits[count], 0) << "an index outside the range ran";
+      // Repeat so the workers are caught both asleep and just woken.
+      for (int round = 0; round < 20; ++round) {
+        const auto hits = hit_counts(pool, 5, count);
+        for (std::size_t i = 0; i < count; ++i) {
+          ASSERT_EQ(hits[i], 1) << "pool " << participants << " count "
+                                << count << " index " << i;
         }
+        ASSERT_EQ(hits[count], 0) << "an index outside the range ran";
       }
     }
   }
@@ -100,7 +93,7 @@ TEST(ThreadPool, ConcurrentCallersOnOnePoolEachSeeEveryIndexOnce) {
   std::atomic<int> bad{0};
   const auto caller = [&pool, &bad] {
     for (int round = 0; round < kRounds; ++round) {
-      const auto hits = hit_counts(pool, 0, kCount, 4);
+      const auto hits = hit_counts(pool, 0, kCount);
       for (std::size_t i = 0; i <= kCount; ++i) {
         if (hits[i] != (i < kCount ? 1 : 0)) bad.fetch_add(1);
       }
