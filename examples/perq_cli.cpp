@@ -114,10 +114,12 @@ int main(int argc, char** argv) {
     core::PerqPolicy perq(&core::canonical_node_model(), wc_nodes, total, pcfg);
     run = core::run_experiment(cfg, perq);
     latency = metrics::summarize_decision_times(perq.decision_seconds());
+  } else if (policy_name == "fop") {
+    run = fop_run;  // the episode is deterministic: the reference is the run
+    latency = metrics::summarize_decision_times(run.decision_seconds);
   } else {
     std::unique_ptr<policy::PowerPolicy> p;
-    if (policy_name == "fop") p = policy::make_fop();
-    else if (policy_name == "sjs") p = policy::make_sjs();
+    if (policy_name == "sjs") p = policy::make_sjs();
     else if (policy_name == "ljs") p = policy::make_ljs();
     else if (policy_name == "srn") p = policy::make_srn();
     else {

@@ -71,7 +71,10 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" "$@"
 # run and that a deposed primary is fenced by epoch. tree-partition runs
 # the depth-2 arbiter tree and blacks out one mid's root uplink: the root
 # must fence the whole subtree's grant with per-level conservation and
-# the tenant SLA invariant checked on every tick.
+# the tenant SLA invariant checked on every tick. domain-partition and
+# tree-partition also fail when the root aggregate counts any clamp: under
+# an arbiter, a clamped plan means a domain was granted less than it had
+# already committed.
 for scenario in drop delay corrupt crash partition mix domain-partition tree-partition failover; do
   "$BUILD_DIR"/examples/perq_chaos --scenario "$scenario" --seed 7
   "$BUILD_DIR"/examples/perq_chaos --scenario "$scenario" --seed 1912

@@ -9,8 +9,7 @@ std::string to_string(const RobustnessCounters& c) {
   std::snprintf(buf, sizeof(buf),
                 "dropped %llu  corrupt %llu  reconnects %llu  stale %llu  "
                 "solver-fallbacks %llu  clamps %llu  failsafe %llu  "
-                "stale-epoch %llu  grants-fenced %llu  reparents %llu  "
-                "sla-floors %llu",
+                "stale-epoch %llu  grants-fenced %llu  sla-floors %llu",
                 static_cast<unsigned long long>(c.frames_dropped),
                 static_cast<unsigned long long>(c.frames_corrupt),
                 static_cast<unsigned long long>(c.reconnect_attempts),
@@ -20,7 +19,6 @@ std::string to_string(const RobustnessCounters& c) {
                 static_cast<unsigned long long>(c.failsafe_activations),
                 static_cast<unsigned long long>(c.stale_epoch_frames),
                 static_cast<unsigned long long>(c.grants_fenced),
-                static_cast<unsigned long long>(c.reparent_events),
                 static_cast<unsigned long long>(c.sla_floor_activations));
   return buf;
 }

@@ -41,14 +41,9 @@ struct RobustnessCounters {
   /// Frames rejected by epoch fencing: a deposed controller (or a report
   /// from one, at the arbiter) kept talking after a newer epoch was seen.
   std::uint64_t stale_epoch_frames = 0;
-  /// Grants frozen for a silent child (arbiter side: a domain stopped
-  /// reporting and its held grant was fenced off the pool) or discarded by
-  /// a re-parenting child (controller side: the old parent's grant must
-  /// never be drawn again once a new parent is dialed).
+  /// Grants frozen for a silent child: a domain stopped reporting and the
+  /// arbiter fenced its held grant off the pool.
   std::uint64_t grants_fenced = 0;
-  /// Runtime topology changes: a node detached from its parent arbiter and
-  /// re-attached elsewhere in the power tree.
-  std::uint64_t reparent_events = 0;
   /// Water-fill rounds where a tenant's SLA power floor lifted its demand
   /// floor above the physical nj * P_min (the floor actually shaped the
   /// allocation, instead of being dominated by the busy-node floor).
@@ -64,7 +59,6 @@ struct RobustnessCounters {
     failsafe_activations += o.failsafe_activations;
     stale_epoch_frames += o.stale_epoch_frames;
     grants_fenced += o.grants_fenced;
-    reparent_events += o.reparent_events;
     sla_floor_activations += o.sla_floor_activations;
     return *this;
   }
@@ -73,7 +67,7 @@ struct RobustnessCounters {
     return frames_dropped + frames_corrupt + reconnect_attempts +
            stale_transitions + solver_fallbacks + clamp_activations +
            failsafe_activations + stale_epoch_frames + grants_fenced +
-           reparent_events + sla_floor_activations;
+           sla_floor_activations;
   }
 };
 

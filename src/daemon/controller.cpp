@@ -13,9 +13,6 @@
 namespace perq::daemon {
 
 namespace {
-/// Ticks advance by one control interval; a frame claiming a tick this far
-/// beyond everything seen so far is a corrupted integer, not a fast clock.
-constexpr std::uint64_t kMaxTickJump = 1024;
 /// Replication batch ceiling: the batch plus the ReplTick envelope must fit
 /// one frame. A batch that outgrows this falls back to a full ReplSnapshot
 /// for that decide (correct, just heavier).
@@ -52,39 +49,6 @@ void PerqController::attach_arbiter(std::unique_ptr<net::Connection> conn,
   attachment_ = std::move(att);
   arbiter_reg_fd_ = arbiter_conn_->fd();
   reactor_.add(arbiter_reg_fd_);
-}
-
-void PerqController::reattach_arbiter(std::unique_ptr<net::Connection> conn,
-                                      std::uint32_t domain_id,
-                                      std::uint32_t domain_count,
-                                      DomainAttachment att) {
-  PERQ_REQUIRE(arbiter_conn_ != nullptr, "reattach without an arbiter");
-  // Tell the old parent this slot is *leaving*, not crashing: it must
-  // release the grant back to its pool instead of fencing it, or the
-  // subtree's watts would be spoken for in two places at once.
-  if (arbiter_conn_->open() && any_tick_seen_) {
-    proto::DomainReport leaving;
-    leaving.domain_id = domain_id_;
-    leaving.domain_count = domain_count_;
-    leaving.tick = current_tick_;
-    leaving.controller_epoch = epoch_;
-    leaving.flags = proto::kDomainLeaving;
-    arbiter_conn_->send(leaving);
-  }
-  if (arbiter_reg_fd_ >= 0) reactor_.remove(arbiter_reg_fd_);
-  arbiter_conn_.reset();
-  // Fence the old grant on this side too: the watts it named belong to the
-  // old subtree's budget and must never be drawn under the new parent.
-  if (any_grant_) {
-    any_grant_ = false;
-    granted_w_ = 0.0;
-    grant_tick_ = 0;
-    ++counters_.grants_fenced;
-  }
-  ++counters_.reparent_events;
-  any_report_ = false;
-  report_tick_ = 0;
-  attach_arbiter(std::move(conn), domain_id, domain_count, std::move(att));
 }
 
 double PerqController::budget_scope_w() const {
@@ -415,16 +379,11 @@ bool PerqController::on_telemetry(const proto::Telemetry& t) {
 }
 
 bool PerqController::accept_grant(const proto::BudgetGrant& g) {
-  // Sanity screen, same spirit as the heartbeat screen: the grant becomes
-  // the budget row, so a bit-flipped one must not starve or over-provision
-  // the domain. The cluster budget in the grant cross-checks the value.
+  // The grant becomes the budget row: the screen every tree child applies,
+  // plus the heartbeat's total budget as a second ceiling.
   const bool insane =
-      !std::isfinite(g.grant_w) || g.grant_w < 0.0 ||
-      !std::isfinite(g.cluster_budget_w) ||
-      g.grant_w > g.cluster_budget_w * (1.0 + 1e-9) + 1e-6 ||
-      (have_hb_ && g.grant_w > hb_.budget_total_w * (1.0 + 1e-9) + 1e-6) ||
-      (any_tick_seen_ && g.tick > current_tick_ + kMaxTickJump) ||
-      g.domain_id != domain_id_;
+      !grant_sane(g, domain_id_, any_tick_seen_, current_tick_) ||
+      (have_hb_ && g.grant_w > hb_.budget_total_w * (1.0 + 1e-9) + 1e-6);
   if (insane) {
     ++counters_.frames_corrupt;
     return false;

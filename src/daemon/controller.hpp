@@ -166,16 +166,6 @@ class PerqController {
                       std::uint32_t domain_id, std::uint32_t domain_count,
                       DomainAttachment att = {});
 
-  /// Runtime re-parenting: detaches from the current arbiter (announcing
-  /// kDomainLeaving so the old parent releases -- not fences -- the slot),
-  /// discards the old grant (counted in grants_fenced: those watts belong
-  /// to the old subtree and must never be drawn here again), and attaches
-  /// to the new parent under a possibly new id/count/placement. The next
-  /// decide falls back to the static share until the new parent grants.
-  void reattach_arbiter(std::unique_ptr<net::Connection> conn,
-                        std::uint32_t domain_id, std::uint32_t domain_count,
-                        DomainAttachment att = {});
-
   bool domain_mode() const { return arbiter_conn_ != nullptr; }
   std::uint32_t domain_id() const { return domain_id_; }
   const DomainAttachment& attachment() const { return attachment_; }

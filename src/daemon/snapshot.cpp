@@ -12,7 +12,7 @@ constexpr std::uint32_t kSnapshotMagic = 0x50455251;  // "PERQ"
 // across builds: it travels to a standby and into the replication WAL,
 // both written and read by the same build, so an older layout is refused
 // with a reason rather than decoded.
-constexpr std::uint16_t kSnapshotVersion = 5;
+constexpr std::uint16_t kSnapshotVersion = 6;
 // Header: u32 magic + u16 version + u32 crc. The crc covers every byte
 // after itself, so a torn or bit-flipped file is detected up front.
 constexpr std::size_t kCrcOffset = 6;
@@ -129,7 +129,6 @@ std::vector<std::uint8_t> encode_snapshot(const ControllerState& s) {
   w.u64(s.counters.stale_epoch_frames);
 
   w.u64(s.counters.grants_fenced);
-  w.u64(s.counters.reparent_events);
   w.u64(s.counters.sla_floor_activations);
 
   auto bytes = w.take();
@@ -224,7 +223,6 @@ std::optional<ControllerState> decode_snapshot(const std::uint8_t* data,
   s.counters.stale_epoch_frames = r.u64();
 
   s.counters.grants_fenced = r.u64();
-  s.counters.reparent_events = r.u64();
   s.counters.sla_floor_activations = r.u64();
   if (!r.exhausted()) return fail("truncated or oversized snapshot tail");
   return s;

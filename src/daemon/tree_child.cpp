@@ -1,5 +1,6 @@
 #include "daemon/tree_child.hpp"
 
+#include <cmath>
 #include <utility>
 
 namespace perq::daemon {
@@ -27,12 +28,20 @@ constexpr std::pair<std::uint64_t RobustnessCounters::*,
         {&RobustnessCounters::stale_epoch_frames,
          &DomainReport::stale_epoch_frames},
         {&RobustnessCounters::grants_fenced, &DomainReport::grants_fenced},
-        {&RobustnessCounters::reparent_events, &DomainReport::reparent_events},
         {&RobustnessCounters::sla_floor_activations,
          &DomainReport::sla_floor_activations},
 };
 
 }  // namespace
+
+bool grant_sane(const proto::BudgetGrant& g, std::uint32_t domain_id,
+                bool any_tick, std::uint64_t newest_tick) {
+  return std::isfinite(g.grant_w) && g.grant_w >= 0.0 &&
+         std::isfinite(g.cluster_budget_w) &&
+         g.grant_w <= g.cluster_budget_w * (1.0 + 1e-9) + 1e-6 &&
+         g.domain_id == domain_id &&
+         !(any_tick && g.tick > newest_tick + kMaxTickJump);
+}
 
 double child_scope_w(bool any_grant, double grant_w, double cluster_budget_w,
                      const DomainAttachment& att, std::uint32_t domain_count) {

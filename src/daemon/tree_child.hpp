@@ -1,10 +1,10 @@
 // What every child of a power-tree arbiter does toward its parent, whether
 // it is a domain controller (PerqController::attach_arbiter) or a stacked
 // arbiter (hier::ArbiterDaemon::attach_parent): it is placed by a
-// DomainAttachment, it falls back to the same cold-start scope until its
-// first grant, and it flattens its robustness counters into the
-// DomainReport it sends up. Each rule is written once here, so the two
-// kinds of child cannot drift apart.
+// DomainAttachment, it screens every grant its parent sends, it falls back
+// to the same cold-start scope until its first grant, and it flattens its
+// robustness counters into the DomainReport it sends up. Each rule is
+// written once here, so the two kinds of child cannot drift apart.
 //
 // Kept free of hier/ includes -- the daemon layer is below hier in the
 // link order -- so the tenant fields mirror hier::TenantSpec by value.
@@ -32,6 +32,19 @@ struct DomainAttachment {
   double sla_floor_w = 0.0;
   double priority_weight = 1.0;
 };
+
+/// Ticks advance by one control interval; a frame claiming a tick this far
+/// past the newest one seen is a corrupted integer, not a fast clock.
+inline constexpr std::uint64_t kMaxTickJump = 1024;
+
+/// The screen a child applies to a parent grant before the grant may
+/// become its scope: finite, non-negative watts within the cluster budget
+/// the grant names, addressed to `domain_id`, and -- once the child has
+/// seen a tick (`any_tick`) -- at most kMaxTickJump past `newest_tick`. A
+/// bit-flipped grant must neither starve nor over-provision the subtree,
+/// nor out-tick every later grant and freeze the scope.
+bool grant_sane(const proto::BudgetGrant& g, std::uint32_t domain_id,
+                bool any_tick, std::uint64_t newest_tick);
 
 /// The budget a child spends (a controller's budget row) or divides (a
 /// stacked arbiter's scope). Once a grant arrived it is the newest grant,

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <map>
 #include <memory>
-#include <tuple>
 
 #include "apps/app_model.hpp"
 #include "fault/faulty_transport.hpp"
@@ -70,37 +69,27 @@ DeploymentReport run_deployment(const Deployment& dep,
   }
   FaultyTransport transport(loop, plan);
 
-  // --- wiring: leaves are controllers, interior nodes arbiters ---
-  std::vector<std::uint32_t> parent(n);
-  std::vector<std::vector<std::uint32_t>> children(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
+  // --- wiring: leaves are controllers, interior nodes arbiters with one
+  // slot per child, in ascending node id ---
+  std::vector<std::uint32_t> parent(n, 0);
+  std::vector<std::uint32_t> slots(n, 0);           // child slots per node
+  std::vector<std::uint32_t> slot_in_parent(n, 0);  // each node's slot above
+  for (std::uint32_t i = 1; i < n; ++i) {
     parent[i] = dep.tree.nodes[i].parent;
-    if (i > 0) children[parent[i]].push_back(i);
+    slot_in_parent[i] = slots[parent[i]]++;
   }
-  // Child slots per arbiter, plus each node's slot under its parent (kept
-  // current across re-parents). Arbiters below the root carry one spare
-  // slot when re-parents are scripted.
-  std::vector<std::uint32_t> slots(n);
-  std::vector<std::uint32_t> slot_in_parent(n, 0);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const bool spare = i > 0 && !children[i].empty() && !dep.reparents.empty();
-    slots[i] = static_cast<std::uint32_t>(children[i].size() + (spare ? 1 : 0));
-    for (std::uint32_t c = 0; c < children[i].size(); ++c) {
-      slot_in_parent[children[i][c]] = c;
-    }
-  }
-  // Placement of `node` under arbiter `to`: its tenant terms and, below
+  // Placement of `node` under its parent: its tenant terms and, below
   // depth 1, the cold-start share composed down the tree (one division by
   // the product of the slot counts above, so shares stay bit-exact). A
   // depth-1 tree keeps the flat deployment's equal split.
   const bool flat = tree.depth() <= 1;
-  const auto attachment = [&](std::uint32_t node, std::uint32_t to) {
+  const auto attachment = [&](std::uint32_t node) {
     daemon::DomainAttachment att;
     att.sla_floor_w = tree.tenant(node).sla_floor_w;
     att.priority_weight = tree.tenant(node).priority_weight;
     if (flat) return att;
     std::size_t den = 1;
-    for (const std::uint32_t a : tree.path_to(to)) den *= slots[a];
+    for (const std::uint32_t a : tree.path_to(parent[node])) den *= slots[a];
     att.static_share = 1.0 / static_cast<double>(den);
     return att;
   };
@@ -111,7 +100,7 @@ DeploymentReport run_deployment(const Deployment& dep,
   std::vector<std::string> leaf_addresses;  // by leaf slot
   for (std::uint32_t i = 0; i < n; ++i) {
     address[i] = "perq-node-" + std::to_string(i);
-    if (children[i].empty()) {
+    if (slots[i] == 0) {
       controllers[i] = std::make_unique<daemon::PerqController>(
           transport.listen(address[i]), *leaf_policies[leaf_addresses.size()],
           dep.controller);
@@ -125,10 +114,10 @@ DeploymentReport run_deployment(const Deployment& dep,
     auto uplink = transport.connect(address[parent[i]]);
     if (arbiters[i] != nullptr) {
       arbiters[i]->attach_parent(std::move(uplink), slot_in_parent[i],
-                                 slots[parent[i]], attachment(i, parent[i]));
+                                 slots[parent[i]], attachment(i));
     } else {
       controllers[i]->attach_arbiter(std::move(uplink), slot_in_parent[i],
-                                     slots[parent[i]], attachment(i, parent[i]));
+                                     slots[parent[i]], attachment(i));
     }
   }
   const std::string standby_address = "perq-standby";
@@ -192,9 +181,6 @@ DeploymentReport run_deployment(const Deployment& dep,
   std::uint64_t silent = 0;
   std::uint64_t last_repl = has_standby ? standby->replicated_decides() : 0;
   std::uint64_t divergence = 0;
-  std::vector<bool> spare_used(n, false);
-  /// (first tick to check from, arbiter, slot) per executed re-parent.
-  std::vector<std::tuple<std::uint64_t, std::uint32_t, std::uint32_t>> released;
 
   // The controller whose plans the plant applies for leaf `node`.
   const auto serving = [&](std::uint32_t node) {
@@ -228,33 +214,6 @@ DeploymentReport run_deployment(const Deployment& dep,
           redial(i, standby_address);
         }
       }
-    }
-
-    for (const ReparentEvent& ev : dep.reparents) {
-      if (ev.tick != tick) continue;
-      PERQ_REQUIRE(ev.node < n && controllers[ev.node] != nullptr &&
-                       ev.new_parent >= 1 && ev.new_parent < n &&
-                       arbiters[ev.new_parent] != nullptr,
-                   "re-parent must move a leaf under an arbiter below the root");
-      const std::uint32_t old_parent = parent[ev.node];
-      if (old_parent == ev.new_parent) continue;
-      PERQ_REQUIRE(!spare_used[ev.new_parent],
-                   "target arbiter's spare slot is already taken");
-      const std::uint32_t spare = slots[ev.new_parent] - 1;
-      try {
-        controllers[ev.node]->reattach_arbiter(
-            transport.connect(address[ev.new_parent]), spare,
-            slots[ev.new_parent], attachment(ev.node, ev.new_parent));
-      } catch (const precondition_error&) {
-        continue;  // target listener gone; the leaf stays where it is
-      }
-      spare_used[ev.new_parent] = true;
-      // The leaving report reaches the old parent on its next pump; by two
-      // ticks later the release must have zeroed the slot for good.
-      released.emplace_back(tick + 2, old_parent, slot_in_parent[ev.node]);
-      parent[ev.node] = ev.new_parent;
-      slot_in_parent[ev.node] = spare;
-      ++report.reparents_executed;
     }
 
     for (const AgentEvent& e : dep.events) {
@@ -414,14 +373,6 @@ DeploymentReport run_deployment(const Deployment& dep,
         }
       }
     }
-    // Re-parent hygiene: a released slot stays at zero watts -- the moved
-    // subtree must never draw from old and new parents at once.
-    for (const auto& [from_tick, a, slot] : released) {
-      const double g = arbiters[a]->grants_w()[slot];
-      if (tick >= from_tick && g != 0.0) {
-        violation("released slot still holds watts after re-parent", g, 0.0);
-      }
-    }
     if (has_standby && standby->repl_divergence() > divergence) {
       divergence = standby->repl_divergence();
       violation("standby replay diverged from the primary's plan",
@@ -446,7 +397,7 @@ DeploymentReport run_deployment(const Deployment& dep,
       : leaves == 1 ? leaf_policies[0]->name()
                     : "PERQ-HIER" + std::to_string(leaves));
   for (std::uint32_t i = 0; i < n; ++i) {
-    if (!children[i].empty()) continue;
+    if (slots[i] != 0) continue;
     const daemon::PerqController* c = serving(i);
     report.controller_counters.push_back(
         c != nullptr ? c->counters() : core::RobustnessCounters{});

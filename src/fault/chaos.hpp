@@ -16,8 +16,8 @@
 // Connection dial order, which is what ConnectionSchedule indices count:
 // every non-root node's uplink in ascending node id (node n's uplink is
 // connection n - 1), then the standby's replication link, then agent i's
-// connection, then everything dialed later (rejoins, reconnects, re-parent
-// and failover dials).
+// connection, then everything dialed later (rejoins, reconnects and
+// failover dials).
 //
 // Invariants, each checked wherever it applies. Violations are recorded,
 // not thrown, so one run reports every breach:
@@ -33,9 +33,6 @@
 //   * Tenant SLA fairness at every arbiter: no live child below its
 //     (capacity-clipped) SLA floor while a live sibling holds more than
 //     its own floor and the equal share of the scope.
-//   * Re-parent hygiene: from two ticks after a scripted re-parent, the old
-//     parent's slot holds zero watts (released, not fenced), so a subtree
-//     never draws from two parents.
 //   * Fail-safe decay: once a group has been planless past
 //     PlantConfig::failsafe_after_ticks, its held caps follow
 //     cap' <= floor + (cap - floor) * decay, never rising.
@@ -80,15 +77,6 @@ struct AgentEvent {
   Kind kind = Kind::kHang;
 };
 
-/// Scripted runtime re-parent: at the top of `tick`, leaf `node` detaches
-/// from its arbiter (sending the kDomainLeaving release) and re-attaches in
-/// the spare slot of `new_parent`, an arbiter below the root. Tree node ids.
-struct ReparentEvent {
-  std::uint64_t tick = 0;
-  std::uint32_t node = 0;
-  std::uint32_t new_parent = 0;
-};
-
 struct Deployment {
   core::EngineConfig engine;
   daemon::ControllerConfig controller;  ///< every leaf controller and standby
@@ -107,10 +95,6 @@ struct Deployment {
   /// fences one domain, severing an arbiter's fences its whole subtree.
   std::vector<std::pair<std::uint32_t, TickWindow>> uplink_partitions;
   std::vector<AgentEvent> events;
-  /// When any re-parent is scripted, every arbiter below the root is built
-  /// with one spare child slot for it to land in (the slot's cold-start
-  /// reserve is the price of admission capacity).
-  std::vector<ReparentEvent> reparents;
   /// Stop after this many ticks (0 = run until the engine is done).
   std::uint64_t max_ticks = 0;
 
@@ -168,7 +152,6 @@ struct DeploymentReport {
   std::uint64_t held_ticks = 0;  ///< ticks the plant held previous caps
   /// By tree node id; leaves keep the zero outcome.
   std::vector<ArbiterOutcome> arbiters;
-  std::uint64_t reparents_executed = 0;
   /// Worst sum(grants) + reserved - scope over every decision at every
   /// arbiter (scope captured at decide time, so no lag slack is needed).
   double max_level_overdraw_w = 0.0;

@@ -8,10 +8,6 @@
 namespace perq::hier {
 
 namespace {
-/// Same corrupted-integer screen the controller applies to heartbeats: a
-/// report claiming a tick this far past everything seen is a bit flip.
-constexpr std::uint64_t kMaxTickJump = 1024;
-
 /// The allocator's view of one domain's report. Tenant terms come from the
 /// wire too (their defaults are exact no-ops).
 DomainDemand to_demand(const proto::DomainReport& r) {
@@ -61,8 +57,17 @@ double ArbiterDaemon::budget_in_use(double cluster_budget_w) const {
                                parent_domain_count_);
 }
 
+std::optional<std::uint64_t> ArbiterDaemon::newest_report_tick() const {
+  std::optional<std::uint64_t> newest;
+  for (const DomainSlot& s : slots_) {
+    if (s.any_report) newest = std::max(newest.value_or(0), s.latest.tick);
+  }
+  return newest;
+}
+
 void ArbiterDaemon::pump_parent() {
   if (parent_conn_ == nullptr || !parent_conn_->open()) return;
+  const std::optional<std::uint64_t> newest = newest_report_tick();
   inbox_.clear();
   parent_conn_->receive_into(inbox_);
   for (const proto::Message& m : inbox_) {
@@ -71,11 +76,10 @@ void ArbiterDaemon::pump_parent() {
       ++counters_.frames_corrupt;  // only grants flow down this link
       continue;
     }
-    const bool insane = !std::isfinite(g->grant_w) || g->grant_w < 0.0 ||
-                        !std::isfinite(g->cluster_budget_w) ||
-                        g->grant_w > g->cluster_budget_w * (1.0 + 1e-9) + 1e-6 ||
-                        g->domain_id != parent_domain_id_;
-    if (insane) {
+    // Ticks are screened against the newest reported one, the reference
+    // ingest() screens reports against.
+    if (!daemon::grant_sane(*g, parent_domain_id_, newest.has_value(),
+                            newest.value_or(0))) {
       ++counters_.frames_corrupt;
       continue;
     }
@@ -170,10 +174,7 @@ void ArbiterDaemon::ingest(std::size_t session_index, const proto::Message& m) {
   // split for the whole cluster, so a bit-flipped one (NaN demand, a
   // non-finite or negative tenant term, a floor above the ceiling, a domain
   // id from nowhere) must not skew every other domain's grant.
-  std::uint64_t newest = 0;
-  for (const DomainSlot& s : slots_) {
-    if (s.any_report) newest = std::max(newest, s.latest.tick);
-  }
+  const std::uint64_t newest = newest_report_tick().value_or(0);
   const bool insane =
       r->domain_id >= slots_.size() ||
       r->domain_count != static_cast<std::uint32_t>(slots_.size()) ||
@@ -184,7 +185,7 @@ void ArbiterDaemon::ingest(std::size_t session_index, const proto::Message& m) {
       !std::isfinite(r->priority_weight) || r->busy_nodes < 0.0 ||
       r->floor_w < 0.0 || r->sla_floor_w < 0.0 || r->priority_weight < 0.0 ||
       r->capacity_w < r->floor_w - 1e-6 || r->cluster_budget_w < 0.0 ||
-      r->tick > newest + kMaxTickJump;
+      r->tick > newest + daemon::kMaxTickJump;
   if (insane) {
     ++counters_.frames_corrupt;
     return;
@@ -202,21 +203,6 @@ void ArbiterDaemon::ingest(std::size_t session_index, const proto::Message& m) {
   }
   slot.max_epoch = std::max(slot.max_epoch, r->controller_epoch);
 
-  // A leaving child (re-parented under another arbiter) is *released*, not
-  // fenced: its watts are no longer actuated under this arbiter's grants,
-  // so freezing them would strand budget while the new parent grants the
-  // same subtree -- the double-draw this flag exists to prevent. The slot
-  // reverts to never-reported and never-granted (cold-start reserve) in
-  // case a future child reuses the id; the epoch fence above survives the
-  // reset.
-  if ((r->flags & proto::kDomainLeaving) != 0) {
-    if (slot.fenced) fenced_w_ -= slot.grant_w;
-    const std::uint64_t epoch = slot.max_epoch;
-    slot = DomainSlot{};
-    slot.max_epoch = epoch;
-    return;
-  }
-
   Session& session = sessions_[session_index];
   session.bound = true;
   session.domain_id = r->domain_id;
@@ -231,14 +217,9 @@ void ArbiterDaemon::ingest(std::size_t session_index, const proto::Message& m) {
 bool ArbiterDaemon::try_decide() {
   // T = the newest reported tick; decide once every domain that has ever
   // reported either reached T or fell stale_after_ticks behind it.
-  std::uint64_t t = 0;
-  bool any = false;
-  for (const DomainSlot& s : slots_) {
-    if (!s.any_report) continue;
-    any = true;
-    t = std::max(t, s.latest.tick);
-  }
-  if (!any) return false;
+  const std::optional<std::uint64_t> newest = newest_report_tick();
+  if (!newest) return false;
+  const std::uint64_t t = *newest;
   if (decisions_ > 0 && t <= decided_tick_) return false;
 
   std::vector<DomainDemand> live;

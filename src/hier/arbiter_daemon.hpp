@@ -31,12 +31,10 @@
 // never loses a leaf, so an absent leaf there is an empty domain that must
 // get zero.
 //
-// A domain that announces kDomainLeaving (re-parented under another
-// arbiter) is released: its slot resets, so its grant returns to the pool
-// instead of staying fenced and the moved subtree never draws from old and
-// new parents at once. No grant from the old parent can reach it
-// afterwards: a grant travels only on the link to the parent that sent
-// it, and the leaving child drops that link without reading it again.
+// The tree keeps the shape it started with: each child keeps its slot for
+// the arbiter's lifetime. A subtree moves only by restarting its processes
+// under a new parent; the old parent then fences the silent slot's last
+// grant, as it does for any child that goes silent.
 //
 // The arbiter also aggregates the robustness counters that ride along in
 // every DomainReport: aggregated_counters() is the cluster-wide accounting
@@ -52,11 +50,14 @@
 // and divides its *parent grant* -- not the heartbeat cluster budget --
 // among its children on the next round; before the first parent grant it
 // divides the same cold-start scope a domain controller would assume
-// (daemon::child_scope_w).
+// (daemon::child_scope_w). It screens each parent grant as a domain
+// controller does (daemon::grant_sane), with the newest reported tick as
+// the reference its reports are screened against too.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/robustness.hpp"
@@ -102,11 +103,9 @@ class ArbiterDaemon {
   std::size_t session_count() const { return sessions_.size(); }
 
   /// Grants as of the last allocation, indexed by domain id (fenced
-  /// domains keep their frozen grant; never-granted and released domains
-  /// read zero).
+  /// domains keep their frozen grant; never-granted domains read zero).
   std::vector<double> grants_w() const;
-  /// Watts frozen for stale domains in the last allocation, less the
-  /// grants of any released since.
+  /// Watts frozen for stale domains in the last allocation.
   double fenced_w() const { return fenced_w_; }
   /// True when `domain` was fenced in the last allocation.
   bool fenced(std::uint32_t domain) const;
@@ -159,11 +158,13 @@ class ArbiterDaemon {
     /// over) and are fenced: counted, never applied.
     std::uint64_t max_epoch = 0;
     double grant_w = 0.0;  ///< last grant; frozen while fenced
-    bool granted = false;  ///< holds a grant (cleared by a release)
+    bool granted = false;  ///< has held a grant
     bool fenced = false;   ///< stale at the last allocation
   };
 
   void ingest(std::size_t session_index, const proto::Message& m);
+  /// Newest tick any domain has reported; empty before the first report.
+  std::optional<std::uint64_t> newest_report_tick() const;
   bool try_decide();
   /// Drains parent grants (stacked mode): newest wins.
   void pump_parent();

@@ -49,7 +49,6 @@ core::RobustnessCounters HierarchicalPerqPolicy::counters() const {
   core::RobustnessCounters sum;
   for (const auto& p : policies_) sum += p->counters();
   sum.sla_floor_activations += tree_->sla_floor_activations();
-  sum.reparent_events += tree_->reparent_events();
   return sum;
 }
 

@@ -75,15 +75,9 @@ class HierarchicalPerqPolicy final : public policy::PowerPolicy {
   const std::vector<DomainDemand>& last_demands() const { return last_demands_; }
 
   /// Aggregated robustness counters: the sum over all domain policies plus
-  /// the tree's allocation accounting (SLA floors, re-parent events) --
-  /// sharding must not lose accounting relative to the monolithic run.
+  /// the tree's SLA floor activations -- sharding must not lose accounting
+  /// relative to the monolithic run.
   core::RobustnessCounters counters() const;
-
-  /// The budget tree driving allocate() for K > 1. Mutable so callers can
-  /// re-parent subtrees between decisions (the next allocate() follows the
-  /// new edges).
-  PowerTree& tree() { return *tree_; }
-  const PowerTree& tree() const { return *tree_; }
 
   /// Per-interval decision latency of the whole hierarchical step
   /// (arbiter + slowest domain solve), aligned with allocate() calls.

@@ -6,13 +6,6 @@
 
 namespace perq::hier {
 
-namespace {
-
-/// Sentinel in leaf_of_node_ for interior nodes.
-constexpr std::uint32_t kNotALeaf = TreeSpec::kNoParent;
-
-}  // namespace
-
 TreeSpec TreeSpec::flat(std::size_t leaves) {
   PERQ_REQUIRE(leaves >= 1, "flat tree needs at least one leaf");
   TreeSpec spec;
@@ -68,22 +61,6 @@ PowerTree::PowerTree(TreeSpec spec) : spec_(std::move(spec)) {
                      spec_.nodes[i].parent != i,
                  "tree node has an invalid parent");
   }
-  rebuild_edges();
-
-  // Leaves are fixed at construction: the childless nodes, slotted in
-  // ascending node-id order so slot d of flat(K) is node 1+d.
-  leaf_of_node_.assign(spec_.nodes.size(), kNotALeaf);
-  for (std::size_t i = 0; i < spec_.nodes.size(); ++i) {
-    if (children_[i].empty()) {
-      leaf_of_node_[i] = static_cast<std::uint32_t>(node_of_leaf_.size());
-      node_of_leaf_.push_back(static_cast<std::uint32_t>(i));
-    }
-  }
-  leaf_grants_w_.assign(leaves(), 0.0);
-  node_grants_w_.assign(nodes(), 0.0);
-}
-
-void PowerTree::rebuild_edges() {
   const std::size_t n = spec_.nodes.size();
   children_.assign(n, {});
   for (std::size_t i = 1; i < n; ++i) {
@@ -94,13 +71,22 @@ void PowerTree::rebuild_edges() {
 
   // Topological order by BFS from the root; visiting all n nodes doubles
   // as the acyclicity/connectivity check.
-  topo_.clear();
   topo_.reserve(n);
   topo_.push_back(0);
   for (std::size_t head = 0; head < topo_.size(); ++head) {
     for (std::uint32_t c : children_[topo_[head]]) topo_.push_back(c);
   }
   PERQ_REQUIRE(topo_.size() == n, "tree has a cycle or unreachable nodes");
+
+  // Leaves are the childless nodes, slotted in ascending node-id order so
+  // slot d of flat(K) is node 1+d.
+  for (std::size_t i = 0; i < n; ++i) {
+    if (children_[i].empty()) {
+      node_of_leaf_.push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+  leaf_grants_w_.assign(leaves(), 0.0);
+  node_grants_w_.assign(nodes(), 0.0);
 }
 
 std::size_t PowerTree::depth() const {
@@ -132,26 +118,6 @@ std::vector<std::uint32_t> PowerTree::path_to(std::uint32_t node) const {
 const TenantSpec& PowerTree::tenant(std::uint32_t node) const {
   PERQ_REQUIRE(node < nodes(), "tenant of unknown node");
   return spec_.nodes[node].tenant;
-}
-
-bool PowerTree::in_subtree(std::uint32_t node, std::uint32_t candidate) const {
-  for (std::uint32_t i = candidate; i != TreeSpec::kNoParent;
-       i = spec_.nodes[i].parent) {
-    if (i == node) return true;
-  }
-  return false;
-}
-
-void PowerTree::reparent(std::uint32_t node, std::uint32_t new_parent) {
-  PERQ_REQUIRE(node != 0 && node < nodes(), "cannot re-parent the root");
-  PERQ_REQUIRE(new_parent < nodes(), "re-parent to unknown node");
-  PERQ_REQUIRE(leaf_of_node_[new_parent] == kNotALeaf,
-               "re-parent target must be an interior node");
-  PERQ_REQUIRE(!in_subtree(node, new_parent),
-               "re-parent would create a cycle");
-  spec_.nodes[node].parent = new_parent;
-  rebuild_edges();
-  ++reparent_events_;
 }
 
 const std::vector<double>& PowerTree::allocate(

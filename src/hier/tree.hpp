@@ -29,14 +29,12 @@
 //   * Conservation composes: sum(child grants) <= parent grant at every
 //     node, hence sum(leaf grants) <= cluster budget at any depth.
 //
-// Topology is dynamic: reparent() moves a whole subtree under a new
-// interior parent at runtime (acyclicity checked), modelling a tenant
-// migrating between racks/rows. In-process the tree just re-aggregates
-// along the new edges on the next allocate(). The tree holds no fencing
-// state: its in-process caller never loses a leaf, so an absent leaf is an
-// empty domain and is granted zero. Fencing a silent child at its held
-// grant, and releasing one that re-parents, belong to the daemon that can
-// lose a child (ArbiterDaemon, arbiter_daemon.hpp).
+// The topology is fixed at construction: the edges are built once, and
+// every allocate() runs over them. The tree holds no fencing state: its
+// in-process caller never loses a leaf, so an absent leaf is an empty
+// domain and is granted zero. Fencing a silent child at its held grant
+// belongs to the daemon that can lose a child (ArbiterDaemon,
+// arbiter_daemon.hpp).
 #pragma once
 
 #include <cstdint>
@@ -48,11 +46,9 @@
 namespace perq::hier {
 
 /// Static description of a budget tree. Node 0 is the root; every other
-/// node names its parent. Leaves are the childless nodes *at
-/// construction* and stay leaves for the tree's lifetime (re-parenting
-/// moves subtrees between interior nodes, it never turns a leaf into a
-/// parent). Leaf slots -- the domain ids the MPC shards are keyed by --
-/// are assigned in ascending node-id order over the leaves.
+/// node names its parent. Leaves are the childless nodes. Leaf slots --
+/// the domain ids the MPC shards are keyed by -- are assigned in ascending
+/// node-id order over the leaves.
 struct TreeSpec {
   static constexpr std::uint32_t kNoParent = 0xffffffffu;
 
@@ -109,29 +105,19 @@ class PowerTree {
   /// included: this is what per-level conservation is asserted against).
   const std::vector<double>& node_grants_w() const { return node_grants_w_; }
 
-  /// Moves `node`'s subtree under `new_parent` (an interior node outside
-  /// the subtree). Takes effect on the next allocate().
-  void reparent(std::uint32_t node, std::uint32_t new_parent);
-
   std::uint64_t decisions() const { return decisions_; }
-  std::uint64_t reparent_events() const { return reparent_events_; }
   /// SLA floors that shaped an allocation, summed over every level.
   std::uint64_t sla_floor_activations() const { return sla_floor_activations_; }
 
  private:
-  void rebuild_edges();
-  bool in_subtree(std::uint32_t node, std::uint32_t candidate) const;
-
-  TreeSpec spec_;
+  const TreeSpec spec_;
   std::vector<std::vector<std::uint32_t>> children_;  // ascending node id
   std::vector<std::uint32_t> node_of_leaf_;           // leaf slot -> node id
-  std::vector<std::uint32_t> leaf_of_node_;           // node id -> slot or kNoParent
   std::vector<std::uint32_t> topo_;                   // parents before children
 
   std::vector<double> leaf_grants_w_;
   std::vector<double> node_grants_w_;
   std::uint64_t decisions_ = 0;
-  std::uint64_t reparent_events_ = 0;
   std::uint64_t sla_floor_activations_ = 0;
 };
 

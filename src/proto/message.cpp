@@ -75,9 +75,7 @@ void write_body(WireWriter& w, const DomainReport& m) {
   w.u64(m.failsafe_activations);
   w.u64(m.stale_epoch_frames);
   w.u64(m.controller_epoch);
-  w.u8(m.flags);
   w.u64(m.grants_fenced);
-  w.u64(m.reparent_events);
   w.u64(m.sla_floor_activations);
   w.f64(m.sla_floor_w);
   w.f64(m.priority_weight);
@@ -175,9 +173,7 @@ DomainReport read_domain_report(WireReader& r) {
   m.failsafe_activations = r.u64();
   m.stale_epoch_frames = r.u64();
   m.controller_epoch = r.u64();
-  m.flags = r.u8();
   m.grants_fenced = r.u64();
-  m.reparent_events = r.u64();
   m.sla_floor_activations = r.u64();
   m.sla_floor_w = r.f64();
   m.priority_weight = r.f64();

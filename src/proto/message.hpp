@@ -128,9 +128,6 @@ struct Bye {
   std::uint32_t agent_id = 0;
 };
 
-/// DomainReport flags.
-inline constexpr std::uint8_t kDomainLeaving = 1u << 0;  ///< re-parenting away
-
 /// One budget domain's demand summary, sent by its controller (or by a
 /// stacked arbiter for its subtree) to the arbiter once per control
 /// interval. The water-filling allocation reads the busy nodes, the hard
@@ -168,11 +165,9 @@ struct DomainReport {
   /// fences reports whose epoch is lower than the newest it has seen for
   /// the domain -- a deposed domain controller cannot steal grants back.
   std::uint64_t controller_epoch = 0;
-  std::uint8_t flags = 0;  ///< kDomainLeaving: release my slot, I re-parented
   /// Tree-level robustness counters, aggregated up the hierarchy the same
   /// way the ones above are (order matches core::RobustnessCounters).
   std::uint64_t grants_fenced = 0;
-  std::uint64_t reparent_events = 0;
   std::uint64_t sla_floor_activations = 0;
   /// Tenant terms (see hier::TenantSpec; defaults are exact no-ops).
   double sla_floor_w = 0.0;
@@ -181,8 +176,8 @@ struct DomainReport {
 
 /// The arbiter's answer: the watts `domain_id` may spend at `tick`. One
 /// fixed 28-byte body at every level of the tree. A grant names no sender:
-/// it arrives only on the link to the parent that sent it, and a child
-/// that re-parents drops that link without reading it again.
+/// it arrives only on the link to the parent that sent it, and a tree's
+/// links are fixed for the life of its processes.
 struct BudgetGrant {
   std::uint32_t domain_id = 0;
   std::uint64_t tick = 0;

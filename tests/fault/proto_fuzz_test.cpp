@@ -87,9 +87,7 @@ std::vector<Message> sample_messages() {
   r.failsafe_activations = 2;
   r.stale_epoch_frames = 1;
   r.controller_epoch = 4;
-  r.flags = kDomainLeaving;
   r.grants_fenced = 2;
-  r.reparent_events = 1;
   r.sla_floor_activations = 5;
   r.sla_floor_w = 500.0;
   r.priority_weight = 2.0;

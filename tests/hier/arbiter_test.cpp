@@ -1,7 +1,8 @@
 // water_fill property tests: conservation, floors, the K=1 exactness
 // guarantee and determinism under randomized demands. ArbiterDaemon: the
-// held-grant fencing of silent domains, the release of leaving ones and the
-// arbiter's own accounting, driven over loopback with hand-built reports.
+// held-grant fencing of silent domains, the screening of a stacked
+// arbiter's parent grants and the arbiter's own accounting, driven over
+// loopback with hand-built reports and grants.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -281,14 +282,6 @@ struct ArbiterRig {
     EXPECT_TRUE(arbiter.service()) << "no grant round at tick " << tick;
     return arbiter.grants_w();
   }
-
-  /// `domain` announces it re-parented away (kDomainLeaving).
-  void leave(std::uint32_t domain) {
-    proto::DomainReport r = report(domain, 0.0);
-    r.flags = proto::kDomainLeaving;
-    links[domain]->send(r);
-    arbiter.pump();
-  }
 };
 
 TEST(ArbiterDaemon, FencesSilentDomainAtHeldGrant) {
@@ -332,33 +325,43 @@ TEST(ArbiterDaemon, NeverGrantedSilentDomainIsNotFenced) {
   EXPECT_EQ(rig.arbiter.reserved_w(), 500.0);
 }
 
-TEST(ArbiterDaemon, ReleaseReturnsWattsToThePool) {
-  // A domain that *announces* it is leaving (re-parented under another
-  // arbiter) is released, not fenced: unlike a silent crash its watts are
-  // no longer physically committed here, so they must return to the pool
-  // or the subtree would double-draw from old and new parents.
-  ArbiterRig rig(2);
-  Rng rng(17);
-  const auto demands = random_demands(rng, 2);
-  const double budget = 20000.0;
-  EXPECT_GT(rig.round(budget, demands)[1], 0.0);
-  rig.round(budget, {demands[0]});  // silent first: fenced at its grant
-  ASSERT_TRUE(rig.arbiter.fenced(1));
+TEST(ArbiterDaemon, FarFutureParentGrantTickIsScreened) {
+  // A stacked arbiter with one child, under a hand-driven parent link. A
+  // parent grant whose tick is far past every reported tick is a bit flip:
+  // taken, it would out-tick every later grant and freeze the subtree at
+  // watts the parent no longer grants it.
+  ArbiterRig rig(1);
+  const auto parent = rig.transport.listen("parent");
+  rig.arbiter.attach_parent(rig.transport.connect("parent"), 0, 1);
+  auto accepted = parent->accept_new();
+  ASSERT_EQ(accepted.size(), 1u);
+  net::Connection& down = *accepted[0];
+  const auto grant = [&down](std::uint64_t tick, double grant_w) {
+    proto::BudgetGrant g;
+    g.domain_id = 0;
+    g.tick = tick;
+    g.grant_w = grant_w;
+    g.cluster_budget_w = 8000.0;
+    down.send(g);
+  };
+  DomainDemand d;
+  d.busy_nodes = 10.0;
+  d.floor_w = 700.0;
+  d.capacity_w = 2150.0;
 
-  rig.leave(1);
-  EXPECT_EQ(rig.arbiter.grants_w()[1], 0.0);
-  EXPECT_FALSE(rig.arbiter.fenced(1));
-  EXPECT_EQ(rig.arbiter.fenced_w(), 0.0);
+  grant((std::uint64_t{1} << 40) + 3, 4000.0);
+  rig.round(8000.0, {d});
+  EXPECT_EQ(rig.arbiter.scope_w(), 8000.0);  // still the cold-start scope
+  EXPECT_EQ(rig.arbiter.aggregated_counters().frames_corrupt, 1u);
 
-  // Next decision: domain 1 stays silent but is NOT fenced (a released
-  // slot is a never-reported one), so the lone live domain gets the whole
-  // pool: the budget less the cold-start reserve of the released slot.
-  const auto grants = rig.round(budget, {demands[0]});
-  EXPECT_EQ(rig.arbiter.reserved_w(), budget / 2.0);
-  EXPECT_EQ(bits(grants[0]), bits(budget - rig.arbiter.reserved_w()));
-  EXPECT_EQ(grants[1], 0.0);
-  EXPECT_FALSE(rig.arbiter.fenced(1));
-  EXPECT_EQ(rig.arbiter.fenced_w(), 0.0);
+  // The parent's real grants, in tick order, each become the scope.
+  grant(rig.tick + 2, 2000.0);
+  rig.round(8000.0, {d});
+  EXPECT_EQ(rig.arbiter.scope_w(), 2000.0);
+  grant(rig.tick + 2, 1000.0);
+  rig.round(8000.0, {d});
+  EXPECT_EQ(rig.arbiter.scope_w(), 1000.0);
+  EXPECT_EQ(rig.arbiter.aggregated_counters().frames_corrupt, 1u);
 }
 
 TEST(ArbiterDaemon, SlaActivationsAccumulateAcrossDecisions) {

@@ -1,8 +1,8 @@
 // PowerTree property tests: the depth-1 tree IS the two-level arbiter
 // (bit-for-bit), fanout-1 chains pass the budget through exactly, grants
 // conserve at every level of a deep tree, leaf-demand order never matters,
-// tenant terms (SLA floors, priorities) shape the fill, and runtime
-// re-parenting moves subtrees while rejecting illegal moves.
+// tenant terms (SLA floors, priorities) shape the fill, and malformed
+// demand sets are rejected.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -219,36 +219,6 @@ TEST(PowerTree, TenantPriorityTiltsTheFill) {
   // Equal demand, double priority: leaf 0 draws head-room twice as fast.
   EXPECT_NEAR(grants[0] - 700.0, 2.0 * (grants[1] - 700.0), 1e-6);
   EXPECT_NEAR(sum(grants), budget, 1e-6);
-}
-
-TEST(PowerTree, ReparentMovesTheSubtreeAndCountsEvents) {
-  // uniform(2, 2): move leaf node 4 from mid 1 to mid 2. With slot 0
-  // (node 3) absent afterwards, mid 1 has no present descendant and the
-  // whole budget flows through mid 2.
-  PowerTree tree(TreeSpec::uniform(2, 2));
-  tree.reparent(4, 2);
-  EXPECT_EQ(tree.reparent_events(), 1u);
-  EXPECT_EQ(tree.path_to(4), (std::vector<std::uint32_t>{0, 2, 4}));
-  EXPECT_EQ(tree.leaf_node(1), 4u);  // leaf slots never change
-
-  const double budget = 5000.0;
-  const auto& grants = tree.allocate(
-      budget, {simple_demand(1), simple_demand(2), simple_demand(3)});
-  const auto& node_grants = tree.node_grants_w();
-  EXPECT_EQ(node_grants[1], 0.0);                 // empty subtree
-  EXPECT_EQ(bits(node_grants[2]), bits(budget));  // sole present child
-  EXPECT_LE(grants[1] + grants[2] + grants[3],
-            budget * (1.0 + 1e-9) + 1e-6);
-  EXPECT_GT(grants[1], 0.0);
-}
-
-TEST(PowerTree, ReparentRejectsIllegalMoves) {
-  PowerTree tree(TreeSpec::uniform(2, 2));
-  EXPECT_THROW(tree.reparent(0, 1), precondition_error);  // the root
-  EXPECT_THROW(tree.reparent(2, 3), precondition_error);  // leaf target
-  EXPECT_THROW(tree.reparent(1, 1), precondition_error);  // cycle
-  EXPECT_THROW(tree.reparent(3, 99), precondition_error);  // unknown node
-  EXPECT_EQ(tree.reparent_events(), 0u);  // rejected moves never count
 }
 
 TEST(PowerTree, DuplicateOrUnknownLeafSlotsAreRejected) {
