@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include "core/engine.hpp"
@@ -101,6 +102,15 @@ int main(int argc, char** argv) {
       easy ? sched::BackfillMode::kEasy : sched::BackfillMode::kAggressive;
   cfg.trace.job_count = core::recommended_job_count(cfg);
 
+  std::unique_ptr<policy::PowerPolicy> baseline;  // sjs, ljs or srn
+  if (policy_name == "sjs") baseline = policy::make_sjs();
+  else if (policy_name == "ljs") baseline = policy::make_ljs();
+  else if (policy_name == "srn") baseline = policy::make_srn();
+  else if (policy_name != "perq" && policy_name != "fop") {
+    std::fprintf(stderr, "unknown policy '%s'\n", policy_name.c_str());
+    return 2;
+  }
+
   // FOP at the same f is the fairness reference for every policy.
   auto fop_ref = policy::make_fop();
   const auto fop_run = core::run_experiment(cfg, *fop_ref);
@@ -118,15 +128,7 @@ int main(int argc, char** argv) {
     run = fop_run;  // the episode is deterministic: the reference is the run
     latency = metrics::summarize_decision_times(run.decision_seconds);
   } else {
-    std::unique_ptr<policy::PowerPolicy> p;
-    if (policy_name == "sjs") p = policy::make_sjs();
-    else if (policy_name == "ljs") p = policy::make_ljs();
-    else if (policy_name == "srn") p = policy::make_srn();
-    else {
-      std::fprintf(stderr, "unknown policy '%s'\n", policy_name.c_str());
-      return 2;
-    }
-    run = core::run_experiment(cfg, *p);
+    run = core::run_experiment(cfg, *baseline);
     latency = metrics::summarize_decision_times(run.decision_seconds);
   }
 

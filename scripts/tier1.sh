@@ -60,8 +60,10 @@ ASAN_BUILD_DIR=${ASAN_BUILD_DIR:-build-asan}
 UBSAN_BUILD_DIR=${UBSAN_BUILD_DIR:-build-ubsan}
 TSAN_BUILD_DIR=${TSAN_BUILD_DIR:-build-tsan}
 
+# Every build runs nproc jobs: with the Unix Makefiles generator a bare -j
+# is make -j, which starts as many compilers as there are targets.
 cmake -B "$BUILD_DIR" -S . -DPERQ_SANITIZE=OFF
-cmake --build "$BUILD_DIR" -j
+cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" "$@"
 
 # Chaos leg: the full perqd loop under every fault scenario with fixed
@@ -248,11 +250,11 @@ python3 perfbench/tests/test_run.py
 
 if [[ "${PERQ_SKIP_SANITIZE:-0}" != "1" ]]; then
   cmake -B "$ASAN_BUILD_DIR" -S . -DPERQ_SANITIZE=ON
-  cmake --build "$ASAN_BUILD_DIR" -j
+  cmake --build "$ASAN_BUILD_DIR" -j "$(nproc)"
   ctest --test-dir "$ASAN_BUILD_DIR" --output-on-failure -j "$(nproc)" "$@"
 
   cmake -B "$UBSAN_BUILD_DIR" -S . -DPERQ_UBSAN=ON
-  cmake --build "$UBSAN_BUILD_DIR" -j
+  cmake --build "$UBSAN_BUILD_DIR" -j "$(nproc)"
   ctest --test-dir "$UBSAN_BUILD_DIR" --output-on-failure -j "$(nproc)" "$@"
 
   # TSan leg: the threaded subset (reactor + frame I/O with a controller
@@ -260,7 +262,7 @@ if [[ "${PERQ_SKIP_SANITIZE:-0}" != "1" ]]; then
   # per-interval user, HierPolicy's K domain QPs solving concurrently on
   # the shared pool, each with its own BlockFactor).
   cmake -B "$TSAN_BUILD_DIR" -S . -DPERQ_TSAN=ON
-  cmake --build "$TSAN_BUILD_DIR" -j
+  cmake --build "$TSAN_BUILD_DIR" -j "$(nproc)"
   ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -j "$(nproc)" \
     -R 'ThreadPool|Reactor|ShortWrite|Transport|Tcp|Daemon|FramePool|ZeroAlloc|Mpc|Replay|Replication|Failover|EpochFence|FailSafe|Tree|Tenant|HierPolicy|BlockFactor' "$@"
 fi

@@ -35,6 +35,7 @@ void NodeAgent::hello() {
 void NodeAgent::publish(const core::TickView& view) {
   if (hung_ || !connected()) return;
   last_running_.assign(view.running.begin(), view.running.end());
+  const auto frames = tick_frames_.acquire();
 
   for (std::size_t i = 0; i < view.running.size(); ++i) {
     const sched::Job& job = *view.running[i];
@@ -53,7 +54,7 @@ void NodeAgent::publish(const core::TickView& view) {
     t.cap_w = job.last_cap_w();
     t.ips = job.last_job_ips();
     t.power_w = i < view.job_power_w.size() ? view.job_power_w[i] : 0.0;
-    conn_->send(t);
+    proto::encode_append(t, *frames);
   }
 
   for (const auto& [job, lead_node] : view.finished) {
@@ -67,7 +68,7 @@ void NodeAgent::publish(const core::TickView& view) {
     t.app_index = static_cast<std::uint32_t>(job->spec().app_index);
     t.runtime_ref_s = job->spec().runtime_ref_s;
     t.progress_s = job->progress_s();
-    conn_->send(t);
+    proto::encode_append(t, *frames);
   }
 
   proto::Heartbeat hb;
@@ -78,7 +79,8 @@ void NodeAgent::publish(const core::TickView& view) {
   hb.budget_total_w = view.budget_total_w;
   hb.budget_for_busy_w = view.budget_for_busy_w;
   hb.total_nodes = view.total_nodes;
-  conn_->send(hb);
+  proto::encode_append(hb, *frames);
+  conn_->send_frame(net::FramePool::freeze(frames));
 }
 
 std::optional<proto::CapPlan> NodeAgent::poll_plan() {

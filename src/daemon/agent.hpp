@@ -7,7 +7,11 @@
 // job), followed by finals for jobs that retired last interval, followed by
 // a Heartbeat. Telemetry-before-heartbeat matters: the transports deliver
 // in order, so a heartbeat for tick t certifies that every tick-t telemetry
-// frame already arrived at the controller.
+// frame already arrived at the controller. The agent encodes the whole
+// tick back to back into one pooled buffer and hands it to send_frame()
+// once: over TCP that is one sendmsg(2) per agent per interval, the same
+// bytes in the same order as a send() per frame, and in-process transports
+// still deliver it frame by frame.
 //
 // On the downlink the agent applies cap plans to the nodes of its slice
 // only; the union of agents covers every node of every job. A hung agent
@@ -49,7 +53,8 @@ class NodeAgent {
 
   /// Publishes one tick: telemetry for led running jobs (seq = position in
   /// the plant's running order), finals for led jobs retired last interval,
-  /// then the heartbeat. No-op while hung or disconnected.
+  /// then the heartbeat, all in one send_frame(). No-op while hung or
+  /// disconnected.
   void publish(const core::TickView& view);
 
   /// Drains the connection; returns the newest cap plan received, if any.
@@ -104,6 +109,9 @@ class NodeAgent {
   /// needs their node lists).
   std::vector<const sched::Job*> last_running_;
   std::vector<proto::Message> inbox_;  ///< reused poll_plan drain scratch
+  /// Buffers publish() encodes a tick into. A slot comes back once the
+  /// connection has written it, so a steady-state tick allocates nothing.
+  net::FramePool tick_frames_;
   /// Epoch fencing (see proto::PromoteAnnounce): the epoch announced on the
   /// current connection, the newest epoch ever seen across connections, and
   /// how many frames the fence has rejected. 0/0 keeps every check inert

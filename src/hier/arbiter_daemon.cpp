@@ -173,8 +173,11 @@ void ArbiterDaemon::ingest(std::size_t session_index, const proto::Message& m) {
   // Sanity screen before any state is touched: the report drives the watt
   // split for the whole cluster, so a bit-flipped one (NaN demand, a
   // non-finite or negative tenant term, a floor above the ceiling, a domain
-  // id from nowhere) must not skew every other domain's grant.
-  const std::uint64_t newest = newest_report_tick().value_or(0);
+  // id from nowhere) must not skew every other domain's grant. The tick is
+  // screened only once some report was accepted, like grant_sane: an
+  // arbiter that starts after its children passed tick kMaxTickJump has no
+  // reference yet.
+  const std::optional<std::uint64_t> newest = newest_report_tick();
   const bool insane =
       r->domain_id >= slots_.size() ||
       r->domain_count != static_cast<std::uint32_t>(slots_.size()) ||
@@ -185,7 +188,7 @@ void ArbiterDaemon::ingest(std::size_t session_index, const proto::Message& m) {
       !std::isfinite(r->priority_weight) || r->busy_nodes < 0.0 ||
       r->floor_w < 0.0 || r->sla_floor_w < 0.0 || r->priority_weight < 0.0 ||
       r->capacity_w < r->floor_w - 1e-6 || r->cluster_budget_w < 0.0 ||
-      r->tick > newest + daemon::kMaxTickJump;
+      (newest.has_value() && r->tick > *newest + daemon::kMaxTickJump);
   if (insane) {
     ++counters_.frames_corrupt;
     return;

@@ -6,8 +6,10 @@
 // single-threaded test can interleave controller and agents and observe the
 // exact per-tick exchange order. A mutex guards the shared queues, so the
 // transport also works when the controller runs on its own thread. A
-// broadcast frame (send_frame) takes the Connection default: it is decoded
-// back into a message per peer, so every receiver owns its copy.
+// frame buffer (send_frame: a plan broadcast, or an agent's whole tick)
+// takes the Connection default: each frame is decoded back into a message
+// and sent in order, so every receiver owns its copy and an agent's tick
+// arrives as the same messages, in the same order, as separate sends.
 #pragma once
 
 #include <memory>

@@ -7,11 +7,12 @@
 // reliably.
 //
 // Outbound queue model -- two tiers, strict FIFO:
-//   1. sendbuf_   owned bytes (send() encodes into a reusable scratch and
-//                 appends here), sent_ marks the written prefix.
+//   1. sendbuf_   owned bytes (send() appends its frame here with
+//                 proto::encode_append), sent_ marks the written prefix.
 //   2. shared_    SharedFrame segments queued by send_frame(): references
-//                 to a broadcast buffer encoded once by the caller, never
-//                 copied. Each segment resumes at its own offset.
+//                 to a buffer the caller encoded once -- a plan broadcast,
+//                 or an agent's whole tick of frames -- never copied. Each
+//                 segment resumes at its own offset.
 // Invariant: all owned bytes precede all shared bytes. send() while shared
 // segments are pending demotes them (copies the unsent tails into
 // sendbuf_) to preserve FIFO; that only triggers for mixed send/send_frame
@@ -21,7 +22,15 @@
 // flush_writes() issues one sendmsg(2) per loop covering the sendbuf_
 // remainder plus up to kMaxIov shared segments, and advance_queue()
 // consumes whatever the kernel accepted -- a short write leaves offsets
-// mid-segment and the next flush resumes there.
+// mid-segment and the next flush resumes there. So an agent's tick, one
+// send_frame() of all its frames, costs one sendmsg(2) when the socket
+// takes it whole.
+//
+// Reads: progress_reads() recv(2)s 16 KiB chunks and stops after the first
+// chunk that comes back short. A short read means the socket was empty at
+// that moment, so a second recv(2) would only return EAGAIN. The price: an
+// EOF queued behind data shows on the next receive, not this one, which
+// level-triggered epoll makes prompt by reporting the socket again.
 #pragma once
 
 #include <netinet/in.h>
@@ -55,8 +64,7 @@ class TcpConnection : public Connection {
       flush_writes();
       demote_shared();
     }
-    proto::encode_into(m, scratch_);
-    sendbuf_.insert(sendbuf_.end(), scratch_.begin(), scratch_.end());
+    proto::encode_append(m, sendbuf_);
     flush_writes();
     return fd_ >= 0;
   }
@@ -161,6 +169,8 @@ class TcpConnection : public Connection {
           close();  // unrecoverable framing: drop the peer
           return;
         }
+        // Short read: the socket is drained, skip the EAGAIN recv.
+        if (static_cast<std::size_t>(n) < sizeof(chunk)) return;
         continue;
       }
       if (n == 0) {
@@ -219,10 +229,9 @@ class TcpConnection : public Connection {
 
   int fd_;
   std::vector<std::uint8_t> sendbuf_;
-  std::size_t sent_ = 0;               // prefix of sendbuf_ already written
-  std::vector<std::uint8_t> scratch_;  // reusable encode buffer
-  std::vector<Segment> shared_;        // pending shared frames, FIFO
-  std::size_t shared_head_ = 0;        // first not-fully-written segment
+  std::size_t sent_ = 0;          // prefix of sendbuf_ already written
+  std::vector<Segment> shared_;   // pending shared frames, FIFO
+  std::size_t shared_head_ = 0;   // first not-fully-written segment
   proto::FrameDecoder decoder_;
 };
 

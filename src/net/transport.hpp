@@ -5,8 +5,8 @@
 //     synchronous, deterministic delivery. The daemon equivalence tests run
 //     on it so a daemon-mediated experiment is bit-for-bit comparable to the
 //     in-process engine.
-//   * TcpTransport (tcp.hpp) -- POSIX non-blocking sockets with a
-//     poll(2)-based wait, for real controller/agent deployments.
+//   * TcpTransport (tcp.hpp) -- POSIX non-blocking sockets, served by the
+//     epoll reactor, for real controller/agent deployments.
 //
 // Connections speak whole proto::Message values; framing and the corrupt-
 // stream policy (a malformed frame closes the connection) live below this
@@ -19,6 +19,7 @@
 
 #include "net/frame_pool.hpp"
 #include "proto/message.hpp"
+#include "proto/wire.hpp"
 
 namespace perq::net {
 
@@ -31,16 +32,37 @@ class Connection {
   /// when the connection is closed.
   virtual bool send(const proto::Message& m) = 0;
 
-  /// Queues an already-encoded frame (serialize-once broadcast): the
-  /// transport shares the buffer instead of re-encoding per connection.
-  /// The default decodes and falls back to send() so in-process transports
-  /// keep their message-level delivery semantics; the frame is a bit-exact
-  /// wire image, so the round trip is lossless (doubles travel as raw
-  /// IEEE-754 bits).
+  /// Queues one or more whole frames encoded back to back, length prefixes
+  /// included: a plan broadcast encoded once for every connection, or an
+  /// agent's whole tick. Socket transports write the buffer as it is and
+  /// share it instead of copying it.
+  ///
+  /// The default is for in-process transports and decorators. It refuses
+  /// the whole buffer unless its length prefixes tile it exactly, then
+  /// decodes each frame and calls send() on every one in order, so delivery
+  /// stays per message (and a fault decorator draws its faults per frame).
+  /// The frames are bit-exact wire images, so the round trip is lossless
+  /// (doubles travel as raw IEEE-754 bits). Returns false when the buffer
+  /// was refused or any frame was not sent.
   virtual bool send_frame(const SharedFrame& f) {
-    if (!f || f->size() < 4) return false;
-    auto m = proto::parse_frame(f->data() + 4, f->size() - 4);
-    return m.has_value() && send(*m);
+    if (!f || f->empty()) return false;
+    const std::uint8_t* data = f->data();
+    const std::size_t size = f->size();
+    for (std::size_t off = 0; off < size;) {
+      if (size - off < 4) return false;
+      const std::size_t len = proto::WireReader(data + off, 4).u32();
+      if (size - off - 4 < len) return false;
+      off += 4 + len;
+    }
+    bool all_sent = true;
+    for (std::size_t off = 0; off < size;) {
+      const std::size_t len = proto::WireReader(data + off, 4).u32();
+      const auto m = proto::parse_frame(data + off + 4, len);
+      const bool sent = m.has_value() && send(*m);
+      all_sent = all_sent && sent;
+      off += 4 + len;
+    }
+    return all_sent;
   }
 
   /// Drains every message that has arrived since the last call. Progresses

@@ -301,13 +301,18 @@ std::vector<std::uint8_t> encode(const Message& m) {
 
 void encode_into(const Message& m, std::vector<std::uint8_t>& out) {
   out.clear();
+  encode_append(m, out);
+}
+
+void encode_append(const Message& m, std::vector<std::uint8_t>& out) {
+  const std::size_t start = out.size();
   WireWriter w(out);
   w.u32(0);  // length placeholder, patched below
   w.u16(kMagic);
   w.u8(kVersion);
   w.u8(static_cast<std::uint8_t>(type_of(m)));
   std::visit([&w](const auto& msg) { write_body(w, msg); }, m);
-  w.patch_u32(0, static_cast<std::uint32_t>(w.size() - 4));
+  w.patch_u32(start, static_cast<std::uint32_t>(w.size() - start - 4));
 }
 
 std::optional<Message> parse_frame(const std::uint8_t* data, std::size_t size) {

@@ -234,6 +234,12 @@ std::vector<std::uint8_t> encode(const Message& m);
 /// steady-state encodes are allocation-free once the buffer has warmed up.
 void encode_into(const Message& m, std::vector<std::uint8_t>& out);
 
+/// Appends one complete frame to `out` without clearing it. Frames encoded
+/// back to back form a batch that is byte-equal to their separate encodes
+/// written in order: an agent builds its whole tick this way and writes it
+/// once.
+void encode_append(const Message& m, std::vector<std::uint8_t>& out);
+
 /// Parses the post-length portion of a frame (magic..body). Returns nullopt
 /// on any malformation; never throws, never reads out of bounds.
 std::optional<Message> parse_frame(const std::uint8_t* data, std::size_t size);

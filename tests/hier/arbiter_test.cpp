@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "daemon/tree_child.hpp"
 #include "hier/arbiter.hpp"
 #include "hier/arbiter_daemon.hpp"
 #include "net/loopback.hpp"
@@ -361,6 +362,29 @@ TEST(ArbiterDaemon, FarFutureParentGrantTickIsScreened) {
   grant(rig.tick + 2, 1000.0);
   rig.round(8000.0, {d});
   EXPECT_EQ(rig.arbiter.scope_w(), 1000.0);
+  EXPECT_EQ(rig.arbiter.aggregated_counters().frames_corrupt, 1u);
+}
+
+TEST(ArbiterDaemon, LateStartedArbiterAcceptsItsChildrensReports) {
+  // An arbiter (re)started while its children are hours into their run: the
+  // first reports it sees are far past tick kMaxTickJump. With no accepted
+  // report there is no reference to screen a tick against, so they are
+  // taken, and the screen holds from then on.
+  ArbiterRig rig(2);
+  rig.tick = 5000;
+  static_assert(5002 > daemon::kMaxTickJump);
+  Rng rng(5);
+  const auto demands = random_demands(rng, 2);
+  for (int i = 0; i < 3; ++i) rig.round(20000.0, demands);  // 5002, 5004, 5006
+  EXPECT_EQ(rig.arbiter.decisions(), 3u);
+  EXPECT_EQ(rig.arbiter.decided_tick(), 5006u);
+  EXPECT_EQ(rig.arbiter.aggregated_counters().frames_corrupt, 0u);
+
+  // A report far past the newest accepted tick is still screened out.
+  rig.tick = std::uint64_t{1} << 40;
+  rig.links[0]->send(rig.report(0, 20000.0));
+  rig.arbiter.service();
+  EXPECT_EQ(rig.arbiter.decided_tick(), 5006u);
   EXPECT_EQ(rig.arbiter.aggregated_counters().frames_corrupt, 1u);
 }
 

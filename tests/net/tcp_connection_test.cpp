@@ -1,6 +1,7 @@
 // TcpConnection data-plane tests: deterministic short-write injection for
-// the partial-write resume logic (flush_writes/advance_queue), FramePool
-// slot recycling, and the zero-steady-state-allocation contract of the
+// the partial-write resume logic (flush_writes/advance_queue), the
+// short-read rule of the read loop, FramePool slot recycling, a NodeAgent's
+// one write per tick, and the zero-steady-state-allocation contract of the
 // send/receive hot path and of ThreadPool::parallel_for.
 //
 // The tests run TcpConnection over an AF_UNIX socketpair: same read/write
@@ -16,9 +17,12 @@
 #include <memory>
 #include <vector>
 
+#include "apps/catalog.hpp"
+#include "daemon/agent.hpp"
 #include "net/frame_pool.hpp"
 #include "net/tcp_connection.hpp"
 #include "proto/message.hpp"
+#include "sim/cluster.hpp"
 #include "support/alloc_counter.hpp"
 #include "util/thread_pool.hpp"
 
@@ -46,19 +50,21 @@ class ShortWriteConnection : public TcpConnection {
     }
     // Copy up to cap_ bytes out of the iov chain and push them with a
     // plain send(2): honors sendmsg semantics while truncating the write.
-    std::vector<std::uint8_t> chunk;
-    for (std::size_t i = 0; i < msg->msg_iovlen && chunk.size() < cap_; ++i) {
+    // The copy buffer is reused, so a warmed-up write allocates nothing.
+    chunk_.clear();
+    for (std::size_t i = 0; i < msg->msg_iovlen && chunk_.size() < cap_; ++i) {
       const auto* base = static_cast<const std::uint8_t*>(msg->msg_iov[i].iov_base);
       const std::size_t take =
-          std::min(msg->msg_iov[i].iov_len, cap_ - chunk.size());
-      chunk.insert(chunk.end(), base, base + take);
+          std::min(msg->msg_iov[i].iov_len, cap_ - chunk_.size());
+      chunk_.insert(chunk_.end(), base, base + take);
     }
-    return ::send(fd(), chunk.data(), chunk.size(), MSG_NOSIGNAL);
+    return ::send(fd(), chunk_.data(), chunk_.size(), MSG_NOSIGNAL);
   }
 
  private:
   std::size_t cap_;
   std::size_t write_calls_ = 0;
+  std::vector<std::uint8_t> chunk_;
 };
 
 /// Nonblocking AF_UNIX stream pair; first is wrapped by the test subclass.
@@ -95,6 +101,16 @@ proto::CapPlan make_plan(std::size_t entries) {
     plan.entries.push_back(e);
   }
   return plan;
+}
+
+/// Appends every byte the socket holds right now to `out` (nonblocking).
+void drain_raw(int fd, std::vector<std::uint8_t>& out) {
+  std::uint8_t buf[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) return;
+    out.insert(out.end(), buf, buf + n);
+  }
 }
 
 /// Pumps sender flushes and receiver drains until `want` messages arrived.
@@ -192,6 +208,47 @@ TEST(ShortWrite, MixedTrafficDemotionPreservesFifo) {
   EXPECT_EQ(sender.pending_bytes(), 0u);
 }
 
+TEST(Tcp, EofBehindDataShowsOnTheNextReceive) {
+  auto [afd, bfd] = stream_pair();
+  TcpConnection reader(afd);
+  {
+    TcpConnection writer(bfd);
+    ASSERT_TRUE(writer.send(make_telemetry(1)));
+    ASSERT_EQ(writer.pending_bytes(), 0u);
+  }  // the writer closes: its EOF queues behind the frame
+
+  std::vector<proto::Message> got;
+  reader.receive_into(got);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_NE(std::get_if<proto::Telemetry>(&got[0]), nullptr);
+  // The short read ended the loop before the recv(2) that sees the EOF.
+  EXPECT_TRUE(reader.open());
+
+  got.clear();
+  reader.receive_into(got);
+  EXPECT_TRUE(got.empty());
+  EXPECT_FALSE(reader.open());
+  EXPECT_FALSE(reader.corrupt());
+}
+
+TEST(Tcp, BurstOfMoreThanTwoReadChunksArrivesInOneReceive) {
+  auto [afd, bfd] = stream_pair();
+  TcpConnection reader(afd);
+  TcpConnection writer(bfd);
+  const proto::Message plan = make_plan(300);
+  constexpr std::size_t kFrames = 8;  // about 50 KB
+  ASSERT_GT(kFrames * proto::encode(plan).size(), 2u * 16384u);
+  for (std::size_t i = 0; i < kFrames; ++i) ASSERT_TRUE(writer.send(plan));
+  ASSERT_EQ(writer.pending_bytes(), 0u);  // the whole burst is in the socket
+
+  // Full 16 KiB reads keep the loop going; only the last one comes back
+  // short.
+  std::vector<proto::Message> got;
+  reader.receive_into(got);
+  EXPECT_EQ(got.size(), kFrames);
+  EXPECT_TRUE(reader.open());
+}
+
 TEST(FramePool, RecyclesSlotOnceReleased) {
   FramePool pool;
   auto a = pool.acquire();
@@ -264,6 +321,140 @@ TEST(ZeroAlloc, SteadyStateSendReceiveAndBroadcastDoNotAllocate) {
   }
   EXPECT_EQ(plans.size(), 128u);
   EXPECT_NE(std::get_if<proto::CapPlan>(&plans.back()), nullptr);
+}
+
+TEST(ZeroAlloc, AgentTickIsOneWriteOfTheSameBytes) {
+  auto [afd, cfd] = stream_pair();
+  auto uplink = std::make_unique<ShortWriteConnection>(afd, std::size_t{1} << 20);
+  ShortWriteConnection& wire = *uplink;
+  sim::ClusterConfig ccfg;
+  ccfg.worst_case_nodes = 8;
+  sim::Cluster cluster(ccfg);
+  daemon::NodeAgent agent(3, std::move(uplink), &cluster, 0, 4);
+
+  // The agent owns nodes [0, 4): it leads jobs 10, 12 and 13 (job 11's lead
+  // node is 5), and job 14, which finished on node 1, gets its final.
+  std::vector<std::unique_ptr<sched::Job>> jobs;
+  const auto job = [&jobs](int id, std::vector<std::size_t> nodes) {
+    trace::JobSpec spec;
+    spec.id = id;
+    spec.nodes = nodes.size();
+    spec.runtime_ref_s = 600.0 + id;
+    spec.app_index = 2;
+    jobs.push_back(std::make_unique<sched::Job>(spec, &apps::ecp_catalog()[2]));
+    jobs.back()->start(0.0, std::move(nodes));
+    jobs.back()->record_interval(10.0, 0.75 + 0.01 * id, 1e9 * id, 200.0 + id);
+    return jobs.back().get();
+  };
+  core::TickView view;
+  view.tick = 42;
+  view.now_s = 420.0;
+  view.dt_s = 10.0;
+  view.budget_total_w = 2320.0;
+  view.budget_for_busy_w = 2000.0;
+  view.total_nodes = 8.0;
+  view.running = {job(10, {0, 1}), job(11, {5}), job(12, {2}), job(13, {3, 6})};
+  view.job_power_w = {230.5, 120.0, 99.25, 310.0};
+  sched::Job* done = job(14, {1});
+  done->finish(420.0);
+  view.finished = {{done, 1}};
+
+  // The bytes a send() per message would put on the wire, in publish order.
+  const auto separate_sends = [&view, done] {
+    std::vector<proto::Message> msgs;
+    for (const std::size_t i : {0, 2, 3}) {
+      const sched::Job& j = *view.running[i];
+      proto::Telemetry t;
+      t.agent_id = 3;
+      t.tick = view.tick;
+      t.seq = static_cast<std::uint32_t>(i);
+      t.job_id = j.spec().id;
+      t.nodes = static_cast<std::uint32_t>(j.spec().nodes);
+      t.app_index = 2;
+      t.runtime_ref_s = j.spec().runtime_ref_s;
+      t.progress_s = j.progress_s();
+      t.min_perf = j.last_min_perf();
+      t.cap_w = j.last_cap_w();
+      t.ips = j.last_job_ips();
+      t.power_w = view.job_power_w[i];
+      msgs.emplace_back(t);
+    }
+    proto::Telemetry fin;
+    fin.agent_id = 3;
+    fin.tick = view.tick;
+    fin.flags = proto::kTelemetryFinal;
+    fin.job_id = 14;
+    fin.nodes = 1;
+    fin.app_index = 2;
+    fin.runtime_ref_s = done->spec().runtime_ref_s;
+    fin.progress_s = done->progress_s();
+    msgs.emplace_back(fin);
+    proto::Heartbeat hb;
+    hb.agent_id = 3;
+    hb.tick = view.tick;
+    hb.now_s = view.now_s;
+    hb.dt_s = view.dt_s;
+    hb.budget_total_w = view.budget_total_w;
+    hb.budget_for_busy_w = view.budget_for_busy_w;
+    hb.total_nodes = view.total_nodes;
+    msgs.emplace_back(hb);
+    std::vector<std::uint8_t> bytes;
+    for (const proto::Message& m : msgs) {
+      const std::vector<std::uint8_t> frame = proto::encode(m);
+      bytes.insert(bytes.end(), frame.begin(), frame.end());
+    }
+    return bytes;
+  };
+
+  const std::size_t writes = wire.write_calls();
+  agent.publish(view);
+  EXPECT_EQ(wire.write_calls() - writes, 1u) << "one publish, one write";
+  std::vector<std::uint8_t> got;
+  drain_raw(cfd, got);
+  EXPECT_EQ(got, separate_sends());
+  proto::FrameDecoder decoder;
+  decoder.feed(got.data(), got.size());
+  const std::vector<proto::Message> msgs = decoder.take();
+  ASSERT_EQ(msgs.size(), 5u);
+  for (std::size_t k = 0; k < 3; ++k) {
+    const auto* t = std::get_if<proto::Telemetry>(&msgs[k]);
+    ASSERT_NE(t, nullptr) << "frame " << k;
+    EXPECT_EQ(t->flags, 0u);
+  }
+  const auto* fin = std::get_if<proto::Telemetry>(&msgs[3]);
+  ASSERT_NE(fin, nullptr);
+  EXPECT_EQ(fin->flags, proto::kTelemetryFinal);
+  EXPECT_NE(std::get_if<proto::Heartbeat>(&msgs[4]), nullptr);
+
+  // One byte per write: the batch resumes across writes and arrives whole.
+  wire.set_cap(1);
+  ++view.tick;
+  agent.publish(view);
+  const std::vector<std::uint8_t> want = separate_sends();
+  got.clear();
+  for (int i = 0; i < 100000 && got.size() < want.size(); ++i) {
+    wire.flush();
+    drain_raw(cfd, got);
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(wire.pending_bytes(), 0u);
+
+  // Steady state: the pooled tick buffer, the send queue and the seam's
+  // copy buffer are warm, so a publish allocates nothing.
+  wire.set_cap(std::size_t{1} << 20);
+  const auto tick = [&] {
+    ++view.tick;
+    agent.publish(view);
+    got.clear();
+    drain_raw(cfd, got);
+  };
+  for (int i = 0; i < 8; ++i) tick();
+  const std::uint64_t before = test::allocation_count();
+  for (int i = 0; i < 64; ++i) tick();
+  const std::uint64_t after = test::allocation_count();
+  EXPECT_EQ(after - before, 0u)
+      << "steady-state publish allocated " << (after - before) << " times";
+  EXPECT_EQ(got.size(), want.size());
 }
 
 TEST(ZeroAlloc, ParallelForDoesNotAllocate) {

@@ -83,6 +83,46 @@ TEST(Loopback, PeerCloseDrainsThenCloses) {
   EXPECT_FALSE(server->open());
 }
 
+/// Encodes messages back to back into one buffer, the way an agent batches
+/// its tick.
+SharedFrame batch_of(const std::vector<proto::Message>& msgs) {
+  auto buf = std::make_shared<std::vector<std::uint8_t>>();
+  for (const proto::Message& m : msgs) proto::encode_append(m, *buf);
+  return buf;
+}
+
+TEST(Loopback, SendFrameDeliversEveryFrameOfABatchInOrder) {
+  LoopbackTransport t;
+  auto listener = t.listen("perqd");
+  auto client = t.connect("perqd");
+  auto server = std::move(listener->accept_new()[0]);
+  EXPECT_TRUE(client->send_frame(batch_of({hello(1), hello(2), hello(3)})));
+  const auto got = server->receive();
+  ASSERT_EQ(got.size(), 3u);
+  for (std::uint32_t i = 0; i < 3; ++i) EXPECT_EQ(hello_id(got[i]), i + 1);
+}
+
+TEST(Loopback, SendFrameRefusesABatchThatFramesDoNotTile) {
+  LoopbackTransport t;
+  auto listener = t.listen("perqd");
+  auto client = t.connect("perqd");
+  auto server = std::move(listener->accept_new()[0]);
+  const SharedFrame whole = batch_of({hello(1), hello(2), hello(3)});
+
+  // The last frame cut short by one byte: nothing is delivered, not even
+  // the two whole frames before it.
+  const auto cut = std::make_shared<std::vector<std::uint8_t>>(
+      whole->begin(), whole->end() - 1);
+  EXPECT_FALSE(client->send_frame(cut));
+  // Trailing bytes too few for a length prefix.
+  const auto tail = std::make_shared<std::vector<std::uint8_t>>(*whole);
+  tail->insert(tail->end(), {0x01, 0x00});
+  EXPECT_FALSE(client->send_frame(tail));
+  EXPECT_FALSE(client->send_frame(std::make_shared<std::vector<std::uint8_t>>()));
+  EXPECT_TRUE(server->receive().empty());
+  EXPECT_TRUE(client->open());
+}
+
 // ---- tcp -------------------------------------------------------------------
 
 TEST(Tcp, EphemeralPortRoundTrip) {
