@@ -7,7 +7,7 @@
 # sanitizers. Leg 3 is UBSan alone (PERQ_UBSAN=ON, non-recoverable): no
 # ASan interceptors, so RelWithDebInfo optimization stays on and UB that
 # only optimized code hits still aborts the suite. Leg 4 is TSan
-# (PERQ_TSAN=ON) over the threaded subset: the epoll/poll reactor and
+# (PERQ_TSAN=ON) over the threaded subset: the epoll reactor and
 # frame I/O (Reactor/Tcp/Daemon tests run a controller thread against the
 # main thread), the fork-join ThreadPool's own tests (the caller and the
 # woken workers claim indices of one job; two callers share one pool), and
@@ -24,7 +24,7 @@
 # longest case already sets it), 6-9 s to leg 3 and 30-43 s to leg 2.
 # No case name matches leg 4's -R regex, so TSan does not run them.
 #
-# Two smoke legs drive perqd over real TCP. The failover smoke kills a
+# Three smoke legs drive perqd over real TCP. The failover smoke kills a
 # primary and checks that its warm standby promotes and finishes the run.
 # The restart smoke is the README walkthrough: perqd --replication-log is
 # killed with kill -9 mid-run and restarted on the same address and log;
@@ -33,7 +33,9 @@
 # still hold its `perqd: serving on` line: perqd and perq_agent keep
 # stdout line-buffered, so kill -9 loses no printed line. The smoke guards the
 # walkthrough; Replication.PrimaryRestartedFromItsWalIsBitIdentical is
-# what proves the WAL holds every decide.
+# what proves the WAL holds every decide. The two-level smoke runs an
+# arbiter, two domain controllers and their agents as separate processes;
+# all must exit 0 with grant rounds and corrupt 0 at every daemon.
 #
 # A perf-smoke leg then runs bench_daemon_throughput at na=64 on the plain
 # build and validates the shape of BENCH_daemon_throughput.json -- its
@@ -158,6 +160,61 @@ done
   fi
   echo "restart smoke OK: perqd replayed $N decides after kill -9 and" \
     "finished the run"
+)
+
+# Two-level smoke: the arbiter walkthrough over real sockets, the one leg
+# whose DomainReports and BudgetGrants cross a socket between processes.
+# An arbiter (perqd --domains 2) starts first, then two domain controllers
+# dial it and one perq_agent drives each controller. Every process must
+# exit 0, the arbiter must print grant rounds, and the arbiter's
+# cluster-wide robustness line and each controller's own must read
+# corrupt 0.
+(
+  cd "$BUILD_DIR"
+  PA=127.0.0.1:7474
+  PD=(127.0.0.1:7475 127.0.0.1:7476)
+  rm -f TWOLEVEL_arbiter.log TWOLEVEL_domain{0,1}.log TWOLEVEL_agent{0,1}.log
+  trap 'kill -9 $(jobs -p) 2>/dev/null || true' EXIT
+  ./examples/perqd --listen "$PA" --domains 2 --wc-nodes 16 \
+    > TWOLEVEL_arbiter.log 2>&1 &
+  ARBITER=$!
+  for _ in $(seq 100); do
+    grep -q "serving 2 domains" TWOLEVEL_arbiter.log && break
+    sleep 0.1
+  done
+  PIDS=()
+  for d in 0 1; do
+    ./examples/perqd --listen "${PD[$d]}" --domains 2 --domain "$d" \
+      --arbiter "$PA" --wc-nodes 16 > "TWOLEVEL_domain$d.log" 2>&1 &
+    PIDS+=($!)
+  done
+  for d in 0 1; do
+    ./examples/perq_agent --connect "${PD[$d]}" --agents 2 --wc-nodes 16 \
+      --hours 0.1 > "TWOLEVEL_agent$d.log" 2>&1 &
+    PIDS+=($!)
+  done
+  for pid in "${PIDS[@]}" "$ARBITER"; do
+    if ! wait "$pid"; then
+      echo "two-level smoke: a process exited non-zero"
+      tail -n 5 TWOLEVEL_*.log
+      exit 1
+    fi
+  done
+  grep -q "^grant round:" TWOLEVEL_arbiter.log || {
+    echo "two-level smoke: the arbiter ran no grant round"
+    cat TWOLEVEL_arbiter.log
+    exit 1
+  }
+  for log in TWOLEVEL_arbiter.log TWOLEVEL_domain0.log TWOLEVEL_domain1.log; do
+    grep -Eq "(cluster-wide robustness|^perqd: robustness): .*  corrupt 0  " \
+      "$log" || {
+      echo "two-level smoke: $log does not read corrupt 0"
+      cat "$log"
+      exit 1
+    }
+  done
+  echo "two-level smoke OK: $(grep -c '^grant round:' TWOLEVEL_arbiter.log)" \
+    "grant rounds, corrupt 0 at the arbiter and both controllers"
 )
 
 # Perf smoke: the data-plane bench must run and emit a well-formed JSON

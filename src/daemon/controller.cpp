@@ -115,7 +115,7 @@ void PerqController::send_domain_report() {
     r.target_ips = fb.target_ips;
   }
 
-  put_counters(counters(), r);
+  r.counters = counters();
   r.controller_epoch = epoch_;
   r.sla_floor_w = attachment_.sla_floor_w;
   r.priority_weight = attachment_.priority_weight;
@@ -793,30 +793,9 @@ void PerqController::emit_repl_snapshot() {
 void PerqController::apply_repl_tick(const proto::ReplTick& rt) {
   // All-or-nothing: every inner frame must parse before any is applied, so
   // a truncated or bit-flipped batch can never leave half a decide behind.
-  repl_msgs_.clear();
-  const std::uint8_t* p = rt.batch.data();
-  std::size_t left = rt.batch.size();
-  while (left > 0) {
-    if (left < 4) {
-      ++repl_rejected_;
-      return;
-    }
-    const std::uint32_t len = static_cast<std::uint32_t>(p[0]) |
-                              (static_cast<std::uint32_t>(p[1]) << 8) |
-                              (static_cast<std::uint32_t>(p[2]) << 16) |
-                              (static_cast<std::uint32_t>(p[3]) << 24);
-    if (len == 0 || len > proto::kMaxFrameBytes || len > left - 4) {
-      ++repl_rejected_;
-      return;
-    }
-    proto::Message m;
-    if (!proto::parse_frame_into(p + 4, len, m)) {
-      ++repl_rejected_;
-      return;
-    }
-    repl_msgs_.push_back(std::move(m));
-    p += 4 + len;
-    left -= 4 + len;
+  if (!proto::parse_batch(rt.batch.data(), rt.batch.size(), repl_msgs_)) {
+    ++repl_rejected_;
+    return;
   }
   for (const proto::Message& m : repl_msgs_) ingest_state(m);
   repl_epoch_ = std::max(repl_epoch_, rt.epoch);

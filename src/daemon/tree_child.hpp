@@ -1,9 +1,8 @@
 // What every child of a power-tree arbiter does toward its parent, whether
 // it is a domain controller (PerqController::attach_arbiter) or a stacked
 // arbiter (hier::ArbiterDaemon::attach_parent): it is placed by a
-// DomainAttachment, it screens every grant its parent sends, it falls back
-// to the same cold-start scope until its first grant, and it flattens its
-// robustness counters into the DomainReport it sends up. Each rule is
+// DomainAttachment, it screens every grant its parent sends, and it falls
+// back to the same cold-start scope until its first grant. Each rule is
 // written once here, so the two kinds of child cannot drift apart.
 //
 // Kept free of hier/ includes -- the daemon layer is below hier in the
@@ -12,7 +11,6 @@
 
 #include <cstdint>
 
-#include "core/robustness.hpp"
 #include "proto/message.hpp"
 
 namespace perq::daemon {
@@ -55,11 +53,5 @@ bool grant_sane(const proto::BudgetGrant& g, std::uint32_t domain_id,
 /// budget over the children and so keeps the cold start conserved.
 double child_scope_w(bool any_grant, double grant_w, double cluster_budget_w,
                      const DomainAttachment& att, std::uint32_t domain_count);
-
-/// Writes every robustness counter into its DomainReport field.
-void put_counters(const core::RobustnessCounters& c, proto::DomainReport& r);
-
-/// The robustness counters a DomainReport carries.
-core::RobustnessCounters reported_counters(const proto::DomainReport& r);
 
 }  // namespace perq::daemon

@@ -118,7 +118,7 @@ void ArbiterDaemon::send_parent_report(std::uint64_t t,
   // actuating their held grants, so the parent must keep funding them.
   r.floor_w = agg.floor_w + fenced_w_;
   r.capacity_w = std::max(agg.capacity_w, r.floor_w);
-  daemon::put_counters(aggregated_counters(), r);
+  r.counters = aggregated_counters();
   r.controller_epoch = 1;  // arbiters have no failover epochs (yet)
   r.sla_floor_w = attachment_.sla_floor_w;
   r.priority_weight = attachment_.priority_weight;
@@ -332,11 +332,11 @@ DomainDemand ArbiterDaemon::demand(std::uint32_t domain) const {
 core::RobustnessCounters ArbiterDaemon::aggregated_counters() const {
   // This level's own accounting (frame screening, fencing transitions and
   // SLA floors that shaped a grant round here) plus every child's newest
-  // figures. Stacked arbiters flatten this aggregate into their upward
-  // report, so the root's view covers every level.
+  // figures. Stacked arbiters send this aggregate in their upward report,
+  // so the root's view covers every level.
   core::RobustnessCounters sum = counters_;
   for (const DomainSlot& s : slots_) {
-    if (s.any_report) sum += daemon::reported_counters(s.latest);
+    if (s.any_report) sum += s.latest.counters;
   }
   return sum;
 }

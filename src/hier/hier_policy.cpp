@@ -4,7 +4,6 @@
 
 #include "apps/app_model.hpp"
 #include "util/require.hpp"
-#include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace perq::hier {
@@ -61,9 +60,7 @@ std::vector<double> HierarchicalPerqPolicy::allocate(
   // everything. This is the K=1 bit-identity guarantee.
   if (cfg_.domains == 1) {
     last_grants_w_.assign(1, ctx.budget_for_busy_w);
-    std::vector<double> caps = policies_[0]->allocate(ctx);
-    decision_seconds_ = policies_[0]->decision_seconds();
-    return caps;
+    return policies_[0]->allocate(ctx);
   }
 
   const auto& running = *ctx.running;
@@ -73,7 +70,6 @@ std::vector<double> HierarchicalPerqPolicy::allocate(
     return {};
   }
 
-  Stopwatch timer;
   const auto& spec = apps::node_power_spec();
   const std::size_t k = cfg_.domains;
 
@@ -159,7 +155,6 @@ std::vector<double> HierarchicalPerqPolicy::allocate(
     const auto [d, slot] = slot_of[i];
     caps[i] = domain_caps[pos_of_domain[d]][slot];
   }
-  decision_seconds_.push_back(timer.seconds());
   return caps;
 }
 

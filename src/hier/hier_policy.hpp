@@ -79,10 +79,6 @@ class HierarchicalPerqPolicy final : public policy::PowerPolicy {
   /// relative to the monolithic run.
   core::RobustnessCounters counters() const;
 
-  /// Per-interval decision latency of the whole hierarchical step
-  /// (arbiter + slowest domain solve), aligned with allocate() calls.
-  const std::vector<double>& decision_seconds() const { return decision_seconds_; }
-
   const core::PerqPolicy& domain_policy(std::size_t d) const { return *policies_[d]; }
 
  private:
@@ -92,7 +88,6 @@ class HierarchicalPerqPolicy final : public policy::PowerPolicy {
   std::vector<std::unique_ptr<core::PerqPolicy>> policies_;
   std::vector<double> last_grants_w_;
   std::vector<DomainDemand> last_demands_;
-  std::vector<double> decision_seconds_;
 };
 
 }  // namespace perq::hier

@@ -19,7 +19,6 @@
 
 #include "net/frame_pool.hpp"
 #include "proto/message.hpp"
-#include "proto/wire.hpp"
 
 namespace perq::net {
 
@@ -37,31 +36,21 @@ class Connection {
   /// agent's whole tick. Socket transports write the buffer as it is and
   /// share it instead of copying it.
   ///
-  /// The default is for in-process transports and decorators. It refuses
-  /// the whole buffer unless its length prefixes tile it exactly, then
-  /// decodes each frame and calls send() on every one in order, so delivery
-  /// stays per message (and a fault decorator draws its faults per frame).
-  /// The frames are bit-exact wire images, so the round trip is lossless
+  /// The default is for in-process transports and decorators. It parses
+  /// the whole buffer first (proto::parse_batch, all or nothing: the
+  /// length prefixes must tile it exactly and every frame must parse),
+  /// then calls send() on every message in order, so delivery stays per
+  /// message (and a fault decorator draws its faults per frame). The
+  /// frames are bit-exact wire images, so the round trip is lossless
   /// (doubles travel as raw IEEE-754 bits). Returns false when the buffer
-  /// was refused or any frame was not sent.
+  /// was refused or any message was not sent.
   virtual bool send_frame(const SharedFrame& f) {
-    if (!f || f->empty()) return false;
-    const std::uint8_t* data = f->data();
-    const std::size_t size = f->size();
-    for (std::size_t off = 0; off < size;) {
-      if (size - off < 4) return false;
-      const std::size_t len = proto::WireReader(data + off, 4).u32();
-      if (size - off - 4 < len) return false;
-      off += 4 + len;
+    std::vector<proto::Message> msgs;
+    if (!f || f->empty() || !proto::parse_batch(f->data(), f->size(), msgs)) {
+      return false;
     }
     bool all_sent = true;
-    for (std::size_t off = 0; off < size;) {
-      const std::size_t len = proto::WireReader(data + off, 4).u32();
-      const auto m = proto::parse_frame(data + off + 4, len);
-      const bool sent = m.has_value() && send(*m);
-      all_sent = all_sent && sent;
-      off += 4 + len;
-    }
+    for (const proto::Message& m : msgs) all_sent = send(m) && all_sent;
     return all_sent;
   }
 

@@ -1,4 +1,4 @@
-// perqd wire protocol, version 1.
+// perqd wire protocol, version 2.
 //
 // The controller (perqd) and its node agents exchange length-prefixed
 // binary frames:
@@ -7,15 +7,17 @@
 //
 // `length` counts every byte after the length field itself (header + body),
 // so a stream reader knows exactly how many bytes to buffer before parsing.
-// Parsing is strict: wrong magic, unknown version, unknown type, a body
+// Parsing is strict: wrong magic, another version, an unknown type, a body
 // that is shorter or longer than its type requires, or an absurd length all
 // reject the frame. On a stream transport a rejected frame poisons the
 // decoder (there is no way to resynchronize a corrupt byte stream), which
-// the transport turns into a connection close. One deliberate exception:
-// FrameDecoder treats a *well-framed* message of an unknown type (magic and
-// version check out, the length prefix is sane) as skippable rather than
-// corrupt -- framing is intact, so an old peer can step over frames a newer
-// peer introduced (e.g. the domain frames below) and keep the connection.
+// the transport turns into a connection close. Every peer runs the same
+// build, so a frame this build cannot parse is corrupt, never a newer
+// peer's: the version byte changes whenever a body does, and a peer of
+// another build is refused at the header.
+//
+// Each body's layout is one field list in message.cpp that both encode and
+// parse go through (see proto/wire.hpp).
 //
 // Message roles (one control interval = one exchange):
 //   Hello        agent -> controller    introduce agent_id + owned node range
@@ -45,10 +47,12 @@
 #include <variant>
 #include <vector>
 
+#include "core/robustness.hpp"  // header-only: the struct and its table
+
 namespace perq::proto {
 
 inline constexpr std::uint16_t kMagic = 0x5150;  // "PQ" little-endian
-inline constexpr std::uint8_t kVersion = 1;
+inline constexpr std::uint8_t kVersion = 2;
 /// Upper bound on the post-length portion of a frame; anything larger is
 /// rejected before buffering (a garbage length prefix must not make the
 /// decoder allocate gigabytes).
@@ -62,8 +66,7 @@ enum class MsgType : std::uint8_t {
   kBye = 5,
   kDomainReport = 6,
   kBudgetGrant = 7,
-  // 8 was CapPlanDelta (retired). Never reuse it: an older controller may
-  // still send one, and the stream decoder must step over it as unknown.
+  // 8 was CapPlanDelta (retired); it is refused like any unknown type.
   kReplTick = 9,
   kReplSnapshot = 10,
   kPromoteAnnounce = 11,
@@ -133,42 +136,34 @@ struct Bye {
 /// interval. The water-filling allocation reads the busy nodes, the hard
 /// floor and ceiling and the tenant terms; the committed watts and
 /// achieved-vs-target throughput are the domain's outcome signal. The
-/// robustness counters ride along so the arbiter can aggregate accounting
-/// across domains instead of losing it per-process.
+/// robustness counters ride along as one block so the arbiter can
+/// aggregate accounting across domains instead of losing it per-process.
 ///
-/// The body is fixed-size, every field always written in declaration
-/// order. It has no version byte and no optional tail, so a report from a
-/// peer with another layout fails the strict body-length check.
+/// The body is fixed-size (180 bytes), every field always written in
+/// declaration order, the counters in core::kCounterTable order. It has no
+/// optional tail, so a report from a peer with another layout fails the
+/// version check or the strict body-length check.
 struct DomainReport {
   std::uint32_t domain_id = 0;
   std::uint32_t domain_count = 1;
   std::uint64_t tick = 0;
-  std::uint32_t jobs = 0;          ///< fresh jobs in this domain's batch
-  double busy_nodes = 0.0;         ///< nodes under the domain's fresh jobs
-  double floor_w = 0.0;            ///< nj * P_min: never grant below this
+  std::uint32_t jobs = 0;          ///< jobs in the domain, fresh or held
+  double busy_nodes = 0.0;         ///< nodes under those jobs
+  /// Never grant below this: nj * P_min over the fresh jobs plus the
+  /// watts the held jobs already committed.
+  double floor_w = 0.0;
   double capacity_w = 0.0;         ///< nj * TDP: watts beyond this are wasted
   double committed_w = 0.0;        ///< watts the last plan actually committed
   double achieved_ips = 0.0;       ///< measured throughput last interval
   double target_ips = 0.0;         ///< fairness-target throughput
   double cluster_budget_w = 0.0;   ///< plant busy budget seen via heartbeat
-  // RobustnessCounters snapshot, flattened so proto stays free of core
-  // includes. Field order mirrors core::RobustnessCounters.
-  std::uint64_t frames_dropped = 0;
-  std::uint64_t frames_corrupt = 0;
-  std::uint64_t reconnect_attempts = 0;
-  std::uint64_t stale_transitions = 0;
-  std::uint64_t solver_fallbacks = 0;
-  std::uint64_t clamp_activations = 0;
-  std::uint64_t failsafe_activations = 0;
-  std::uint64_t stale_epoch_frames = 0;
+  /// The sender's robustness counters: a controller's own, or an arbiter's
+  /// aggregate over its subtree.
+  core::RobustnessCounters counters;
   /// The reporting controller's epoch (see PromoteAnnounce). The arbiter
   /// fences reports whose epoch is lower than the newest it has seen for
   /// the domain -- a deposed domain controller cannot steal grants back.
   std::uint64_t controller_epoch = 0;
-  /// Tree-level robustness counters, aggregated up the hierarchy the same
-  /// way the ones above are (order matches core::RobustnessCounters).
-  std::uint64_t grants_fenced = 0;
-  std::uint64_t sla_floor_activations = 0;
   /// Tenant terms (see hier::TenantSpec; defaults are exact no-ops).
   double sla_floor_w = 0.0;
   double priority_weight = 1.0;
@@ -252,15 +247,20 @@ std::optional<Message> parse_frame(const std::uint8_t* data, std::size_t size);
 /// case `out` is unspecified (the caller must not read it).
 bool parse_frame_into(const std::uint8_t* data, std::size_t size, Message& out);
 
+/// Parses a batch of whole frames encoded back to back, length prefixes
+/// included (an agent's tick, a broadcast, a ReplTick's inputs) into `out`
+/// (cleared first). All or nothing: unless the length prefixes tile the
+/// buffer exactly and every frame parses, it returns false with `out`
+/// empty. An empty buffer is an empty batch.
+bool parse_batch(const std::uint8_t* data, std::size_t size,
+                 std::vector<Message>& out);
+
 /// Incremental stream decoder: feed raw bytes, take out complete messages.
 /// A malformed frame poisons the decoder permanently (stream framing is
 /// unrecoverable once corrupt); `error()` says why.
 class FrameDecoder {
  public:
   /// Appends raw stream bytes and decodes as many whole frames as arrived.
-  /// A frame whose magic, version, and length prefix are valid but whose
-  /// type byte is unknown is skipped (counted in unknown_skipped()), not
-  /// poisoned -- forward compatibility for peers that predate a frame type.
   void feed(const std::uint8_t* data, std::size_t size);
 
   /// Moves out the messages decoded so far.
@@ -276,9 +276,6 @@ class FrameDecoder {
   bool corrupt() const { return corrupt_; }
   const std::string& error() const { return error_; }
 
-  /// Well-framed messages of unknown type stepped over so far.
-  std::uint64_t unknown_skipped() const { return unknown_skipped_; }
-
  private:
   void poison(const std::string& why);
 
@@ -290,7 +287,6 @@ class FrameDecoder {
   std::size_t live_ = 0;
   bool corrupt_ = false;
   std::string error_;
-  std::uint64_t unknown_skipped_ = 0;
 };
 
 }  // namespace perq::proto

@@ -2,11 +2,6 @@
 
 namespace perq::proto {
 
-void WireWriter::str(const std::string& s) {
-  u32(static_cast<std::uint32_t>(s.size()));
-  buf_->insert(buf_->end(), s.begin(), s.end());
-}
-
 void WireWriter::bytes(const std::uint8_t* data, std::size_t n) {
   buf_->insert(buf_->end(), data, data + n);
 }
@@ -15,22 +10,6 @@ void WireWriter::patch_u32(std::size_t offset, std::uint32_t v) {
   for (std::size_t i = 0; i < 4; ++i) {
     (*buf_)[offset + i] = static_cast<std::uint8_t>(v >> (8 * i));
   }
-}
-
-std::uint8_t WireReader::u8() { return read_le<std::uint8_t>(); }
-std::uint16_t WireReader::u16() { return read_le<std::uint16_t>(); }
-std::uint32_t WireReader::u32() { return read_le<std::uint32_t>(); }
-std::uint64_t WireReader::u64() { return read_le<std::uint64_t>(); }
-
-std::string WireReader::str() {
-  const std::uint32_t n = u32();
-  if (!ok_ || size_ - pos_ < n) {
-    ok_ = false;
-    return {};
-  }
-  std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
-  pos_ += n;
-  return s;
 }
 
 void WireReader::blob(std::vector<std::uint8_t>& out) {

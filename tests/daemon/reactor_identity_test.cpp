@@ -2,20 +2,26 @@
 // sockets with epoll readiness matches the in-process engine bit for bit,
 // and matches the loopback transport at 2 and 4 agents -- the controller's
 // one pump makes decisions depend only on complete tick batches, never on
-// readiness or arrival order. Plus a
-// generous throughput smoke test at 64 agents so the data plane at scale
-// stays wired into ctest.
+// readiness or arrival order. The same holds for a two-domain arbiter
+// deployment, the one run here whose DomainReports and BudgetGrants cross
+// a socket (loopback hands Message objects over without encoding them).
+// Plus a generous throughput smoke test at 64 agents so the data plane at
+// scale stays wired into ctest.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <chrono>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "core/engine.hpp"
 #include "core/node_model.hpp"
 #include "core/perq_policy.hpp"
 #include "daemon/experiment.hpp"
 #include "fault/chaos.hpp"
+#include "hier/arbiter_daemon.hpp"
+#include "net/tcp.hpp"
 
 namespace perq::daemon {
 namespace {
@@ -117,6 +123,70 @@ TEST(ReactorIdentity, TcpAndLoopbackTransportsAgreeBitForBit) {
 
     expect_bit_identical(via_loopback, via_tcp);
   }
+}
+
+TEST(ReactorIdentity, TcpArbiterTreeMatchesLoopbackBitForBit) {
+  const auto cfg = small_cfg();
+
+  core::PerqPolicy loop0 = make_policy(cfg);
+  core::PerqPolicy loop1 = make_policy(cfg);
+  fault::Deployment d;
+  d.engine = cfg;
+  d.controller = patient_ccfg();
+  d.tree = hier::TreeSpec::flat(2);
+  d.plant.agents = 2;
+  const auto via_loopback = fault::run_deployment(d, {&loop0, &loop1});
+  ASSERT_GT(via_loopback.result.jobs_completed, 0u);
+
+  // The same deployment over 127.0.0.1: one arbiter, two domain
+  // controllers dialing it, one agent per controller, serviced in the
+  // runner's order (controllers, then the arbiter) from the plant's wait.
+  net::TcpTransport transport;
+  const auto address_of = [](const net::Listener& l) {
+    return "127.0.0.1:" + std::to_string(net::listener_port(l));
+  };
+  auto arbiter_listener = transport.listen("127.0.0.1:0");
+  const std::string arbiter_address = address_of(*arbiter_listener);
+  hier::ArbiterDaemon arbiter(std::move(arbiter_listener), 2);
+  core::PerqPolicy tcp0 = make_policy(cfg);
+  core::PerqPolicy tcp1 = make_policy(cfg);
+  std::vector<std::unique_ptr<PerqController>> controllers;
+  std::vector<std::string> addresses;
+  for (core::PerqPolicy* policy : {&tcp0, &tcp1}) {
+    auto listener = transport.listen("127.0.0.1:0");
+    addresses.push_back(address_of(*listener));
+    controllers.push_back(std::make_unique<PerqController>(
+        std::move(listener), *policy, patient_ccfg()));
+    controllers.back()->attach_arbiter(
+        transport.connect(arbiter_address),
+        static_cast<std::uint32_t>(controllers.size() - 1), 2);
+  }
+  PlantConfig pcfg;
+  pcfg.agents = 2;
+  pcfg.plan_timeout_ms = 60000;  // in flight over lockstep TCP is not held
+  DaemonPlant plant(cfg, transport, addresses, pcfg);
+  for (auto& c : controllers) c->pump();
+
+  std::uint64_t ticks = 0;
+  std::uint64_t planned = 0;
+  while (!plant.done()) {
+    ++ticks;
+    planned += plant.step([&] {
+      for (auto& c : controllers) c->service();
+      arbiter.service();
+    }) ? 1 : 0;
+  }
+  for (std::size_t i = 0; i < plant.agent_count(); ++i) plant.agent(i).bye();
+  for (auto& c : controllers) c->pump();
+  arbiter.pump();
+  const auto via_tcp = plant.finish(via_loopback.result.policy_name);
+
+  EXPECT_EQ(planned, ticks);
+  EXPECT_EQ(arbiter.decisions(), ticks);
+  EXPECT_EQ(arbiter.decisions(), via_loopback.arbiters[0].decisions);
+  EXPECT_EQ(arbiter.aggregated_counters().frames_corrupt, 0u);
+  for (const auto& c : controllers) EXPECT_EQ(c->counters().frames_corrupt, 0u);
+  expect_bit_identical(via_loopback.result, via_tcp);
 }
 
 // Smoke, not benchmark: 64 real agents over loopback TCP must sustain a

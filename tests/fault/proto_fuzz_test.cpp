@@ -78,17 +78,17 @@ std::vector<Message> sample_messages() {
   r.achieved_ips = 2.5e10;
   r.target_ips = 2.75e10;
   r.cluster_budget_w = 9280.0;
-  r.frames_dropped = 8;
-  r.frames_corrupt = 7;
-  r.reconnect_attempts = 6;
-  r.stale_transitions = 5;
-  r.solver_fallbacks = 4;
-  r.clamp_activations = 3;
-  r.failsafe_activations = 2;
-  r.stale_epoch_frames = 1;
+  r.counters.frames_dropped = 8;
+  r.counters.frames_corrupt = 7;
+  r.counters.reconnect_attempts = 6;
+  r.counters.stale_transitions = 5;
+  r.counters.solver_fallbacks = 4;
+  r.counters.clamp_activations = 3;
+  r.counters.failsafe_activations = 2;
+  r.counters.stale_epoch_frames = 1;
   r.controller_epoch = 4;
-  r.grants_fenced = 2;
-  r.sla_floor_activations = 5;
+  r.counters.grants_fenced = 2;
+  r.counters.sla_floor_activations = 5;
   r.sla_floor_w = 500.0;
   r.priority_weight = 2.0;
   out.push_back(r);

@@ -208,7 +208,7 @@ TEST(SnapshotUnderFault, CorruptSnapshotsAreRejectedWithAReason) {
     EXPECT_NE(why.find("version"), std::string::npos) << why;
   }
   // So is every older one: the codec reads only the version it writes.
-  for (std::uint8_t version = 1; version <= 5; ++version) {
+  for (std::uint8_t version = 1; version <= 6; ++version) {
     auto bad = bytes;
     bad[4] = version;  // u16 little-endian after the 4-byte magic
     bad[5] = 0;

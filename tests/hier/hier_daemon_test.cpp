@@ -191,12 +191,12 @@ TEST(HierDaemon, ArbiterAggregatesReportedCountersAcrossDomains) {
   r0.floor_w = 280.0;
   r0.capacity_w = 860.0;
   r0.cluster_budget_w = 1500.0;
-  r0.frames_corrupt = 3;
-  r0.solver_fallbacks = 1;
+  r0.counters.frames_corrupt = 3;
+  r0.counters.solver_fallbacks = 1;
   proto::DomainReport r1 = r0;
   r1.domain_id = 1;
-  r1.frames_corrupt = 2;
-  r1.clamp_activations = 5;
+  r1.counters.frames_corrupt = 2;
+  r1.counters.clamp_activations = 5;
   c0->send(r0);
   c1->send(r1);
 

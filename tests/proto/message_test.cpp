@@ -4,6 +4,7 @@
 
 #include <cstring>
 
+#include "daemon/snapshot.hpp"
 #include "proto/wire.hpp"
 #include "support/alloc_counter.hpp"
 #include "util/rng.hpp"
@@ -158,17 +159,17 @@ DomainReport sample_report() {
   r.achieved_ips = 2.5e10;
   r.target_ips = 2.75e10;
   r.cluster_budget_w = 9280.0;
-  r.frames_dropped = 13;
-  r.frames_corrupt = 11;
-  r.reconnect_attempts = 7;
-  r.stale_transitions = 2;
-  r.solver_fallbacks = 1;
-  r.clamp_activations = 17;
-  r.failsafe_activations = 5;
-  r.stale_epoch_frames = 3;
+  r.counters.frames_dropped = 13;
+  r.counters.frames_corrupt = 11;
+  r.counters.reconnect_attempts = 7;
+  r.counters.stale_transitions = 2;
+  r.counters.solver_fallbacks = 1;
+  r.counters.clamp_activations = 17;
+  r.counters.failsafe_activations = 5;
+  r.counters.stale_epoch_frames = 3;
   r.controller_epoch = 2;
-  r.grants_fenced = 4;
-  r.sla_floor_activations = 9;
+  r.counters.grants_fenced = 4;
+  r.counters.sla_floor_activations = 9;
   r.sla_floor_w = 450.5;
   r.priority_weight = 2.5;
   return r;
@@ -192,14 +193,14 @@ TEST(Message, DomainReportRoundTripIsBitExact) {
   EXPECT_EQ(bits(r.achieved_ips), bits(in.achieved_ips));
   EXPECT_EQ(bits(r.target_ips), bits(in.target_ips));
   EXPECT_EQ(bits(r.cluster_budget_w), bits(in.cluster_budget_w));
-  EXPECT_EQ(r.frames_dropped, 13u);
-  EXPECT_EQ(r.frames_corrupt, 11u);
-  EXPECT_EQ(r.reconnect_attempts, 7u);
-  EXPECT_EQ(r.stale_transitions, 2u);
-  EXPECT_EQ(r.solver_fallbacks, 1u);
-  EXPECT_EQ(r.clamp_activations, 17u);
-  EXPECT_EQ(r.failsafe_activations, 5u);
-  EXPECT_EQ(r.stale_epoch_frames, 3u);
+  EXPECT_EQ(r.counters.frames_dropped, 13u);
+  EXPECT_EQ(r.counters.frames_corrupt, 11u);
+  EXPECT_EQ(r.counters.reconnect_attempts, 7u);
+  EXPECT_EQ(r.counters.stale_transitions, 2u);
+  EXPECT_EQ(r.counters.solver_fallbacks, 1u);
+  EXPECT_EQ(r.counters.clamp_activations, 17u);
+  EXPECT_EQ(r.counters.failsafe_activations, 5u);
+  EXPECT_EQ(r.counters.stale_epoch_frames, 3u);
   EXPECT_EQ(r.controller_epoch, 2u);
 }
 
@@ -211,16 +212,16 @@ TEST(Message, DomainReportV2RoundTripIsBitExact) {
   const auto m = round_trip(sample_report());
   ASSERT_TRUE(m.has_value());
   const auto& r = std::get<DomainReport>(*m);
-  EXPECT_EQ(r.grants_fenced, 4u);
-  EXPECT_EQ(r.sla_floor_activations, 9u);
+  EXPECT_EQ(r.counters.grants_fenced, 4u);
+  EXPECT_EQ(r.counters.sla_floor_activations, 9u);
   EXPECT_EQ(bits(r.sla_floor_w), bits(450.5));
   EXPECT_EQ(bits(r.priority_weight), bits(2.5));
 
   const auto d = round_trip(DomainReport{});
   ASSERT_TRUE(d.has_value());
   const auto& def = std::get<DomainReport>(*d);
-  EXPECT_EQ(def.grants_fenced, 0u);
-  EXPECT_EQ(def.sla_floor_activations, 0u);
+  EXPECT_EQ(def.counters.grants_fenced, 0u);
+  EXPECT_EQ(def.counters.sla_floor_activations, 0u);
   EXPECT_EQ(bits(def.sla_floor_w), bits(0.0));
   EXPECT_EQ(bits(def.priority_weight), bits(1.0));
 }
@@ -312,6 +313,156 @@ TEST(Message, TypeOfAndNames) {
   EXPECT_EQ(to_string(MsgType::kReplTick), "ReplTick");
   EXPECT_EQ(to_string(MsgType::kReplSnapshot), "ReplSnapshot");
   EXPECT_EQ(to_string(MsgType::kPromoteAnnounce), "PromoteAnnounce");
+}
+
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// FNV-1a over a whole frame with its version byte (offset 6: after the
+/// length prefix and the magic) masked, so a hash pins the layout alone.
+std::uint64_t layout_hash(std::vector<std::uint8_t> frame) {
+  frame.at(6) = 0;
+  return fnv1a(frame);
+}
+
+/// One sample of each frame type whose body did not change with the
+/// version 2 DomainReport, every field a distinct value, so a field the
+/// layout moved, resized or dropped changes the hash.
+std::vector<Message> unchanged_layout_samples() {
+  CapPlan plan;
+  plan.tick = 301;
+  plan.entries.push_back({302, 303.5, 3.04e9, 1});
+  plan.entries.push_back({-305, 306.25, 3.07e9, 0});
+  return {Hello{101, 102, 103},
+          Telemetry{201, 202, 203, 204, -205, 206, 207, 208.5, 209.25, 0.21,
+                    211.125, 2.12e9, 213.0625},
+          plan,
+          Heartbeat{401, 402, 403.5, 404.25, 405.125, 406.0625, 407.0},
+          Bye{501},
+          BudgetGrant{701, 702, 703.5, 704.25},
+          ReplTick{801, 802, 803, {0x80, 0x04, 0x00, 0xFF}},
+          ReplSnapshot{901, {0x09, 0x00, 0x02}},
+          PromoteAnnounce{1001, 1002}};
+}
+
+/// A DomainReport whose every field, each counter included, is distinct.
+DomainReport layout_report() {
+  DomainReport r;
+  r.domain_id = 601;
+  r.domain_count = 602;
+  r.tick = 603;
+  r.jobs = 604;
+  r.busy_nodes = 605.5;
+  r.floor_w = 606.25;
+  r.capacity_w = 607.125;
+  r.committed_w = 608.0625;
+  r.achieved_ips = 6.09e9;
+  r.target_ips = 6.1e9;
+  r.cluster_budget_w = 611.5;
+  std::uint64_t v = 612;
+  for (const core::CounterField& f : core::kCounterTable) r.counters.*f.member = v++;
+  r.controller_epoch = 622;
+  r.sla_floor_w = 623.5;
+  r.priority_weight = 6.24;
+  return r;
+}
+
+/// A controller state with one record in every section.
+daemon::ControllerState layout_state() {
+  daemon::ControllerState s;
+  s.current_tick = 1101;
+  s.last_decided_tick = 1102;
+  s.any_tick_seen = 1;
+  s.any_decision = 1;
+  s.policy.tick = 1103;
+  control::EstimatorState est;
+  est.state = {1104.5, 1105.25};
+  est.gain = 1106.125;
+  est.offset = 1107.0625;
+  est.p00 = 1108.5;
+  est.p01 = 1109.25;
+  est.p11 = 1110.125;
+  est.u_ema = 1111.0625;
+  est.last_u = 1112.5;
+  est.updates = 1113;
+  s.policy.estimators = {{1114, est}};
+  s.policy.last_targets = {{1115, 1116.5}};
+  s.policy.mpc.warm = {1117.25};
+  s.policy.mpc.warm_ids = {1118};
+  s.policy.solver_fallbacks = 1119;
+  daemon::ShadowRecord shadow;
+  shadow.spec.id = 1120;
+  shadow.spec.nodes = 1121;
+  shadow.spec.runtime_ref_s = 1122.5;
+  shadow.spec.app_index = 1123;
+  shadow.spec.phase_offset_s = 1124.25;
+  shadow.progress_s = 1125.125;
+  shadow.last_min_perf = 0.1126;
+  shadow.last_job_ips = 1.127e9;
+  shadow.last_cap_w = 1128.0625;
+  shadow.last_tick = 1129;
+  shadow.seq = 1130;
+  shadow.feeder = 1131;
+  shadow.planned_cap_w = 1132.5;
+  shadow.planned_target_ips = 1.133e9;
+  s.shadows = {shadow};
+  std::uint64_t v = 1134;
+  for (const core::CounterField& f : core::kCounterTable) s.counters.*f.member = v++;
+  s.any_grant = 1;
+  s.granted_w = 1144.5;
+  s.grant_tick = 1145;
+  s.epoch = 1146;
+  return s;
+}
+
+// Encoder and parser read one field list, so a round trip cannot see a
+// layout change; these hashes can. The nine bodies that version 2 left
+// alone hash as they did under version 1 (recorded from a build of the
+// version 1 codec with the version byte masked); the DomainReport and the
+// snapshot were recorded with this layout. A deliberate layout change
+// re-records its hash and bumps kVersion or the snapshot version.
+TEST(Message, FrozenWireLayouts) {
+  const std::uint64_t unchanged[] = {
+      0x00b9b10245d16a29ull,  // Hello
+      0x2bd2aa8fc4cb15fbull,  // Telemetry
+      0xb2688f0d9176d0eaull,  // CapPlan
+      0x6c7e18c155720cb1ull,  // Heartbeat
+      0xa1449d84ebd2bd27ull,  // Bye
+      0x74315b88073fcd3dull,  // BudgetGrant
+      0xa18942ba3b13fd25ull,  // ReplTick
+      0x8c3bb599aca32cd1ull,  // ReplSnapshot
+      0xf73635d0301be2fcull,  // PromoteAnnounce
+  };
+  const std::vector<Message> samples = unchanged_layout_samples();
+  ASSERT_EQ(samples.size(), std::size(unchanged));
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const std::uint64_t h = layout_hash(encode(samples[i]));
+    EXPECT_EQ(h, unchanged[i]) << to_string(type_of(samples[i])) << " hash 0x"
+                               << std::hex << h;
+  }
+
+  const auto report = encode(layout_report());
+  EXPECT_EQ(report.size(), 4u + 4u + 180u);  // prefix, header, fixed body
+  EXPECT_EQ(report[6], kVersion);
+  EXPECT_EQ(kVersion, 2);
+  const std::uint64_t report_hash = layout_hash(report);
+  EXPECT_EQ(report_hash, 0x31bf35def24a7628ull) << "DomainReport hash 0x" << std::hex
+                                  << report_hash;
+
+  const auto snapshot = daemon::encode_snapshot(layout_state());
+  const std::uint64_t snapshot_hash = fnv1a(snapshot);
+  EXPECT_EQ(snapshot_hash, 0x1e56fa37b4ca18b1ull) << "snapshot hash 0x" << std::hex
+                                    << snapshot_hash;
+  ASSERT_TRUE(daemon::decode_snapshot(snapshot.data(), snapshot.size()));
+  EXPECT_EQ(daemon::encode_snapshot(
+                *daemon::decode_snapshot(snapshot.data(), snapshot.size())),
+            snapshot);
 }
 
 // ---- malformed-input rejection ---------------------------------------------
@@ -460,52 +611,55 @@ TEST(FrameDecoder, PoisonsOnCorruptBody) {
   EXPECT_FALSE(dec.error().empty());
 }
 
-TEST(FrameDecoder, SkipsWellFramedUnknownTypesWithoutPoisoning) {
-  // A frame from a future protocol revision: valid length prefix, magic,
-  // and version, but a type byte this build has never heard of. The stream
-  // decoder must step over it -- forward compatibility -- while the strict
-  // single-frame parser still rejects it.
-  auto future = encode(Message(sample_heartbeat()));
-  future[4 + 3] = 200;  // type byte lives after the length prefix + magic
-  EXPECT_FALSE(parse_frame(future.data() + 4, future.size() - 4).has_value());
-  // A retired type (8, the old CapPlanDelta) from an older peer is unknown
-  // to this build in the same way and must be stepped over too.
-  auto retired = encode(Message(sample_heartbeat()));
-  retired[4 + 3] = 8;
-  EXPECT_FALSE(parse_frame(retired.data() + 4, retired.size() - 4).has_value());
-
-  std::vector<std::uint8_t> stream;
-  const auto first = encode(Message(sample_hello()));
+/// `stream` fed whole and byte at a time: the Hello in front is delivered,
+/// then the decoder is poisoned and the Bye behind is not.
+void expect_poisoned_after_hello(const std::vector<std::uint8_t>& bad) {
+  std::vector<std::uint8_t> stream = encode(Message(sample_hello()));
+  stream.insert(stream.end(), bad.begin(), bad.end());
   const auto last = encode(Message(Bye{3}));
-  stream.insert(stream.end(), first.begin(), first.end());
-  stream.insert(stream.end(), future.begin(), future.end());
-  stream.insert(stream.end(), retired.begin(), retired.end());
   stream.insert(stream.end(), last.begin(), last.end());
 
   FrameDecoder dec;
   dec.feed(stream.data(), stream.size());
   const auto got = dec.take();
-  ASSERT_EQ(got.size(), 2u);  // the unknown frames are dropped, not delivered
+  ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(type_of(got[0]), MsgType::kHello);
-  EXPECT_EQ(type_of(got[1]), MsgType::kBye);
-  EXPECT_FALSE(dec.corrupt());
-  EXPECT_EQ(dec.unknown_skipped(), 2u);
+  EXPECT_TRUE(dec.corrupt());
+  EXPECT_FALSE(dec.error().empty());
 
-  // Byte-at-a-time delivery takes the same path.
   FrameDecoder trickle;
-  for (std::uint8_t b : stream) trickle.feed(&b, 1);
-  EXPECT_EQ(trickle.take().size(), 2u);
-  EXPECT_FALSE(trickle.corrupt());
-  EXPECT_EQ(trickle.unknown_skipped(), 2u);
+  std::size_t delivered = 0;
+  for (std::uint8_t b : stream) {
+    trickle.feed(&b, 1);
+    delivered += trickle.take().size();
+  }
+  EXPECT_EQ(delivered, 1u);
+  EXPECT_TRUE(trickle.corrupt());
+}
 
-  // An unknown type with a *broken* body length still poisons: skipping is
-  // only safe when the framing itself is sound.
-  FrameDecoder strict;
-  auto bad = future;
-  bad[4] ^= 0xFF;  // break the magic on the unknown-type frame
-  strict.feed(bad.data(), bad.size());
-  EXPECT_TRUE(strict.corrupt());
-  EXPECT_EQ(strict.unknown_skipped(), 0u);
+TEST(FrameDecoder, PoisonsOnVersionOneFrame) {
+  // A frame of the previous protocol version, well framed: peers run one
+  // build, so it is corrupt input, not something to step over.
+  auto old = encode(Message(sample_heartbeat()));
+  old[4 + 2] = 1;  // the version byte follows the length prefix + magic
+  EXPECT_FALSE(parse_frame(old.data() + 4, old.size() - 4).has_value());
+  expect_poisoned_after_hello(old);
+}
+
+TEST(FrameDecoder, PoisonsOnWellFramedUnknownType) {
+  // Valid length prefix, magic and version, but a type byte this build does
+  // not parse: a type from nowhere (200) or the retired CapPlanDelta (8).
+  for (const std::uint8_t type : {std::uint8_t{200}, std::uint8_t{8}}) {
+    SCOPED_TRACE(static_cast<int>(type));
+    auto unknown = encode(Message(sample_heartbeat()));
+    unknown[4 + 3] = type;  // the type byte follows the version byte
+    EXPECT_FALSE(
+        parse_frame(unknown.data() + 4, unknown.size() - 4).has_value());
+    expect_poisoned_after_hello(unknown);
+    // Broken framing on the same frame poisons as well.
+    unknown[4] ^= 0xFF;
+    expect_poisoned_after_hello(unknown);
+  }
 }
 
 TEST(FrameDecoder, RandomizedChunkedStream) {
